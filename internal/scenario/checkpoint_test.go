@@ -2,9 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -206,5 +210,168 @@ func TestCheckpointEnvelopeRejectsMismatches(t *testing.T) {
 	// Garbage must be rejected.
 	if _, err := ResumeModel(sp, []byte("not json"), RunOptions{}); err == nil {
 		t.Error("resume accepted a non-envelope blob")
+	}
+}
+
+func TestAnalyticCheckpointBytesPinned(t *testing.T) {
+	// The analytic engines' checkpoint layout is a persisted format:
+	// .ckpt files written by an earlier build must resume on a later
+	// one. Pin the model-private bytes after one Step, with the trace on
+	// and off, so a layout change cannot slip in unnoticed.
+	want := map[string]string{
+		"eneutral":        "713ae2a01637fcf4a53d0d17a3bd1699ebe019a7f4dd617e2343f1b13eafebb6",
+		"eneutral/trace":  "8781739cbb02382df0e829f01be66da76c82a280d424f01e05962bfbfc3d6a1f",
+		"taskburst":       "52c4cf2c2cb1d88bc6879242258b968f1e9d05371258926340f449a412e30191",
+		"taskburst/trace": "e9dde2ba59018bb57dc9d332d1110c989c8d1ccb36b7f45cc783059f8cf5a41b",
+		"mpsoc":           "4ab2b8275347c56482f2f1d437a21980863685aeb27dd84507d6c708fa2db4be",
+		"mpsoc/trace":     "d5fcc5af68c7349fed53de48396a055f66b07b3308f8d1bcabf95e807d6e2d80",
+	}
+	for name, src := range ckptSpecs {
+		for _, traced := range []bool{false, true} {
+			key := name
+			if traced {
+				key += "/trace"
+			}
+			t.Run(key, func(t *testing.T) {
+				sp := mustParse(t, src)
+				m, err := LookupModel(sp.ModelName())
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := m.Engine(sp, RunOptions{Trace: traced}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+				state, err := eng.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(state)); got != want[key] {
+					t.Errorf("checkpoint sha256 = %s, want %s", got, want[key])
+				}
+			})
+		}
+	}
+}
+
+// ckptSweepSpecs are three-case sweeps over the ckptSpecs runs: every
+// case needs more than one analyticChunk, so an interruption can land
+// inside a case as well as between cases.
+var ckptSweepSpecs = map[string]string{
+	"eneutral": `{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":30000,
+		"sweep":[{"param":"model.batteryj","values":[100,200,400]}]}`,
+	"taskburst": `{"name":"x","model":"taskburst","storage":{"c":"6m"},"source":{"name":"const-power","params":{"p":"2m"}},"duration":2,
+		"sweep":[{"param":"model.taskenergy","values":["1m","2m","3m"]}]}`,
+	"mpsoc": `{"name":"x","model":"mpsoc","source":{"name":"const-power","params":{"p":2}},"duration":30000,"dt":1,
+		"sweep":[{"param":"model.scale","values":[0.5,1,2]}]}`,
+}
+
+func TestAnalyticSweepCheckpointResumeIdentical(t *testing.T) {
+	for name, src := range ckptSweepSpecs {
+		t.Run(name, func(t *testing.T) {
+			sp := mustParse(t, src)
+			want, err := RunModel(sp, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Cases) != 3 {
+				t.Fatalf("%d cases, want 3", len(want.Cases))
+			}
+			resume := func(t *testing.T, env []byte) {
+				t.Helper()
+				got, err := ResumeModel(sp, env, RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Text != want.Text {
+					t.Errorf("resumed text differs:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want.Text, got.Text)
+				}
+				if !reflect.DeepEqual(got.Cases, want.Cases) {
+					t.Errorf("resumed cases differ:\n got %+v\nwant %+v", got.Cases, want.Cases)
+				}
+				if got.SimSeconds != want.SimSeconds {
+					t.Errorf("resumed SimSeconds = %g, want %g", got.SimSeconds, want.SimSeconds)
+				}
+			}
+
+			t.Run("before-first-case", func(t *testing.T) {
+				resume(t, interruptRun(t, sp, RunOptions{}))
+			})
+			t.Run("after-first-case", func(t *testing.T) {
+				ckpt := make(chan struct{})
+				_, err := RunModel(sp, RunOptions{
+					Checkpoint: ckpt,
+					Progress: func(done, _ int) {
+						if done == 1 {
+							close(ckpt)
+						}
+					},
+				})
+				var ce *CheckpointError
+				if !errors.As(err, &ce) {
+					t.Fatalf("got %v, want *CheckpointError", err)
+				}
+				resume(t, ce.State)
+			})
+			t.Run("after-one-step", func(t *testing.T) {
+				m, err := LookupModel(sp.ModelName())
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := m.Engine(sp, RunOptions{}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Step(); err != nil {
+					t.Fatal(err)
+				}
+				state, err := eng.Checkpoint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				env, err := encodeCheckpoint(sp, state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resume(t, env)
+			})
+		})
+	}
+}
+
+func TestAnalyticSweepCancel(t *testing.T) {
+	for name, src := range ckptSweepSpecs {
+		t.Run(name, func(t *testing.T) {
+			sp := mustParse(t, src)
+			cancel := make(chan struct{})
+			_, err := RunModel(sp, RunOptions{
+				Cancel: cancel,
+				Progress: func(done, _ int) {
+					if done == 1 {
+						close(cancel)
+					}
+				},
+			})
+			if !errors.Is(err, sweep.ErrCanceled) {
+				t.Fatalf("got %v, want sweep.ErrCanceled", err)
+			}
+		})
+	}
+}
+
+func TestAnalyticSweepCarriesNoTrace(t *testing.T) {
+	for name, src := range ckptSweepSpecs {
+		t.Run(name, func(t *testing.T) {
+			rep, err := RunModel(mustParse(t, src), RunOptions{Trace: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Trace != nil {
+				t.Error("analytic sweep returned a trace")
+			}
+		})
 	}
 }

@@ -194,7 +194,7 @@ func runSingle(s lab.Setup, title, tracePath string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, title)
-	result.WriteSummary(stdout, res, s.Duration)
+	scenario.WriteSummary(stdout, res, s.Duration)
 
 	if rec != nil {
 		f, err := os.Create(tracePath)
@@ -271,7 +271,7 @@ func sweepCaps(caps []float64, setup func(c float64) lab.Setup,
 	for i, c := range caps {
 		names[i] = units.Format(c, "F")
 	}
-	result.WriteSweepTable(stdout, "C", 10, names, results)
+	scenario.WriteSweepTable(stdout, "C", 10, names, results)
 	return nil
 }
 

@@ -50,10 +50,6 @@ type Node struct {
 	// hooks in here.
 	Observe func(t, soc, duty float64, dead bool)
 
-	// Abort, if non-nil, stops Simulate early once the channel is
-	// closed; the partial Result is returned with Aborted set.
-	Abort <-chan struct{}
-
 	dead bool
 }
 
@@ -96,8 +92,6 @@ type Result struct {
 	Windows []float64
 
 	DutyTrace []float64 // duty cycle at each control epoch
-
-	Aborted bool // Node.Abort closed before the run finished
 }
 
 // WorstWindow returns the largest eq. (1) imbalance ratio, or +Inf if no
@@ -114,25 +108,10 @@ func (r Result) WorstWindow() float64 {
 }
 
 // Simulate runs the node for duration seconds with the given integration
-// step and eq. (1) evaluation window (typically 24 h). It is a chunked
-// wrapper over Sim, preserving the historical abort cadence: the Abort
-// channel is polled every 1024 steps, and an aborted run returns the
-// partial Result with Aborted set.
+// step and eq. (1) evaluation window (typically 24 h).
 func (n *Node) Simulate(duration, dt, window float64) Result {
 	sim := NewSim(n, duration, dt, window)
-	for !sim.Done() {
-		if n.Abort != nil {
-			select {
-			case <-n.Abort:
-				res := sim.res
-				res.Aborted = true
-				res.FinalSoC = n.Storage.SoC
-				return res
-			default:
-			}
-		}
-		sim.Step(1024)
-	}
+	sim.Step(0)
 	return sim.Result()
 }
 

@@ -211,10 +211,6 @@ type Selector struct {
 	// point (ok=false on starved steps, where op is zero). It is a pure
 	// observer — tracing hooks in here.
 	Observe func(t, budgetW float64, op OperatingPoint, ok bool)
-
-	// Abort, if non-nil, stops Simulate early once the channel is
-	// closed; the partial result is returned with Aborted set.
-	Abort <-chan struct{}
 }
 
 // NewSelector precomputes the Pareto frontier for a board.

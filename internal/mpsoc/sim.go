@@ -13,7 +13,6 @@ type SimResult struct {
 	Starved       int     // steps where even the lowest point didn't fit
 	Switches      int     // operating-point changes
 	MaxSustainedW float64 // largest budget observed
-	Aborted       bool    // Selector.Abort closed before the run finished
 }
 
 // Simulate runs the power-neutral selector against a time-varying power
@@ -24,18 +23,7 @@ type SimResult struct {
 // nothing (the board must buffer or power down).
 func (s *Selector) Simulate(budget func(t float64) float64, duration, dt float64) SimResult {
 	sim := NewSim(s, budget, duration, dt)
-	for !sim.Done() {
-		if s.Abort != nil {
-			select {
-			case <-s.Abort:
-				res := sim.res
-				res.Aborted = true
-				return res
-			default:
-			}
-		}
-		sim.Step(1024)
-	}
+	sim.Step(0)
 	return sim.Result()
 }
 

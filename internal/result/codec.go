@@ -34,11 +34,9 @@ type wireReport struct {
 	SimSeconds float64    `json:"sim_seconds"`
 	Cases      []wireCase `json:"cases,omitempty"`
 
-	// Trace is the columnar trace blob (trace.EncodeRecorder); TraceCSV
-	// is the legacy fallback for reports that carry rendered CSV without
-	// a live recorder. At most one is set.
-	Trace    []byte `json:"trace,omitempty"`
-	TraceCSV []byte `json:"trace_csv,omitempty"`
+	// Trace is the columnar trace blob (trace.EncodeRecorder); the CSV
+	// is re-rendered from it on decode.
+	Trace []byte `json:"trace,omitempty"`
 }
 
 // wireCase is one persisted case: its display name and its structured
@@ -60,8 +58,6 @@ func EncodeReport(rep *Report) ([]byte, error) {
 	}
 	if rep.Trace != nil {
 		w.Trace = trace.EncodeRecorder(rep.Trace)
-	} else {
-		w.TraceCSV = rep.TraceCSV
 	}
 	for _, c := range rep.Cases {
 		w.Cases = append(w.Cases, wireCase{Name: c.Name, Metrics: c.Metrics})
@@ -95,7 +91,6 @@ func DecodeReport(data []byte) (*Report, error) {
 		Sweep:      w.Sweep,
 		Text:       w.Text,
 		SimSeconds: w.SimSeconds,
-		TraceCSV:   w.TraceCSV,
 		Cases:      make([]CaseResult, len(w.Cases)),
 	}
 	if w.Trace != nil {

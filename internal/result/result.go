@@ -11,10 +11,8 @@
 // rendered report with the spec's content address. Every front-end that
 // goes through RunSpec gains new models the moment they register.
 //
-// The package also re-exports the textual building blocks the CLI's
-// legacy flag path shares with lab scenario reports (WriteSummary,
-// WriteSweepTable) and owns the trace serialisation that stamps every
-// CSV with the spec's content address (WriteTrace).
+// The package also owns the trace serialisation that stamps every CSV
+// with the spec's content address (WriteTrace).
 package result
 
 import (
@@ -44,10 +42,11 @@ type Options struct {
 	Workers int
 
 	// Trace captures a trace during the run. Single-run specs trace the
-	// run itself; sweeps trace their first grid case (sweep.Case.Index
-	// 0), a deterministic representative. Recording does not perturb the
-	// simulation — the recorder is a pure observer. What the trace
-	// carries is model-defined: V_CC/freq/mode for lab runs,
+	// run itself; lab sweeps trace their first grid case
+	// (sweep.Case.Index 0), a deterministic representative; analytic
+	// (mpsoc, taskburst, eneutral) sweeps carry no trace. Recording does
+	// not perturb the simulation — the recorder is a pure observer. What
+	// the trace carries is model-defined: V_CC/freq/mode for lab runs,
 	// budget/used/fps for mpsoc, vcap/events for taskburst,
 	// soc/duty/harvest for eneutral.
 	Trace bool
@@ -105,7 +104,7 @@ type Report struct {
 	// service's work-done metric.
 	SimSeconds float64
 
-	// TraceCSV is the captured trace (Options.Trace; on sweeps, the
+	// TraceCSV is the captured trace (Options.Trace; on lab sweeps, the
 	// first grid case's), serialised by WriteTrace: a spec-hash header
 	// comment, then CSV.
 	TraceCSV []byte
@@ -181,25 +180,6 @@ func wrapReport(sp *scenario.Spec, hash string, mr *scenario.ModelReport) (*Repo
 		rep.Trace = mr.Trace
 	}
 	return rep, nil
-}
-
-// SingleTitle renders a single-run lab scenario's report title line.
-func SingleTitle(sp *scenario.Spec) string { return scenario.SingleTitle(sp) }
-
-// SweepAxesLabel joins the spec's sweep axis names for the report header.
-func SweepAxesLabel(sp *scenario.Spec) string { return scenario.SweepAxesLabel(sp) }
-
-// WriteSummary renders one run's result block — the per-run body shared
-// by the CLI's flag and scenario paths and the service's reports.
-func WriteSummary(w io.Writer, res lab.Result, duration float64) {
-	scenario.WriteSummary(w, res, duration)
-}
-
-// WriteSweepTable renders the sweep comparison table: a header row, then
-// one row per case. width sets the first column's width, col0 its title
-// ("case" for scenario sweeps, "C" for the CLI's storage sweeps).
-func WriteSweepTable(w io.Writer, col0 string, width int, names []string, results []lab.Result) {
-	scenario.WriteSweepTable(w, col0, width, names, results)
 }
 
 // WriteTrace serialises a recorded trace as CSV, prefixed (when specHash

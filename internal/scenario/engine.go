@@ -38,10 +38,11 @@ type Engine interface {
 	Report() (*ModelReport, error)
 }
 
-// analyticChunk bounds one Step of the analytic (non-lab) single-run
-// engines: enough integration steps to amortise the driver's
-// between-step channel checks to noise, few enough that cancellation
-// and checkpoint latency stay in the milliseconds.
+// analyticChunk bounds one Step of the analytic (non-lab) engines, for
+// single runs and sweep cases alike: enough integration steps to
+// amortise the driver's between-step channel checks to noise, few
+// enough that cancellation and checkpoint latency stay in the
+// milliseconds.
 const analyticChunk = 16384
 
 // CheckpointError is returned by RunModel/ResumeModel when the options'

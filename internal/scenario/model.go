@@ -29,11 +29,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/lab"
@@ -55,9 +50,9 @@ type RunOptions struct {
 	// their (cheap) cases sequentially.
 	Workers int
 
-	// Trace asks the model to capture its run as a trace.Recorder. It
-	// applies to single-run specs only and must not perturb the
-	// simulation.
+	// Trace asks the model to capture its run as a trace.Recorder: a
+	// single run traces itself, a lab sweep its first grid case, and an
+	// analytic sweep nothing. Recording must not perturb the simulation.
 	Trace bool
 
 	// TraceInterval overrides the trace sampling interval (simulated
@@ -289,140 +284,4 @@ func (s *Spec) at(c sweep.Case) (*Spec, error) {
 		}
 	}
 	return cs, nil
-}
-
-// tableSweepEngine is the shared sweep engine for the analytic
-// (non-lab) models: expand the grid, run one case per Step sequentially
-// (the analytic engines are orders of magnitude cheaper than the lab's
-// cycle-level stepping, so parallel fan-out would be all overhead), and
-// render a comparison table with the model's columns. Its checkpoint is
-// the completed prefix — the cursor, the rendered cells, and the
-// accumulated metrics — so a resumed sweep re-runs nothing.
-type tableSweepEngine struct {
-	sp      *Spec
-	opts    RunOptions
-	header  []string
-	runCase func(cs *Spec) (cells []string, metrics map[string]float64, simSeconds float64, err error)
-
-	cases      []sweep.Case
-	next       int
-	rows       [][]string
-	names      []string
-	mcases     []ModelCase
-	simSeconds float64
-}
-
-// tableSweepState is the serialised checkpoint of a tableSweepEngine.
-type tableSweepState struct {
-	Next       int         `json:"next"`
-	Rows       [][]string  `json:"rows"`
-	Names      []string    `json:"names"`
-	Cases      []ModelCase `json:"cases"`
-	SimSeconds float64     `json:"simSeconds"`
-}
-
-// newTableSweepEngine builds the sweep engine, restoring the completed
-// prefix when checkpoint is non-nil.
-func newTableSweepEngine(sp *Spec, opts RunOptions, header []string,
-	runCase func(cs *Spec) ([]string, map[string]float64, float64, error),
-	checkpoint []byte) (*tableSweepEngine, error) {
-	cases := sp.Grid().Cases()
-	e := &tableSweepEngine{
-		sp: sp, opts: opts, header: header, runCase: runCase,
-		cases: cases,
-		rows:  make([][]string, len(cases)),
-		names: make([]string, len(cases)),
-	}
-	if checkpoint != nil {
-		var st tableSweepState
-		if err := json.Unmarshal(checkpoint, &st); err != nil {
-			return nil, sp.errf("sweep checkpoint: %w", err)
-		}
-		if st.Next < 0 || st.Next > len(cases) ||
-			len(st.Rows) != st.Next || len(st.Names) != st.Next || len(st.Cases) != st.Next {
-			return nil, sp.errf("sweep checkpoint is inconsistent with the spec's %d cases", len(cases))
-		}
-		copy(e.rows, st.Rows)
-		copy(e.names, st.Names)
-		e.mcases = st.Cases
-		e.next = st.Next
-		e.simSeconds = st.SimSeconds
-	}
-	return e, nil
-}
-
-// Step implements Engine: run the next case.
-func (e *tableSweepEngine) Step() error {
-	c := e.cases[e.next]
-	cs, err := e.sp.at(c)
-	if err != nil {
-		return err
-	}
-	cells, metrics, sim, err := e.runCase(cs)
-	if err != nil {
-		// A case interrupted mid-run by a checkpoint request is
-		// discarded: the completed prefix stays intact, and re-running
-		// the case on resume is deterministic.
-		if errors.Is(err, sweep.ErrCanceled) && checkpointRequested(e.opts) {
-			return nil
-		}
-		return err
-	}
-	e.rows[e.next], e.names[e.next] = cells, c.Name
-	e.simSeconds += sim
-	e.mcases = append(e.mcases, ModelCase{Name: c.Name, Metrics: metrics})
-	e.next++
-	if e.opts.Progress != nil {
-		e.opts.Progress(e.next, len(e.cases))
-	}
-	return nil
-}
-
-// Done implements Engine.
-func (e *tableSweepEngine) Done() bool { return e.next >= len(e.cases) }
-
-// Progress implements Engine.
-func (e *tableSweepEngine) Progress() (int, int) { return e.next, len(e.cases) }
-
-// Checkpoint implements Engine: serialise the completed prefix.
-func (e *tableSweepEngine) Checkpoint() ([]byte, error) {
-	return json.Marshal(tableSweepState{
-		Next:       e.next,
-		Rows:       e.rows[:e.next],
-		Names:      e.names[:e.next],
-		Cases:      e.mcases,
-		SimSeconds: e.simSeconds,
-	})
-}
-
-// Report implements Engine: render the comparison table.
-func (e *tableSweepEngine) Report() (*ModelReport, error) {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "scenario %s: sweep over %s, %d cases\n",
-		e.sp.Name, SweepAxesLabel(e.sp), len(e.cases))
-	writeCellTable(&buf, "case", 32, e.header, e.names, e.rows)
-	return &ModelReport{
-		Sweep:      true,
-		Text:       buf.String(),
-		Cases:      e.mcases,
-		SimSeconds: e.simSeconds,
-	}, nil
-}
-
-// writeCellTable renders a generic sweep table: a header row, then one
-// row of pre-formatted cells per case. width sets the first column's
-// width, col0 its title.
-func writeCellTable(w io.Writer, col0 string, width int, header, names []string, rows [][]string) {
-	fmt.Fprintf(w, "%-*s", width, col0)
-	for _, h := range header {
-		fmt.Fprintf(w, " %-12s", h)
-	}
-	fmt.Fprintln(w)
-	for i, cells := range rows {
-		fmt.Fprintf(w, "%-*s", width, names[i])
-		for _, c := range cells {
-			fmt.Fprintf(w, " %-12s", c)
-		}
-		fmt.Fprintln(w)
-	}
 }

@@ -2,13 +2,11 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"repro/internal/eneutral"
 	"repro/internal/registry"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/units"
 )
@@ -121,26 +119,14 @@ func (m eneutralModel) Validate(s *Spec) error {
 
 // Engine implements Model.
 func (m eneutralModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
-	if sp.HasSweep() {
-		return newTableSweepEngine(sp, opts,
-			[]string{"harvested", "consumed", "worst-win", "deaths", "final-soc", "mean-duty"},
-			func(cs *Spec) ([]string, map[string]float64, float64, error) {
-				res, _, err := m.simulate(cs, nil, opts.stop)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				p, _ := cs.modelParams(m) // validated in simulate
-				return []string{
-					units.Format(res.HarvestedJ, "J"),
-					units.Format(res.ConsumedJ, "J"),
-					worstWindowLabel(res),
-					fmt.Sprintf("%d", res.Violations),
-					fmt.Sprintf("%.1f%%", res.FinalSoC*100),
-					fmt.Sprintf("%.1f%%", meanDuty(res, p["duty0"])*100),
-				}, eneutralMetrics(res, p["duty0"]), float64(cs.Duration), nil
-			}, checkpoint)
-	}
+	return analyticEngineFor(m, sp, opts, checkpoint)
+}
 
+func (eneutralModel) sweepHeader() []string {
+	return []string{"harvested", "consumed", "worst-win", "deaths", "final-soc", "mean-duty"}
+}
+
+func (m eneutralModel) newRun(sp *Spec) (analyticRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)
@@ -163,100 +149,69 @@ func (m eneutralModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Eng
 	if dt <= 0 {
 		dt = eneutralDefaultDt
 	}
-	e := &eneutralEngine{
-		sp: sp, opts: opts, p: p, node: node,
-		sim: eneutral.NewSim(node, float64(sp.Duration), dt, p["window"]),
-	}
-
-	var restored *eneutral.SimState
-	var recBlob []byte
-	if checkpoint != nil {
-		var st eneutralState
-		if err := json.Unmarshal(checkpoint, &st); err != nil {
-			return nil, sp.errf("checkpoint: %w", err)
-		}
-		restored, recBlob = st.Sim, st.Trace
-	}
-	if restored != nil {
-		// A resumed run records iff the checkpoint carried a trace — the
-		// checkpoint, not the resume options, decides, so the reassembled
-		// trace is byte-identical to an uninterrupted run's.
-		if recBlob != nil {
-			rec, err := trace.DecodeRecorder(recBlob)
-			if err != nil {
-				return nil, sp.errf("checkpoint trace: %w", err)
-			}
-			e.rec = rec
-		}
-	} else if opts.Trace {
-		e.rec = trace.NewRecorder()
-		e.rec.SetInterval(opts.interval())
-	}
-	if e.rec != nil {
-		socCh := e.rec.Channel("soc", "")
-		dutyCh := e.rec.Channel("duty", "")
-		harvestCh := e.rec.Channel("harvest", "W")
-		node.Observe = func(t, soc, duty float64, dead bool) {
-			socCh.Record(t, soc)
-			dutyCh.Record(t, duty)
-			harvestCh.Record(t, ps.Power(t))
-		}
-	}
-	if restored != nil {
-		e.sim.Restore(*restored)
-	}
-	return e, nil
+	return &eneutralRun{
+		Sim: eneutral.NewSim(node, float64(sp.Duration), dt, p["window"]),
+		sp:  sp, p: p, node: node,
+	}, nil
 }
 
-// eneutralEngine steps one sweep-free energy-neutral run in
-// analyticChunk-sized slices of the integration loop.
-type eneutralEngine struct {
+// eneutralRun is one sweep-free energy-neutral case.
+type eneutralRun struct {
+	*eneutral.Sim
 	sp   *Spec
-	opts RunOptions
 	p    registry.Params
 	node *eneutral.Node
-	sim  *eneutral.Sim
-	rec  *trace.Recorder
 }
 
-// eneutralState is the serialised checkpoint of an eneutralEngine. A nil
-// Sim (an empty restart marker) resumes as a fresh run.
-type eneutralState struct {
-	Sim   *eneutral.SimState `json:"sim,omitempty"`
-	Trace []byte             `json:"trace,omitempty"`
-}
-
-// Step implements Engine.
-func (e *eneutralEngine) Step() error { e.sim.Step(analyticChunk); return nil }
-
-// Done implements Engine.
-func (e *eneutralEngine) Done() bool { return e.sim.Done() }
-
-// Progress implements Engine.
-func (e *eneutralEngine) Progress() (int, int) {
-	if e.sim.Done() {
-		return 1, 1
+// eneutralCkpt is the checkpoint layout of an eneutral.SimState. The
+// result once carried an abort flag; its key is still written, always
+// false, so checkpoints stay byte-identical to those of earlier builds.
+// It must list every SimState field: one it drops is lost on resume,
+// which TestMidRunCheckpointResumeIdentical reports.
+type eneutralCkpt struct {
+	T                float64
+	WinH, WinC, WinT float64
+	CtlH, CtlT       float64
+	NextCtrl         float64
+	Res              struct {
+		eneutral.Result
+		Aborted bool
 	}
-	return 0, 1
+	SoC         float64
+	ThroughputJ float64
+	Duty        float64
+	Dead        bool
+	Kansal      *float64
 }
 
-// Checkpoint implements Engine.
-func (e *eneutralEngine) Checkpoint() ([]byte, error) {
-	st := e.sim.State()
-	out := eneutralState{Sim: &st}
-	if e.rec != nil {
-		out.Trace = trace.EncodeRecorder(e.rec)
+func (r *eneutralRun) state() any {
+	st := r.State()
+	c := eneutralCkpt{
+		T: st.T, WinH: st.WinH, WinC: st.WinC, WinT: st.WinT,
+		CtlH: st.CtlH, CtlT: st.CtlT, NextCtrl: st.NextCtrl,
+		SoC: st.SoC, ThroughputJ: st.ThroughputJ, Duty: st.Duty, Dead: st.Dead, Kansal: st.Kansal,
 	}
-	return json.Marshal(out)
+	c.Res.Result = st.Res
+	return c
 }
 
-// Report implements Engine.
-func (e *eneutralEngine) Report() (*ModelReport, error) {
-	res := e.sim.Result()
-	if e.opts.Progress != nil {
-		e.opts.Progress(1, 1)
+func (r *eneutralRun) restore(sim []byte) error { return restoreJSON(sim, r.Restore) }
+
+func (r *eneutralRun) record(rec *trace.Recorder) {
+	socCh := rec.Channel("soc", "")
+	dutyCh := rec.Channel("duty", "")
+	harvestCh := rec.Channel("harvest", "W")
+	harvest := r.node.Harvest
+	r.node.Observe = func(t, soc, duty float64, dead bool) {
+		socCh.Record(t, soc)
+		dutyCh.Record(t, duty)
+		harvestCh.Record(t, harvest.Power(t))
 	}
-	sp, p, node := e.sp, e.p, e.node
+}
+
+func (r *eneutralRun) report() string {
+	res := r.Result()
+	sp, p, node := r.sp, r.p, r.node
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "scenario %s: energy-neutral duty cycling on %s, %gs\n",
 		sp.Name, sp.Source.Name, float64(sp.Duration))
@@ -273,56 +228,22 @@ func (e *eneutralEngine) Report() (*ModelReport, error) {
 		units.Format(p["batteryj"], "J"), res.FinalSoC*100)
 	fmt.Fprintf(&buf, "  productive time:    %.1fs (%.1f%% of run)\n",
 		res.ActiveSec, res.ActiveSec/float64(sp.Duration)*100)
-	return &ModelReport{
-		Text:       buf.String(),
-		Cases:      []ModelCase{{Name: sp.Name, Metrics: eneutralMetrics(res, p["duty0"])}},
-		SimSeconds: float64(sp.Duration),
-		Trace:      e.rec,
-	}, nil
+	return buf.String()
 }
 
-// simulate runs one sweep-free energy-neutral case, optionally
-// recording the SoC/duty/harvest trace.
-func (m eneutralModel) simulate(sp *Spec, rec *trace.Recorder, cancel <-chan struct{}) (eneutral.Result, *eneutral.Node, error) {
-	p, err := sp.modelParams(m)
-	if err != nil {
-		return eneutral.Result{}, nil, sp.errf("%w", err)
+func (r *eneutralRun) cells() []string {
+	res := r.Result()
+	return []string{
+		units.Format(res.HarvestedJ, "J"),
+		units.Format(res.ConsumedJ, "J"),
+		worstWindowLabel(res),
+		fmt.Sprintf("%d", res.Violations),
+		fmt.Sprintf("%.1f%%", res.FinalSoC*100),
+		fmt.Sprintf("%.1f%%", meanDuty(res, r.p["duty0"])*100),
 	}
-	ps, err := sp.buildPowerSource()
-	if err != nil {
-		return eneutral.Result{}, nil, err
-	}
-	node := eneutral.NewNode(p["batteryj"], p["soc0"], ps)
-	node.PActive = p["pactive"]
-	node.PSleep = p["psleep"]
-	node.Duty = p["duty0"]
-	node.CtrlPeriod = p["ctrlperiod"]
-	if p["fixedduty"] > 0 {
-		node.Controller = &eneutral.FixedController{Value: p["fixedduty"]}
-	} else {
-		node.Controller = eneutral.NewKansal()
-	}
-	node.Abort = cancel
-	if rec != nil {
-		socCh := rec.Channel("soc", "")
-		dutyCh := rec.Channel("duty", "")
-		harvestCh := rec.Channel("harvest", "W")
-		node.Observe = func(t, soc, duty float64, dead bool) {
-			socCh.Record(t, soc)
-			dutyCh.Record(t, duty)
-			harvestCh.Record(t, ps.Power(t))
-		}
-	}
-	dt := float64(sp.Dt)
-	if dt <= 0 {
-		dt = eneutralDefaultDt
-	}
-	res := node.Simulate(float64(sp.Duration), dt, p["window"])
-	if res.Aborted {
-		return res, node, sweep.ErrCanceled
-	}
-	return res, node, nil
 }
+
+func (r *eneutralRun) metrics() map[string]float64 { return eneutralMetrics(r.Result(), r.p["duty0"]) }
 
 // meanDuty averages the controller's duty decisions (the fallback —
 // the initial duty — when no epoch completed).

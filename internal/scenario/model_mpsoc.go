@@ -2,12 +2,10 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/mpsoc"
 	"repro/internal/registry"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -90,25 +88,14 @@ func (m mpsocModel) Validate(s *Spec) error {
 
 // Engine implements Model.
 func (m mpsocModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
-	if sp.HasSweep() {
-		return newTableSweepEngine(sp, opts,
-			[]string{"frames", "mean-fps", "used-W", "util", "switches", "starved"},
-			func(cs *Spec) ([]string, map[string]float64, float64, error) {
-				res, sel, err := m.simulate(cs, nil, opts.stop)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				return []string{
-					fmt.Sprintf("%.1f", res.Frames),
-					fmt.Sprintf("%.2f", res.MeanFPS),
-					fmt.Sprintf("%.3f", res.MeanUsedW),
-					fmt.Sprintf("%.1f%%", res.Utilization*100),
-					fmt.Sprintf("%d", res.Switches),
-					fmt.Sprintf("%d", res.Starved),
-				}, mpsocMetrics(res, sel), float64(cs.Duration), nil
-			}, checkpoint)
-	}
+	return analyticEngineFor(m, sp, opts, checkpoint)
+}
 
+func (mpsocModel) sweepHeader() []string {
+	return []string{"frames", "mean-fps", "used-W", "util", "switches", "starved"}
+}
+
+func (m mpsocModel) newRun(sp *Spec) (analyticRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)
@@ -124,104 +111,56 @@ func (m mpsocModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine
 	if dt <= 0 {
 		dt = mpsocDefaultDt
 	}
-	e := &mpsocEngine{
-		sp: sp, opts: opts, sel: sel,
-		sim: mpsoc.NewSim(sel, budget, float64(sp.Duration), dt),
-	}
-
-	var restored *mpsoc.SimState
-	var recBlob []byte
-	if checkpoint != nil {
-		var st mpsocState
-		if err := json.Unmarshal(checkpoint, &st); err != nil {
-			return nil, sp.errf("checkpoint: %w", err)
-		}
-		restored, recBlob = st.Sim, st.Trace
-	}
-	if restored != nil {
-		// The checkpoint, not the resume options, decides whether the
-		// run records — see eneutralEngine.
-		if recBlob != nil {
-			rec, err := trace.DecodeRecorder(recBlob)
-			if err != nil {
-				return nil, sp.errf("checkpoint trace: %w", err)
-			}
-			e.rec = rec
-		}
-	} else if opts.Trace {
-		e.rec = trace.NewRecorder()
-		e.rec.SetInterval(opts.interval())
-	}
-	if e.rec != nil {
-		budgetCh := e.rec.Channel("budget", "W")
-		usedCh := e.rec.Channel("used", "W")
-		fpsCh := e.rec.Channel("fps", "fps")
-		sel.Observe = func(t, w float64, op mpsoc.OperatingPoint, ok bool) {
-			budgetCh.Record(t, w)
-			usedCh.Record(t, op.PowerW)
-			fpsCh.Record(t, op.FPS)
-		}
-	}
-	if restored != nil {
-		e.sim.Restore(*restored)
-	}
-	return e, nil
+	return &mpsocRun{Sim: mpsoc.NewSim(sel, budget, float64(sp.Duration), dt), sp: sp, sel: sel}, nil
 }
 
-// mpsocEngine steps one sweep-free power-neutral MPSoC run in
-// analyticChunk-sized slices of the control loop.
-type mpsocEngine struct {
-	sp   *Spec
-	opts RunOptions
-	sel  *mpsoc.Selector
-	sim  *mpsoc.Sim
-	rec  *trace.Recorder
+// mpsocRun is one sweep-free power-neutral MPSoC case.
+type mpsocRun struct {
+	*mpsoc.Sim
+	sp  *Spec
+	sel *mpsoc.Selector
 }
 
-// mpsocState is the serialised checkpoint of an mpsocEngine. A nil Sim
-// (an empty restart marker) resumes as a fresh run.
-type mpsocState struct {
-	Sim   *mpsoc.SimState `json:"sim,omitempty"`
-	Trace []byte          `json:"trace,omitempty"`
-}
-
-// Step implements Engine.
-func (e *mpsocEngine) Step() error { e.sim.Step(analyticChunk); return nil }
-
-// Done implements Engine.
-func (e *mpsocEngine) Done() bool { return e.sim.Done() }
-
-// Progress implements Engine.
-func (e *mpsocEngine) Progress() (int, int) {
-	if e.sim.Done() {
-		return 1, 1
+// mpsocCkpt is the checkpoint layout of an mpsoc.SimState. The result
+// once carried an abort flag; its key is still written, always false,
+// so checkpoints stay byte-identical to those of earlier builds. Res
+// shadows the embedded state's field of the same name, and JSON orders
+// it last, where SimState has it too.
+type mpsocCkpt struct {
+	mpsoc.SimState
+	Res struct {
+		mpsoc.SimResult
+		Aborted bool
 	}
-	return 0, 1
 }
 
-// Checkpoint implements Engine.
-func (e *mpsocEngine) Checkpoint() ([]byte, error) {
-	st := e.sim.State()
-	out := mpsocState{Sim: &st}
-	if e.rec != nil {
-		out.Trace = trace.EncodeRecorder(e.rec)
-	}
-	return json.Marshal(out)
+func (r *mpsocRun) state() any {
+	c := mpsocCkpt{SimState: r.State()}
+	c.Res.SimResult = c.SimState.Res
+	return c
 }
 
-// Report implements Engine.
-func (e *mpsocEngine) Report() (*ModelReport, error) {
-	res := e.sim.Result()
-	if e.opts.Progress != nil {
-		e.opts.Progress(1, 1)
+func (r *mpsocRun) restore(sim []byte) error { return restoreJSON(sim, r.Restore) }
+
+func (r *mpsocRun) record(rec *trace.Recorder) {
+	budgetCh := rec.Channel("budget", "W")
+	usedCh := rec.Channel("used", "W")
+	fpsCh := rec.Channel("fps", "fps")
+	r.sel.Observe = func(t, w float64, op mpsoc.OperatingPoint, ok bool) {
+		budgetCh.Record(t, w)
+		usedCh.Record(t, op.PowerW)
+		fpsCh.Record(t, op.FPS)
 	}
-	sp, sel := e.sp, e.sel
+}
+
+func (r *mpsocRun) report() string {
+	res := r.Result()
 	pts := mpsoc.XU4().OperatingPoints()
 	minW, maxW := mpsoc.PowerRange(pts)
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "scenario %s: mpsoc power-neutral governor on %s, %gs\n",
-		sp.Name, sp.Source.Name, float64(sp.Duration))
-	fmt.Fprintf(&buf, "  operating points:   %d (pareto frontier %d)\n", len(pts), len(sel.Frontier))
+		r.sp.Name, r.sp.Source.Name, float64(r.sp.Duration))
+	fmt.Fprintf(&buf, "  operating points:   %d (pareto frontier %d)\n", len(pts), len(r.sel.Frontier))
 	fmt.Fprintf(&buf, "  power range:        %.2fW – %.2fW (%.1fx modulation)\n", minW, maxW, maxW/minW)
 	fmt.Fprintf(&buf, "  frames rendered:    %.1f (mean %.2f fps)\n", res.Frames, res.MeanFPS)
 	fmt.Fprintf(&buf, "  power budget:       mean %.3fW, used %.3fW (%.1f%% utilization)\n",
@@ -229,47 +168,19 @@ func (e *mpsocEngine) Report() (*ModelReport, error) {
 	fmt.Fprintf(&buf, "  peak budget:        %.3fW\n", res.MaxSustainedW)
 	fmt.Fprintf(&buf, "  op switches:        %d (starved %d of %d steps)\n",
 		res.Switches, res.Starved, res.Steps)
-	return &ModelReport{
-		Text:       buf.String(),
-		Cases:      []ModelCase{{Name: sp.Name, Metrics: mpsocMetrics(res, sel)}},
-		SimSeconds: float64(sp.Duration),
-		Trace:      e.rec,
-	}, nil
+	return buf.String()
 }
 
-// simulate runs one sweep-free mpsoc case, optionally recording the
-// budget/used/fps trace.
-func (m mpsocModel) simulate(sp *Spec, rec *trace.Recorder, cancel <-chan struct{}) (mpsoc.SimResult, *mpsoc.Selector, error) {
-	p, err := sp.modelParams(m)
-	if err != nil {
-		return mpsoc.SimResult{}, nil, sp.errf("%w", err)
+func (r *mpsocRun) cells() []string {
+	res := r.Result()
+	return []string{
+		fmt.Sprintf("%.1f", res.Frames),
+		fmt.Sprintf("%.2f", res.MeanFPS),
+		fmt.Sprintf("%.3f", res.MeanUsedW),
+		fmt.Sprintf("%.1f%%", res.Utilization*100),
+		fmt.Sprintf("%d", res.Switches),
+		fmt.Sprintf("%d", res.Starved),
 	}
-	ps, err := sp.buildPowerSource()
-	if err != nil {
-		return mpsoc.SimResult{}, nil, err
-	}
-	scale := p["scale"]
-	budget := func(t float64) float64 { return scale * ps.Power(t) }
-
-	sel := mpsoc.NewSelector(mpsoc.XU4())
-	sel.Abort = cancel
-	if rec != nil {
-		budgetCh := rec.Channel("budget", "W")
-		usedCh := rec.Channel("used", "W")
-		fpsCh := rec.Channel("fps", "fps")
-		sel.Observe = func(t, w float64, op mpsoc.OperatingPoint, ok bool) {
-			budgetCh.Record(t, w)
-			usedCh.Record(t, op.PowerW)
-			fpsCh.Record(t, op.FPS)
-		}
-	}
-	dt := float64(sp.Dt)
-	if dt <= 0 {
-		dt = mpsocDefaultDt
-	}
-	res := sel.Simulate(budget, float64(sp.Duration), dt)
-	if res.Aborted {
-		return res, sel, sweep.ErrCanceled
-	}
-	return res, sel, nil
 }
+
+func (r *mpsocRun) metrics() map[string]float64 { return mpsocMetrics(r.Result(), r.sel) }

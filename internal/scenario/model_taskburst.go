@@ -2,12 +2,10 @@ package scenario
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"repro/internal/registry"
-	"repro/internal/sweep"
 	"repro/internal/taskburst"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -125,24 +123,14 @@ func (taskburstModel) node(s *Spec, p registry.Params) (*taskburst.Node, error) 
 
 // Engine implements Model.
 func (m taskburstModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
-	if sp.HasSweep() {
-		return newTableSweepEngine(sp, opts,
-			[]string{"events", "rate", "v-fire", "first-fire"},
-			func(cs *Spec) ([]string, map[string]float64, float64, error) {
-				n, err := m.simulate(cs, nil, opts.stop)
-				if err != nil {
-					return nil, nil, 0, err
-				}
-				p, _ := cs.modelParams(m) // validated in simulate
-				return []string{
-					fmt.Sprintf("%d", len(n.Events)),
-					fmt.Sprintf("%.3f/s", n.Rate(0, float64(cs.Duration))),
-					fmt.Sprintf("%.2fV", n.VFire),
-					firstFireLabel(n),
-				}, taskburstMetrics(n, p, float64(cs.Duration)), float64(cs.Duration), nil
-			}, checkpoint)
-	}
+	return analyticEngineFor(m, sp, opts, checkpoint)
+}
 
+func (taskburstModel) sweepHeader() []string {
+	return []string{"events", "rate", "v-fire", "first-fire"}
+}
+
+func (m taskburstModel) newRun(sp *Spec) (analyticRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)
@@ -155,105 +143,38 @@ func (m taskburstModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (En
 	if dt <= 0 {
 		dt = taskburstDefaultDt
 	}
-	e := &taskburstEngine{
-		sp: sp, opts: opts, p: p, n: n,
-		sim: taskburst.NewSim(n, float64(sp.Duration), dt),
-	}
+	return &taskburstRun{Sim: taskburst.NewSim(n, float64(sp.Duration), dt), sp: sp, p: p, n: n}, nil
+}
 
-	var restored *taskburst.SimState
-	var recBlob []byte
-	if checkpoint != nil {
-		var st taskburstState
-		if err := json.Unmarshal(checkpoint, &st); err != nil {
-			return nil, sp.errf("checkpoint: %w", err)
+// taskburstRun is one sweep-free charge-and-fire case.
+type taskburstRun struct {
+	*taskburst.Sim
+	sp *Spec
+	p  registry.Params
+	n  *taskburst.Node
+}
+
+func (r *taskburstRun) state() any { return r.State() }
+
+func (r *taskburstRun) restore(sim []byte) error { return restoreJSON(sim, r.Restore) }
+
+func (r *taskburstRun) record(rec *trace.Recorder) {
+	vcapCh := rec.Channel("vcap", "V")
+	eventsCh := rec.Channel("events", "")
+	// The cumulative-fires counter continues from a restored firing
+	// log, so the events channel resumes its count seamlessly.
+	fires := len(r.n.Events)
+	r.n.Observe = func(t, v float64, fired bool) {
+		if fired {
+			fires++
 		}
-		restored, recBlob = st.Sim, st.Trace
+		vcapCh.Record(t, v)
+		eventsCh.Record(t, float64(fires))
 	}
-	if restored != nil {
-		// The checkpoint, not the resume options, decides whether the
-		// run records — see eneutralEngine.
-		if recBlob != nil {
-			rec, err := trace.DecodeRecorder(recBlob)
-			if err != nil {
-				return nil, sp.errf("checkpoint trace: %w", err)
-			}
-			e.rec = rec
-		}
-	} else if opts.Trace {
-		e.rec = trace.NewRecorder()
-		e.rec.SetInterval(opts.interval())
-	}
-	if e.rec != nil {
-		vcapCh := e.rec.Channel("vcap", "V")
-		eventsCh := e.rec.Channel("events", "")
-		// The cumulative-fires counter resumes from the restored firing
-		// log, so the events channel continues its count seamlessly.
-		fires := 0
-		if restored != nil {
-			fires = len(restored.Events)
-		}
-		n.Observe = func(t, v float64, fired bool) {
-			if fired {
-				fires++
-			}
-			vcapCh.Record(t, v)
-			eventsCh.Record(t, float64(fires))
-		}
-	}
-	if restored != nil {
-		e.sim.Restore(*restored)
-	}
-	return e, nil
 }
 
-// taskburstEngine steps one sweep-free charge-and-fire run in
-// analyticChunk-sized slices of the integration loop.
-type taskburstEngine struct {
-	sp   *Spec
-	opts RunOptions
-	p    registry.Params
-	n    *taskburst.Node
-	sim  *taskburst.Sim
-	rec  *trace.Recorder
-}
-
-// taskburstState is the serialised checkpoint of a taskburstEngine. A
-// nil Sim (an empty restart marker) resumes as a fresh run.
-type taskburstState struct {
-	Sim   *taskburst.SimState `json:"sim,omitempty"`
-	Trace []byte              `json:"trace,omitempty"`
-}
-
-// Step implements Engine.
-func (e *taskburstEngine) Step() error { e.sim.Step(analyticChunk); return nil }
-
-// Done implements Engine.
-func (e *taskburstEngine) Done() bool { return e.sim.Done() }
-
-// Progress implements Engine.
-func (e *taskburstEngine) Progress() (int, int) {
-	if e.sim.Done() {
-		return 1, 1
-	}
-	return 0, 1
-}
-
-// Checkpoint implements Engine.
-func (e *taskburstEngine) Checkpoint() ([]byte, error) {
-	st := e.sim.State()
-	out := taskburstState{Sim: &st}
-	if e.rec != nil {
-		out.Trace = trace.EncodeRecorder(e.rec)
-	}
-	return json.Marshal(out)
-}
-
-// Report implements Engine.
-func (e *taskburstEngine) Report() (*ModelReport, error) {
-	if e.opts.Progress != nil {
-		e.opts.Progress(1, 1)
-	}
-	sp, p, n := e.sp, e.p, e.n
+func (r *taskburstRun) report() string {
+	sp, p, n := r.sp, r.p, r.n
 	need := p["taskenergy"] * 1.05 / p["eta"]
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "scenario %s: task-burst charge-fire on %s, C=%s, %gs\n",
@@ -268,47 +189,21 @@ func (e *taskburstEngine) Report() (*ModelReport, error) {
 		firstFireLabel(n), meanIntervalLabel(n, float64(sp.Duration)))
 	fmt.Fprintf(&buf, "  task energy drawn:  %s\n",
 		units.Format(float64(len(n.Events))*p["taskenergy"]/p["eta"], "J"))
-	return &ModelReport{
-		Text:       buf.String(),
-		Cases:      []ModelCase{{Name: sp.Name, Metrics: taskburstMetrics(n, p, float64(sp.Duration))}},
-		SimSeconds: float64(sp.Duration),
-		Trace:      e.rec,
-	}, nil
+	return buf.String()
 }
 
-// simulate runs one sweep-free task-burst case, optionally recording
-// the capacitor-voltage / cumulative-event trace.
-func (m taskburstModel) simulate(sp *Spec, rec *trace.Recorder, cancel <-chan struct{}) (*taskburst.Node, error) {
-	p, err := sp.modelParams(m)
-	if err != nil {
-		return nil, sp.errf("%w", err)
+func (r *taskburstRun) cells() []string {
+	n := r.n
+	return []string{
+		fmt.Sprintf("%d", len(n.Events)),
+		fmt.Sprintf("%.3f/s", n.Rate(0, float64(r.sp.Duration))),
+		fmt.Sprintf("%.2fV", n.VFire),
+		firstFireLabel(n),
 	}
-	n, err := m.node(sp, p)
-	if err != nil {
-		return nil, err
-	}
-	n.Abort = cancel
-	if rec != nil {
-		vcapCh := rec.Channel("vcap", "V")
-		eventsCh := rec.Channel("events", "")
-		fires := 0
-		n.Observe = func(t, v float64, fired bool) {
-			if fired {
-				fires++
-			}
-			vcapCh.Record(t, v)
-			eventsCh.Record(t, float64(fires))
-		}
-	}
-	dt := float64(sp.Dt)
-	if dt <= 0 {
-		dt = taskburstDefaultDt
-	}
-	n.Simulate(float64(sp.Duration), dt)
-	if n.Aborted {
-		return nil, sweep.ErrCanceled
-	}
-	return n, nil
+}
+
+func (r *taskburstRun) metrics() map[string]float64 {
+	return taskburstMetrics(r.n, r.p, float64(r.sp.Duration))
 }
 
 // firstFireLabel renders the first firing time ("never" when the node

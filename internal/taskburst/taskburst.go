@@ -45,11 +45,6 @@ type Node struct {
 	// the time, the capacitor voltage, and whether a task fired on this
 	// step. It is a pure observer — tracing hooks in here.
 	Observe func(t, v float64, fired bool)
-
-	// Abort, if non-nil, stops Simulate early once the channel is
-	// closed; Aborted records that the run was cut short.
-	Abort   <-chan struct{}
-	Aborted bool
 }
 
 // NewNode builds a node and sizes VFire so that the energy stored between
@@ -88,22 +83,9 @@ func (e ErrCapacitorTooSmall) Error() string {
 
 // Simulate charges the node from its harvester for duration seconds at
 // step dt, firing tasks as energy permits. Firing timestamps accumulate in
-// Events. It is a chunked wrapper over Sim, preserving the historical
-// abort cadence: the Abort channel is polled every 1024 steps.
+// Events.
 func (n *Node) Simulate(duration, dt float64) {
-	n.Aborted = false
-	sim := NewSim(n, duration, dt)
-	for !sim.Done() {
-		if n.Abort != nil {
-			select {
-			case <-n.Abort:
-				n.Aborted = true
-				return
-			default:
-			}
-		}
-		sim.Step(1024)
-	}
+	NewSim(n, duration, dt).Step(0)
 }
 
 // Sim is a resumable stepper over the same charge/fire loop as Simulate:

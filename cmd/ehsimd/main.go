@@ -54,6 +54,16 @@ import (
 	"repro/internal/service"
 )
 
+// HTTP connection limits. A client gets readHeaderTimeout to send its
+// request line and headers, so a stalled or trickling client cannot
+// hold a connection (and its goroutine) forever; an idle keep-alive
+// connection is closed after idleTimeout. Neither bounds a request's
+// body or a streamed response: batches and traces may run long.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // splitPeers parses the -peers list: comma-separated base URLs, blanks
 // skipped, trailing slashes trimmed so ring identities compare cleanly.
 func splitPeers(s string) []string {
@@ -151,7 +161,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "ehsimd: federated as %s with %d peer(s)\n", *self, len(peers))
 	}
 
-	hs := &http.Server{Handler: svc.Handler()}
+	hs := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -264,5 +265,58 @@ func TestPeersRequireSelf(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "-self") {
 		t.Errorf("error should point at -self: %s", errb.String())
+	}
+}
+
+// A client that sends half a request line and stalls is disconnected
+// once readHeaderTimeout passes, and /healthz keeps answering other
+// clients the whole time.
+func TestSlowHeaderClientIsDisconnected(t *testing.T) {
+	base, _, errb, exit, cancel := bootDaemon(t, []string{"-addr", "127.0.0.1:0"})
+	defer shutdownDaemon(t, cancel, exit, errb)
+
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /heal")); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() {
+		_, err := io.ReadAll(conn)
+		closed <- err
+	}()
+
+	polls := 0
+	for {
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("slow client still connected after %v: %v", time.Since(start), err)
+			}
+			if elapsed := time.Since(start); elapsed > readHeaderTimeout+2*time.Second {
+				t.Errorf("slow client disconnected after %v, want within %v", elapsed, readHeaderTimeout)
+			}
+			if polls == 0 {
+				t.Error("/healthz was never polled while the slow client was connected")
+			}
+			return
+		case <-time.After(100 * time.Millisecond):
+		}
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			t.Fatalf("/healthz while a slow client is connected: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz while a slow client is connected: status %d", resp.StatusCode)
+		}
+		polls++
 	}
 }

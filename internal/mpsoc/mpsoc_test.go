@@ -194,7 +194,11 @@ func TestSimulateSolarDay(t *testing.T) {
 	// available, and starves only when the budget dips below the cheapest
 	// operating point.
 	s := NewSelector(XU4())
-	budget := SolarBudget(0.5, 16.0, 100)
+	// 0.5 W overnight rising to 16 W at solar noon, over a 100 s "day".
+	budget := func(t float64) float64 {
+		sn := math.Sin(math.Pi * t / 100)
+		return 0.5 + (16.0-0.5)*sn*sn
+	}
 	res := s.Simulate(budget, 100, 0.1)
 	if res.Steps != 1000 {
 		t.Fatalf("steps = %d", res.Steps)

@@ -150,13 +150,3 @@ func (s *Selector) frontierIndex(op OperatingPoint) int {
 	}
 	return -1
 }
-
-// SolarBudget returns a day-shaped power budget: base watts overnight,
-// rising to peak at solar noon, over a period of periodSec.
-func SolarBudget(base, peak, periodSec float64) func(t float64) float64 {
-	return func(t float64) float64 {
-		phase := math.Mod(t, periodSec) / periodSec // 0..1
-		s := math.Sin(math.Pi * phase)
-		return base + (peak-base)*s*s
-	}
-}

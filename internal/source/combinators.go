@@ -189,12 +189,74 @@ func (s *SquareWaveVoltage) Voltage(t float64) float64 {
 	if period <= 0 {
 		return s.High
 	}
-	phase := math.Mod(t, period)
-	if phase < 0 {
-		phase += period
+	return newSquareWave(s.High, s.OnTime, period).voltage(t)
+}
+
+// squareWave is the arithmetic of SquareWaveVoltage.Voltage for a
+// positive period, shared by the method and its VoltageFn sampler.
+type squareWave struct {
+	high, on, period float64
+	inv              float64 // 1/period, or NaN to always take the exact path
+}
+
+// squareSlack sizes the phase margin m = squareSlack·(t+period); see
+// voltage for the error bound it covers.
+const squareSlack = 0x1p-50
+
+func newSquareWave(high, on, period float64) squareWave {
+	inv := math.NaN()
+	if period >= 0x1p-1000 {
+		inv = 1 / period
 	}
-	if phase < s.OnTime {
-		return s.High
+	return squareWave{high: high, on: on, period: period, inv: inv}
+}
+
+// voltage returns high while the exact phase math.Mod(t, period),
+// wrapped into [0, period), is below on, and 0 otherwise.
+//
+// math.Mod is exact but is a software shift-subtract loop, several
+// times the cost of the rest of a simulation step. The fast path
+// reduces the phase as ph = t − ⌊t·inv⌋·period and decides from ph only
+// when the decision is provable, falling back to the exact expression
+// everywhere else.
+//
+// Proof obligation: for t ≥ 0, let k = ⌊t·inv⌋ (any non-negative
+// integer; a mis-rounded product only changes which one), let
+// φ = t − k·period in real arithmetic, and let p be the exact wrapped
+// phase math.Mod yields, in [0, period). With u = 2⁻⁵³ and period ≥
+// 2⁻¹⁰⁰⁰ (so no product below is subnormal), the two roundings in ph
+// (k·period, then the subtraction; one if the compiler fuses them) give
+// |ph − φ| ≤ u·k·period + u·|t − fl(k·period)|, which for ph in
+// (0, period) is at most u·(t + 2·period)(1 + 2u). A rounded window
+// bound that matters below lies in (0, period), so it is within
+// u·period of its real value, and the total error is under
+// 3.1u·(t + period) < m/2. Then:
+//   - ph ∈ (m, on−m) ⇒ high. Either on ≥ period and p < on for every t,
+//     or 0 < φ < on < period, so k is the exact quotient and p = φ < on.
+//   - ph ∈ (on+m, period−m) ⇒ 0. Either on ≤ 0 and p ≥ on for every t,
+//     or 0 < on < φ < period, so again p = φ ≥ on.
+//
+// Negative or non-finite t, a tiny or non-finite period (inv = NaN),
+// and any ph in the margins or outside (0, period) — including a ⌊·⌋
+// that rounded to the wrong quotient — fail every comparison and
+// evaluate the original expression.
+func (w squareWave) voltage(t float64) float64 {
+	if t >= 0 {
+		ph := t - math.Floor(t*w.inv)*w.period
+		m := squareSlack * (t + w.period)
+		if ph > m && ph < w.on-m {
+			return w.high
+		}
+		if ph > w.on+m && ph < w.period-m {
+			return 0
+		}
+	}
+	phase := math.Mod(t, w.period)
+	if phase < 0 {
+		phase += w.period
+	}
+	if phase < w.on {
+		return w.high
 	}
 	return 0
 }
@@ -203,10 +265,12 @@ func (s *SquareWaveVoltage) Voltage(t float64) float64 {
 func (s *SquareWaveVoltage) SeriesResistance() float64 { return s.Rs }
 
 // Plateau implements PlateauVoltage: the half-cycle containing t. Voltage
-// computes the phase with math.Mod, which is exact, so every instant of
-// the half-cycle returns exactly High (or exactly 0); the boundary in
-// until carries the rounding of the additions that rebuild it from the
-// phase, which the interface's safety-margin requirement covers.
+// decides every instant from the exact phase (math.Mod's value, which
+// its fast path provably agrees with), so every instant of the
+// half-cycle returns exactly High (or exactly 0); the boundary in until
+// carries the rounding of the additions that rebuild it from the phase,
+// which the interface's safety-margin requirement covers. Plateau runs
+// once per fast-forward hop, so it keeps math.Mod.
 func (s *SquareWaveVoltage) Plateau(t float64) (float64, float64, bool) {
 	period := s.OnTime + s.OffTime
 	if period <= 0 {

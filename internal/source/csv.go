@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -21,10 +22,10 @@ import (
 // not numeric-looking; a file whose header starts with a number ("0,v")
 // is therefore read as data from line 1 — name the time column.
 //
-// Rows must be in non-decreasing time order. Blank lines are skipped; a
-// malformed row aborts with an error naming its line in the file (blank
-// and skipped lines counted), so the message points at the actual
-// offending line of a hand-edited dataset.
+// Rows must be in non-decreasing time order, with finite timestamps.
+// Blank lines are skipped; a malformed row aborts with an error naming
+// its line in the file (blank and skipped lines counted), so the message
+// points at the actual offending line of a hand-edited dataset.
 func LoadTraceCSV(r io.Reader, valueCol int, loop bool, rs float64) (*TraceSource, error) {
 	if valueCol < 1 {
 		return nil, fmt.Errorf("source: value column must be ≥ 1 (column 0 is time)")
@@ -58,7 +59,8 @@ func LoadTraceCSV(r io.Reader, valueCol int, loop bool, rs float64) (*TraceSourc
 			return nil, fmt.Errorf("source: line %d has %d columns, need ≥ %d", line, len(row), valueCol+1)
 		}
 		t, err := strconv.ParseFloat(strings.TrimSpace(row[0]), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(t) || math.IsInf(t, 0) {
+			// A NaN would slip past the ordering check below.
 			return nil, fmt.Errorf("source: line %d: bad timestamp %q", line, row[0])
 		}
 		v, err := strconv.ParseFloat(strings.TrimSpace(row[valueCol]), 64)

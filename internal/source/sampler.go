@@ -11,11 +11,15 @@ import "math"
 // one of the lab's core optimizations.
 //
 // Correctness contract: a sampler returns bit-identical values to the
-// method it replaces — each closure body is the same arithmetic in the
-// same evaluation order, with only loop-invariant subexpressions (whose
-// hoisting cannot change the result under IEEE-754 left-to-right
-// evaluation) precomputed. TestSamplersMatchMethods pins this for every
-// registered source and combinator.
+// method it replaces. Each closure body either is the same arithmetic in
+// the same evaluation order, with only loop-invariant subexpressions
+// (whose hoisting cannot change the result under IEEE-754 left-to-right
+// evaluation) precomputed, or calls the very code the method calls (the
+// square wave's squareWave.voltage; the PV cell's Current). Fast paths
+// inside that shared code must be exact, each with a written proof:
+// TestSamplersMatchRegistry and TestSamplersMatchCombinators pin sampler
+// against method for every registered source and combinator, and the
+// tests in oracle_test.go pin both against the plain math.Mod formulas.
 //
 // Samplers capture source parameters at bind time: mutate a source's
 // fields mid-run and the sampler (unlike the method) will not see it.
@@ -48,17 +52,8 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 			high := s.High
 			return func(float64) float64 { return high }
 		}
-		high, on := s.High, s.OnTime
-		return func(t float64) float64 {
-			phase := math.Mod(t, period)
-			if phase < 0 {
-				phase += period
-			}
-			if phase < on {
-				return high
-			}
-			return 0
-		}
+		w := newSquareWave(s.High, s.OnTime, period)
+		return w.voltage
 	case *Rectified:
 		if gen, ok := s.Source.(*SignalGenerator); ok && !s.FullWave &&
 			gen.Frequency > 0 && gen.Amplitude > 0 {

@@ -164,14 +164,25 @@ func DefaultPhotovoltaic() *Photovoltaic {
 // Current returns the harvested current in amperes at time t seconds from
 // local midnight of day zero.
 func (p *Photovoltaic) Current(t float64) float64 {
-	hour := math.Mod(t/3600.0, 24)
-	if hour < 0 {
-		hour += 24
+	hour := t / 3600.0
+	// math.Mod(hour, 24) is hour itself on [0, 24); only other days pay
+	// for the software remainder.
+	if !(hour >= 0 && hour < 24) {
+		hour = math.Mod(hour, 24)
+		if hour < 0 {
+			hour += 24
+		}
 	}
 	day := smoothStep(hour, p.DawnHour, p.EdgeHours) *
 		(1 - smoothStep(hour, p.DuskHour, p.EdgeHours))
 	i := p.BaseCurrent + (p.PeakCurrent-p.BaseCurrent)*day
-	if p.Flicker > 0 {
+	// At night (day == 0) the ripple factor is 1 + Flicker·r·0, exactly 1
+	// whenever Flicker·r is finite, so the two sines can be skipped. That
+	// holds when both sine arguments are finite (|r| ≤ 1) and Flicker is
+	// far from overflow; anything else keeps the full expression, whose
+	// NaN the skip would hide.
+	night := day == 0 && p.Flicker <= flickerSkipMax && math.Abs(t) <= flickerSkipMax
+	if p.Flicker > 0 && !night {
 		// Slow deterministic ripple (occupancy/cloud proxy): two
 		// incommensurate sinusoids.
 		r := math.Sin(2*math.Pi*t/1700) * math.Sin(2*math.Pi*t/4100)
@@ -179,6 +190,10 @@ func (p *Photovoltaic) Current(t float64) float64 {
 	}
 	return i
 }
+
+// flickerSkipMax bounds t and Flicker for the night-time flicker skip:
+// far below where 2π·t/1700 overflows (|t| ≈ 2.8e307) or Flicker·r could.
+const flickerSkipMax = 1e300
 
 // Power implements PowerSource as Current × OpVoltage.
 func (p *Photovoltaic) Power(t float64) float64 {
@@ -346,7 +361,13 @@ func (ts *TraceSource) sample(t float64) float64 {
 	}
 	if ts.Loop && ts.Times[n-1] > ts.Times[0] {
 		span := ts.Times[n-1] - ts.Times[0]
-		t = ts.Times[0] + math.Mod(t-ts.Times[0], span)
+		// math.Mod(d, span) is d itself on [0, span): only times past
+		// the first pass pay for the software remainder.
+		d := t - ts.Times[0]
+		if !(d >= 0 && d < span) {
+			d = math.Mod(d, span)
+		}
+		t = ts.Times[0] + d
 		if t < ts.Times[0] {
 			t += span
 		}

@@ -294,6 +294,8 @@ func TestLoadTraceCSVErrors(t *testing.T) {
 		{"bad time", "t,v\nxx,1\n", 1},
 		{"bad value", "t,v\n0,yy\n", 1},
 		{"time backwards", "t,v\n1,1\n0,2\n", 1},
+		{"nan time", "t,v\n0,1\nNaN,2\n1,3\n", 1},
+		{"infinite time", "t,v\n0,1\n+Inf,2\n", 1},
 		{"empty", "t,v\n", 1},
 	}
 	for _, tt := range cases {

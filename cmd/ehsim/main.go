@@ -248,12 +248,26 @@ func runScenario(path, tracePath string, ff bool, workers int,
 		return err
 	}
 	if tracePath != "" {
-		if err := os.WriteFile(tracePath, rep.TraceCSV, 0o644); err != nil {
+		if err := writeTraceFile(tracePath, rep); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "  trace written to %s\n", tracePath)
 	}
 	return nil
+}
+
+// writeTraceFile renders a report's trace straight into path — the
+// same WriteTrace render the daemon streams from /trace.
+func writeTraceFile(path string, rep *result.Report) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := result.WriteTrace(f, rep.Trace, rep.SpecHash); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // sweepCaps fans one run per capacitance out over the sweep engine and

@@ -466,21 +466,17 @@ func (s *Setup) tryFastForward(d *mcu.Device, rail *circuit.Rail, obs *observer,
 	// integrates, at every instant the stepwise loop would have recorded.
 	// Mode and frequency cannot change inside the skip, so only V_CC
 	// needs interpolating.
-	if obs != nil && obs.vcc != nil {
-		if iv := s.Recorder.Interval(); iv > 0 {
-			last := obs.vcc.LastT()
-			fMHz := d.Freq() / 1e6
-			mode := float64(d.Mode())
-			for k := 1; k < hop; k++ {
-				tk := t0 + float64(k)*s.Dt
-				if tk-last < iv {
-					continue
-				}
-				obs.vcc.Record(tk, peek(k))
-				obs.freq.Record(tk, fMHz)
-				obs.mode.Record(tk, mode)
-				last = tk
+	if obs != nil && obs.vcc != nil && s.Recorder.Interval() > 0 {
+		fMHz := d.Freq() / 1e6
+		mode := float64(d.Mode())
+		for k := 1; k < hop; k++ {
+			tk := t0 + float64(k)*s.Dt
+			if !obs.vcc.Due(tk) {
+				continue
 			}
+			obs.vcc.Record(tk, peek(k))
+			obs.freq.Record(tk, fMHz)
+			obs.mode.Record(tk, mode)
 		}
 	}
 
@@ -538,7 +534,9 @@ func (o *observer) observe(t, v float64, d *mcu.Device, rail *circuit.Rail) {
 	if o.onTick != nil {
 		o.onTick(t, d, rail)
 	}
-	if o.vcc != nil {
+	// The three channels are always recorded together, so the first
+	// one's interval gate decides for all of them, once per instant.
+	if o.vcc != nil && o.vcc.Due(t) {
 		o.vcc.Record(t, v)
 		o.freq.Record(t, d.Freq()/1e6)
 		o.mode.Record(t, float64(d.Mode()))

@@ -1,7 +1,6 @@
 package result
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -35,7 +34,7 @@ type wireReport struct {
 	Cases      []wireCase `json:"cases,omitempty"`
 
 	// Trace is the columnar trace blob (trace.EncodeRecorder); the CSV
-	// is re-rendered from it on decode.
+	// is rendered from the decoded recorder when a client asks for it.
 	Trace []byte `json:"trace,omitempty"`
 }
 
@@ -98,15 +97,9 @@ func DecodeReport(data []byte) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("result: decoding report trace: %w", err)
 		}
+		// The columnar codec round-trips the recorder losslessly, so a
+		// CSV rendered from it matches the original byte for byte.
 		rep.Trace = rec
-		// Re-render the CSV the byte-identity contract serves: the
-		// columnar codec round-trips the recorder losslessly, so the
-		// rendering matches the original byte for byte.
-		var tb bytes.Buffer
-		if err := WriteTrace(&tb, rec, w.SpecHash); err != nil {
-			return nil, err
-		}
-		rep.TraceCSV = tb.Bytes()
 	}
 	for i, c := range w.Cases {
 		rep.Cases[i] = CaseResult{Name: c.Name, Metrics: c.Metrics}

@@ -41,8 +41,8 @@ func TestReportCodecRoundTripsServedArtifacts(t *testing.T) {
 	if got.Text != rep.Text {
 		t.Errorf("Text diverged across the codec:\n%s\n---\n%s", got.Text, rep.Text)
 	}
-	if !bytes.Equal(got.TraceCSV, rep.TraceCSV) {
-		t.Error("TraceCSV diverged across the codec")
+	if !bytes.Equal(traceCSV(t, got), traceCSV(t, rep)) {
+		t.Error("trace CSV diverged across the codec")
 	}
 	// v3 persists the columnar recorder itself, so cache-served reports
 	// answer windowed trace queries without a recompute — and the

@@ -77,10 +77,10 @@ func TestGoldenTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(rep.TraceCSV) == 0 {
+			if rep.Trace == nil {
 				t.Fatal("no trace captured")
 			}
-			goldenCompare(t, filepath.Join(goldenDir, name+".trace.csv"), rep.TraceCSV)
+			goldenCompare(t, filepath.Join(goldenDir, name+".trace.csv"), traceCSV(t, rep))
 
 			// The summary must be identical with and without the
 			// recorder: a trace is a pure observer.
@@ -93,6 +93,21 @@ func TestGoldenTrace(t *testing.T) {
 			}
 		})
 	}
+}
+
+// traceCSV renders a report's trace as every front-end serves it:
+// WriteTrace with the spec-hash header. A report without a trace renders
+// nothing.
+func traceCSV(t *testing.T, rep *Report) []byte {
+	t.Helper()
+	if rep.Trace == nil {
+		return nil
+	}
+	var b bytes.Buffer
+	if err := WriteTrace(&b, rep.Trace, rep.SpecHash); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 // goldenCompare asserts got matches the golden file byte-for-byte,

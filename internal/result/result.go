@@ -16,7 +16,6 @@
 package result
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
@@ -104,14 +103,10 @@ type Report struct {
 	// service's work-done metric.
 	SimSeconds float64
 
-	// TraceCSV is the captured trace (Options.Trace; on lab sweeps, the
-	// first grid case's), serialised by WriteTrace: a spec-hash header
-	// comment, then CSV.
-	TraceCSV []byte
-
-	// Trace is the live recorder behind TraceCSV — the columnar store
-	// windowed trace queries run against (trace.Window); nil when the
-	// run captured no trace.
+	// Trace is the captured trace (Options.Trace; on lab sweeps, the
+	// first grid case's) as its columnar store; nil when the run
+	// captured no trace. The CSV is rendered from it on demand by
+	// WriteTrace, and windowed queries run against it (trace.Window).
 	Trace *trace.Recorder
 }
 
@@ -139,7 +134,7 @@ func RunSpec(sp *scenario.Spec, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return wrapReport(sp, hash, mr)
+	return wrapReport(hash, mr), nil
 }
 
 // ResumeSpec continues a run suspended by a checkpoint request: state is
@@ -155,37 +150,32 @@ func ResumeSpec(sp *scenario.Spec, state []byte, opts Options) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	return wrapReport(sp, hash, mr)
+	return wrapReport(hash, mr), nil
 }
 
-// wrapReport stamps a model report with the spec's content address and
-// serialises its trace.
-func wrapReport(sp *scenario.Spec, hash string, mr *scenario.ModelReport) (*Report, error) {
+// wrapReport stamps a model report with the spec's content address.
+func wrapReport(hash string, mr *scenario.ModelReport) *Report {
 	rep := &Report{
 		SpecHash:   hash,
 		Sweep:      mr.Sweep,
 		Text:       mr.Text,
 		SimSeconds: mr.SimSeconds,
 		Cases:      make([]CaseResult, len(mr.Cases)),
+		Trace:      mr.Trace,
 	}
 	for i, c := range mr.Cases {
 		rep.Cases[i] = CaseResult{Name: c.Name, Result: c.Lab, Metrics: c.Metrics}
 	}
-	if mr.Trace != nil {
-		var tb bytes.Buffer
-		if err := WriteTrace(&tb, mr.Trace, hash); err != nil {
-			return nil, err
-		}
-		rep.TraceCSV = tb.Bytes()
-		rep.Trace = mr.Trace
-	}
-	return rep, nil
+	return rep
 }
 
 // WriteTrace serialises a recorded trace as CSV, prefixed (when specHash
 // is non-empty) with a header comment carrying the spec's content
 // address — so a trace file on disk is traceable back to the exact spec
-// that produced it.
+// that produced it. The CSV is a pure function of the recorder, so every
+// front-end that renders the same trace (the CLI's -trace file, the
+// daemon's /trace, whichever tier served the report) writes the same
+// bytes.
 func WriteTrace(w io.Writer, rec *trace.Recorder, specHash string) error {
 	if specHash != "" {
 		if _, err := fmt.Fprintf(w, "# spec-hash: %s\n", specHash); err != nil {

@@ -63,7 +63,7 @@ func TestRunSpecSingle(t *testing.T) {
 	if !strings.HasPrefix(rep.SpecHash, "sha256:") {
 		t.Errorf("SpecHash = %q", rep.SpecHash)
 	}
-	if rep.TraceCSV != nil {
+	if rep.Trace != nil {
 		t.Error("trace captured without Options.Trace")
 	}
 }
@@ -116,12 +116,13 @@ func TestRunSpecTraceCarriesSpecHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	csv := traceCSV(t, rep)
 	head := "# spec-hash: " + rep.SpecHash + "\n"
-	if !strings.HasPrefix(string(rep.TraceCSV), head) {
-		t.Errorf("trace header wrong:\n%.120s", rep.TraceCSV)
+	if !strings.HasPrefix(string(csv), head) {
+		t.Errorf("trace header wrong:\n%.120s", csv)
 	}
-	if !strings.Contains(string(rep.TraceCSV), "t,vcc(V)") {
-		t.Errorf("trace CSV header missing:\n%.200s", rep.TraceCSV)
+	if !strings.Contains(string(csv), "t,vcc(V)") {
+		t.Errorf("trace CSV header missing:\n%.200s", csv)
 	}
 }
 
@@ -196,12 +197,13 @@ func TestRunSpecModels(t *testing.T) {
 			if rep.SimSeconds != float64(sp.Duration) {
 				t.Errorf("SimSeconds = %g, want %g", rep.SimSeconds, float64(sp.Duration))
 			}
+			csv := traceCSV(t, rep)
 			wantHdr := "# spec-hash: " + rep.SpecHash + "\n"
-			if !strings.HasPrefix(string(rep.TraceCSV), wantHdr) {
-				t.Errorf("trace missing spec-hash header:\n%.80s", rep.TraceCSV)
+			if !strings.HasPrefix(string(csv), wantHdr) {
+				t.Errorf("trace missing spec-hash header:\n%.80s", csv)
 			}
-			if !strings.Contains(string(rep.TraceCSV), tc.traceCol) {
-				t.Errorf("trace missing %q column:\n%.200s", tc.traceCol, rep.TraceCSV)
+			if !strings.Contains(string(csv), tc.traceCol) {
+				t.Errorf("trace missing %q column:\n%.200s", tc.traceCol, csv)
 			}
 
 			// Deterministic: an identical second run renders identical bytes.

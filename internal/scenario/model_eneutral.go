@@ -203,6 +203,10 @@ func (r *eneutralRun) record(rec *trace.Recorder) {
 	harvestCh := rec.Channel("harvest", "W")
 	harvest := r.node.Harvest
 	r.node.Observe = func(t, soc, duty float64, dead bool) {
+		// One gate per instant, checked before the harvest is re-sampled.
+		if !socCh.Due(t) {
+			return
+		}
 		socCh.Record(t, soc)
 		dutyCh.Record(t, duty)
 		harvestCh.Record(t, harvest.Power(t))

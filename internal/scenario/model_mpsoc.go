@@ -147,6 +147,9 @@ func (r *mpsocRun) record(rec *trace.Recorder) {
 	usedCh := rec.Channel("used", "W")
 	fpsCh := rec.Channel("fps", "fps")
 	r.sel.Observe = func(t, w float64, op mpsoc.OperatingPoint, ok bool) {
+		if !budgetCh.Due(t) {
+			return
+		}
 		budgetCh.Record(t, w)
 		usedCh.Record(t, op.PowerW)
 		fpsCh.Record(t, op.FPS)

@@ -168,6 +168,9 @@ func (r *taskburstRun) record(rec *trace.Recorder) {
 		if fired {
 			fires++
 		}
+		if !vcapCh.Due(t) {
+			return
+		}
 		vcapCh.Record(t, v)
 		eventsCh.Record(t, float64(fires))
 	}

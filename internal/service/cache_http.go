@@ -11,8 +11,8 @@ import (
 )
 
 // maxReportBytes bounds a pushed report body. Reports are text plus a
-// bounded trace (maxTraceSamples), so real bodies are sub-MB; the limit
-// only guards against abuse.
+// bounded columnar trace (maxTraceSamples), so real bodies stay within a
+// few MB; the limit only guards against abuse.
 const maxReportBytes = 32 << 20
 
 // handleCacheGet is the peer cache lookup: the encoded report for a

@@ -80,7 +80,11 @@ func TestDrainCheckpointsRunningJobAndResumesByteIdentical(t *testing.T) {
 	if code, body, _ := getBody(t, ts2.URL+"/v1/jobs/"+fin2.ID+"/result"); code != 200 || body != want.Text {
 		t.Errorf("resumed result (status %d) diverges from uninterrupted run:\n%s\n---\n%s", code, body, want.Text)
 	}
-	if code, body, _ := getBody(t, ts2.URL+"/v1/jobs/"+fin2.ID+"/trace"); code != 200 || body != string(want.TraceCSV) {
+	var wantTrace strings.Builder
+	if err := result.WriteTrace(&wantTrace, want.Trace, want.SpecHash); err != nil {
+		t.Fatal(err)
+	}
+	if code, body, _ := getBody(t, ts2.URL+"/v1/jobs/"+fin2.ID+"/trace"); code != 200 || body != wantTrace.String() {
 		t.Errorf("resumed trace (status %d) diverges from uninterrupted run", code)
 	}
 	if m := s2.Metrics(); m.CheckpointsResumed != 1 {
@@ -252,6 +256,10 @@ func TestTraceWindowEndpoint(t *testing.T) {
 	// A sub-window is honoured.
 	if code, body, _ = getBody(t, base+"?from=0&to=0.001&points=5"); code != 200 {
 		t.Errorf("sub-window: status %d: %s", code, body)
+	}
+	// An empty window answers the header row alone.
+	if code, body, _ = getBody(t, base+"?from=0.001&to=0.001"); code != 200 || strings.Count(body, "\n") != 2 {
+		t.Errorf("empty window: status %d, want 200 with comment and header only:\n%s", code, body)
 	}
 
 	// Malformed queries are 400s, not silent full dumps.

@@ -22,9 +22,6 @@ import (
 // maxSpecBytes bounds a submitted spec body.
 const maxSpecBytes = 1 << 20
 
-// traceChunk is the streaming granularity of the trace endpoint.
-const traceChunk = 32 << 10
-
 // Handler returns the daemon's REST surface:
 //
 //	POST   /v1/jobs          submit a scenario spec (JSON body)
@@ -32,7 +29,7 @@ const traceChunk = 32 << 10
 //	GET    /v1/jobs/{id}     poll one job
 //	DELETE /v1/jobs/{id}     cancel one job
 //	GET    /v1/jobs/{id}/result   the report, byte-identical to `ehsim -scenario`
-//	GET    /v1/jobs/{id}/trace    the captured V_CC trace, streamed as chunked CSV
+//	GET    /v1/jobs/{id}/trace    the captured trace, rendered and streamed as chunked CSV
 //	POST   /v1/batches       submit N specs; per-spec completions stream back as NDJSON
 //	POST   /v1/explorations  submit an exploration spec; runs as a job, probes ride the cache tiers
 //	GET    /v1/cache/{hash}  peer cache lookup: the encoded report for a spec hash
@@ -226,7 +223,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.notReady(w, st) {
 		return
 	}
-	if rep.TraceCSV == nil {
+	if rep.Trace == nil {
 		writeError(w, http.StatusNotFound,
 			"job %s has no trace (traces are captured for single-run specs only)", st.ID)
 		return
@@ -236,23 +233,14 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.serveTraceWindow(w, st, rep, q)
 		return
 	}
-	// Unqualified: the full CSV, byte-identical to the CLI's trace file.
-	// Stream in bounded chunks — no Content-Length, so net/http uses
-	// chunked transfer encoding and clients can consume the CSV as it
-	// arrives.
+	// Unqualified: the full CSV, byte-identical to the CLI's trace file,
+	// rendered from the columnar store as it streams out — no
+	// Content-Length, so net/http uses chunked transfer encoding and
+	// clients consume the CSV as it arrives. A write error means the
+	// client went away; there is no one left to report it to.
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	w.Header().Set("X-Spec-Hash", st.Hash)
-	flusher, _ := w.(http.Flusher)
-	for data := rep.TraceCSV; len(data) > 0; {
-		n := min(traceChunk, len(data))
-		if _, err := w.Write(data[:n]); err != nil {
-			return
-		}
-		data = data[n:]
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	_ = result.WriteTrace(w, rep.Trace, rep.SpecHash)
 }
 
 // traceQueryFloat parses one optional float query parameter.
@@ -273,11 +261,6 @@ func traceQueryFloat(q url.Values, name string, fallback float64) (float64, erro
 // O(points) regardless of how many samples the trace holds. Defaults:
 // the trace's full time range and defaultTracePoints buckets.
 func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *result.Report, q url.Values) {
-	if rep.Trace == nil {
-		writeError(w, http.StatusBadRequest,
-			"job %s carries a pre-columnar trace; only the unqualified full-CSV form is available", st.ID)
-		return
-	}
 	lo, hi, _ := rep.Trace.TimeRange()
 	from, err := traceQueryFloat(q, "from", lo)
 	if err != nil {

@@ -891,11 +891,13 @@ func (s *Server) addPeerCounts(fn func()) {
 }
 
 // maxTraceSamples bounds a captured trace's length: the daemon records
-// every single-run job's V_CC trace (so /trace is always servable and
-// cache entries stay self-contained), and long simulated durations must
-// not translate into unbounded trace memory. 20k samples ≈ sub-MB of
-// CSV per job, so the worst case across the cache and job-history
-// bounds stays in the low hundreds of MB.
+// every single-run job's trace (so /trace is always servable and cache
+// entries stay self-contained), and long simulated durations must not
+// translate into unbounded trace memory. What a job retains is the
+// columnar store — 16 bytes per sample per channel, so 20k samples on
+// three channels ≈ 1 MB — and the CSV is rendered per /trace request,
+// never held; the worst case across the cache and job-history bounds
+// stays in the low hundreds of MB.
 const maxTraceSamples = 20_000
 
 // traceInterval picks the trace sampling interval for a run of the

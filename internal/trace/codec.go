@@ -49,7 +49,12 @@ func EncodeRecorder(r *Recorder) []byte {
 }
 
 // DecodeRecorder reconstructs a recorder encoded by EncodeRecorder,
-// including block summaries (rebuilt on append) and interval gate state.
+// including block summaries and interval gate state. A blob that
+// EncodeRecorder cannot have produced is an error: truncated or
+// trailing bytes, a sample count the remaining bytes cannot hold, a
+// series name that appears twice, or a NaN or decreasing timestamp
+// (every reader of the columns relies on a non-decreasing clock). Each
+// accepted blob re-encodes to the same bytes.
 func DecodeRecorder(data []byte) (*Recorder, error) {
 	d := &decoder{buf: data}
 	if magic := d.u32(); magic != codecMagic {
@@ -69,18 +74,31 @@ func DecodeRecorder(data []byte) (*Recorder, error) {
 		if d.err != nil {
 			break
 		}
+		if _, dup := r.series[name]; dup {
+			return nil, fmt.Errorf("trace: series %q appears twice", name)
+		}
 		if rem := len(d.buf) - d.off; n < 0 || rem/16 < n {
 			return nil, fmt.Errorf("trace: series %q claims %d samples, %d bytes left", name, n, rem)
 		}
 		s := r.create(name, unit)
-		for j := 0; j < n; j++ {
-			s.Append(d.f64(), 0)
+		s.ts = make([]float64, n)
+		s.vs = make([]float64, n)
+		// Timestamps, then values, as raw little-endian bit patterns; the
+		// length check above guarantees both columns are present.
+		raw := d.take(16 * n)
+		prev := math.Inf(-1)
+		for j := range s.ts {
+			t := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+			if !(t >= prev) {
+				return nil, fmt.Errorf("trace: series %q sample %d: timestamp %g after %g is NaN or decreasing", name, j, t, prev)
+			}
+			s.ts[j], prev = t, t
 		}
-		for j := 0; j < n; j++ {
-			// Values follow all timestamps; patch them in and rebuild
-			// the touched block summary from scratch.
-			s.vs[j] = d.f64()
+		raw = raw[8*n:]
+		for j := range s.vs {
+			s.vs[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
 		}
+		s.blocks = make([]blockSummary, (n+blockSize-1)/blockSize)
 		rebuildBlocks(s)
 		s.lastT = lastT
 	}

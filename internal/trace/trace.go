@@ -15,11 +15,11 @@
 package trace
 
 import (
-	"fmt"
+	"bufio"
 	"io"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Point is a single (time, value) sample.
@@ -182,7 +182,14 @@ func (s *Series) Sample(t float64) float64 {
 		return s.vs[n-1]
 	}
 	// Binary search for the bracketing interval.
-	i := sort.Search(n, func(i int) bool { return s.ts[i] > t })
+	return s.lerp(sort.Search(n, func(i int) bool { return s.ts[i] > t }), t)
+}
+
+// lerp interpolates between samples i-1 and i at time t, where i is the
+// first index whose timestamp exceeds t. It is the one interpolation
+// formula Sample and the CSV renderer's cursor share, so both produce
+// the same bits.
+func (s *Series) lerp(i int, t float64) float64 {
 	a, b := s.ts[i-1], s.ts[i]
 	if b == a {
 		return s.vs[i]
@@ -312,9 +319,16 @@ func (r *Recorder) create(name, unit string) *Series {
 	return s
 }
 
+// due is the interval gate: whether a sample at time t may be stored
+// in s — always when no interval is set or s is empty, otherwise once
+// at least the interval has passed since the last stored sample.
+func (r *Recorder) due(s *Series, t float64) bool {
+	return !(r.interval > 0 && t-s.lastT < r.interval && len(s.vs) > 0)
+}
+
 // record applies the interval gate and appends.
 func (r *Recorder) record(s *Series, t, v float64) {
-	if r.interval > 0 && t-s.lastT < r.interval && len(s.vs) > 0 {
+	if !r.due(s, t) {
 		return
 	}
 	s.lastT = t
@@ -345,9 +359,11 @@ func (r *Recorder) Channel(name, unit string) *Channel {
 // exactly equivalent to Recorder.Record on the channel's series.
 func (c *Channel) Record(t, v float64) { c.r.record(c.s, t, v) }
 
-// LastT returns the timestamp of the last stored sample (-Inf if none) —
-// what the interval gate will measure the next sample against.
-func (c *Channel) LastT() float64 { return c.s.lastT }
+// Due reports whether Record(t, ·) would store a sample — exactly the
+// interval gate Record applies. Observers that record several channels
+// in lockstep ask the first one once per instant, and skip computing
+// the values at all when it is not due.
+func (c *Channel) Due(t float64) bool { return c.r.due(c.s, t) }
 
 // Series returns the named series, or nil if it was never recorded.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
@@ -363,41 +379,91 @@ func (r *Recorder) Names() []string {
 // per series, values linearly interpolated onto the union of timestamps of
 // the first series). For experiment output where all series share a clock
 // this is exact.
+//
+// Rendering is one linear pass: every column is walked by a cursor that
+// only moves forward with the first series' non-decreasing clock, and
+// rows are formatted into one reused buffer.
 func (r *Recorder) WriteCSV(w io.Writer) error {
-	if len(r.order) == 0 {
-		_, err := fmt.Fprintln(w, "t")
-		return err
-	}
-	header := []string{"t"}
+	bw := bufio.NewWriterSize(w, csvBufSize)
+	row := append(make([]byte, 0, 64), 't')
 	for _, name := range r.order {
-		s := r.series[name]
-		col := name
-		if s.Unit != "" {
-			col = fmt.Sprintf("%s(%s)", name, s.Unit)
-		}
-		header = append(header, col)
+		row = appendColumn(append(row, ','), name, "", r.series[name].Unit)
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
+	row = append(row, '\n')
+	if _, err := bw.Write(row); err != nil {
 		return err
 	}
-	base := r.series[r.order[0]]
-	for i := 0; i < base.Len(); i++ {
-		t := base.ts[i]
-		row := make([]string, 0, len(r.order)+1)
-		row = append(row, formatFloat(t))
-		for _, name := range r.order {
-			row = append(row, formatFloat(r.series[name].Sample(t)))
+	if len(r.order) == 0 {
+		return bw.Flush()
+	}
+	cols := make([]cursor, len(r.order))
+	for i, name := range r.order {
+		cols[i].s = r.series[name]
+	}
+	for _, t := range cols[0].s.ts {
+		row = appendFloat(row[:0], t)
+		for i := range cols {
+			row = appendFloat(append(row, ','), cols[i].sample(t))
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+		row = append(row, '\n')
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
-func formatFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%.0f", v)
+// csvBufSize is the CSV renderers' write granularity.
+const csvBufSize = 32 << 10
+
+// cursor evaluates Series.Sample at a non-decreasing sequence of times
+// in amortised O(1): i is the first index whose timestamp exceeds the
+// previous query, the index Sample's binary search would find.
+type cursor struct {
+	s *Series
+	i int
+}
+
+// sample returns exactly s.Sample(t). Queries must not decrease — they
+// are the first series' timestamps, non-decreasing like every series'.
+func (c *cursor) sample(t float64) float64 {
+	s := c.s
+	n := len(s.vs)
+	if n == 0 {
+		return 0
 	}
-	return fmt.Sprintf("%.9g", v)
+	if t <= s.ts[0] {
+		return s.vs[0]
+	}
+	if t >= s.ts[n-1] {
+		return s.vs[n-1]
+	}
+	for s.ts[c.i] <= t {
+		c.i++
+	}
+	return s.lerp(c.i, t)
+}
+
+// appendColumn appends a CSV column header: name, suffix, then the
+// unit in parentheses when there is one.
+func appendColumn(b []byte, name, suffix, unit string) []byte {
+	b = append(append(b, name...), suffix...)
+	if unit != "" {
+		b = append(append(append(b, '('), unit...), ')')
+	}
+	return b
+}
+
+// appendFloat formats v for CSV: integers below 1e15 in full, anything
+// else to nine significant digits — the bytes fmt's %.0f and %.9g print.
+func appendFloat(b []byte, v float64) []byte {
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+		// Such an integer converts to int64 exactly, and its decimal
+		// digits are what %.0f prints; only −0 keeps a sign int64 drops.
+		if v == 0 && math.Signbit(v) {
+			return append(b, "-0"...)
+		}
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', 9, 64)
 }

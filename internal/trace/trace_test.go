@@ -284,8 +284,29 @@ func TestChannelMatchesRecord(t *testing.T) {
 			t.Fatalf("sample %d differs: %+v vs %+v", i, sa.At(i), sb.At(i))
 		}
 	}
-	if lt := ch.LastT(); lt != sb.At(sb.Len()-1).T {
-		t.Fatalf("LastT %g != last stored %g", lt, sb.At(sb.Len()-1).T)
+	// Due is Record's gate, measured from the last stored sample.
+	last := sb.At(sb.Len() - 1).T
+	if ch.Due(last+0.49) || !ch.Due(last+0.6) {
+		t.Fatalf("Due disagrees with the 0.5 interval after the last stored sample at %g", last)
+	}
+}
+
+// Due must predict Record's decision exactly, including the first
+// sample, signed zeros, infinities, NaN times and a NaN interval.
+func TestChannelDueMatchesRecord(t *testing.T) {
+	times := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.2, 0.5, 0.5, 0.99, 1.5, math.NaN(), 2, 3, math.Inf(1), math.Inf(1)}
+	for _, iv := range []float64{0, 0.5, 1, -1, math.NaN(), math.Inf(1)} {
+		r := NewRecorder()
+		r.SetInterval(iv)
+		ch := r.Channel("x", "")
+		for i, tm := range times {
+			due := ch.Due(tm)
+			n := r.Series("x").Len()
+			ch.Record(tm, float64(i))
+			if stored := r.Series("x").Len() > n; stored != due {
+				t.Fatalf("interval %g, t=%g: Due=%v but Record stored=%v", iv, tm, due, stored)
+			}
+		}
 	}
 }
 

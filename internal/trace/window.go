@@ -1,10 +1,9 @@
 package trace
 
 import (
-	"fmt"
+	"bufio"
 	"io"
 	"math"
-	"strings"
 )
 
 // Bucket is one aggregation interval of a windowed query: the samples
@@ -69,40 +68,40 @@ func (s *Series) Window(from, to float64, points int) []Bucket {
 // WriteWindowCSV renders a windowed view of every series as CSV: one row
 // per bucket at the bucket start time, with name_min(unit),name_max(unit)
 // columns per series. It is the payload behind the service's
-// /trace?from=&to=&points= query.
+// /trace?from=&to=&points= query. A degenerate window (points < 1 or
+// to ≤ from) renders the header alone.
 func (r *Recorder) WriteWindowCSV(w io.Writer, from, to float64, points int) error {
-	if len(r.order) == 0 {
-		_, err := fmt.Fprintln(w, "t")
-		return err
-	}
-	header := []string{"t"}
+	bw := bufio.NewWriterSize(w, csvBufSize)
+	row := append(make([]byte, 0, 64), 't')
 	for _, name := range r.order {
-		s := r.series[name]
-		unit := ""
-		if s.Unit != "" {
-			unit = "(" + s.Unit + ")"
-		}
-		header = append(header, name+"_min"+unit, name+"_max"+unit)
+		unit := r.series[name].Unit
+		row = appendColumn(append(row, ','), name, "_min", unit)
+		row = appendColumn(append(row, ','), name, "_max", unit)
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
+	row = append(row, '\n')
+	if _, err := bw.Write(row); err != nil {
 		return err
+	}
+	if len(r.order) == 0 {
+		return bw.Flush()
 	}
 	windows := make([][]Bucket, len(r.order))
 	for i, name := range r.order {
 		windows[i] = r.series[name].Window(from, to, points)
 	}
-	for b := 0; b < points; b++ {
-		row := make([]string, 0, 2*len(r.order)+1)
-		row = append(row, formatFloat(windows[0][b].T))
-		for i := range r.order {
+	for b := range windows[0] {
+		row = appendFloat(row[:0], windows[0][b].T)
+		for i := range windows {
 			bk := windows[i][b]
-			row = append(row, formatFloat(bk.Min), formatFloat(bk.Max))
+			row = appendFloat(append(row, ','), bk.Min)
+			row = appendFloat(append(row, ','), bk.Max)
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+		row = append(row, '\n')
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // TimeRange returns the earliest and latest timestamp across all series

@@ -134,6 +134,14 @@ func TestWriteWindowCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "0,0,9,") {
 		t.Fatalf("row 1 = %q, want a_min=0 a_max=9", lines[1])
 	}
+	// An empty window renders the header alone.
+	b.Reset()
+	if err := r.WriteWindowCSV(&b, 5, 5, 4); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != lines[0]+"\n" {
+		t.Fatalf("empty window = %q, want the header alone", b.String())
+	}
 }
 
 func TestTimeRange(t *testing.T) {
@@ -208,10 +216,46 @@ func TestCodecRejectsCorruptBlobs(t *testing.T) {
 		"trailing":    append(append([]byte{}, blob...), 0xff),
 		"bad version": append(append([]byte{}, blob[:4]...), append([]byte{0xff, 0xff}, blob[6:]...)...),
 	}
+	for name, b := range invalidBlobs() {
+		cases[name] = b
+	}
 	for name, b := range cases {
 		if _, err := DecodeRecorder(b); err == nil {
 			t.Errorf("%s blob decoded without error", name)
 		}
+	}
+}
+
+// invalidBlobs are well-framed blobs EncodeRecorder cannot produce
+// from a valid recorder: each is built by encoding a recorder whose
+// internals break an invariant the decoder must enforce.
+func invalidBlobs() map[string][]byte {
+	// The same series name listed twice: decoding it used to overwrite
+	// the first series while the column order kept both entries.
+	dup := NewRecorder()
+	dup.Record("a", "V", 1, 2)
+	dup.Record("b", "", 1, 3)
+	dup.order = append(dup.order, "a")
+
+	nanT := NewRecorder()
+	nanT.Record("a", "V", 1, 2)
+	nanT.Record("a", "V", 2, 3)
+	nanT.series["a"].ts[1] = math.NaN()
+
+	nanFirst := NewRecorder()
+	nanFirst.Record("a", "V", 1, 2)
+	nanFirst.series["a"].ts[0] = math.NaN()
+
+	backwards := NewRecorder()
+	s := backwards.create("a", "")
+	s.Append(2, 1)
+	s.Append(1, 1)
+
+	return map[string][]byte{
+		"duplicate name":     EncodeRecorder(dup),
+		"nan timestamp":      EncodeRecorder(nanT),
+		"nan first sample":   EncodeRecorder(nanFirst),
+		"decreasing samples": EncodeRecorder(backwards),
 	}
 }
 

@@ -545,14 +545,18 @@ func (c *Core) RunBudget(budget float64) (float64, uint64, error) {
 		blk := c.lookupBlock(c.PC)
 		if blk == nil {
 			// MMIO fetch, window tail, or undecodable bytes: the plain
-			// step path handles them exactly as before.
+			// step path handles them, and a trap still ends the call.
 			before := c.Cycles
-			if _, err := c.Step(); err != nil {
+			in, err := c.Step()
+			if err != nil {
 				return budget, spent, err
 			}
 			d := c.Cycles - before
 			budget -= float64(d)
 			spent += d
+			if in.Op == OpSYS || in.Op == OpCHK {
+				return budget, spent, nil
+			}
 			continue
 		}
 		var wait uint64

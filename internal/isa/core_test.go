@@ -309,6 +309,49 @@ start:
 	mustRun(t, c2, 10)
 }
 
+// TestRunBudgetReturnsAfterTrapAtWindowTail pins RunBudget's trap contract
+// where no superblock can be built: a SYS or CHK in the last bytes of the
+// address space runs on the Step fallback, and the call must still return
+// right after its handler, having spent only the trap's cycles.
+func TestRunBudgetReturnsAfterTrapAtWindowTail(t *testing.T) {
+	for _, tt := range []struct {
+		name   string
+		trap   Instr
+		cycles uint64
+		next   uint16 // PC past the trap, wrapped
+	}{
+		{"SYS", Instr{Op: OpSYS, Imm: 7}, 2, 0x0002},
+		{"CHK", Instr{Op: OpCHK}, 1, 0x0000},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			ram := &FlatRAM{}
+			putInstr(ram, 0xfffe, tt.trap)
+			putInstr(ram, tt.next, Instr{Op: OpJMP, Imm: 0xfffe})
+			traps := 0
+			c := &Core{Bus: ram}
+			c.Sys = func(uint16, *Core) { traps++ }
+			c.Checkpoint = func(*Core) { traps++ }
+			c.Reset(0xfffe)
+			rem, spent, err := c.RunBudget(1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if traps != 1 || spent != tt.cycles || rem != 1000-float64(tt.cycles) || c.PC != tt.next {
+				t.Errorf("traps=%d spent=%d rem=%v PC=%#04x, want 1, %d, %v, %#04x",
+					traps, spent, rem, c.PC, tt.cycles, 1000-float64(tt.cycles), tt.next)
+			}
+		})
+	}
+}
+
+// putInstr encodes in at addr, wrapping past 0xffff like the core does.
+func putInstr(ram *FlatRAM, addr uint16, in Instr) {
+	var buf [4]byte
+	for i := range in.Encode(buf[:]) {
+		ram.Mem[addr+uint16(i)] = buf[i]
+	}
+}
+
 func TestInvalidOpcodeHalts(t *testing.T) {
 	ram := &FlatRAM{}
 	ram.Mem[0] = 0xEE // undefined opcode

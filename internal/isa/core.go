@@ -18,24 +18,8 @@ type Bus interface {
 	AccessCycles(addr uint16, write bool) uint64
 }
 
-// FetchBus is an optional Bus extension for the interpreter's hot path:
-// one call returns the raw instruction bytes at addr together with the
-// wait-state cycles an instruction fetch from addr pays, replacing up to
-// four Read8 calls plus an AccessCycles call per executed instruction.
-//
-// Contract: raw[0] and raw[1] must equal Read8(addr) and Read8(addr+1);
-// raw[2] and raw[3] must equal Read8(addr+2) and Read8(addr+3) whenever
-// the opcode in raw[0] encodes a 4-byte instruction (they are don't-care
-// otherwise, so implementations with side-effecting regions can skip
-// them exactly like the byte-wise fetch would). wait must equal
-// AccessCycles(addr, false).
-type FetchBus interface {
-	Fetch(addr uint16) (raw [4]byte, wait uint64)
-}
-
 // FetchWindow describes a contiguous, side-effect-free memory region the
-// core may fetch instructions from by direct slice indexing — the zero-
-// dispatch tier above FetchBus.
+// superblock engine may fetch instructions from by direct slice indexing.
 type FetchWindow struct {
 	// Mem is the live backing store for addresses [Base, Base+len(Mem)):
 	// writes through the bus to this region must be visible in it (i.e.
@@ -51,8 +35,8 @@ type FetchWindow struct {
 
 // WindowBus is an optional Bus extension granting the core direct fetch
 // windows. FetchWindow returns the window containing addr, or ok=false
-// when addr has no window (MMIO, open bus) — the core then falls back to
-// FetchBus/Read8 for that fetch.
+// when addr has no window (MMIO, open bus) — RunBudget then falls back to
+// Step, which fetches through Read8.
 type WindowBus interface {
 	FetchWindow(addr uint16) (w FetchWindow, ok bool)
 }
@@ -85,19 +69,12 @@ type Core struct {
 	// PC has advanced past it — the hook Mementos-style runtimes use.
 	Checkpoint func(c *Core)
 
-	// Decoded-instruction cache. Entries are validated against the raw
-	// bytes re-read on every fetch, so the cache needs no invalidation
-	// protocol: guest stores, snapshot restores, SRAM scrambling and any
-	// other memory writer are all handled by construction — a stale entry
-	// simply fails its byte comparison and is re-decoded.
-	icache   []icLine
-	knownBus Bus       // Bus value the fetch fast paths were resolved from
-	fetchBus FetchBus  // non-nil when knownBus implements FetchBus
+	knownBus Bus       // Bus value winBus was resolved from
 	winBus   WindowBus // non-nil when knownBus implements WindowBus
 
-	// Cached fetch window: fetches with win.Base <= PC and PC+3 inside
-	// win.Mem are served by direct slice indexing. Re-probed whenever PC
-	// leaves the window.
+	// Cached fetch window: superblocks starting at win.Base <= PC with
+	// PC+3 inside win.Mem are built and revalidated by direct slice
+	// indexing. Re-probed whenever PC leaves the window.
 	win   FetchWindow
 	winOK bool
 
@@ -115,28 +92,11 @@ type Core struct {
 	storeLen  uint16
 }
 
-// icBits sizes the direct-mapped decode cache: 8192 lines covers any
-// realistic guest program several times over (cross-line collisions are
-// caught by the Addr check and only cost a re-decode).
-const (
-	icBits = 13
-	icMask = 1<<icBits - 1
-)
-
-// icLine is one decode-cache entry: the decoded instruction plus the raw
-// bytes it was decoded from, for validation.
-type icLine struct {
-	raw  [4]byte
-	in   Instr
-	size uint8 // encoded length (2 or 4); 0 marks an empty line
-}
-
 // Superblock cache geometry. Sets are indexed by (pc>>1) & sbMask —
 // instructions are 2-byte aligned, so the shift keeps all index bits
 // useful — and each set holds two ways so a pair of PCs that alias the
-// same set (any 2 KiB multiple apart, which includes the 8 KiB distance
-// that aliases the direct-mapped icache) can coexist instead of
-// thrashing rebuilds. sbMaxInstrs is the fusion cap, the "cache-line
+// same set (any 2 KiB multiple apart) can coexist instead of thrashing
+// rebuilds. sbMaxInstrs is the fusion cap, the "cache-line
 // boundary" of the block cache.
 const (
 	sbBits      = 10
@@ -213,69 +173,13 @@ func (c *Core) setZN(v uint16) {
 	c.NF = v&0x8000 != 0
 }
 
-// fetch returns the decoded instruction at PC and the fetch's wait-state
-// cycles. It serves most fetches from the decode cache: the raw bytes are
-// re-read every time (one FetchBus call when the bus supports it) and
-// compared against the cached line, so the returned instruction is always
-// exactly what a fresh decode of current memory would produce.
-func (c *Core) fetch() (Instr, uint64, error) {
-	pc := c.PC
-	if c.Bus != c.knownBus {
-		c.resolveBus()
-	}
-	var raw [4]byte
-	var wait uint64
-	if i := int(pc) - int(c.win.Base); c.winOK && i >= 0 && i+3 < len(c.win.Mem) {
-		// Zero-dispatch tier: the PC sits inside the cached window.
-		copy(raw[:], c.win.Mem[i:i+4])
-		if c.win.Wait != nil {
-			wait = *c.win.Wait
-		}
-	} else if c.winBus != nil && c.probeWindow(pc) {
-		i := int(pc) - int(c.win.Base)
-		copy(raw[:], c.win.Mem[i:i+4])
-		if c.win.Wait != nil {
-			wait = *c.win.Wait
-		}
-	} else if fb := c.fetchBus; fb != nil {
-		raw, wait = fb.Fetch(pc)
-	} else {
-		raw[0] = c.Bus.Read8(pc)
-		raw[1] = c.Bus.Read8(pc + 1)
-		if Length(Op(raw[0])) == 4 {
-			raw[2] = c.Bus.Read8(pc + 2)
-			raw[3] = c.Bus.Read8(pc + 3)
-		}
-		wait = c.Bus.AccessCycles(pc, false)
-	}
-	line := &c.icache[pc&icMask]
-	if line.size != 0 && line.in.Addr == pc {
-		if (line.size == 2 && raw[0] == line.raw[0] && raw[1] == line.raw[1]) ||
-			(line.size == 4 && raw == line.raw) {
-			return line.in, wait, nil
-		}
-	}
-	in, err := decodeChecked(raw[:], pc)
-	if err != nil {
-		return in, wait, err
-	}
-	line.raw = raw
-	line.in = in
-	line.size = uint8(Length(in.Op))
-	return in, wait, nil
-}
-
-// resolveBus re-resolves the optional bus interfaces after Bus changed.
-// Cached decode state survives a bus swap: every icache line and every
-// superblock is revalidated against the (new) live bytes before use.
+// resolveBus re-resolves the optional WindowBus after Bus changed and
+// drops the cached window. Superblocks survive a bus swap: each is
+// revalidated against the (new) live bytes before use.
 func (c *Core) resolveBus() {
 	c.knownBus = c.Bus
-	c.fetchBus, _ = c.Bus.(FetchBus)
 	c.winBus, _ = c.Bus.(WindowBus)
 	c.winOK = false
-	if c.icache == nil {
-		c.icache = make([]icLine, 1<<icBits)
-	}
 }
 
 // probeWindow asks the WindowBus for a fetch window containing pc, and
@@ -291,11 +195,6 @@ func (c *Core) probeWindow(pc uint16) bool {
 	return i >= 0 && i+3 < len(w.Mem)
 }
 
-func decodeChecked(buf []byte, addr uint16) (Instr, error) {
-	in, _, err := Decode(buf, addr)
-	return in, err
-}
-
 // Execution-outcome bits returned by execOne.
 const (
 	execTrap  = 1 << iota // SYS/CHK: PC already committed, handler already ran
@@ -304,14 +203,26 @@ const (
 	execStore             // instruction wrote memory (see storeAddr/storeLen)
 )
 
-// Step executes one instruction. It returns the executed instruction and
-// an error for invalid opcodes (which also halt the core). A halted core
-// returns immediately.
+// Step executes one instruction and is the reference interpreter: it
+// fetches byte by byte through the Bus (bytes 2–3 only for a 4-byte
+// opcode, so a peripheral next to code sees no spurious reads), decodes
+// afresh and executes, with no cache of any kind. It returns the executed
+// instruction and an error for invalid opcodes (which also halt the
+// core). A halted core returns immediately.
 func (c *Core) Step() (Instr, error) {
 	if c.Halted {
 		return Instr{}, nil
 	}
-	in, wait, err := c.fetch()
+	pc := c.PC
+	var raw [4]byte
+	raw[0] = c.Bus.Read8(pc)
+	raw[1] = c.Bus.Read8(pc + 1)
+	if Length(Op(raw[0])) == 4 {
+		raw[2] = c.Bus.Read8(pc + 2)
+		raw[3] = c.Bus.Read8(pc + 3)
+	}
+	wait := c.Bus.AccessCycles(pc, false)
+	in, _, err := Decode(raw[:], pc)
 	if err != nil {
 		c.Halted = true
 		return in, err
@@ -515,13 +426,16 @@ func (c *Core) execOne(in Instr, next uint16) (uint16, int) {
 // entry per block instead of one per instruction. It returns the budget
 // left, the cycles actually retired (spent), and any guest fault.
 //
+// Blocks are built only inside a WindowBus fetch window; an MMIO or
+// open-bus fetch, a window tail and undecodable bytes go through Step.
 // Semantics are step-for-step identical to calling Step in a loop and
-// subtracting each instruction's cycle delta from the budget:
+// subtracting each instruction's cycle delta from the budget (the
+// differential fuzzer FuzzRunBudgetMatchesStep in internal/mcu pins
+// this, on an mcu.Bus and on a FlatRAM):
 //
 //   - a block revalidates every constituent instruction's raw bytes
 //     against live memory before committing any effect, so guest stores,
-//     snapshot restores and SRAM scrambling need no invalidation protocol
-//     (the same property the per-fetch byte compare gives the icache);
+//     snapshot restores and SRAM scrambling need no invalidation protocol;
 //   - a store into the not-yet-executed remainder of the running block
 //     aborts the replay at the next instruction boundary and re-enters
 //     through revalidation;
@@ -697,7 +611,7 @@ func (c *Core) lookupBlock(pc uint16) *sblock {
 // at pc (window offset i) into b, reusing b's backing storage. The block
 // ends at a control transfer or trap (included as the final entry), at
 // the fusion cap, at the window's fetch boundary, or at undecodable
-// bytes (excluded — the fallback path reports them exactly like fetch).
+// bytes (excluded — the Step fallback reports them).
 func (c *Core) buildBlock(b *sblock, pc uint16, i int) {
 	b.start = pc
 	b.rawLen = 0
@@ -784,25 +698,9 @@ func (m *FlatRAM) Write16(addr uint16, v uint16) {
 // AccessCycles implements Bus (zero wait states).
 func (m *FlatRAM) AccessCycles(uint16, bool) uint64 { return 0 }
 
-// Fetch implements FetchBus (zero wait states; reads wrap like Read8).
-func (m *FlatRAM) Fetch(addr uint16) ([4]byte, uint64) {
-	var raw [4]byte
-	if addr <= 0xfffc {
-		copy(raw[:], m.Mem[addr:addr+4])
-	} else {
-		for i := range raw {
-			raw[i] = m.Mem[addr+uint16(i)]
-		}
-	}
-	return raw, 0
-}
-
 // FetchWindow implements WindowBus: the whole address space, zero-wait.
 func (m *FlatRAM) FetchWindow(uint16) (FetchWindow, bool) {
 	return FetchWindow{Mem: m.Mem[:], Base: 0}, true
 }
 
-var (
-	_ FetchBus  = (*FlatRAM)(nil)
-	_ WindowBus = (*FlatRAM)(nil)
-)
+var _ WindowBus = (*FlatRAM)(nil)

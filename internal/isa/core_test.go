@@ -458,20 +458,15 @@ neg:
 	}
 }
 
-// TestSuperblockAliasHazard pins alias safety of both decode caches at
-// once. PCs 0x4000 and 0x6000 collide in the direct-mapped icache
-// (0x4000 & icMask == 0x6000 & icMask) AND map to the same superblock
-// set ((pc>>1) & sbMask), so a tight ping-pong between them is the
-// worst-case thrash pattern: the icache line flips owner on every
-// bounce and the superblock set holds both hot blocks only because it
-// is 2-way. Raw-byte revalidation must keep every replay correct, and
+// TestSuperblockAliasHazard pins alias safety of the superblock cache.
+// PCs 0x4000 and 0x6000 map to the same superblock set
+// ((pc>>1) & sbMask), so a tight ping-pong between them is the
+// worst-case thrash pattern: the set holds both hot blocks only because
+// it is 2-way. Raw-byte revalidation must keep every replay correct, and
 // in steady state block executions must be served from cache — hits
 // vastly outnumbering builds proves neither block evicts the other.
 func TestSuperblockAliasHazard(t *testing.T) {
 	const rounds = 2000
-	if 0x4000&icMask != 0x6000&icMask {
-		t.Fatal("test premise broken: PCs no longer alias the icache")
-	}
 	if (0x4000>>1)&sbMask != (0x6000>>1)&sbMask {
 		t.Fatal("test premise broken: PCs no longer share a superblock set")
 	}

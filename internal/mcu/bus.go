@@ -140,31 +140,6 @@ func (b *Bus) Write16(addr uint16, v uint16) {
 	b.Write8(addr+1, byte(v>>8))
 }
 
-// Fetch implements isa.FetchBus: the instruction bytes at addr and the
-// fetch's wait-state cycles in one call. FRAM is probed first — code
-// lives there in both memory layouts. The cross-region fallback mirrors
-// the interpreter's legacy byte-wise fetch exactly, including not
-// touching bytes 2–3 for a 2-byte opcode (so an instruction adjacent to
-// the MMIO window cannot trigger spurious peripheral reads).
-func (b *Bus) Fetch(addr uint16) ([4]byte, uint64) {
-	var raw [4]byte
-	if i := int(addr) - int(b.FRAMBase); i >= 0 && i+3 < len(b.FRAM) {
-		copy(raw[:], b.FRAM[i:i+4])
-		return raw, b.FRAMWait
-	}
-	if i := int(addr) - int(b.SRAMBase); i >= 0 && i+3 < len(b.SRAM) {
-		copy(raw[:], b.SRAM[i:i+4])
-		return raw, 0
-	}
-	raw[0] = b.Read8(addr)
-	raw[1] = b.Read8(addr + 1)
-	if isa.Length(isa.Op(raw[0])) == 4 {
-		raw[2] = b.Read8(addr + 2)
-		raw[3] = b.Read8(addr + 3)
-	}
-	return raw, b.AccessCycles(addr, false)
-}
-
 // AccessCycles implements isa.Bus: FRAM accesses pay the configured wait
 // states; SRAM is zero-wait.
 func (b *Bus) AccessCycles(addr uint16, _ bool) uint64 {
@@ -252,5 +227,4 @@ func (b *Bus) FetchWindow(addr uint16) (isa.FetchWindow, bool) {
 }
 
 var _ isa.Bus = (*Bus)(nil)
-var _ isa.FetchBus = (*Bus)(nil)
 var _ isa.WindowBus = (*Bus)(nil)

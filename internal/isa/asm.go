@@ -141,17 +141,33 @@ func Assemble(src string) (*Program, error) {
 		}
 	}
 
-	// Pass 2: encode.
+	// Pass 2: encode. The location counter is an int here so code that
+	// runs past 0xffff is rejected instead of wrapping onto 0x0000, and
+	// used marks every byte already emitted so a later .org cannot
+	// silently overwrite earlier code.
 	var segs []Segment
 	var cur *Segment
-	pc = 0
-	emit := func(bytes ...byte) {
-		if cur == nil || cur.Addr+uint16(len(cur.Data)) != pc {
-			segs = append(segs, Segment{Addr: pc})
-			cur = &segs[len(segs)-1]
+	var used [1 << 16 / 64]uint64
+	loc := 0
+	emit := func(ln int, bytes []byte) {
+		end := loc + len(bytes)
+		switch {
+		case len(bytes) == 0:
+		case end > 1<<16:
+			a.errorf(ln, "0x%04x+%d runs past 0xffff", loc, len(bytes))
+		case overlaps(&used, loc, end):
+			a.errorf(ln, "bytes at 0x%04x overlap earlier code or data", loc)
+		default:
+			for i := loc; i < end; i++ {
+				used[i/64] |= 1 << (i % 64)
+			}
+			if cur == nil || int(cur.Addr)+len(cur.Data) != loc {
+				segs = append(segs, Segment{Addr: uint16(loc)})
+				cur = &segs[len(segs)-1]
+			}
+			cur.Data = append(cur.Data, bytes...)
 		}
-		cur.Data = append(cur.Data, bytes...)
-		pc += uint16(len(bytes))
+		loc = end
 	}
 	for ln, raw := range lines {
 		line := stripComment(raw)
@@ -170,31 +186,25 @@ func Assemble(src string) (*Program, error) {
 		switch mnem {
 		case ".ORG":
 			v, _ := a.eval(fields.rest, ln)
-			pc = v
+			loc = int(v)
 			cur = nil
-		case ".WORD":
+		case ".WORD", ".BYTE":
+			var out []byte
 			for _, item := range splitList(fields.rest) {
 				v, err := a.eval(item, ln)
 				if err != nil {
 					a.errorf(ln, "%v", err)
 					v = 0
 				}
-				emit(byte(v), byte(v>>8))
-			}
-		case ".BYTE":
-			for _, item := range splitList(fields.rest) {
-				v, err := a.eval(item, ln)
-				if err != nil {
-					a.errorf(ln, "%v", err)
-					v = 0
+				out = append(out, byte(v))
+				if mnem == ".WORD" {
+					out = append(out, byte(v>>8))
 				}
-				emit(byte(v))
 			}
+			emit(ln, out)
 		case ".SPACE":
 			v, _ := a.eval(fields.rest, ln)
-			for i := uint16(0); i < v; i++ {
-				emit(0)
-			}
+			emit(ln, make([]byte, v))
 		default:
 			op := mnemonicOps[mnem]
 			in, err := a.parseOperands(op, fields.rest, ln)
@@ -204,7 +214,7 @@ func Assemble(src string) (*Program, error) {
 			}
 			var buf [4]byte
 			n := in.Encode(buf[:])
-			emit(buf[:n]...)
+			emit(ln, buf[:n])
 		}
 	}
 
@@ -217,6 +227,16 @@ func Assemble(src string) (*Program, error) {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Addr < segs[j].Addr })
 	return &Program{Segments: segs, Labels: a.labels, Entry: entry}, nil
+}
+
+// overlaps reports whether any byte in [from, to) is marked in used.
+func overlaps(used *[1 << 16 / 64]uint64, from, to int) bool {
+	for i := from; i < to; i++ {
+		if used[i/64]&(1<<(i%64)) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (a *assembler) errorf(line int, format string, args ...any) {

@@ -113,6 +113,9 @@ func TestAssembleErrors(t *testing.T) {
 		{"operand count", "MOV r1", "expects 2 operand"},
 		{"bad memory operand", "LD r1, r2", "invalid memory operand"},
 		{"duplicate constant", "x = 1\nx = 2", "duplicate constant"},
+		{"wraps past 0xffff", ".org 0xfffe\nMOVI r1, #1", "line 2: 0xfffe+4 runs past 0xffff"},
+		{"data wraps past 0xffff", ".org 0xfffe\n.word 1\n.byte 2", "line 3: 0x10000+1 runs past 0xffff"},
+		{"overlapping org", "NOP\nNOP\n.org 0x0002\nHALT\n.org 0\nHALT", "line 6: bytes at 0x0000 overlap earlier code or data"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

@@ -3,6 +3,8 @@ package programs
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 func TestWorkloadRegistryBuildsEveryName(t *testing.T) {
@@ -22,6 +24,12 @@ func TestWorkloadRegistryBuildsEveryName(t *testing.T) {
 			}
 			if w.NVBase != l.NVBase || w.RAMBase != l.RAMBase {
 				t.Errorf("Build(%q): layout not applied: %+v", n, w)
+			}
+			// The assembler rejects code that wraps past 0xffff or
+			// overlaps earlier segments, so this also proves no layout
+			// places a workload either way.
+			if _, err := isa.Assemble(w.Source); err != nil {
+				t.Errorf("Build(%q) with layout %+v: %v", n, l, err)
 			}
 		}
 	}

@@ -455,6 +455,39 @@ func BenchmarkCoreInterpreter(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceExecute measures guest execution the way the lab drives
+// it: fft64 on an mcu.Device at 8 MHz, ticked every 5 µs, so each
+// RunBudget call gets a 40-cycle budget, and with code in FRAM and data
+// in SRAM the loads and stores use a different memory window than the
+// fetches. One op is one fft64 iteration; ns/cycle is wall time per
+// guest cycle.
+func BenchmarkDeviceExecute(b *testing.B) {
+	prog := benchtest.MustAsm(b, programs.FFT(64, programs.DefaultLayout()))
+	d := mcu.New(mcu.DefaultParams(), prog)
+	done := false
+	d.SysHandler = func(code uint16, _ *isa.Core) {
+		if code == programs.SysDone {
+			done = true
+		}
+	}
+	const dt = 5e-6
+	for d.Mode() != mcu.ModeActive {
+		d.Tick(3.3, dt)
+	}
+	start := d.Stats.CyclesRun
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done = false
+		for !done && d.Err == nil {
+			d.Tick(3.3, dt)
+		}
+		if d.Err != nil {
+			b.Fatal(d.Err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(d.Stats.CyclesRun-start), "ns/cycle")
+}
+
 // BenchmarkRailStep measures the electrical solver alone.
 func BenchmarkRailStep(b *testing.B) {
 	cap := circuit.NewCapacitor(10e-6, 3.3)

@@ -3,6 +3,7 @@ package isa
 import (
 	"bytes"
 	"fmt"
+	"math"
 )
 
 // Bus is the memory system the core executes against. The MCU layer
@@ -19,24 +20,32 @@ type Bus interface {
 }
 
 // FetchWindow describes a contiguous, side-effect-free memory region the
-// superblock engine may fetch instructions from by direct slice indexing.
+// superblock engine may fetch instructions from, and load and store data
+// in, by direct slice indexing.
 type FetchWindow struct {
 	// Mem is the live backing store for addresses [Base, Base+len(Mem)):
-	// writes through the bus to this region must be visible in it (i.e.
-	// it aliases the implementation's storage, not a copy).
+	// writes through the bus to this region must be visible in it, and
+	// writes to it must be what later bus reads return (i.e. it aliases
+	// the implementation's storage, not a copy).
 	Mem  []byte
 	Base uint16
-	// Wait, if non-nil, points at the live wait-state count for fetches
-	// from this region (nil means zero-wait). A pointer rather than a
+	// Wait, if non-nil, points at the live wait-state count for every
+	// access to this region (nil means zero-wait). A pointer rather than a
 	// value so frequency-dependent wait states stay correct without
 	// re-probing the window.
 	Wait *uint64
 }
 
-// WindowBus is an optional Bus extension granting the core direct fetch
+// WindowBus is an optional Bus extension granting the core direct memory
 // windows. FetchWindow returns the window containing addr, or ok=false
 // when addr has no window (MMIO, open bus) — RunBudget then falls back to
-// Step, which fetches through Read8.
+// Step for a fetch, and to the Bus for a data access.
+//
+// A window is both the fetch path and the data path: for every addr in
+// [Base, Base+len(Mem)), Read8/Read16/Write8/Write16 of bytes inside the
+// window must read and write Mem with no other effect, and *Wait (or 0
+// for a nil Wait) must equal AccessCycles(addr, false) and
+// AccessCycles(addr, true).
 type WindowBus interface {
 	FetchWindow(addr uint16) (w FetchWindow, ok bool)
 }
@@ -78,6 +87,11 @@ type Core struct {
 	win   FetchWindow
 	winOK bool
 
+	// Cached data window: LD/ST/LDB/STB inside it (or inside win) read and
+	// write Mem directly and pay *Wait. Re-probed whenever an access misses
+	// both; the zero value (empty Mem) matches nothing.
+	dwin FetchWindow
+
 	// Superblock cache (see RunBudget): straight-line runs decoded into
 	// one precompiled handler list, revalidated wholesale against live
 	// memory before any effect is committed. Allocated lazily on the
@@ -106,15 +120,11 @@ const (
 )
 
 // sbEntry is one pre-decoded instruction of a superblock, with its base
-// cycle cost and encoded length hoisted out of the dispatch loop. fast
-// marks register-only ops (sbFast) whose cycle cost and fall-through
-// successor are fully known at decode time, letting the dispatch loop
-// skip the cycle-delta and exec-kind bookkeeping.
+// cycle cost and encoded length hoisted out of the dispatch loop.
 type sbEntry struct {
-	in   Instr
-	cyc  uint64
-	ln   uint16
-	fast bool
+	in  Instr
+	cyc uint64
+	ln  uint16
 }
 
 // sblock is a decoded straight-line run starting at start: the raw bytes
@@ -132,28 +142,12 @@ type sblock struct {
 // core itself, so a block never runs past one).
 var sbStop [opMax]bool
 
-// sbFast marks register-only instructions: no bus access (so execOne
-// adds exactly the entry's base cycle cost and never sets a wait state),
-// no stores, no control transfer — execOne always returns the
-// fall-through PC and kind 0. The dispatch loop exploits this to charge
-// budget from the pre-decoded cost without the before/after Cycles diff
-// or any exec-kind tests. Keep this list in sync with execOne: an op
-// belongs here only if its case touches nothing but registers and flags.
-var sbFast [opMax]bool
-
 func init() {
 	for _, op := range []Op{
 		OpJMP, OpJZ, OpJNZ, OpJC, OpJNC, OpJN, OpJGE, OpJLT,
 		OpCALL, OpRET, OpSYS, OpCHK, OpHALT,
 	} {
 		sbStop[op] = true
-	}
-	for _, op := range []Op{
-		OpNOP, OpMOV, OpMOVI, OpADD, OpADDI, OpSUB, OpSUBI,
-		OpAND, OpOR, OpXOR, OpNOT, OpNEG, OpSHL, OpSHR, OpSAR,
-		OpMUL, OpQMUL, OpCMP, OpCMPI,
-	} {
-		sbFast[op] = true
 	}
 }
 
@@ -174,12 +168,13 @@ func (c *Core) setZN(v uint16) {
 }
 
 // resolveBus re-resolves the optional WindowBus after Bus changed and
-// drops the cached window. Superblocks survive a bus swap: each is
+// drops the cached windows. Superblocks survive a bus swap: each is
 // revalidated against the (new) live bytes before use.
 func (c *Core) resolveBus() {
 	c.knownBus = c.Bus
 	c.winBus, _ = c.Bus.(WindowBus)
 	c.winOK = false
+	c.dwin = FetchWindow{}
 }
 
 // probeWindow asks the WindowBus for a fetch window containing pc, and
@@ -191,8 +186,7 @@ func (c *Core) probeWindow(pc uint16) bool {
 		return false
 	}
 	c.win, c.winOK = w, true
-	i := int(pc) - int(w.Base)
-	return i >= 0 && i+3 < len(w.Mem)
+	return w.holds(pc, 4)
 }
 
 // Execution-outcome bits returned by execOne.
@@ -311,44 +305,15 @@ func (c *Core) execOne(in Instr, next uint16) (uint16, int) {
 		c.R[in.Dst] = -c.R[in.Dst]
 		c.setZN(c.R[in.Dst])
 	case OpSHL:
-		n := uint(in.Src)
-		v := c.R[in.Dst]
-		if n > 0 {
-			c.CF = v&(1<<(16-n)) != 0
-		}
-		c.R[in.Dst] = v << n
-		c.setZN(c.R[in.Dst])
+		c.shl(in.Dst, in.Src)
 	case OpSHR:
-		n := uint(in.Src)
-		v := c.R[in.Dst]
-		if n > 0 {
-			c.CF = v&(1<<(n-1)) != 0
-		}
-		c.R[in.Dst] = v >> n
-		c.setZN(c.R[in.Dst])
+		c.shr(in.Dst, in.Src)
 	case OpSAR:
-		n := uint(in.Src)
-		v := int16(c.R[in.Dst])
-		if n > 0 {
-			c.CF = uint16(v)&(1<<(n-1)) != 0
-		}
-		c.R[in.Dst] = uint16(v >> n)
-		c.setZN(c.R[in.Dst])
+		c.sar(in.Dst, in.Src)
 	case OpMUL:
-		prod := int32(int16(c.R[in.Dst])) * int32(int16(c.R[in.Src]))
-		c.R[in.Dst] = uint16(prod)
-		c.HI = uint16(uint32(prod) >> 16)
-		c.setZN(c.R[in.Dst])
+		c.mul(in.Dst, c.R[in.Src])
 	case OpQMUL:
-		prod := int32(int16(c.R[in.Dst])) * int32(int16(c.R[in.Src]))
-		q := prod >> 15
-		if q > 32767 {
-			q = 32767
-		} else if q < -32768 {
-			q = -32768
-		}
-		c.R[in.Dst] = uint16(int16(q))
-		c.setZN(c.R[in.Dst])
+		c.qmul(in.Dst, c.R[in.Src])
 	case OpCMP:
 		c.sub(c.R[in.Dst], c.R[in.Src])
 	case OpCMPI:
@@ -428,6 +393,13 @@ func (c *Core) execOne(in Instr, next uint16) (uint16, int) {
 //
 // Blocks are built only inside a WindowBus fetch window; an MMIO or
 // open-bus fetch, a window tail and undecodable bytes go through Step.
+// Inside a block each instruction takes one dispatch: register-only ops
+// and LD/ST/LDB/STB whose bytes fall inside a window run inline (the data
+// access reads or writes the window's Mem and pays its *Wait, per the
+// WindowBus contract), and everything else — control transfers, traps,
+// the stack ops, and data accesses to MMIO, open bus, a region edge or
+// across 0xffff — goes through execOne and the Bus.
+//
 // Semantics are step-for-step identical to calling Step in a loop and
 // subtracting each instruction's cycle delta from the budget (the
 // differential fuzzer FuzzRunBudgetMatchesStep in internal/mcu pins
@@ -443,11 +415,23 @@ func (c *Core) execOne(in Instr, next uint16) (uint16, int) {
 //     have changed device mode — the caller must recheck its own gates);
 //   - a faulting instruction's cycles are charged to the core but not to
 //     budget/spent, matching the historical stepwise accounting;
-//   - the budget check happens after every instruction, so the stop
-//     decision lands on exactly the same instruction as the stepwise
-//     loop (per-instruction deltas are small integers, so the float
-//     subtractions are exact).
+//   - the budget check happens after every instruction, in integers: for
+//     an integer spent, budget−spent < 1 ⇔ spent ≥ ⌊budget⌋, so the stop
+//     decision lands on exactly the same instruction as the stepwise loop.
+//     The budget returned is budget−spent, one rounding of the same real
+//     number the stepwise loop's exact per-instruction subtractions reach
+//     (for budgets below 2⁵³, the premise of those subtractions).
 func (c *Core) RunBudget(budget float64) (float64, uint64, error) {
+	if !(budget >= 1) || c.Halted { // NaN included
+		return budget, 0, nil
+	}
+	// Go leaves an out-of-range float→uint64 conversion to the
+	// implementation, and no run retires 2⁶³ cycles, so larger budgets
+	// (and +Inf) never stop on the budget.
+	lim := uint64(math.MaxUint64)
+	if budget < 1<<63 {
+		lim = uint64(budget)
+	}
 	if c.Bus != c.knownBus {
 		c.resolveBus()
 	}
@@ -455,7 +439,7 @@ func (c *Core) RunBudget(budget float64) (float64, uint64, error) {
 		c.sbsets = make([][sbWays]sblock, 1<<sbBits)
 	}
 	var spent uint64
-	for budget >= 1 && !c.Halted {
+	for spent < lim && !c.Halted {
 		blk := c.lookupBlock(c.PC)
 		if blk == nil {
 			// MMIO fetch, window tail, or undecodable bytes: the plain
@@ -463,90 +447,197 @@ func (c *Core) RunBudget(budget float64) (float64, uint64, error) {
 			before := c.Cycles
 			in, err := c.Step()
 			if err != nil {
-				return budget, spent, err
+				return budget - float64(spent), spent, err
 			}
-			d := c.Cycles - before
-			budget -= float64(d)
-			spent += d
+			spent += c.Cycles - before
 			if in.Op == OpSYS || in.Op == OpCHK {
-				return budget, spent, nil
+				break
 			}
 			continue
 		}
-		var wait uint64
-		if c.win.Wait != nil {
-			wait = *c.win.Wait
-		}
-		pc := blk.start
-		for i := range blk.entries {
-			e := &blk.entries[i]
-			if e.fast {
-				// Register-only op: execOne adds no cycles beyond the
-				// pre-decoded cost, never stores, never redirects the PC
-				// (sbFast's contract), so the budget charge is known up
-				// front and the exec-kind tests below cannot fire. The
-				// hottest ALU ops are dispatched right here to skip the
-				// execOne call; each case is the same statement as the
-				// corresponding execOne case (same helpers, same order),
-				// with execOne itself as the fallback for the rest.
-				d := e.cyc + wait
-				c.Cycles += d
-				in := &e.in
-				switch in.Op {
-				case OpMOV:
-					c.R[in.Dst] = c.R[in.Src]
-				case OpMOVI:
-					c.R[in.Dst] = in.Imm
-				case OpADD:
-					c.add(in.Dst, c.R[in.Src])
-				case OpADDI:
-					c.add(in.Dst, in.Imm)
-				case OpSUB:
-					c.R[in.Dst] = c.sub(c.R[in.Dst], c.R[in.Src])
-				case OpSUBI:
-					c.R[in.Dst] = c.sub(c.R[in.Dst], in.Imm)
-				case OpCMP:
-					c.sub(c.R[in.Dst], c.R[in.Src])
-				case OpCMPI:
-					c.sub(c.R[in.Dst], in.Imm)
-				default:
-					c.execOne(e.in, 0)
+		wait := c.win.wait()
+		// A block that runs off its end continues right after its last
+		// byte; every other exit sets pc itself.
+		pc := blk.start + blk.rawLen
+		entries := blk.entries
+	replay:
+		for i := range entries {
+			e := &entries[i]
+			in := &e.in
+			d := e.cyc + wait
+			// Each inline case is the statement execOne runs for the op
+			// (same helpers, same order); the register indexes are masked
+			// only so the compiler can drop the bounds checks — decoded
+			// registers are 0–15 already.
+			switch in.Op {
+			case OpNOP:
+			case OpMOV:
+				c.R[in.Dst&15] = c.R[in.Src&15]
+			case OpMOVI:
+				c.R[in.Dst&15] = in.Imm
+			case OpADD:
+				c.add(in.Dst, c.R[in.Src&15])
+			case OpADDI:
+				c.add(in.Dst, in.Imm)
+			case OpSUB:
+				c.R[in.Dst&15] = c.sub(c.R[in.Dst&15], c.R[in.Src&15])
+			case OpSUBI:
+				c.R[in.Dst&15] = c.sub(c.R[in.Dst&15], in.Imm)
+			case OpAND:
+				c.R[in.Dst&15] &= c.R[in.Src&15]
+				c.setZN(c.R[in.Dst&15])
+			case OpOR:
+				c.R[in.Dst&15] |= c.R[in.Src&15]
+				c.setZN(c.R[in.Dst&15])
+			case OpXOR:
+				c.R[in.Dst&15] ^= c.R[in.Src&15]
+				c.setZN(c.R[in.Dst&15])
+			case OpNOT:
+				c.R[in.Dst&15] = ^c.R[in.Dst&15]
+				c.setZN(c.R[in.Dst&15])
+			case OpNEG:
+				c.R[in.Dst&15] = -c.R[in.Dst&15]
+				c.setZN(c.R[in.Dst&15])
+			case OpSHL:
+				c.shl(in.Dst, in.Src)
+			case OpSHR:
+				c.shr(in.Dst, in.Src)
+			case OpSAR:
+				c.sar(in.Dst, in.Src)
+			case OpMUL:
+				c.mul(in.Dst, c.R[in.Src&15])
+			case OpQMUL:
+				c.qmul(in.Dst, c.R[in.Src&15])
+			case OpCMP:
+				c.sub(c.R[in.Dst&15], c.R[in.Src&15])
+			case OpCMPI:
+				c.sub(c.R[in.Dst&15], in.Imm)
+			case OpLD:
+				addr := c.R[in.Src&15] + in.Imm
+				w := &c.dwin
+				if !w.holds(addr, 2) {
+					if w = c.dataMiss(addr, 2); w == nil {
+						goto slow
+					}
 				}
-				pc += e.ln
-				budget -= float64(d)
-				spent += d
-				if budget < 1 {
-					break
+				m := w.Mem[int(addr)-int(w.Base):]
+				c.R[in.Dst&15] = uint16(m[0]) | uint16(m[1])<<8
+				d += w.wait()
+			case OpLDB:
+				addr := c.R[in.Src&15] + in.Imm
+				w := &c.dwin
+				if !w.holds(addr, 1) {
+					if w = c.dataMiss(addr, 1); w == nil {
+						goto slow
+					}
 				}
-				continue
+				c.R[in.Dst&15] = uint16(w.Mem[int(addr)-int(w.Base)])
+				d += w.wait()
+			case OpST:
+				addr := c.R[in.Dst&15] + in.Imm
+				w := &c.dwin
+				if !w.holds(addr, 2) {
+					if w = c.dataMiss(addr, 2); w == nil {
+						goto slow
+					}
+				}
+				m := w.Mem[int(addr)-int(w.Base):]
+				v := c.R[in.Src&15]
+				m[0], m[1] = byte(v), byte(v>>8)
+				d += w.wait()
+				if storeHitsBlock(blk, in.Addr+e.ln, addr, 2) {
+					c.Cycles += d
+					spent += d
+					pc = in.Addr + e.ln
+					break replay
+				}
+			case OpSTB:
+				addr := c.R[in.Dst&15] + in.Imm
+				w := &c.dwin
+				if !w.holds(addr, 1) {
+					if w = c.dataMiss(addr, 1); w == nil {
+						goto slow
+					}
+				}
+				w.Mem[int(addr)-int(w.Base)] = byte(c.R[in.Src&15])
+				d += w.wait()
+				if storeHitsBlock(blk, in.Addr+e.ln, addr, 1) {
+					c.Cycles += d
+					spent += d
+					pc = in.Addr + e.ln
+					break replay
+				}
+			default:
+				goto slow
 			}
-			before := c.Cycles
-			c.Cycles += e.cyc + wait
-			pcNext, kind := c.execOne(e.in, pc+e.ln)
-			if kind&execBad != 0 {
-				c.PC = pc // stay on the faulting instruction, like Step
-				return budget, spent, fmt.Errorf("isa: unimplemented opcode %v", e.in.Op)
-			}
-			d := c.Cycles - before
-			budget -= float64(d)
+			c.Cycles += d
 			spent += d
+			if spent >= lim {
+				pc = in.Addr + e.ln
+				break
+			}
+			continue
+		slow:
+			// Control transfers, traps, stack ops and data accesses
+			// without a window: execOne and the Bus, which may add wait
+			// states (and a taken branch's cycle) to the base cost.
+			before := c.Cycles
+			c.Cycles += d
+			next, kind := c.execOne(*in, in.Addr+e.ln)
+			if kind&execBad != 0 {
+				c.PC = in.Addr // stay on the faulting instruction, like Step
+				return budget - float64(spent), spent, fmt.Errorf("isa: unimplemented opcode %v", in.Op)
+			}
+			spent += c.Cycles - before
 			if kind&execTrap != 0 {
-				return budget, spent, nil
+				return budget - float64(spent), spent, nil
 			}
-			pc = pcNext
-			if kind&execHalt != 0 {
-				break
-			}
-			if kind&execStore != 0 && storeHitsBlock(blk, pcNext, c.storeAddr, c.storeLen) {
-				break
-			}
-			if budget < 1 {
+			// A taken control transfer is always a block's last entry.
+			if next != in.Addr+e.ln || kind&execHalt != 0 || spent >= lim ||
+				kind&execStore != 0 && storeHitsBlock(blk, next, c.storeAddr, c.storeLen) {
+				pc = next
 				break
 			}
 		}
 		c.PC = pc
 	}
-	return budget, spent, nil
+	return budget - float64(spent), spent, nil
+}
+
+// dataMiss returns the window for an n-byte data access at addr that
+// missed the data window: the running block's fetch window if it holds
+// the access, else a freshly probed data window, or nil when the access
+// has no window and must go through the Bus.
+func (c *Core) dataMiss(addr uint16, n int) *FetchWindow {
+	if c.winOK && c.win.holds(addr, n) {
+		return &c.win
+	}
+	if c.winBus == nil {
+		return nil
+	}
+	w, ok := c.winBus.FetchWindow(addr)
+	if !ok {
+		return nil
+	}
+	c.dwin = w
+	if !w.holds(addr, n) {
+		return nil
+	}
+	return &c.dwin
+}
+
+// holds reports whether all n bytes at addr lie inside the window.
+func (w *FetchWindow) holds(addr uint16, n int) bool {
+	i := int(addr) - int(w.Base)
+	return i >= 0 && i+n <= len(w.Mem)
+}
+
+// wait returns the window's live wait-state count.
+func (w *FetchWindow) wait() uint64 {
+	if w.Wait == nil {
+		return 0
+	}
+	return *w.Wait
 }
 
 // SuperblockStats reports superblock cache activity: hits are block
@@ -625,7 +716,7 @@ func (c *Core) buildBlock(b *sblock, pc uint16, i int) {
 		if err != nil {
 			break
 		}
-		b.entries = append(b.entries, sbEntry{in: in, cyc: opCycles[in.Op], ln: uint16(n), fast: sbFast[in.Op]})
+		b.entries = append(b.entries, sbEntry{in: in, cyc: opCycles[in.Op], ln: uint16(n)})
 		b.raw = append(b.raw, mem[off:off+n]...)
 		off += n
 		addr += uint16(n)
@@ -638,14 +729,14 @@ func (c *Core) buildBlock(b *sblock, pc uint16, i int) {
 
 // add performs dst += v with flag updates.
 func (c *Core) add(dst uint8, v uint16) {
-	a := c.R[dst]
-	sum := uint32(a) + uint32(v)
-	c.R[dst] = uint16(sum)
+	r := &c.R[dst&15]
+	sum := uint32(*r) + uint32(v)
+	*r = uint16(sum)
 	c.CF = sum > 0xffff
-	c.setZN(c.R[dst])
+	c.setZN(*r)
 	// Signed comparison semantics are defined for SUB/CMP only, but keep
 	// GE coherent for ADD as "result >= 0 signed".
-	c.GE = int16(c.R[dst]) >= 0
+	c.GE = int16(*r) >= 0
 }
 
 // sub computes a - b, sets all flags, and returns the result. CF follows
@@ -656,6 +747,60 @@ func (c *Core) sub(a, b uint16) uint16 {
 	c.setZN(r)
 	c.GE = int16(a) >= int16(b)
 	return r
+}
+
+// shl, shr and sar shift dst by n (0–15) places, logically left, logically
+// right and arithmetically right; a nonzero shift leaves the last bit
+// shifted out in CF.
+func (c *Core) shl(dst, n uint8) {
+	r := &c.R[dst&15]
+	if n > 0 {
+		c.CF = *r&(1<<(16-uint(n))) != 0
+	}
+	*r <<= n
+	c.setZN(*r)
+}
+
+func (c *Core) shr(dst, n uint8) {
+	r := &c.R[dst&15]
+	if n > 0 {
+		c.CF = *r&(1<<(n-1)) != 0
+	}
+	*r >>= n
+	c.setZN(*r)
+}
+
+func (c *Core) sar(dst, n uint8) {
+	r := &c.R[dst&15]
+	if n > 0 {
+		c.CF = *r&(1<<(n-1)) != 0
+	}
+	*r = uint16(int16(*r) >> n)
+	c.setZN(*r)
+}
+
+// mul sets dst to the low half of the signed product dst·v and HI to the
+// high half.
+func (c *Core) mul(dst uint8, v uint16) {
+	r := &c.R[dst&15]
+	prod := int32(int16(*r)) * int32(int16(v))
+	*r = uint16(prod)
+	c.HI = uint16(uint32(prod) >> 16)
+	c.setZN(*r)
+}
+
+// qmul sets dst to the signed Q15 product (dst·v)>>15, saturated to the
+// int16 range.
+func (c *Core) qmul(dst uint8, v uint16) {
+	r := &c.R[dst&15]
+	q := (int32(int16(*r)) * int32(int16(v))) >> 15
+	if q > 32767 {
+		q = 32767
+	} else if q < -32768 {
+		q = -32768
+	}
+	*r = uint16(int16(q))
+	c.setZN(*r)
 }
 
 // Run executes instructions until the core halts, maxSteps is reached, or
@@ -698,7 +843,8 @@ func (m *FlatRAM) Write16(addr uint16, v uint16) {
 // AccessCycles implements Bus (zero wait states).
 func (m *FlatRAM) AccessCycles(uint16, bool) uint64 { return 0 }
 
-// FetchWindow implements WindowBus: the whole address space, zero-wait.
+// FetchWindow implements WindowBus: the whole address space, zero-wait,
+// for fetches and data alike.
 func (m *FlatRAM) FetchWindow(uint16) (FetchWindow, bool) {
 	return FetchWindow{Mem: m.Mem[:], Base: 0}, true
 }

@@ -212,10 +212,12 @@ func (b *Bus) ScrambleSRAM(seed uint32) {
 }
 
 // FetchWindow implements isa.WindowBus: SRAM and FRAM are side-effect-
-// free contiguous regions the core may fetch from by direct indexing.
-// The FRAM window's wait pointer tracks frequency-dependent wait states
-// live, so a DFS switch needs no window re-probe. MMIO and open bus have
-// no window.
+// free contiguous regions the core may fetch from, and load from and
+// store to, by direct indexing. The FRAM window's wait pointer tracks
+// frequency-dependent wait states live, so a DFS switch needs no window
+// re-probe; it equals AccessCycles for every FRAM read and write, as the
+// SRAM window's nil wait does for SRAM. (That needs SRAM and FRAM not to
+// overlap, as in NewBus's map.) MMIO and open bus have no window.
 func (b *Bus) FetchWindow(addr uint16) (isa.FetchWindow, bool) {
 	if b.inFRAM(addr) {
 		return isa.FetchWindow{Mem: b.FRAM, Base: b.FRAMBase, Wait: &b.FRAMWait}, true

@@ -3,6 +3,7 @@ package mcu
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -46,6 +47,54 @@ func FuzzRunBudgetMatchesStep(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRunBudgetBudgetEdges pins RunBudget's integer stop rule (stop once
+// spent ≥ ⌊budget⌋) and its returned remainder to the Step loop's float
+// arithmetic: just under one cycle, exactly one, fractions above a whole
+// count (4.5 and 6.5 are half a cycle past the second instruction on
+// FlatRAM and on the mcu.Bus, where ⌈budget⌉ would run one more), 2⁵³,
+// +Inf and NaN. The program halts, so the unbounded budgets end too; it
+// loads and stores in SRAM and FRAM through the data window.
+func TestRunBudgetBudgetEdges(t *testing.T) {
+	p, err := isa.Assemble(`
+.org 0x4000
+	MOVI r1, #30
+	MOVI r2, #0x0200
+loop:	LD   r3, [r2+0]
+	ADDI r3, #3
+	ST   [r2+0], r3
+	LDB  r4, [r1+0x5000]
+	STB  [r1+0x5100], r4
+	SUBI r1, #1
+	JNZ  loop
+	HALT`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var img [1 << 16]byte
+	for _, seg := range p.Segments {
+		copy(img[seg.Addr:], seg.Data)
+	}
+	for _, budget := range []float64{0.999, 1, 1.5, 4.5, 6.5, 40, 40.5, 1 << 53, math.Inf(1), math.NaN()} {
+		for _, flat := range []bool{false, true} {
+			fast := newFuzzMachine(&img, p.Entry, 1, 0x0f00, flat)
+			ref := newFuzzMachine(&img, p.Entry, 1, 0x0f00, flat)
+			gotRem, gotSpent, gotErr := fast.core.RunBudget(budget)
+			wantRem, wantSpent, wantErr := stepBudget(ref.core, budget)
+			where := fmt.Sprintf("budget %v flat=%v", budget, flat)
+			if math.Float64bits(gotRem) != math.Float64bits(wantRem) || gotSpent != wantSpent {
+				t.Errorf("%s: RunBudget = (%v, %d), Step loop = (%v, %d)", where, gotRem, gotSpent, wantRem, wantSpent)
+			}
+			if gotErr != nil || wantErr != nil {
+				t.Errorf("%s: errors %v, %v", where, gotErr, wantErr)
+			}
+			fast.diff(t, where, ref)
+			if wantHalt := budget >= 1<<53; ref.core.Halted != wantHalt {
+				t.Errorf("%s: halted = %v, want %v", where, ref.core.Halted, wantHalt)
+			}
+		}
+	}
 }
 
 // TestRunBudgetReturnsAfterTrapAtFRAMTail is the mcu.Bus case of RunBudget's

@@ -413,11 +413,11 @@ func BenchmarkFastForward(b *testing.B) {
 func BenchmarkSweepStorageAxis(b *testing.B) {
 	caps := []float64{4.7e-6, 10e-6, 47e-6, 470e-6}
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.Labs(nil, len(caps), func(c sweep.Case) lab.Setup {
+		res, err := sweep.Map(nil, len(caps), func(c sweep.Case) (lab.Result, error) {
 			cap := caps[c.Index]
-			return benchtest.Intermittent(func(d *mcu.Device) mcu.Runtime {
+			return lab.Run(benchtest.Intermittent(func(d *mcu.Device) mcu.Runtime {
 				return transient.NewHibernus(d, cap, 1.1, 0.35)
-			}, cap)
+			}, cap))
 		})
 		if err != nil {
 			b.Fatal(err)

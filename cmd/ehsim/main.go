@@ -8,12 +8,19 @@
 // enumerates everything they export, with per-entry tunables and
 // defaults.
 //
-// The -c flag accepts a comma-separated list of capacitances; with more
-// than one, ehsim becomes a storage-axis sweep: every case runs in
-// parallel on the sweep engine and the results are printed as one table,
-// in flag order. -ff enables the lab's analytic fast-forward through idle
-// decay, which speeds up sparse supplies (long outages) several-fold at
-// tolerance-level accuracy cost.
+// A flag invocation is shorthand for a scenario spec named "ehsim":
+// the workload, supply and runtime, storage C from -c with a 50 kΩ
+// leakage path, the duration, and -ff. When -c lists more than one
+// capacitance the spec gains a "c" sweep axis, so every case runs in
+// parallel on the sweep engine and prints as one table, in flag order.
+// The run then goes through exactly the path -scenario takes, so a flag
+// run and -scenario on the equivalent spec print the same bytes.
+//
+// -ff enables the lab's analytic fast-forward: the rail hops idle decay
+// and constant-supply plateaus (active execution included) in closed
+// form. Discrete events (completions, snapshots, restores, brown-outs)
+// stay exact; continuous values (energies, voltages) agree to
+// closed-form precision rather than bit for bit.
 //
 // With -scenario the run is defined entirely by a JSON spec
 // (internal/scenario): a single run when the spec has no sweep axes, a
@@ -47,16 +54,12 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/lab"
-	"repro/internal/mcu"
 	"repro/internal/powerneutral"
 	"repro/internal/programs"
 	"repro/internal/registry"
 	"repro/internal/result"
 	"repro/internal/scenario"
 	"repro/internal/source"
-	"repro/internal/sweep"
-	"repro/internal/trace"
 	"repro/internal/transient"
 	"repro/internal/units"
 )
@@ -80,7 +83,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	capFlag := fs.String("c", "10u", "rail capacitance(s), e.g. 10u or 4.7u,10u,47u")
 	duration := fs.Float64("dur", 3.0, "simulated seconds")
 	tracePath := fs.String("trace", "", "write a V_CC/freq/mode CSV trace to this file")
-	ff := fs.Bool("ff", false, "fast-forward idle decay analytically (faster, tolerance-level accuracy)")
+	ff := fs.Bool("ff", false, "fast-forward idle decay and constant-supply plateaus in closed form (discrete events exact)")
 	workers := fs.Int("workers", 0, "sweep parallelism (0 = one per core)")
 	scenarioPath := fs.String("scenario", "", "run a declarative scenario spec (JSON) instead of flags; - reads stdin")
 	list := fs.Bool("list", false, "list every registered workload, source, runtime and governor")
@@ -95,143 +98,69 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		printList(stdout)
 		return 0
 	}
+	var sp *scenario.Spec
+	var err error
 	if *scenarioPath != "" {
-		if err := runScenario(*scenarioPath, *tracePath, *ff, *workers, stdin, stdout, stderr); err != nil {
-			fmt.Fprintf(stderr, "ehsim: %v\n", err)
-			return 1
-		}
-		return 0
+		sp, err = loadSpec(*scenarioPath, stdin)
+	} else {
+		sp, err = flagSpec(*workload, *supply, *runtimeName, *capFlag, *duration)
 	}
-	if err := runFlags(*workload, *supply, *runtimeName, *capFlag, *duration,
-		*tracePath, *ff, *workers, stdout, stderr); err != nil {
+	if err == nil {
+		err = runSpec(sp, *tracePath, *ff, *workers, stdout, stderr)
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "ehsim: %v\n", err)
 		return 1
 	}
 	return 0
 }
 
-// runFlags is the classic flag-driven path, now resolving every name
-// through the registries.
-func runFlags(workload, supply, runtimeName, capFlag string, duration float64,
-	tracePath string, ff bool, workers int, stdout, stderr io.Writer) error {
-	var caps []float64
+// flagSpec builds the scenario spec a flag invocation describes: one
+// lab run, or a sweep over storage C when -c lists several values.
+// runSpec applies -ff to it, as to any spec.
+func flagSpec(workload, supply, runtimeName, capFlag string, duration float64) (*scenario.Spec, error) {
+	var caps []scenario.Value
 	for _, part := range strings.Split(capFlag, ",") {
 		c, err := parseCap(strings.TrimSpace(part))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		caps = append(caps, c)
+		caps = append(caps, scenario.Value(c))
 	}
-
-	supplyLabel := supply // headers show the name as the user gave it
 	if alias, ok := supplyAliases[supply]; ok {
 		supply = alias
 	}
-	entry, err := transient.LookupRuntime(runtimeName)
-	if err != nil {
-		return err
+	sp := &scenario.Spec{
+		Name:     "ehsim",
+		Workload: workload,
+		Storage:  scenario.StorageSpec{C: caps[0], LeakR: 50e3},
+		Source:   scenario.SourceSpec{Name: supply},
+		Runtime:  scenario.RuntimeSpec{Name: runtimeName},
+		Duration: scenario.Value(duration),
 	}
-	layout := programs.DefaultLayout()
-	params := mcu.DefaultParams()
-	if entry.UnifiedNV {
-		layout = programs.UnifiedNVLayout()
-		params = mcu.UnifiedNVParams()
-	}
-	w, err := programs.Build(workload, layout)
-	if err != nil {
-		return err
-	}
-	if _, err := source.Build(supply, nil); err != nil {
-		return err
-	}
-
-	setup := func(c float64) lab.Setup {
-		built, _ := source.Build(supply, nil) // validated above; fresh per case
-		mk, _, err := transient.RuntimeFactory(runtimeName, c, nil)
-		if err != nil {
-			panic(err) // unreachable: the name resolved above
-		}
-		return lab.Setup{
-			Workload:    w,
-			Params:      params,
-			MakeRuntime: mk,
-			VSource:     built.V,
-			PSource:     built.P,
-			C:           c,
-			LeakR:       50e3,
-			Duration:    duration,
-			FastForward: ff,
-		}
-	}
-
 	if len(caps) > 1 {
-		if tracePath != "" {
-			fmt.Fprintln(stderr, "ehsim: -trace applies to single runs only; ignoring it for the sweep")
-		}
-		return sweepCaps(caps, setup, workload, supplyLabel, runtimeName, workers, stdout)
+		sp.Sweep = []scenario.Axis{{Param: "c", Values: caps}}
 	}
-
-	c := caps[0]
-	s := setup(c)
-	title := fmt.Sprintf("scenario: %s on %s, runtime=%s, C=%s, %gs",
-		w.Name, supplyLabel, runtimeName, units.Format(c, "F"), duration)
-	return runSingle(s, title, tracePath, stdout)
+	return sp, sp.Validate()
 }
 
-// runSingle executes one flag-built setup, printing the title, summary,
-// and (if requested) a CSV trace.
-func runSingle(s lab.Setup, title, tracePath string, stdout io.Writer) error {
-	var rec *trace.Recorder
-	if tracePath != "" {
-		rec = trace.NewRecorder()
-		s.Recorder = rec
-		s.RecordInterval = result.TraceInterval
+// loadSpec reads a declarative spec from path, or from stdin when path
+// is "-".
+func loadSpec(path string, stdin io.Reader) (*scenario.Spec, error) {
+	if path != "-" {
+		return scenario.Load(path)
 	}
-
-	res, err := lab.Run(s)
+	data, err := io.ReadAll(stdin)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("reading spec from stdin: %w", err)
 	}
-
-	fmt.Fprintln(stdout, title)
-	scenario.WriteSummary(stdout, res, s.Duration)
-
-	if rec != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// Flag-built runs have no spec, so no spec-hash header; scenario
-		// runs get theirs through result.RunSpec.
-		if err := result.WriteTrace(f, rec, ""); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  trace written to %s\n", tracePath)
-	}
-	return nil
+	return scenario.Parse(data)
 }
 
-// runScenario executes a declarative spec — loaded from path, or from
-// stdin when path is "-" — through the shared internal/result path, so
+// runSpec executes a spec through the shared internal/result path, so
 // what it prints is exactly what the ehsimd service serves for the same
 // spec.
-func runScenario(path, tracePath string, ff bool, workers int,
-	stdin io.Reader, stdout, stderr io.Writer) error {
-	var sp *scenario.Spec
-	var err error
-	if path == "-" {
-		data, rerr := io.ReadAll(stdin)
-		if rerr != nil {
-			return fmt.Errorf("reading spec from stdin: %w", rerr)
-		}
-		sp, err = scenario.Parse(data)
-	} else {
-		sp, err = scenario.Load(path)
-	}
-	if err != nil {
-		return err
-	}
+func runSpec(sp *scenario.Spec, tracePath string, ff bool, workers int, stdout, stderr io.Writer) error {
 	if ff {
 		sp.FastForward = true
 	}
@@ -268,25 +197,6 @@ func writeTraceFile(path string, rep *result.Report) error {
 		return err
 	}
 	return f.Close()
-}
-
-// sweepCaps fans one run per capacitance out over the sweep engine and
-// prints a storage-axis comparison table in flag order.
-func sweepCaps(caps []float64, setup func(c float64) lab.Setup,
-	workload, supply, runtimeName string, workers int, stdout io.Writer) error {
-	results, err := sweep.Labs(&sweep.Runner{Workers: workers}, len(caps),
-		func(c sweep.Case) lab.Setup { return setup(caps[c.Index]) })
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "storage sweep: %s on %s, runtime=%s, %d cases\n",
-		workload, supply, runtimeName, len(caps))
-	names := make([]string, len(caps))
-	for i, c := range caps {
-		names[i] = units.Format(c, "F")
-	}
-	scenario.WriteSweepTable(stdout, "C", 10, names, results)
-	return nil
 }
 
 // printList enumerates every registry the scenario layer resolves names

@@ -221,14 +221,76 @@ func TestScenarioTraceCarriesSpecHash(t *testing.T) {
 	}
 }
 
-func TestLegacyFlagPathStillWorks(t *testing.T) {
-	code, out, errb := runCLI(t,
-		"-workload", "fib24", "-supply", "dc", "-runtime", "none", "-dur", "0.002")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
-	}
-	if !strings.Contains(out, "scenario: fib-24 on dc, runtime=none") {
-		t.Errorf("legacy header changed:\n%s", out)
+// TestFlagRunMatchesScenario pins the flag form as shorthand for a spec:
+// a flag invocation and -scenario on the equivalent spec must print the
+// same bytes and write the same trace file, for a single fast-forwarded
+// run and for a -c storage sweep.
+func TestFlagRunMatchesScenario(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		flags  []string
+		spec   string
+		traced bool
+	}{
+		{
+			name: "single-ff",
+			flags: []string{"-workload", "fib24", "-supply", "square", "-runtime", "hibernus",
+				"-c", "10u", "-dur", "0.4", "-ff"},
+			spec: `{"name": "ehsim", "workload": "fib24",
+				"storage": {"c": "10u", "leakr": "50k"},
+				"source": {"name": "square"}, "runtime": {"name": "hibernus"},
+				"duration": 0.4, "fastforward": true}`,
+			traced: true,
+		},
+		{
+			name: "sweep",
+			flags: []string{"-workload", "fib24", "-supply", "sine20", "-runtime", "quickrecall",
+				"-c", "10u,47u", "-dur", "0.2"},
+			spec: `{"name": "ehsim", "workload": "fib24",
+				"storage": {"c": "10u", "leakr": "50k"},
+				"source": {"name": "rectified-sine"}, "runtime": {"name": "quickrecall"},
+				"duration": 0.2,
+				"sweep": [{"param": "c", "values": ["10u", "47u"]}]}`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			specPath := filepath.Join(dir, "spec.json")
+			tracePath := filepath.Join(dir, "vcc.csv")
+			if err := os.WriteFile(specPath, []byte(tc.spec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Both runs write the same trace path, so the "trace written
+			// to" line matches too; each file is read before the next run
+			// overwrites it.
+			runTraced := func(args ...string) (string, []byte) {
+				t.Helper()
+				os.Remove(tracePath)
+				code, out, errb := runCLI(t, append(args, "-trace", tracePath)...)
+				if code != 0 {
+					t.Fatalf("%v: exit %d, stderr: %s", args, code, errb)
+				}
+				data, _ := os.ReadFile(tracePath)
+				return out, data
+			}
+			flagOut, flagTrace := runTraced(tc.flags...)
+			specOut, specTrace := runTraced("-scenario", specPath)
+			if flagOut != specOut {
+				t.Errorf("stdout differs:\nflags:\n%s\n-scenario:\n%s", flagOut, specOut)
+			}
+			if !bytes.Equal(flagTrace, specTrace) {
+				t.Errorf("trace files differ (%d vs %d bytes)", len(flagTrace), len(specTrace))
+			}
+			// A sweep ignores -trace on both paths; a single run writes a
+			// trace stamped with the spec's hash.
+			if tc.traced != (flagTrace != nil) ||
+				(tc.traced && !bytes.HasPrefix(flagTrace, []byte("# spec-hash: sha256:"))) {
+				t.Errorf("traced=%v, unexpected trace file:\n%.120s", tc.traced, flagTrace)
+			}
+			if !strings.HasPrefix(flagOut, "scenario ehsim: ") || !strings.Contains(flagOut, "completions") {
+				t.Errorf("unexpected report:\n%s", flagOut)
+			}
+		})
 	}
 }
 

@@ -166,9 +166,6 @@ func (b *Battery) Discharge(e float64) float64 {
 	return need * b.EtaDischrg
 }
 
-// Depleted reports whether the battery is effectively empty.
-func (b *Battery) Depleted() bool { return b.SoC <= 1e-9 }
-
 // Regulator models a switching converter between the storage node and the
 // load: fixed output voltage, efficiency that droops at light load. The
 // conversion stages in the paper's Fig. 3 (energy-neutral architecture)

@@ -165,8 +165,8 @@ func TestBatterySpillAndDepletion(t *testing.T) {
 	if got >= 1000 || got <= 0 {
 		t.Errorf("deep discharge delivered %g", got)
 	}
-	if !b2.Depleted() {
-		t.Error("battery should be depleted")
+	if b2.SoC > 1e-9 {
+		t.Errorf("battery should be depleted, SoC = %g", b2.SoC)
 	}
 }
 

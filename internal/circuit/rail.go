@@ -110,8 +110,8 @@ func (c *Comparator) Above() bool { return c.state }
 // runtimes use, which is what matters for event ordering fidelity.
 type Rail struct {
 	// VSource and PSource are resolved into devirtualized samplers on the
-	// first Step; set them before stepping begins, and call Rebind after
-	// swapping either on a rail that has already stepped.
+	// first Step; set them before stepping begins (a later swap is not
+	// seen).
 	VSource source.VoltageSource // either VSource or PSource (or both) may be set
 	PSource source.PowerSource
 	Cap     *Capacitor
@@ -163,8 +163,7 @@ func (r *Rail) V() float64 { return r.Cap.V }
 // bind resolves the per-step source fast path: devirtualized samplers
 // (source.VoltageFn/PowerFn) and the clamped series resistance. It runs
 // lazily on the first sourceCurrent, so the per-step cost of staying
-// bound is a single bool check; Rebind forces re-resolution after a
-// mid-run source swap.
+// bound is a single bool check.
 func (r *Rail) bind() {
 	r.bound = true
 	r.voltFn, r.powerFn = nil, nil
@@ -179,11 +178,6 @@ func (r *Rail) bind() {
 		r.powerFn = source.PowerFn(r.PSource)
 	}
 }
-
-// Rebind discards the bound samplers so the next step re-resolves
-// VSource/PSource. Call it after swapping a source on a rail that has
-// already stepped.
-func (r *Rail) Rebind() { r.bound = false }
 
 // sourceCurrent computes the current the source pushes into the node at
 // rail voltage v and time t.

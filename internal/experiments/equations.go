@@ -113,32 +113,38 @@ func runEq1() (*Output, error) {
 // all — the system is drifting from power-neutral toward energy-neutral
 // operation along Fig. 2's storage axis.
 func runEq3() (*Output, error) {
-	caps := []float64{47e-6, 100e-6, 220e-6, 470e-6, 1000e-6}
+	caps := []scenario.Value{47e-6, 100e-6, 220e-6, 470e-6, 1000e-6}
 	tbl := Table{
 		Title:   "Governed MCU on a 20 Hz rectified supply, V target 3.0 V",
 		Columns: []string{"C", "windowed eq.(3) error", "V_CC excursion", "brown-outs", "completions"},
+	}
+	sp := &scenario.Spec{
+		Name:     "eq3",
+		Workload: "fft64",
+		Storage:  scenario.StorageSpec{C: caps[0], V0: 3.0},
+		Source:   scenario.SourceSpec{Name: "rectified-sine"},
+		Governor: &scenario.GovernorSpec{
+			Policy: "hillclimb",
+			Params: map[string]scenario.Value{"hysteresis": 0.25},
+		},
+		Duration: 2.0,
+		Dt:       5e-6,
+		Sweep:    []scenario.Axis{{Param: "c", Values: caps}},
 	}
 	type eq3Out struct {
 		res lab.Result
 		st  powerneutral.TrackingStats
 	}
-	outs, err := sweep.Map(nil, len(caps), func(c sweep.Case) (eq3Out, error) {
-		gov := powerneutral.NewGovernor(3.0)
-		gov.Hysteresis = 0.25
-		tr := powerneutral.NewTracker()
-		gen := &source.SignalGenerator{Amplitude: 4.5, Frequency: 20, Rs: 100}
-		s := lab.Setup{
-			Workload: programs.FFT(64, programs.DefaultLayout()),
-			Params:   mcu.DefaultParams(),
-			VSource:  source.HalfWave(gen, 0.2),
-			C:        caps[c.Index],
-			V0:       3.0,
-			Duration: 2.0,
-			Dt:       5e-6,
+	outs, err := sweep.MapGrid(nil, sp.Grid(), func(c sweep.Case) (eq3Out, error) {
+		s, err := sp.SetupAt(c)
+		if err != nil {
+			return eq3Out{}, err
 		}
+		tr := powerneutral.NewTracker()
+		govern, dt := s.OnTick, s.Dt
 		s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
-			gov.Act(t, d, rail.V())
-			tr.Observe(rail, rail.V(), s.Dt)
+			govern(t, d, rail)
+			tr.Observe(rail, rail.V(), dt)
 		}
 		res, err := lab.Run(s)
 		if err != nil {
@@ -153,7 +159,7 @@ func runEq3() (*Output, error) {
 	for i, o := range outs {
 		errs = append(errs, o.st.RelativeError())
 		tbl.Rows = append(tbl.Rows, []string{
-			units.Format(caps[i], "F"),
+			units.Format(float64(caps[i]), "F"),
 			fmt.Sprintf("%.3f", o.st.RelativeError()),
 			fmt.Sprintf("%.2f V", o.st.VRange()),
 			fmt.Sprintf("%d", o.res.Stats.BrownOuts),
@@ -166,7 +172,7 @@ func runEq3() (*Output, error) {
 		Tables:      []Table{tbl},
 	}
 	out.Note("tracking error grows from %.3f at %s to %.3f at %s: minimal storage FORCES eq. (3) to hold at short timescales, while added storage relaxes the system toward energy-neutral buffering",
-		errs[0], units.Format(caps[0], "F"), errs[len(errs)-1], units.Format(caps[len(caps)-1], "F"))
+		errs[0], units.Format(float64(caps[0]), "F"), errs[len(errs)-1], units.Format(float64(caps[len(caps)-1]), "F"))
 	return out, nil
 }
 
@@ -274,32 +280,27 @@ func runEq5() (*Output, error) {
 	// The full comparison is a 5×2 grid — outage frequency × memory system —
 	// of independent six-second runs: exactly the shape the sweep engine
 	// fans out. Row-major order means results arrive [f0/hib, f0/qr, f1/hib, ...].
+	// The runtime picks the device: quickrecall runs on the unified-FRAM
+	// profile, hibernus on the split-SRAM default.
 	grid := sweep.NewGrid().
 		Floats("freq", freqs...).
-		Bools("unified", false, true)
+		Axis("runtime", "hibernus", "quickrecall")
 	runs, err := sweep.MapGrid(nil, grid, func(c sweep.Case) (lab.Result, error) {
-		unified := c.Bool("unified")
-		period := 1.0 / c.Float("freq")
-		layout := programs.DefaultLayout()
-		params := mcu.DefaultParams()
-		if unified {
-			layout = programs.UnifiedNVLayout()
-			params = mcu.UnifiedNVParams()
-		}
-		s := lab.Setup{
-			Workload: programs.FFT(64, layout),
-			Params:   params,
-			MakeRuntime: func(d *mcu.Device) mcu.Runtime {
-				if unified {
-					return transient.NewQuickRecall(d, 10e-6, 1.1, 0.35)
-				}
-				return transient.NewHibernus(d, 10e-6, 1.1, 0.35)
+		half := scenario.Value(1.0 / c.Float("freq") / 2)
+		sp := &scenario.Spec{
+			Name:     "eq5",
+			Workload: "fft64",
+			Storage:  scenario.StorageSpec{C: 10e-6},
+			Source: scenario.SourceSpec{
+				Name:   "square",
+				Params: map[string]scenario.Value{"ontime": half, "offtime": half},
 			},
-			VSource: &source.SquareWaveVoltage{
-				High: 3.3, OnTime: period / 2, OffTime: period / 2, Rs: 100,
-			},
-			C:        10e-6,
+			Runtime:  scenario.RuntimeSpec{Name: c.Values["runtime"].(string)},
 			Duration: 6.0,
+		}
+		s, err := sp.Setup()
+		if err != nil {
+			return lab.Result{}, err
 		}
 		return lab.Run(s)
 	})
@@ -382,17 +383,14 @@ func probeDevice(unified bool) (*mcu.Device, error) {
 // runRuntimes compares all five protection strategies on the standard
 // intermittent testbed.
 func runRuntimes() (*Output, error) {
-	type entry struct {
-		name string
-		mk   func(d *mcu.Device) mcu.Runtime
-		uni  bool
-	}
-	entries := []entry{
-		{"none (restart)", nil, false},
-		{"mementos", func(d *mcu.Device) mcu.Runtime { return transient.NewMementos(d, 2.2) }, false},
-		{"hibernus", func(d *mcu.Device) mcu.Runtime { return transient.NewHibernus(d, 10e-6, 1.1, 0.35) }, false},
-		{"hibernus++", func(d *mcu.Device) mcu.Runtime { return transient.NewHibernusPP(d) }, false},
-		{"quickrecall", func(d *mcu.Device) mcu.Runtime { return transient.NewQuickRecall(d, 10e-6, 1.1, 0.35) }, true},
+	names := []string{"none", "mementos", "hibernus", "hibernus++", "quickrecall"}
+	sp := &scenario.Spec{
+		Name:     "runtimes",
+		Workload: "sieve3000",
+		Storage:  scenario.StorageSpec{C: 10e-6, LeakR: 50e3},
+		Source:   scenario.SourceSpec{Name: "square"},
+		Duration: 3.0,
+		Sweep:    []scenario.Axis{{Param: "runtime", Names: names}},
 	}
 	tbl := Table{
 		Title: "sieve-3000 on 3.3 V square wave (4 ms on / 150 ms off), 10 µF rail",
@@ -403,37 +401,33 @@ func runRuntimes() (*Output, error) {
 		ID:          "runtimes",
 		Description: "comparative behaviour of the surveyed transient runtimes",
 	}
-	runs, err := sweep.Labs(nil, len(entries), func(c sweep.Case) lab.Setup {
-		e := entries[c.Index]
-		layout := programs.DefaultLayout()
-		params := mcu.DefaultParams()
-		if e.uni {
-			layout = programs.UnifiedNVLayout()
-			params = mcu.UnifiedNVParams()
+	runs, err := sweep.MapGrid(nil, sp.Grid(), func(c sweep.Case) (lab.Result, error) {
+		s, err := sp.SetupAt(c)
+		if err != nil {
+			return lab.Result{}, err
 		}
-		return lab.Setup{
-			Workload:    programs.Sieve(3000, layout),
-			Params:      params,
-			MakeRuntime: e.mk,
-			VSource:     &source.SquareWaveVoltage{High: 3.3, OnTime: 0.004, OffTime: 0.150, Rs: 100},
-			C:           10e-6,
-			LeakR:       50e3,
-			Duration:    3.0,
-		}
+		return lab.Run(s)
 	})
 	if err != nil {
 		return nil, err
 	}
-	results := map[string]lab.Result{}
-	for i, e := range entries {
-		res := runs[i]
-		results[e.name] = res
+	if runs[0].Completions != 0 {
+		return nil, fmt.Errorf("runtimes: baseline unexpectedly completed")
+	}
+	for i, res := range runs {
+		label := names[i]
+		if label == "none" {
+			label = "none (restart)"
+		}
+		if res.WrongResults != 0 {
+			return nil, fmt.Errorf("runtimes: %s produced %d wrong results", label, res.WrongResults)
+		}
 		eop := "∞"
 		if res.Completions > 0 {
 			eop = fmt.Sprintf("%.0f", res.EnergyPerCompletion()*1e6)
 		}
 		tbl.Rows = append(tbl.Rows, []string{
-			e.name,
+			label,
 			fmt.Sprintf("%d", res.Completions),
 			fmt.Sprintf("%d", res.WrongResults),
 			fmt.Sprintf("%d", res.Stats.SavesStarted),
@@ -445,13 +439,5 @@ func runRuntimes() (*Output, error) {
 	}
 	out.Tables = append(out.Tables, tbl)
 	out.Note("shape: the bare device never completes; hibernus takes ≈1 snapshot per outage; mementos takes ≥1.5× more snapshots; hibernus++ completes without design-time calibration; all protected runtimes produce only correct results")
-	if results["none (restart)"].Completions != 0 {
-		return nil, fmt.Errorf("runtimes: baseline unexpectedly completed")
-	}
-	for name, r := range results {
-		if r.WrongResults != 0 {
-			return nil, fmt.Errorf("runtimes: %s produced %d wrong results", name, r.WrongResults)
-		}
-	}
 	return out, nil
 }

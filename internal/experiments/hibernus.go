@@ -7,10 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/lab"
 	"repro/internal/mcu"
-	"repro/internal/powerneutral"
-	"repro/internal/programs"
 	"repro/internal/scenario"
-	"repro/internal/source"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/transient"
@@ -65,8 +62,8 @@ func Fig7Spec() *scenario.Spec {
 // supply, a single snapshot per dip at V_H, a restore/wake at V_R, and the
 // FFT completing a few supply cycles after it started. The Setup is
 // compiled from Fig7Spec — the declarative round trip — with the
-// harness-only observers (recorder, event timestamps, runtime capture)
-// layered on after compilation.
+// harness-only observers (recorder, runtime capture) layered on after
+// compilation.
 func runFig7() (*Output, error) {
 	rec := trace.NewRecorder()
 	rec.SetInterval(0.5e-3)
@@ -82,20 +79,7 @@ func runFig7() (*Output, error) {
 		h = rt.(*transient.Hibernus)
 		return rt
 	}
-
-	var snapshotTimes, wakeTimes []float64
-	var lastSaves, lastWakes int
 	s.Recorder = rec
-	s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
-		if d.Stats.SavesDone > lastSaves {
-			lastSaves = d.Stats.SavesDone
-			snapshotTimes = append(snapshotTimes, t)
-		}
-		if w := d.Stats.WakeNoRestore + d.Stats.Restores; w > lastWakes {
-			lastWakes = w
-			wakeTimes = append(wakeTimes, t)
-		}
-	}
 	res, err := lab.Run(s)
 	if err != nil {
 		return nil, err
@@ -133,23 +117,26 @@ func runFig7() (*Output, error) {
 	if res.WrongResults > 0 {
 		return nil, fmt.Errorf("fig7: %d corrupted completions", res.WrongResults)
 	}
-	_ = snapshotTimes
-	_ = wakeTimes
 	return out, nil
 }
 
-// fig8Turbine returns the rectified-turbine supply of the Fig. 8 run.
-func fig8Turbine() source.VoltageSource {
-	t := &source.WindTurbine{
-		PeakVoltage: 4.5,
-		ACFrequency: 8,
-		GustStart:   0.3,
-		GustRise:    0.5,
-		GustHold:    2.2,
-		GustFall:    0.8,
-		Rs:          150,
+// fig8Spec is the Fig. 8 testbed: an FFT-64 on the registry's default
+// wind gust behind a 330 µF rail, under hibernus-PN — or, for the static
+// baseline, plain hibernus pinned at 16 MHz (DFS level 4).
+func fig8Spec(pn bool) *scenario.Spec {
+	sp := &scenario.Spec{
+		Name:     "fig8",
+		Workload: "fft64",
+		Storage:  scenario.StorageSpec{C: 330e-6},
+		Source:   scenario.SourceSpec{Name: "wind"},
+		Runtime:  scenario.RuntimeSpec{Name: "hibernus-pn"},
+		Duration: 5.0,
 	}
-	return source.HalfWave(t, 0.2)
+	if !pn {
+		sp.Runtime.Name = "hibernus"
+		sp.Device.FreqIndex = scenario.IntPtr(4)
+	}
+	return sp
 }
 
 // runFig8 compares hibernus-PN against static-frequency hibernus on the
@@ -162,37 +149,24 @@ func runFig8() (*Output, error) {
 		rec     *trace.Recorder
 	}
 	run := func(pn bool) (runOut, error) {
+		s, err := fig8Spec(pn).Setup()
+		if err != nil {
+			return runOut{}, err
+		}
 		rec := trace.NewRecorder()
 		rec.SetInterval(2e-3)
-		params := mcu.DefaultParams()
-		if !pn {
-			params.FreqIndex = 4 // 16 MHz static baseline
-		}
+		s.Recorder = rec
 		var longest, cur, last float64
-		s := lab.Setup{
-			Workload: programs.FFT(64, programs.DefaultLayout()),
-			Params:   params,
-			MakeRuntime: func(d *mcu.Device) mcu.Runtime {
-				if pn {
-					return powerneutral.NewHibernusPN(d, 330e-6, 1.1, 0.35, 3.0)
-				}
-				return transient.NewHibernus(d, 330e-6, 1.1, 0.35)
-			},
-			VSource:  fig8Turbine(),
-			C:        330e-6,
-			Duration: 5.0,
-			Recorder: rec,
-			OnTick: func(t float64, d *mcu.Device, rail *circuit.Rail) {
-				dt := t - last
-				last = t
-				switch d.Mode() {
-				case mcu.ModeActive, mcu.ModeSaving, mcu.ModeRestoring:
-					cur += dt
-					longest = math.Max(longest, cur)
-				default:
-					cur = 0
-				}
-			},
+		s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
+			dt := t - last
+			last = t
+			switch d.Mode() {
+			case mcu.ModeActive, mcu.ModeSaving, mcu.ModeRestoring:
+				cur += dt
+				longest = math.Max(longest, cur)
+			default:
+				cur = 0
+			}
 		}
 		res, err := lab.Run(s)
 		return runOut{res: res, stretch: longest, rec: rec}, err

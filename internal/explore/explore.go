@@ -159,14 +159,18 @@ type Aggregator struct {
 	Capacity int `json:"capacity,omitempty"`
 }
 
-// Parse decodes and validates an exploration spec. Unknown fields are
-// errors, matching scenario.Parse.
+// Parse decodes and validates an exploration spec. Unknown fields and
+// non-whitespace bytes after the JSON value are errors, matching
+// scenario.Parse.
 func Parse(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("explore: %w", err)
+	}
+	if off := dec.InputOffset(); len(bytes.Trim(data[off:], " \t\r\n")) > 0 {
+		return nil, fmt.Errorf("explore: unexpected data after the exploration at byte %d", off)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

@@ -320,6 +320,34 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+func TestParseRejectsTrailingData(t *testing.T) {
+	a := `{"name":"a","base":` + synBase + `,
+		"strategy":{"kind":"grid","axes":[{"param":"source.p","values":[1,2]}]},
+		"aggregators":[{"kind":"topk","k":1,"metric":"mean_fps"}]}`
+	b := strings.Replace(a, `"name":"a"`, `"name":"b"`, 1)
+	for _, tc := range []struct {
+		name, data string
+		ok         bool
+	}{
+		{"two explorations", a + b, false},
+		{"exploration then junk", a + " x", false},
+		{"trailing newline", a + "\n", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Parse([]byte(tc.data))
+			if tc.ok {
+				if err != nil || s.Name != "a" {
+					t.Fatalf("got %v, %v; want exploration a", s, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "after the exploration") {
+				t.Fatalf("got %v, want a trailing-data error", err)
+			}
+		})
+	}
+}
+
 func TestHashIsStableAndSensitive(t *testing.T) {
 	s1 := mustSpec(t, `{"name":"x","base":`+synBase+`,
 		"strategy":{"kind":"grid","axes":[{"param":"source.p","values":[1,2]}]},

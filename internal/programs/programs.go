@@ -742,50 +742,6 @@ amat:
 }
 
 // ---------------------------------------------------------------------------
-// Sensing loop
-// ---------------------------------------------------------------------------
-
-// SenseLoop returns a workload that forever samples a sensor (SYS
-// SysSensor), accumulates readings into RAM, and emits the running sum
-// every batch samples (SYS SysEmit then SysDone). It models the WSN-style
-// sample/process/transmit duty loop of task-based transient systems.
-func SenseLoop(batch int, l Layout) *Workload {
-	var b strings.Builder
-	b.WriteString(prologue(l))
-	fmt.Fprintf(&b, `
-acc = RAM
-    MOVI r3, #0
-    MOVI r4, #acc
-    ST   [r4+0], r3    ; acc = 0
-    MOVI r5, #0        ; sample count
-sense_loop:
-    CHK
-    SYS  #%d           ; r1 = sensor reading
-    MOVI r4, #acc
-    LD   r3, [r4+0]
-    ADD  r3, r1
-    ST   [r4+0], r3
-    ADDI r5, #1
-    CMPI r5, #%d
-    JLT  sense_loop
-    MOV  r1, r3
-    SYS  #%d           ; emit batch sum
-    ADDI r8, #1
-    MOV  r2, r8
-    SYS  #%d           ; batch complete
-    JMP  start
-`, SysSensor, batch, SysEmit, SysDone)
-	return &Workload{
-		Name:     fmt.Sprintf("sense-%d", batch),
-		Source:   b.String(),
-		Expected: 0, // depends on host-provided sensor data
-		RAMBase:  l.RAMBase,
-		NVBase:   l.NVBase,
-		StackTop: l.StackTop,
-	}
-}
-
-// ---------------------------------------------------------------------------
 // table emission helpers
 // ---------------------------------------------------------------------------
 

@@ -173,45 +173,6 @@ func TestFibMatchesReference(t *testing.T) {
 	}
 }
 
-func TestSenseLoopConsumesSensor(t *testing.T) {
-	w := SenseLoop(4, DefaultLayout())
-	p, err := isa.Assemble(w.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ram := &isa.FlatRAM{}
-	p.LoadInto(ram)
-	c := &isa.Core{Bus: ram}
-	c.Reset(p.Entry)
-	var emitted []uint16
-	reading := uint16(0)
-	done := false
-	c.Sys = func(code uint16, core *isa.Core) {
-		switch code {
-		case SysSensor:
-			reading += 10
-			core.R[1] = reading
-		case SysEmit:
-			emitted = append(emitted, core.R[1])
-		case SysDone:
-			done = true
-			core.Halted = true
-		}
-	}
-	for i := 0; i < 100000 && !done; i++ {
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !done {
-		t.Fatal("sense loop never completed a batch")
-	}
-	// 10+20+30+40 = 100.
-	if len(emitted) != 1 || emitted[0] != 100 {
-		t.Errorf("emitted = %v, want [100]", emitted)
-	}
-}
-
 func TestWorkloadsRunForever(t *testing.T) {
 	// After SysDone, execution restarts and produces the same result again
 	// (iteration counter in r2 increments).

@@ -194,7 +194,7 @@ func (e *labSingleEngine) Checkpoint() ([]byte, error) {
 func (e *labSingleEngine) Report() (*ModelReport, error) {
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, SingleTitle(e.sp))
-	WriteSummary(&buf, e.res, float64(e.sp.Duration))
+	writeSummary(&buf, e.res, float64(e.sp.Duration))
 	return &ModelReport{
 		Cases:      []ModelCase{{Name: e.sp.Name, Lab: e.res, Metrics: labMetrics(e.res, float64(e.sp.Duration))}},
 		SimSeconds: float64(e.sp.Duration),
@@ -403,7 +403,7 @@ func (e *labSweepEngine) Report() (*ModelReport, error) {
 		rep.Cases[i] = ModelCase{Name: c.Name, Lab: e.results[i], Metrics: labMetrics(e.results[i], d)}
 		rep.SimSeconds += d
 	}
-	WriteSweepTable(&buf, "case", 32, names, e.results)
+	writeSweepTable(&buf, names, e.results)
 	rep.Trace = e.rec
 	rep.Text = buf.String()
 	return rep, nil

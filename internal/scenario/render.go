@@ -33,9 +33,9 @@ func SweepAxesLabel(sp *Spec) string {
 	return strings.Join(names, " × ")
 }
 
-// WriteSummary renders one lab run's result block — the per-run body
-// shared by the CLI's flag and scenario paths and the service's reports.
-func WriteSummary(w io.Writer, res lab.Result, duration float64) {
+// writeSummary renders one lab run's result block — the per-run body of
+// a single-run lab report.
+func writeSummary(w io.Writer, res lab.Result, duration float64) {
 	fmt.Fprintf(w, "  completions:        %d (wrong: %d)\n", res.Completions, res.WrongResults)
 	fmt.Fprintf(w, "  throughput:         %.2f ops/s\n", res.Throughput(duration))
 	if res.Completions > 0 {
@@ -56,19 +56,18 @@ func WriteSummary(w io.Writer, res lab.Result, duration float64) {
 	}
 }
 
-// WriteSweepTable renders the lab sweep comparison table: a header row,
-// then one row per case. width sets the first column's width, col0 its
-// title ("case" for scenario sweeps, "C" for the CLI's storage sweeps).
-func WriteSweepTable(w io.Writer, col0 string, width int, names []string, results []lab.Result) {
-	fmt.Fprintf(w, "%-*s %-12s %-8s %-10s %-10s %-12s %-12s\n",
-		width, col0, "completions", "wrong", "snapshots", "brownouts", "energy/op", "harvested")
+// writeSweepTable renders the lab sweep comparison table: a header row,
+// then one row per case.
+func writeSweepTable(w io.Writer, names []string, results []lab.Result) {
+	fmt.Fprintf(w, "%-32s %-12s %-8s %-10s %-10s %-12s %-12s\n",
+		"case", "completions", "wrong", "snapshots", "brownouts", "energy/op", "harvested")
 	for i, res := range results {
 		eop := "∞"
 		if res.Completions > 0 {
 			eop = units.Format(res.EnergyPerCompletion(), "J")
 		}
-		fmt.Fprintf(w, "%-*s %-12d %-8d %-10d %-10d %-12s %-12s\n",
-			width, names[i], res.Completions, res.WrongResults,
+		fmt.Fprintf(w, "%-32s %-12d %-8d %-10d %-10d %-12s %-12s\n",
+			names[i], res.Completions, res.WrongResults,
 			res.Stats.SavesStarted, res.Stats.BrownOuts, eop,
 			units.Format(res.HarvestedJ, "J"))
 	}

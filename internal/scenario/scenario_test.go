@@ -70,6 +70,34 @@ func TestParseRejectsUnknownField(t *testing.T) {
 	}
 }
 
+func TestParseRejectsTrailingData(t *testing.T) {
+	a := `{"name":"a","workload":"fib24","storage":{"c":1e-5},"source":{"name":"dc"},"duration":1}`
+	b := `{"name":"b","workload":"fft64","storage":{"c":1e-5},"source":{"name":"dc"},"duration":2}`
+	for _, tc := range []struct {
+		name, data string
+		ok         bool
+	}{
+		{"two specs", a + b, false},
+		{"spec then junk", a + " x", false},
+		{"spec then stray brace", a + "}", false},
+		{"trailing newline", a + "\n", true},
+		{"surrounding whitespace", " \t\r\n" + a + " \t\r\n", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sp, err := Parse([]byte(tc.data))
+			if tc.ok {
+				if err != nil || sp.Name != "a" {
+					t.Fatalf("got %v, %v; want spec a", sp, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "after the spec") {
+				t.Fatalf("got %v, want a trailing-data error", err)
+			}
+		})
+	}
+}
+
 func TestValidateErrorsAreActionable(t *testing.T) {
 	cases := []struct {
 		name   string

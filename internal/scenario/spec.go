@@ -144,13 +144,18 @@ const MaxSweepPoints = 10_000
 const MaxGridCases = 100_000
 
 // Parse decodes and validates a spec. Unknown fields are errors, so a
-// typoed key fails loudly instead of silently running the defaults.
+// typoed key fails loudly instead of silently running the defaults, and
+// so is anything but whitespace after the JSON value: "{A}{B}" is
+// rejected rather than run as A under A's hash.
 func Parse(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
+	}
+	if off := dec.InputOffset(); len(bytes.Trim(data[off:], " \t\r\n")) > 0 {
+		return nil, fmt.Errorf("scenario: unexpected data after the spec at byte %d", off)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

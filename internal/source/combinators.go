@@ -2,14 +2,13 @@ package source
 
 import "math"
 
-// Rectified wraps a VoltageSource with an ideal-diode rectifier: half-wave
-// (negative half-cycles clipped to zero) or full-wave (absolute value),
-// minus a forward diode drop. This is the "half-wave rectified sine-wave
-// voltage" supply of the paper's Figs. 7 and 8.
+// Rectified wraps a VoltageSource with an ideal half-wave rectifier:
+// negative half-cycles clipped to zero, minus a forward diode drop. This
+// is the "half-wave rectified sine-wave voltage" supply of the paper's
+// Figs. 7 and 8.
 type Rectified struct {
-	Source   VoltageSource
-	FullWave bool
-	DiodeV   float64 // forward drop per conducting diode, volts
+	Source VoltageSource
+	DiodeV float64 // forward diode drop, volts
 }
 
 // HalfWave returns a half-wave rectified view of src with the given diode
@@ -18,20 +17,9 @@ func HalfWave(src VoltageSource, diodeV float64) *Rectified {
 	return &Rectified{Source: src, DiodeV: diodeV}
 }
 
-// FullWaveRect returns a full-wave (bridge) rectified view of src. A bridge
-// has two conducting diodes in the path, so the drop is applied twice.
-func FullWaveRect(src VoltageSource, diodeV float64) *Rectified {
-	return &Rectified{Source: src, FullWave: true, DiodeV: diodeV}
-}
-
 // Voltage implements VoltageSource.
 func (r *Rectified) Voltage(t float64) float64 {
-	v := r.Source.Voltage(t)
-	if r.FullWave {
-		v = math.Abs(v) - 2*r.DiodeV
-	} else {
-		v -= r.DiodeV
-	}
+	v := r.Source.Voltage(t) - r.DiodeV
 	if v < 0 {
 		return 0
 	}

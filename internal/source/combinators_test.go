@@ -33,21 +33,6 @@ func TestHalfWaveNeverNegative(t *testing.T) {
 	}
 }
 
-func TestFullWaveRectifier(t *testing.T) {
-	g := &SignalGenerator{Amplitude: 5, Frequency: 1}
-	r := FullWaveRect(g, 0.3)
-	// Both half-cycles conduct; two diode drops.
-	pos := r.Voltage(0.25)
-	neg := r.Voltage(0.75)
-	if math.Abs(pos-4.4) > 1e-9 || math.Abs(neg-4.4) > 1e-9 {
-		t.Errorf("full-wave peaks = %g/%g, want 4.4", pos, neg)
-	}
-	// Sub-threshold input yields zero, never negative.
-	if got := r.Voltage(0); got != 0 {
-		t.Errorf("zero crossing = %g, want 0", got)
-	}
-}
-
 func TestScaledVoltage(t *testing.T) {
 	c := &ConstantVoltage{V: 2, Rs: 10}
 	s := &ScaledVoltage{Source: c, Gain: 3}

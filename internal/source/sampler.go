@@ -55,7 +55,7 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 		w := newSquareWave(s.High, s.OnTime, period)
 		return w.voltage
 	case *Rectified:
-		if gen, ok := s.Source.(*SignalGenerator); ok && !s.FullWave &&
+		if gen, ok := s.Source.(*SignalGenerator); ok &&
 			gen.Frequency > 0 && gen.Amplitude > 0 {
 			// Fused half-wave rectified sine — the Fig. 7 supply, sampled
 			// once per step for the whole run, where math.Sin dominates
@@ -99,16 +99,6 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 			}
 		}
 		inner := VoltageFn(s.Source)
-		if s.FullWave {
-			drop := 2 * s.DiodeV
-			return func(t float64) float64 {
-				v := math.Abs(inner(t)) - drop
-				if v < 0 {
-					return 0
-				}
-				return v
-			}
-		}
 		drop := s.DiodeV
 		return func(t float64) float64 {
 			v := inner(t) - drop

@@ -41,7 +41,6 @@ func TestSamplersMatchCombinators(t *testing.T) {
 	dc := &SignalGenerator{Amplitude: 2.0, Rs: 50} // Frequency 0: DC path
 	for name, vs := range map[string]VoltageSource{
 		"halfwave":      HalfWave(gen, 0.2),
-		"fullwave":      FullWaveRect(gen, 0.3),
 		"scaled":        &ScaledVoltage{Source: gen, Gain: 0.7},
 		"scaled-dc":     &ScaledVoltage{Source: dc, Gain: 1.3},
 		"gated":         &GatedVoltage{Source: gen, Windows: [][2]float64{{0.5, 1.5}, {3, 4}}},

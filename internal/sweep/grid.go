@@ -63,15 +63,6 @@ func (g *Grid) Floats(name string, values ...float64) *Grid {
 	return g.Axis(name, vs...)
 }
 
-// Ints adds an int-valued dimension.
-func (g *Grid) Ints(name string, values ...int) *Grid {
-	vs := make([]any, len(values))
-	for i, v := range values {
-		vs[i] = v
-	}
-	return g.Axis(name, vs...)
-}
-
 // Bools adds a bool-valued dimension.
 func (g *Grid) Bools(name string, values ...bool) *Grid {
 	vs := make([]any, len(values))

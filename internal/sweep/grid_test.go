@@ -27,11 +27,11 @@ func TestCaseAtMatchesCases(t *testing.T) {
 				}
 				g.Floats(fmt.Sprintf("f%d", a), vs...)
 			case 1:
-				vs := make([]int, k)
+				vs := make([]any, k)
 				for i := range vs {
 					vs[i] = rng.Intn(1000)
 				}
-				g.Ints(fmt.Sprintf("i%d", a), vs...)
+				g.Axis(fmt.Sprintf("i%d", a), vs...)
 			default:
 				vs := make([]any, k)
 				for i := range vs {

@@ -13,8 +13,13 @@
 //     a derived per-case seed, and (for grid sweeps) its parameter values.
 //   - Grid: a declarative cross product over named parameter axes that
 //     expands into cases in a fixed row-major order.
-//   - Runner: the worker pool. Map, Setups, Labs and MapGrid drive a
-//     Runner over cases and return results indexed exactly like the input.
+//   - Runner: the worker pool. Map, MapGrid and MapCases drive a Runner
+//     over cases and return results indexed exactly like the input.
+//
+// The engine is generic over the per-case result type and knows nothing
+// of the lab: callers close over whatever they run — most often a
+// scenario spec compiled per case with Spec.SetupAt and handed to
+// lab.Run.
 //
 // Determinism contract: fn is called once per case, cases may run in any
 // order and concurrently, but results[i] always holds case i's output, and
@@ -29,8 +34,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/lab"
 )
 
 // ErrCanceled is returned by the mapping functions when the runner's
@@ -44,12 +47,10 @@ type Case struct {
 	Seed  int64  // per-case deterministic seed, derived from Runner.BaseSeed and Index
 
 	// Values holds the grid coordinates when the case was expanded from a
-	// Grid (nil for plain Map/Labs cases). Use Float/Int/Bool/Val to read.
+	// Grid (nil for plain Map cases). Use Float/Int/Bool to read typed
+	// values, or index the map directly.
 	Values map[string]any
 }
-
-// Val returns the named grid value (nil if absent).
-func (c Case) Val(name string) any { return c.Values[name] }
 
 // Float returns the named grid value as a float64 (0 if absent or not a
 // float64).
@@ -168,23 +169,6 @@ func MapGrid[T any](r *Runner, g *Grid, fn func(c Case) (T, error)) ([]T, error)
 		base = r.BaseSeed
 	}
 	return mapCases(r, g.cases(base), fn)
-}
-
-// Setups runs lab.Run over each setup in parallel. results[i] corresponds
-// to setups[i].
-func Setups(r *Runner, setups []lab.Setup) ([]lab.Result, error) {
-	return Map(r, len(setups), func(c Case) (lab.Result, error) {
-		return lab.Run(setups[c.Index])
-	})
-}
-
-// Labs builds one lab.Setup per case and runs them all in parallel — the
-// shape of most figure reproductions: a builder closure over the swept
-// parameter.
-func Labs(r *Runner, n int, build func(c Case) lab.Setup) ([]lab.Result, error) {
-	return Map(r, n, func(c Case) (lab.Result, error) {
-		return lab.Run(build(c))
-	})
 }
 
 // MapCases runs fn over an explicit case slice — cases that were already

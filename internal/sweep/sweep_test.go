@@ -48,8 +48,8 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	caps := []float64{2e-6, 4.7e-6, 10e-6, 22e-6, 47e-6, 100e-6}
 	run := func(workers, procs int) []lab.Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		res, err := Labs(&Runner{Workers: workers}, len(caps), func(c Case) lab.Setup {
-			return smallSetup(caps[c.Index])
+		res, err := Map(&Runner{Workers: workers}, len(caps), func(c Case) (lab.Result, error) {
+			return lab.Run(smallSetup(caps[c.Index]))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -218,7 +218,7 @@ func TestGridCrossProduct(t *testing.T) {
 func TestGridLabelsAndAccessors(t *testing.T) {
 	g := NewGrid().
 		Floats("c", 10e-6, 330e-6).Labels("10µF", "330µF").
-		Ints("freq", 2, 5).
+		Axis("freq", 2, 5).
 		Axis("policy", "hillclimb", "proportional")
 	cases := g.Cases()
 	if len(cases) != 8 {
@@ -231,8 +231,8 @@ func TestGridLabelsAndAccessors(t *testing.T) {
 	if first.Int("freq") != 2 {
 		t.Errorf("Int accessor = %d", first.Int("freq"))
 	}
-	if first.Val("policy").(string) != "hillclimb" {
-		t.Errorf("Val accessor = %v", first.Val("policy"))
+	if first.Values["policy"].(string) != "hillclimb" {
+		t.Errorf("policy value = %v", first.Values["policy"])
 	}
 	// Missing / mistyped lookups degrade to zero values.
 	if first.Float("nope") != 0 || first.Int("policy") != 0 || first.Bool("c") {
@@ -241,7 +241,7 @@ func TestGridLabelsAndAccessors(t *testing.T) {
 }
 
 func TestMapGridRunsEveryCell(t *testing.T) {
-	g := NewGrid().Ints("a", 0, 1, 2).Ints("b", 0, 1)
+	g := NewGrid().Axis("a", 0, 1, 2).Axis("b", 0, 1)
 	out, err := MapGrid(&Runner{Workers: 3}, g, func(c Case) (string, error) {
 		return fmt.Sprintf("%d%d", c.Int("a"), c.Int("b")), nil
 	})
@@ -251,21 +251,5 @@ func TestMapGridRunsEveryCell(t *testing.T) {
 	want := []string{"00", "01", "10", "11", "20", "21"}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("grid order = %v, want %v", out, want)
-	}
-}
-
-func TestSetups(t *testing.T) {
-	setups := []lab.Setup{smallSetup(10e-6), smallSetup(47e-6)}
-	res, err := Setups(nil, setups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("got %d results", len(res))
-	}
-	for i, r := range res {
-		if r.Completions == 0 {
-			t.Errorf("setup %d made no progress", i)
-		}
 	}
 }

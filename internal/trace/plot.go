@@ -6,35 +6,6 @@ import (
 	"strings"
 )
 
-// sparkRunes are the eight block characters used for single-line sparklines.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// Sparkline renders the series as a single-line unicode sparkline with at
-// most width cells. A constant series renders at mid height.
-func Sparkline(s *Series, width int) string {
-	d := s.Decimate(width)
-	if d.Len() == 0 {
-		return ""
-	}
-	st := d.Summarize()
-	span := st.Max - st.Min
-	var b strings.Builder
-	for i := 0; i < d.Len(); i++ {
-		idx := len(sparkRunes) / 2
-		if span > 0 {
-			idx = int((d.V(i) - st.Min) / span * float64(len(sparkRunes)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(sparkRunes) {
-			idx = len(sparkRunes) - 1
-		}
-		b.WriteRune(sparkRunes[idx])
-	}
-	return b.String()
-}
-
 // Plot renders the series as a multi-row ASCII chart of the given width and
 // height, with a y-axis scale and x-range footer. It is intentionally
 // simple: one column per decimated sample, '*' marks.

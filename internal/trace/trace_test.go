@@ -215,28 +215,6 @@ func TestWriteCSVEmpty(t *testing.T) {
 	}
 }
 
-func TestSparkline(t *testing.T) {
-	s := ramp(100)
-	sp := Sparkline(s, 20)
-	if len([]rune(sp)) != 20 {
-		t.Errorf("sparkline width = %d, want 20", len([]rune(sp)))
-	}
-	runes := []rune(sp)
-	if runes[0] != '▁' || runes[len(runes)-1] != '█' {
-		t.Errorf("ramp should go from lowest to highest block: %q", sp)
-	}
-	if Sparkline(NewSeries("e", ""), 10) != "" {
-		t.Error("empty series should yield empty sparkline")
-	}
-	// Constant series renders mid-height without panicking.
-	c := NewSeries("c", "")
-	c.Append(0, 5)
-	c.Append(1, 5)
-	if got := Sparkline(c, 5); got == "" {
-		t.Error("constant series should still render")
-	}
-}
-
 func TestPlot(t *testing.T) {
 	s := ramp(100)
 	out := Plot(s, 40, 8)

@@ -76,9 +76,6 @@ func HibernateThreshold(eSave, c, vMin float64) float64 {
 	return math.Sqrt(2*eSave/c + vMin*vMin)
 }
 
-// RCTimeConstant returns τ = R·C in seconds.
-func RCTimeConstant(r, c float64) float64 { return r * c }
-
 // Clamp limits v to the closed interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

@@ -1,16 +1,19 @@
 // Package repro's root benchmarks regenerate every figure and equation of
-// the paper, one testing.B target each, plus the ablation benches DESIGN.md
-// calls out. Each bench reports its shape metrics via b.ReportMetric so
-// `go test -bench=. -benchmem` doubles as the experiment log: the custom
-// columns (completions/op, crossover-Hz, power-ratio, ...) are the numbers
-// EXPERIMENTS.md records against the paper.
+// the paper, one testing.B target each, plus ablation benches over the
+// design choices the paper discusses (guard margins, checkpoint
+// thresholds, DFS policy, storage size, FRAM wait states, fast-forward).
+// Each bench reports its shape metrics via b.ReportMetric, so
+// `go test -run '^$' -bench . -benchtime 1x .` doubles as the experiment
+// log: the custom columns (completions, eq3-rel-err, power-ratio, ...)
+// are the numbers checked against the paper. Every lab run here is a
+// scenario.Spec of registry names and defaults, the same definition
+// `ehsim -scenario` runs.
 package repro_test
 
 import (
 	"math"
 	"testing"
 
-	"repro/internal/bench/benchtest"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/eneutral"
@@ -21,10 +24,9 @@ import (
 	"repro/internal/mpsoc"
 	"repro/internal/powerneutral"
 	"repro/internal/programs"
+	"repro/internal/scenario"
 	"repro/internal/source"
-	"repro/internal/sweep"
 	"repro/internal/taskburst"
-	"repro/internal/transient"
 	"repro/internal/units"
 )
 
@@ -98,15 +100,13 @@ func BenchmarkFig5OperatingPoints(b *testing.B) {
 // BenchmarkFig7HibernusFFT regenerates the hibernus waveform run (Fig. 7):
 // one snapshot per dip, FFT completing a few supply cycles in.
 func BenchmarkFig7HibernusFFT(b *testing.B) {
-	out := runExperiment(b, "fig7")
-	_ = out
+	runExperiment(b, "fig7")
 }
 
 // BenchmarkFig8HibernusPN regenerates the hibernus-PN comparison (Fig. 8):
 // DFS modulation sustains operation through the gust.
 func BenchmarkFig8HibernusPN(b *testing.B) {
-	out := runExperiment(b, "fig8")
-	_ = out
+	runExperiment(b, "fig8")
 }
 
 // BenchmarkEq1EnergyNeutralWSN runs the adaptive-vs-fixed WSN comparison
@@ -130,263 +130,214 @@ func BenchmarkEq1EnergyNeutralWSN(b *testing.B) {
 // BenchmarkEq3PowerNeutralTracking measures how tightly the governed MCU
 // satisfies eq. (3) at the minimal-storage end of the sweep.
 func BenchmarkEq3PowerNeutralTracking(b *testing.B) {
-	var relErr float64
+	sp := governedFFT("eq3-tracking", 47e-6)
+	var r trackedRun
 	for i := 0; i < b.N; i++ {
-		gov := powerneutral.NewGovernor(3.0)
-		gov.Hysteresis = 0.25
-		tr := powerneutral.NewTracker()
-		gen := &source.SignalGenerator{Amplitude: 4.5, Frequency: 20, Rs: 100}
-		s := lab.Setup{
-			Workload: programs.FFT(64, programs.DefaultLayout()),
-			Params:   mcu.DefaultParams(),
-			VSource:  source.HalfWave(gen, 0.2),
-			C:        47e-6,
-			V0:       3.0,
-			Duration: 2.0,
-			Dt:       5e-6,
-		}
-		s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
-			gov.Act(t, d, rail.V())
-			tr.Observe(rail, rail.V(), s.Dt)
-		}
-		res := lab.MustRun(s)
-		if res.Stats.BrownOuts != 0 {
+		if r = runTracked(b, sp); r.Stats.BrownOuts != 0 {
 			b.Fatal("governed run browned out")
 		}
-		relErr = tr.Stats().RelativeError()
 	}
-	b.ReportMetric(relErr, "eq3-rel-err")
+	b.ReportMetric(r.eq3.RelativeError(), "eq3-rel-err")
 }
 
 // BenchmarkEq4ThresholdBoundary sweeps the eq. (4) margin and reports the
 // aborted-save count at the under-margined end.
 func BenchmarkEq4ThresholdBoundary(b *testing.B) {
-	out := runExperiment(b, "eq4")
-	_ = out
+	runExperiment(b, "eq4")
 }
 
-// BenchmarkEq5Crossover runs the hibernus/QuickRecall sweep and reports
-// the measured crossover frequency (eq. 5).
+// BenchmarkEq5Crossover runs the hibernus/QuickRecall outage-frequency
+// sweep; the eq5 experiment's table and note carry the measured and
+// analytic crossover (eq. 5).
 func BenchmarkEq5Crossover(b *testing.B) {
-	var crossover float64
-	for i := 0; i < b.N; i++ {
-		crossover = measureCrossover(b)
-	}
-	b.ReportMetric(crossover, "crossover-Hz")
-}
-
-// measureCrossover finds the first outage frequency where QuickRecall's
-// energy per completion beats hibernus'. The 5×2 frequency × memory-system
-// grid fans out over the sweep engine; results come back in row-major
-// order, so runs[2i]/runs[2i+1] are the hibernus/QuickRecall pair at
-// frequency i.
-func measureCrossover(b *testing.B) float64 {
-	b.Helper()
-	freqs := []float64{2, 5, 10, 20, 40}
-	grid := sweep.NewGrid().
-		Floats("freq", freqs...).
-		Bools("unified", false, true)
-	runs, err := sweep.MapGrid(nil, grid, func(c sweep.Case) (lab.Result, error) {
-		unified := c.Bool("unified")
-		period := 1.0 / c.Float("freq")
-		layout := programs.DefaultLayout()
-		params := mcu.DefaultParams()
-		if unified {
-			layout = programs.UnifiedNVLayout()
-			params = mcu.UnifiedNVParams()
-		}
-		return lab.Run(lab.Setup{
-			Workload: programs.FFT(64, layout),
-			Params:   params,
-			MakeRuntime: func(d *mcu.Device) mcu.Runtime {
-				if unified {
-					return transient.NewQuickRecall(d, 10e-6, 1.1, 0.35)
-				}
-				return transient.NewHibernus(d, 10e-6, 1.1, 0.35)
-			},
-			VSource: &source.SquareWaveVoltage{
-				High: 3.3, OnTime: period / 2, OffTime: period / 2, Rs: 100,
-			},
-			C:        10e-6,
-			Duration: 4.0,
-		})
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i, f := range freqs {
-		h, q := runs[2*i], runs[2*i+1]
-		if q.EnergyPerCompletion() < h.EnergyPerCompletion() {
-			return f
-		}
-	}
-	return math.Inf(1)
+	runExperiment(b, "eq5")
 }
 
 // BenchmarkRuntimeComparison runs all five protection strategies on the
 // standard intermittent supply and reports hibernus' snapshot efficiency.
 func BenchmarkRuntimeComparison(b *testing.B) {
-	out := runExperiment(b, "runtimes")
-	_ = out
+	runExperiment(b, "runtimes")
 }
 
 // BenchmarkPeripheralGap quantifies the paper's discussion-section gap:
 // checkpointing that ignores peripheral state resumes on a misconfigured
 // sensor and a deaf radio.
 func BenchmarkPeripheralGap(b *testing.B) {
-	out := runExperiment(b, "periph")
-	_ = out
+	runExperiment(b, "periph")
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benches (DESIGN.md §4)
+// Ablation benches
 // ---------------------------------------------------------------------------
+
+// runtimesTestbed is the standard intermittent testbed of the runtimes
+// experiment: sieve-3000 on the registry's default square supply (4 ms
+// on, 150 ms dark) behind a leaky 10 µF rail for 3 s, protected by the
+// named runtime at its registry defaults.
+func runtimesTestbed(name, runtime string, sweep ...scenario.Axis) *scenario.Spec {
+	return &scenario.Spec{
+		Name:     name,
+		Workload: "sieve3000",
+		Storage:  scenario.StorageSpec{C: 10e-6, LeakR: 50e3},
+		Source:   scenario.SourceSpec{Name: "square"},
+		Runtime:  scenario.RuntimeSpec{Name: runtime},
+		Duration: 3.0,
+		Sweep:    sweep,
+	}
+}
+
+// governedFFT is the eq. (3) testbed: fft64 on the registry's default
+// 20 Hz half-wave rectified sine, the rail precharged to the governor's
+// 3 V setpoint, under the hill-climb DFS governor.
+func governedFFT(name string, c scenario.Value, sweep ...scenario.Axis) *scenario.Spec {
+	return &scenario.Spec{
+		Name:     name,
+		Workload: "fft64",
+		Storage:  scenario.StorageSpec{C: c, V0: 3.0},
+		Source:   scenario.SourceSpec{Name: "rectified-sine"},
+		Governor: &scenario.GovernorSpec{
+			Policy: "hillclimb",
+			Params: map[string]scenario.Value{"hysteresis": 0.25},
+		},
+		Duration: 2.0,
+		Dt:       5e-6,
+		Sweep:    sweep,
+	}
+}
+
+// storageSweep walks the taxonomy's storage axis under hibernus, whose
+// eq. (4) threshold is calibrated to each case's capacitance.
+func storageSweep() *scenario.Spec {
+	return runtimesTestbed("storage-sweep", "hibernus",
+		scenario.Axis{Param: "c", Values: []scenario.Value{4.7e-6, 10e-6, 47e-6, 470e-6}})
+}
+
+// runLab runs one sweep-free lab spec through scenario.RunModel.
+func runLab(b *testing.B, sp *scenario.Spec) lab.Result {
+	b.Helper()
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep.Cases[0].Lab
+}
+
+// trackedRun is a governed run's result with its eq. (3) tracking stats.
+type trackedRun struct {
+	lab.Result
+	eq3 powerneutral.TrackingStats
+}
+
+// runTracked compiles one sweep-free governed spec and runs it with the
+// eq. (3) tracker wrapped around the governor's OnTick, as the eq3
+// experiment does.
+func runTracked(b *testing.B, sp *scenario.Spec) trackedRun {
+	b.Helper()
+	s, err := sp.Setup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := powerneutral.NewTracker()
+	govern, dt := s.OnTick, s.Dt
+	s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
+		govern(t, d, rail)
+		tr.Observe(rail, rail.V(), dt)
+	}
+	res, err := lab.Run(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return trackedRun{res, tr.Stats()}
+}
+
+// benchCases runs each case of the spec's sweep grid as a sub-benchmark
+// named after the case, and hands the last run's outcome to report.
+func benchCases[R any](b *testing.B, sp *scenario.Spec,
+	run func(*testing.B, *scenario.Spec) R, report func(*testing.B, R)) {
+	for _, c := range sp.Grid().Cases() {
+		cs, err := sp.At(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.Name, func(b *testing.B) {
+			var r R
+			for i := 0; i < b.N; i++ {
+				r = run(b, cs)
+			}
+			report(b, r)
+		})
+	}
+}
 
 // BenchmarkAblationHibernusMargin compares eq. (4) guard margins: the
 // tighter the margin, the more active time per dip — until saves start
 // aborting.
 func BenchmarkAblationHibernusMargin(b *testing.B) {
-	for _, m := range []float64{1.0, 1.1, 1.25} {
-		b.Run(marginName(m), func(b *testing.B) {
-			var done, aborted int
-			for i := 0; i < b.N; i++ {
-				res := lab.MustRun(benchtest.Intermittent(func(d *mcu.Device) mcu.Runtime {
-					return transient.NewHibernus(d, 10e-6, m, 0.35)
-				}, 10e-6))
-				done, aborted = res.Completions, res.Stats.SavesAborted
-			}
-			b.ReportMetric(float64(done), "completions")
-			b.ReportMetric(float64(aborted), "aborted")
-		})
-	}
-}
-
-func marginName(m float64) string {
-	switch m {
-	case 1.0:
-		return "margin=1.00"
-	case 1.1:
-		return "margin=1.10"
-	default:
-		return "margin=1.25"
-	}
+	sp := runtimesTestbed("hibernus-margin", "hibernus",
+		scenario.Axis{Param: "runtime.margin", Values: []scenario.Value{1.0, 1.1, 1.25}})
+	benchCases(b, sp, runLab, func(b *testing.B, res lab.Result) {
+		b.ReportMetric(float64(res.Completions), "completions")
+		b.ReportMetric(float64(res.Stats.SavesAborted), "aborted")
+	})
 }
 
 // BenchmarkAblationMementosThreshold compares Mementos voltage-check
 // thresholds: higher thresholds snapshot earlier and more often.
 func BenchmarkAblationMementosThreshold(b *testing.B) {
-	for _, tag := range []struct {
-		name string
-		v    float64
-	}{{"vcheck=2.0", 2.0}, {"vcheck=2.2", 2.2}, {"vcheck=2.8", 2.8}} {
-		b.Run(tag.name, func(b *testing.B) {
-			var saves, done int
-			for i := 0; i < b.N; i++ {
-				res := lab.MustRun(benchtest.Intermittent(func(d *mcu.Device) mcu.Runtime {
-					return transient.NewMementos(d, tag.v)
-				}, 10e-6))
-				saves, done = res.Stats.SavesStarted, res.Completions
-			}
-			b.ReportMetric(float64(saves), "snapshots")
-			b.ReportMetric(float64(done), "completions")
-		})
-	}
+	sp := runtimesTestbed("mementos-vcheck", "mementos",
+		scenario.Axis{Param: "runtime.vcheck", Values: []scenario.Value{2.0, 2.2, 2.8}})
+	benchCases(b, sp, runLab, func(b *testing.B, res lab.Result) {
+		b.ReportMetric(float64(res.Stats.SavesStarted), "snapshots")
+		b.ReportMetric(float64(res.Completions), "completions")
+	})
 }
 
 // BenchmarkAblationGovernorPolicy compares the hill-climb and proportional
 // DFS policies on the same supply.
 func BenchmarkAblationGovernorPolicy(b *testing.B) {
-	for _, tag := range []struct {
-		name   string
-		policy powerneutral.Policy
-	}{{"hillclimb", powerneutral.HillClimb}, {"proportional", powerneutral.Proportional}} {
-		b.Run(tag.name, func(b *testing.B) {
-			var relErr float64
-			var done int
-			for i := 0; i < b.N; i++ {
-				gov := powerneutral.NewGovernor(3.0)
-				gov.Policy = tag.policy
-				gov.Hysteresis = 0.25
-				tr := powerneutral.NewTracker()
-				gen := &source.SignalGenerator{Amplitude: 4.5, Frequency: 20, Rs: 100}
-				s := lab.Setup{
-					Workload: programs.FFT(64, programs.DefaultLayout()),
-					Params:   mcu.DefaultParams(),
-					VSource:  source.HalfWave(gen, 0.2),
-					C:        470e-6,
-					V0:       3.0,
-					Duration: 2.0,
-					Dt:       5e-6,
-				}
-				s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
-					gov.Act(t, d, rail.V())
-					tr.Observe(rail, rail.V(), s.Dt)
-				}
-				res := lab.MustRun(s)
-				relErr = tr.Stats().RelativeError()
-				done = res.Completions
-			}
-			b.ReportMetric(relErr, "eq3-rel-err")
-			b.ReportMetric(float64(done), "completions")
-		})
-	}
+	sp := governedFFT("governor-policy", 470e-6,
+		scenario.Axis{Param: "governor", Names: []string{"hillclimb", "proportional"}})
+	benchCases(b, sp, runTracked, func(b *testing.B, r trackedRun) {
+		b.ReportMetric(r.eq3.RelativeError(), "eq3-rel-err")
+		b.ReportMetric(float64(r.Completions), "completions")
+	})
 }
 
 // BenchmarkAblationStorageSweep walks the taxonomy's storage axis with the
 // same hibernus system: more storage, fewer outages survived per joule but
 // longer uninterrupted stretches.
 func BenchmarkAblationStorageSweep(b *testing.B) {
-	for _, tag := range []struct {
-		name string
-		c    float64
-	}{{"C=4.7µF", 4.7e-6}, {"C=10µF", 10e-6}, {"C=47µF", 47e-6}, {"C=470µF", 470e-6}} {
-		b.Run(tag.name, func(b *testing.B) {
-			var done, brownouts int
-			for i := 0; i < b.N; i++ {
-				res := lab.MustRun(benchtest.Intermittent(func(d *mcu.Device) mcu.Runtime {
-					return transient.NewHibernus(d, tag.c, 1.1, 0.35)
-				}, tag.c))
-				done, brownouts = res.Completions, res.Stats.BrownOuts
-			}
-			b.ReportMetric(float64(done), "completions")
-			b.ReportMetric(float64(brownouts), "brownouts")
-		})
-	}
+	benchCases(b, storageSweep(), runLab, func(b *testing.B, res lab.Result) {
+		b.ReportMetric(float64(res.Completions), "completions")
+		b.ReportMetric(float64(res.Stats.BrownOuts), "brownouts")
+	})
 }
 
 // BenchmarkAblationFRAMWaitStates isolates the frequency-dependent NVM
-// penalty: the same unified-FRAM workload at 8 MHz (zero wait) vs 24 MHz
-// (wait states) — throughput does not scale with the clock.
+// penalty: the same unified-FRAM workload at 8 MHz (freqindex 3, zero
+// wait) vs 24 MHz (freqindex 5, wait states) — throughput does not scale
+// with the clock.
 func BenchmarkAblationFRAMWaitStates(b *testing.B) {
-	run := func(freqIdx int) float64 {
-		params := mcu.UnifiedNVParams()
-		params.FreqIndex = freqIdx
-		res := lab.MustRun(lab.Setup{
-			Workload: programs.FFT(64, programs.UnifiedNVLayout()),
-			Params:   params,
-			VSource:  &source.ConstantVoltage{V: 3.3, Rs: 50},
-			C:        10e-6,
-			Duration: 0.2,
-		})
-		return float64(res.Completions) / 0.2
+	sp := &scenario.Spec{
+		Name:     "fram-wait-states",
+		Workload: "fft64",
+		Device:   scenario.DeviceSpec{Profile: "unified-nv"},
+		Storage:  scenario.StorageSpec{C: 10e-6},
+		Source: scenario.SourceSpec{
+			Name:   "dc",
+			Params: map[string]scenario.Value{"rs": 50},
+		},
+		Duration: 0.2,
+		Sweep:    []scenario.Axis{{Param: "freqindex", Values: []scenario.Value{3, 5}}},
 	}
-	for _, tag := range []struct {
-		name string
-		idx  int
-	}{{"8MHz-nowait", 3}, {"24MHz-waits", 5}} {
-		b.Run(tag.name, func(b *testing.B) {
-			var tput float64
-			for i := 0; i < b.N; i++ {
-				tput = run(tag.idx)
-			}
-			b.ReportMetric(tput, "ffts/s")
-		})
-	}
+	benchCases(b, sp, runLab, func(b *testing.B, res lab.Result) {
+		b.ReportMetric(float64(res.Completions)/float64(sp.Duration), "ffts/s")
+	})
 }
 
 // BenchmarkFastForward measures the lab's analytic idle-skip against full
-// integration on the standard intermittent testbed (150 ms dark windows):
-// the sub-benchmarks' ns/op ratio is the single-core speedup, and the
+// integration on the runtimes testbed (150 ms dark windows): the
+// sub-benchmarks' ns/op ratio is the single-core speedup, and the
 // "completions" metric demonstrates the skipped run computes the same run.
 func BenchmarkFastForward(b *testing.B) {
 	for _, tag := range []struct {
@@ -394,35 +345,29 @@ func BenchmarkFastForward(b *testing.B) {
 		ff   bool
 	}{{"integrated", false}, {"fast-forward", true}} {
 		b.Run(tag.name, func(b *testing.B) {
+			sp := runtimesTestbed("fast-forward", "hibernus")
+			sp.FastForward = tag.ff
 			var done int
 			for i := 0; i < b.N; i++ {
-				s := benchtest.Intermittent(func(d *mcu.Device) mcu.Runtime {
-					return transient.NewHibernus(d, 10e-6, 1.1, 0.35)
-				}, 10e-6)
-				s.FastForward = tag.ff
-				done = lab.MustRun(s).Completions
+				done = runLab(b, sp).Completions
 			}
 			b.ReportMetric(float64(done), "completions")
 		})
 	}
 }
 
-// BenchmarkSweepStorageAxis runs the taxonomy storage-axis sweep through
-// the parallel engine — on a multi-core host its ns/op drops roughly with
-// the worker count relative to BenchmarkAblationStorageSweep's serial sum.
+// BenchmarkSweepStorageAxis runs BenchmarkAblationStorageSweep's four
+// cases as one spec through the parallel sweep engine — on a multi-core
+// host its ns/op drops roughly with the worker count relative to the
+// ablation's serial sum.
 func BenchmarkSweepStorageAxis(b *testing.B) {
-	caps := []float64{4.7e-6, 10e-6, 47e-6, 470e-6}
+	sp := storageSweep()
 	for i := 0; i < b.N; i++ {
-		res, err := sweep.Map(nil, len(caps), func(c sweep.Case) (lab.Result, error) {
-			cap := caps[c.Index]
-			return lab.Run(benchtest.Intermittent(func(d *mcu.Device) mcu.Runtime {
-				return transient.NewHibernus(d, cap, 1.1, 0.35)
-			}, cap))
-		})
+		rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res) != len(caps) {
+		if len(rep.Cases) != len(sp.Sweep[0].Values) {
 			b.Fatal("missing results")
 		}
 	}
@@ -432,16 +377,31 @@ func BenchmarkSweepStorageAxis(b *testing.B) {
 // Microbenchmarks of the hot paths
 // ---------------------------------------------------------------------------
 
+// mustAsm assembles a workload or fails the benchmark.
+func mustAsm(b *testing.B, w *programs.Workload) *isa.Program {
+	b.Helper()
+	p, err := isa.Assemble(w.Source)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
+}
+
 // BenchmarkCoreInterpreter measures raw guest execution speed on the path
 // the device runs: RunBudget's superblock engine, its block cache kept
 // warm across iterations as one device's core keeps it across runs.
 func BenchmarkCoreInterpreter(b *testing.B) {
-	w := programs.FFT(64, programs.DefaultLayout())
-	prog := benchtest.MustAsm(b, w)
-	ram := benchtest.NewFlatRAM(prog)
-	c := benchtest.NewCore(ram, prog.Entry)
+	prog := mustAsm(b, programs.FFT(64, programs.DefaultLayout()))
+	ram := &isa.FlatRAM{}
+	prog.LoadInto(ram)
+	c := &isa.Core{Bus: ram}
 	done := false
-	c.Sys = benchtest.SysStop(&done)
+	c.Sys = func(code uint16, c *isa.Core) {
+		if code == programs.SysDone {
+			done = true
+			c.Halted = true
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Reset(prog.Entry)
@@ -462,7 +422,7 @@ func BenchmarkCoreInterpreter(b *testing.B) {
 // fetches. One op is one fft64 iteration; ns/cycle is wall time per
 // guest cycle.
 func BenchmarkDeviceExecute(b *testing.B) {
-	prog := benchtest.MustAsm(b, programs.FFT(64, programs.DefaultLayout()))
+	prog := mustAsm(b, programs.FFT(64, programs.DefaultLayout()))
 	d := mcu.New(mcu.DefaultParams(), prog)
 	done := false
 	d.SysHandler = func(code uint16, _ *isa.Core) {
@@ -502,8 +462,7 @@ func BenchmarkRailStep(b *testing.B) {
 
 // BenchmarkSnapshotSaveRestore measures a full snapshot round trip.
 func BenchmarkSnapshotSaveRestore(b *testing.B) {
-	w := programs.FFT(64, programs.DefaultLayout())
-	prog := benchtest.MustAsm(b, w)
+	prog := mustAsm(b, programs.FFT(64, programs.DefaultLayout()))
 	d := mcu.New(mcu.DefaultParams(), prog)
 	// Power it on.
 	for d.Mode() != mcu.ModeActive {

@@ -1,21 +1,16 @@
 // Package circuit provides the electrical substrate between a harvesting
-// source and a computational load: storage elements (capacitors,
-// supercapacitors, batteries), power conversion (regulators, rectifiers are
-// in package source), voltage comparators with hysteresis, and a fixed-step
-// rail solver that ties them together.
+// source and a computational load: storage elements (capacitors and
+// batteries; rectifiers are in package source) and a fixed-step rail
+// solver that ties them together.
 //
 // The paper's taxonomy is fundamentally about how much energy storage sits
 // on this rail (Fig. 2's horizontal axis) and whether the load tolerates
 // the rail collapsing (eq. 2). Every experiment therefore runs on a Rail:
-// a single storage node charged by a source and discharged by loads, with
-// comparators watching V_CC to drive the transient runtimes.
+// a single storage node charged by a source and discharged by loads, whose
+// voltage the transient runtimes poll to decide when to snapshot.
 package circuit
 
-import (
-	"math"
-
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // Capacitor models the storage node capacitance: the sum of deliberate
 // storage (e.g. a 6 mF supercapacitor) and the parasitic/decoupling
@@ -83,17 +78,6 @@ func (c *Capacitor) DrawEnergy(e, vFloor float64) float64 {
 		c.V = vFloor
 	}
 	return e
-}
-
-// Supercapacitor is a Capacitor with the leakage and ESR characteristics
-// typical of supercapacitors pre-filled.
-func Supercapacitor(c, v0 float64) *Capacitor {
-	return &Capacitor{
-		C:     c,
-		V:     v0,
-		ESR:   0.05,
-		LeakR: 200e3, // microamp-scale leakage at a few volts
-	}
 }
 
 // Battery is a simple state-of-charge energy reservoir with a terminal
@@ -164,54 +148,4 @@ func (b *Battery) Discharge(e float64) float64 {
 	b.SoC -= need / b.CapacityJ
 	b.ThroughputJ += need
 	return need * b.EtaDischrg
-}
-
-// Regulator models a switching converter between the storage node and the
-// load: fixed output voltage, efficiency that droops at light load. The
-// conversion stages in the paper's Fig. 3 (energy-neutral architecture)
-// are instances of this; Fig. 4's harvesting-aware load omits them.
-type Regulator struct {
-	VOut    float64 // regulated output voltage
-	VInMin  float64 // dropout: below this input, the output collapses
-	EtaPeak float64 // peak efficiency (0..1)
-	IKnee   float64 // output current at which efficiency reaches ~peak
-}
-
-// NewRegulator returns a buck/boost-ish regulator with the given output
-// voltage, 85 % peak efficiency and a 1 mA efficiency knee.
-func NewRegulator(vOut float64) *Regulator {
-	return &Regulator{VOut: vOut, VInMin: vOut * 0.6, EtaPeak: 0.85, IKnee: 1e-3}
-}
-
-// Efficiency returns the conversion efficiency at output current iOut.
-func (r *Regulator) Efficiency(iOut float64) float64 {
-	if iOut <= 0 {
-		return r.EtaPeak
-	}
-	// Quiescent-dominated droop at light load: η = ηpk · i/(i + knee/10).
-	return r.EtaPeak * iOut / (iOut + r.IKnee/10)
-}
-
-// InputCurrent returns the current drawn from the storage node at voltage
-// vIn to supply iOut at VOut. Below dropout the regulator is off and draws
-// only a small quiescent current.
-func (r *Regulator) InputCurrent(vIn, iOut float64) float64 {
-	const iQuiescent = 2e-6
-	if vIn < r.VInMin || vIn <= 0 {
-		return iQuiescent
-	}
-	eta := r.Efficiency(iOut)
-	if eta <= 0 {
-		return iQuiescent
-	}
-	return (r.VOut*iOut)/(vIn*eta) + iQuiescent
-}
-
-// Output returns the regulated output voltage given input vIn (0 below
-// dropout).
-func (r *Regulator) Output(vIn float64) float64 {
-	if vIn < r.VInMin {
-		return 0
-	}
-	return math.Min(r.VOut, vIn) // LDO-like behaviour if vIn < VOut
 }

@@ -118,16 +118,6 @@ func TestDrawEnergyConservation(t *testing.T) {
 	}
 }
 
-func TestSupercapacitorDefaults(t *testing.T) {
-	sc := Supercapacitor(6e-3, 2.5)
-	if sc.C != 6e-3 || sc.V != 2.5 {
-		t.Error("supercap constructor values wrong")
-	}
-	if sc.LeakR <= 0 || sc.ESR <= 0 {
-		t.Error("supercap should have leakage and ESR")
-	}
-}
-
 func TestBatteryChargeDischarge(t *testing.T) {
 	b := NewBattery(1000, 0.5)
 	if math.Abs(b.Energy()-500) > 1e-9 {
@@ -188,49 +178,5 @@ func TestBatteryEdgeCases(t *testing.T) {
 	zero := &Battery{}
 	if zero.Charge(5) != 0 || zero.Discharge(5) != 0 {
 		t.Error("zero-capacity battery should be a no-op")
-	}
-}
-
-func TestRegulatorEfficiencyCurve(t *testing.T) {
-	r := NewRegulator(3.3)
-	// Efficiency rises with load current toward the peak.
-	e1 := r.Efficiency(10e-6)
-	e2 := r.Efficiency(10e-3)
-	if e1 >= e2 {
-		t.Errorf("efficiency should rise with load: %g vs %g", e1, e2)
-	}
-	if e2 > r.EtaPeak {
-		t.Errorf("efficiency exceeded peak: %g", e2)
-	}
-}
-
-func TestRegulatorInputCurrent(t *testing.T) {
-	r := NewRegulator(3.3)
-	// Power balance: vIn·iIn·η ≈ vOut·iOut (+ quiescent).
-	iOut := 5e-3
-	vIn := 4.0
-	iIn := r.InputCurrent(vIn, iOut)
-	eta := r.Efficiency(iOut)
-	want := (3.3*iOut)/(vIn*eta) + 2e-6
-	if math.Abs(iIn-want) > 1e-12 {
-		t.Errorf("input current = %g, want %g", iIn, want)
-	}
-	// Below dropout only quiescent.
-	if got := r.InputCurrent(1.0, iOut); got != 2e-6 {
-		t.Errorf("dropout input current = %g, want 2e-6", got)
-	}
-}
-
-func TestRegulatorOutput(t *testing.T) {
-	r := NewRegulator(3.3)
-	if r.Output(5) != 3.3 {
-		t.Error("regulated output should be VOut")
-	}
-	if r.Output(1) != 0 {
-		t.Error("below dropout output should collapse")
-	}
-	// LDO region: passes through input when between dropout and VOut.
-	if got := r.Output(2.5); got != 2.5 {
-		t.Errorf("LDO region output = %g, want 2.5", got)
 	}
 }

@@ -109,25 +109,3 @@ func TestPeekDrivenUnstableRegimeRefuses(t *testing.T) {
 		t.Error("refusal mutated the rail")
 	}
 }
-
-func TestAdvanceDrivenClocksComparators(t *testing.T) {
-	cap := NewCapacitor(10e-6, 0)
-	r := NewRail(cap)
-	r.VSource = &source.ConstantVoltage{V: 3.3, Rs: 100}
-	var rose bool
-	cmp := NewComparator(2.0, 2.5, func(k EdgeKind, v, tm float64) {
-		if k == EdgeRising {
-			rose = true
-		}
-	})
-	cmp.Observe(0, 0) // arm below the band
-	r.AddComparator(cmp)
-	// Charge well above the band in one analytic jump.
-	r.AdvanceDriven(20000, 5e-6, 0, 3.3)
-	if r.V() <= 2.5 {
-		t.Fatalf("V = %.3f, expected full charge", r.V())
-	}
-	if !rose {
-		t.Error("comparator missed the rising edge across a driven advance")
-	}
-}

@@ -90,27 +90,6 @@ func TestPeekIdleDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestAdvanceIdleClocksComparators(t *testing.T) {
-	cap := NewCapacitor(10e-6, 3.3)
-	r := NewRail(cap)
-	var fell bool
-	cmp := NewComparator(2.0, 2.5, func(k EdgeKind, v, tm float64) {
-		if k == EdgeFalling {
-			fell = true
-		}
-	})
-	cmp.Observe(3.3, 0) // arm above the band
-	r.AddComparator(cmp)
-	// Discharge well below the band in one analytic jump.
-	r.AdvanceIdle(40000, 5e-6, 100e-6)
-	if r.V() >= 2.0 {
-		t.Fatalf("V = %.3f, expected deep discharge", r.V())
-	}
-	if !fell {
-		t.Error("comparator missed the falling edge across an idle advance")
-	}
-}
-
 func TestAdvanceIdleUnstableRegimeFallsBack(t *testing.T) {
 	// dt comparable to the leak RC constant drives the Euler factor a ≤ 0;
 	// the closed form must fall back to exact iteration, matching Step.

@@ -48,58 +48,6 @@ func (l *ResistiveLoad) Current(v, _ float64) float64 {
 	return v / l.R
 }
 
-// EdgeKind distinguishes comparator events.
-type EdgeKind int
-
-// Comparator edge kinds.
-const (
-	EdgeFalling EdgeKind = iota // crossed below the low threshold
-	EdgeRising                  // crossed above the high threshold
-)
-
-// Comparator watches the rail voltage and fires a callback on hysteretic
-// threshold crossings — the voltage-interrupt mechanism hibernus and
-// QuickRecall rely on to detect imminent supply failure.
-type Comparator struct {
-	Low, High float64 // hysteresis band: fires falling at Low, rising at High
-	OnEdge    func(kind EdgeKind, v, t float64)
-
-	state bool // true = above band
-	armed bool
-}
-
-// NewComparator returns a comparator with the given hysteresis band.
-// low must be ≤ high.
-func NewComparator(low, high float64, onEdge func(EdgeKind, float64, float64)) *Comparator {
-	return &Comparator{Low: low, High: high, OnEdge: onEdge}
-}
-
-// Observe feeds the comparator a new voltage sample at time t, firing
-// OnEdge on band crossings. The first observation initialises state
-// without firing.
-func (c *Comparator) Observe(v, t float64) {
-	if !c.armed {
-		c.armed = true
-		c.state = v >= c.High
-		return
-	}
-	if c.state && v < c.Low {
-		c.state = false
-		if c.OnEdge != nil {
-			c.OnEdge(EdgeFalling, v, t)
-		}
-	} else if !c.state && v >= c.High {
-		c.state = true
-		if c.OnEdge != nil {
-			c.OnEdge(EdgeRising, v, t)
-		}
-	}
-}
-
-// Above reports whether the comparator currently considers the voltage
-// above its band.
-func (c *Comparator) Above() bool { return c.state }
-
 // Rail is the single-node power rail: a storage capacitor charged by a
 // voltage or power source (through an ideal diode, so the source never
 // discharges the node) and discharged by the attached loads.
@@ -116,7 +64,6 @@ type Rail struct {
 	PSource source.PowerSource
 	Cap     *Capacitor
 	Loads   []Load
-	Comps   []*Comparator
 
 	// MaxSourceI limits the current a power source can push at very low
 	// rail voltage (models converter current limits); 0 = 1 A default.
@@ -150,9 +97,6 @@ func NewRail(cap *Capacitor) *Rail {
 
 // AddLoad attaches a load to the rail.
 func (r *Rail) AddLoad(l Load) { r.Loads = append(r.Loads, l) }
-
-// AddComparator attaches a comparator watching the rail voltage.
-func (r *Rail) AddComparator(c *Comparator) { r.Comps = append(r.Comps, c) }
 
 // Now returns the rail's current simulated time in seconds.
 func (r *Rail) Now() float64 { return r.now }
@@ -209,8 +153,8 @@ func (r *Rail) sourceCurrent(v, t float64) float64 {
 }
 
 // Step advances the rail by dt seconds: computes source and load currents
-// at the present voltage, integrates the capacitor, updates telemetry, and
-// clocks the comparators. It returns the rail voltage after the step.
+// at the present voltage, integrates the capacitor and updates telemetry.
+// It returns the rail voltage after the step.
 func (r *Rail) Step(dt float64) float64 {
 	t := r.now
 	v := r.Cap.V
@@ -228,9 +172,6 @@ func (r *Rail) Step(dt float64) float64 {
 	r.HarvestedJ += iSrc * v * dt
 	r.ConsumedJ += iLoad * v * dt
 	r.now += dt
-	for _, c := range r.Comps {
-		c.Observe(r.Cap.V, r.now)
-	}
 	return r.Cap.V
 }
 
@@ -352,11 +293,6 @@ func (r *Rail) advanceClock(n int, dt float64) {
 // Step — same forward-Euler recurrence, same telemetry integral, same
 // zero clamp — accurate to floating-point evaluation of the geometric
 // series rather than bit-identical iteration.
-//
-// Comparators observe only the final voltage: a decaying pass through a
-// threshold still fires its falling edge, but timed at the skip boundary
-// rather than the exact crossing step. Callers that need exact crossing
-// times must keep stepping instead.
 func (r *Rail) AdvanceIdle(n int, dt, iLoad float64) float64 {
 	if n <= 0 || dt <= 0 {
 		return r.Cap.V
@@ -371,9 +307,6 @@ func (r *Rail) AdvanceIdle(n int, dt, iLoad float64) float64 {
 	r.ConsumedJ += iLoad * sumV * dt
 	r.LastSourceI, r.LastLoadI = 0, iLoad
 	r.advanceClock(n, dt)
-	for _, c := range r.Comps {
-		c.Observe(r.Cap.V, r.now)
-	}
 	return r.Cap.V
 }
 
@@ -443,8 +376,7 @@ func (r *Rail) PeekDriven(n int, dt, iLoad, vs float64) (float64, bool) {
 // trajectory starting below vs stays below it. Telemetry matches n Step
 // calls to closed-form accuracy — HarvestedJ integrates (vs−V)·V/rs·dt
 // and ConsumedJ integrates iLoad·V·dt over the pre-step voltages, and
-// the Last* observables reflect the final step. Comparators observe only
-// the final voltage, as with AdvanceIdle.
+// the Last* observables reflect the final step.
 func (r *Rail) AdvanceDriven(n int, dt, iLoad, vs float64) float64 {
 	if n <= 0 || dt <= 0 {
 		return r.Cap.V
@@ -469,9 +401,6 @@ func (r *Rail) AdvanceDriven(n int, dt, iLoad, vs float64) float64 {
 	r.LastSourceI = (vs - vPen) / r.rs
 	r.LastLoadI = iLoad
 	r.advanceClock(n, dt)
-	for _, c := range r.Comps {
-		c.Observe(r.Cap.V, r.now)
-	}
 	return r.Cap.V
 }
 

@@ -8,50 +8,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestComparatorHysteresis(t *testing.T) {
-	var events []EdgeKind
-	c := NewComparator(2.0, 2.5, func(k EdgeKind, v, tm float64) {
-		events = append(events, k)
-	})
-	// First observation arms without firing.
-	c.Observe(3.0, 0)
-	if len(events) != 0 {
-		t.Fatal("arming observation must not fire")
-	}
-	if !c.Above() {
-		t.Fatal("should start above band")
-	}
-	// Dip into band: no event (hysteresis).
-	c.Observe(2.2, 1)
-	if len(events) != 0 {
-		t.Fatal("in-band sample must not fire")
-	}
-	// Cross below low: falling edge.
-	c.Observe(1.9, 2)
-	if len(events) != 1 || events[0] != EdgeFalling {
-		t.Fatalf("expected falling edge, got %v", events)
-	}
-	// Rise into band: nothing.
-	c.Observe(2.3, 3)
-	if len(events) != 1 {
-		t.Fatal("in-band rise must not fire")
-	}
-	// Cross above high: rising edge.
-	c.Observe(2.6, 4)
-	if len(events) != 2 || events[1] != EdgeRising {
-		t.Fatalf("expected rising edge, got %v", events)
-	}
-}
-
-func TestComparatorNilCallback(t *testing.T) {
-	c := NewComparator(1, 2, nil)
-	c.Observe(3, 0)
-	c.Observe(0.5, 1) // must not panic
-	if c.Above() {
-		t.Error("state should be below after falling")
-	}
-}
-
 func TestRailChargesFromVoltageSource(t *testing.T) {
 	// DC source charging RC: V(t) = Vs(1 - e^{-t/RC}).
 	cap := NewCapacitor(100e-6, 0)
@@ -115,31 +71,6 @@ func TestRailEnergyAccounting(t *testing.T) {
 	if !units.ApproxEqual(r.HarvestedJ, balance, 0.01) {
 		t.Errorf("energy imbalance: harvested %g vs stored+consumed %g",
 			r.HarvestedJ, balance)
-	}
-}
-
-func TestRailComparatorFiresOnOutage(t *testing.T) {
-	cap := NewCapacitor(47e-6, 3.3)
-	r := NewRail(cap)
-	sq := &source.SquareWaveVoltage{High: 3.3, OnTime: 0.05, OffTime: 0.05, Rs: 100}
-	r.VSource = sq
-	r.AddLoad(&ConstantCurrentLoad{I: 2e-3, VMin: 1.0})
-	falls, rises := 0, 0
-	r.AddComparator(NewComparator(2.0, 3.0, func(k EdgeKind, v, tm float64) {
-		if k == EdgeFalling {
-			falls++
-		} else {
-			rises++
-		}
-	}))
-	r.Run(0.5, 5e-6, nil)
-	// 5 outages in 0.5 s at 10 Hz square wave: expect ≈5 falling edges and
-	// recoveries.
-	if falls < 4 || falls > 6 {
-		t.Errorf("falling edges = %d, want ≈5", falls)
-	}
-	if rises < 4 || rises > 6 {
-		t.Errorf("rising edges = %d, want ≈5", rises)
 	}
 }
 

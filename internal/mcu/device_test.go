@@ -358,20 +358,6 @@ func TestDefaultSnapshotKind(t *testing.T) {
 	}
 }
 
-func TestInvalidateSnapshots(t *testing.T) {
-	d, _ := buildDevice(t, programs.Fib(5, programs.DefaultLayout()), DefaultParams())
-	tickUntil(d, 3.3, 10e-6, 0.0002, func() bool { return d.Mode() == ModeActive })
-	d.BeginSave(SnapRegs, nil)
-	tickUntil(d, 3.3, 10e-6, 0.1, func() bool { return d.Mode() == ModeActive })
-	if !d.HasSnapshot() {
-		t.Fatal("snapshot missing")
-	}
-	d.InvalidateSnapshots()
-	if d.HasSnapshot() {
-		t.Error("snapshots should be invalidated")
-	}
-}
-
 func TestRuntimeCallbacks(t *testing.T) {
 	w := programs.CRC16(32, programs.DefaultLayout())
 	d, _ := buildDevice(t, w, DefaultParams())

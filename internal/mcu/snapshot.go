@@ -310,13 +310,6 @@ func (d *Device) HasSnapshot() bool {
 	return p != nil
 }
 
-// InvalidateSnapshots erases both slots (used between experiments).
-func (d *Device) InvalidateSnapshots() {
-	d.snaps.invalidate(0)
-	d.snaps.invalidate(1)
-	d.snaps.nextSave, d.snaps.haveNext = 0, true
-}
-
 // BeginSave starts an asynchronous snapshot: the device enters ModeSaving
 // for the DMA duration and, if power holds, commits the snapshot and calls
 // onDone. The target slot's commit flag is cleared immediately, so a save

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bench/benchtest"
 	"repro/internal/circuit"
+	"repro/internal/isa"
 	"repro/internal/lab"
 	"repro/internal/mcu"
 	"repro/internal/programs"
@@ -328,8 +328,10 @@ func TestGovernorIgnoresSleepingDevice(t *testing.T) {
 // already pinned at a rail extreme counted an Up/DownStep on every
 // decision even though SetFreqIndex clamped the actuation to a no-op.
 func TestProportionalClampsTelemetryAtRailExtremes(t *testing.T) {
-	w := programs.FFT(64, programs.DefaultLayout())
-	prog := benchtest.MustAsm(t, w)
+	prog, err := isa.Assemble(programs.FFT(64, programs.DefaultLayout()).Source)
+	if err != nil {
+		t.Fatal(err)
+	}
 	top := len(mcu.DefaultParams().FreqLevels) - 1
 
 	// High rail, device already at the top level: the raw index lands

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/circuit"
@@ -182,6 +183,11 @@ func (s *Spec) Apply(param string, value any) error {
 	case "dt":
 		s.Dt = Value(f)
 	case "freqindex":
+		// Truncating 3.5 would run level 3 under a "freqindex=3.5" label
+		// and a hash of its own; the range check is the model's.
+		if f != math.Trunc(f) || math.Abs(f) > math.MaxInt32 {
+			return fmt.Errorf("freqindex %g is not an integer DFS level", f)
+		}
 		s.Device.FreqIndex = IntPtr(int(f))
 	default:
 		group, key, found := strings.Cut(param, ".")

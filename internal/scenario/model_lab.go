@@ -84,6 +84,13 @@ func (labModel) Validate(s *Spec) error {
 	default:
 		return s.errf("device profile %q (valid: default, unified-nv)", s.Device.Profile)
 	}
+	// Both profiles share one DFS table; mcu.New would silently run an
+	// out-of-range level at the top frequency.
+	if fi := s.Device.FreqIndex; fi != nil {
+		if n := len(mcu.DefaultParams().FreqLevels); *fi < 0 || *fi >= n {
+			return s.errf("device.freqindex %d is out of range (DFS levels 0–%d)", *fi, n-1)
+		}
+	}
 	if s.Source.Name == "" {
 		return s.errf("source.name is required")
 	}

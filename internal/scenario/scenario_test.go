@@ -98,6 +98,42 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadFreqIndex pins the DFS level range: the table
+// has six levels (0–5), and a level outside it, or a fractional sweep
+// value, is an error rather than a run at some other frequency.
+func TestValidateRejectsBadFreqIndex(t *testing.T) {
+	const base = `"name":"f","workload":"fft64","storage":{"c":1e-5},"source":{"name":"dc"},"duration":0.1`
+	for _, tc := range []struct {
+		name, extra string
+		want        string // "" = accepted
+	}{
+		{"device level 0", `"device":{"freqindex":0}`, ""},
+		{"device top level", `"device":{"freqindex":5}`, ""},
+		{"device above the table", `"device":{"freqindex":99}`, "out of range"},
+		{"device just above the table", `"device":{"freqindex":6}`, "out of range"},
+		{"device negative", `"device":{"freqindex":-1}`, "out of range"},
+		{"unified device above the table", `"device":{"profile":"unified-nv","freqindex":6}`, "out of range"},
+		{"sweep in range", `"sweep":[{"param":"freqindex","values":[3,5]}]`, ""},
+		{"sweep negative", `"sweep":[{"param":"freqindex","values":[3,-1]}]`, "out of range"},
+		{"sweep above the table", `"sweep":[{"param":"freqindex","values":[99]}]`, "out of range"},
+		{"sweep fraction", `"sweep":[{"param":"freqindex","values":[3.5]}]`, "not an integer"},
+		{"sweep huge", `"sweep":[{"param":"freqindex","values":[1e300]}]`, "not an integer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse([]byte("{" + base + "," + tc.extra + "}"))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("rejected a valid level: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestValidateErrorsAreActionable(t *testing.T) {
 	cases := []struct {
 		name   string

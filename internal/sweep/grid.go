@@ -17,9 +17,10 @@ type axis struct {
 // expand row-major: the first axis added varies slowest, the last varies
 // fastest, so
 //
-//	NewGrid().Floats("c", 10e-6, 47e-6).Bools("unified", false, true)
+//	NewGrid().Floats("c", 10e-6, 47e-6).Axis("runtime", "hibernus", "quickrecall")
 //
-// yields cases (10µ,false), (10µ,true), (47µ,false), (47µ,true) — a fixed
+// yields cases (10µ,hibernus), (10µ,quickrecall), (47µ,hibernus),
+// (47µ,quickrecall) — a fixed
 // order the collection side can rely on when rebuilding tables.
 type Grid struct {
 	axes []axis
@@ -56,15 +57,6 @@ func (g *Grid) Labels(labels ...string) *Grid {
 
 // Floats adds a float64-valued dimension.
 func (g *Grid) Floats(name string, values ...float64) *Grid {
-	vs := make([]any, len(values))
-	for i, v := range values {
-		vs[i] = v
-	}
-	return g.Axis(name, vs...)
-}
-
-// Bools adds a bool-valued dimension.
-func (g *Grid) Bools(name string, values ...bool) *Grid {
 	vs := make([]any, len(values))
 	for i, v := range values {
 		vs[i] = v

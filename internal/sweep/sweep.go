@@ -47,8 +47,8 @@ type Case struct {
 	Seed  int64  // per-case deterministic seed, derived from Runner.BaseSeed and Index
 
 	// Values holds the grid coordinates when the case was expanded from a
-	// Grid (nil for plain Map cases). Use Float/Int/Bool to read typed
-	// values, or index the map directly.
+	// Grid (nil for plain Map cases). Use Float to read a float64
+	// value, or index the map directly.
 	Values map[string]any
 }
 
@@ -56,19 +56,6 @@ type Case struct {
 // float64).
 func (c Case) Float(name string) float64 {
 	v, _ := c.Values[name].(float64)
-	return v
-}
-
-// Int returns the named grid value as an int (0 if absent or not an int).
-func (c Case) Int(name string) int {
-	v, _ := c.Values[name].(int)
-	return v
-}
-
-// Bool returns the named grid value as a bool (false if absent or not a
-// bool).
-func (c Case) Bool(name string) bool {
-	v, _ := c.Values[name].(bool)
 	return v
 }
 

@@ -188,28 +188,28 @@ func TestNilRunnerAndZeroCases(t *testing.T) {
 func TestGridCrossProduct(t *testing.T) {
 	g := NewGrid().
 		Floats("c", 10e-6, 47e-6, 100e-6).
-		Bools("unified", false, true)
+		Axis("runtime", "hibernus", "quickrecall")
 	if g.Size() != 6 {
 		t.Fatalf("size = %d, want 6", g.Size())
 	}
 	cases := g.Cases()
 	// Row-major: first axis slowest, last fastest.
 	want := []struct {
-		c   float64
-		uni bool
+		c  float64
+		rt string
 	}{
-		{10e-6, false}, {10e-6, true},
-		{47e-6, false}, {47e-6, true},
-		{100e-6, false}, {100e-6, true},
+		{10e-6, "hibernus"}, {10e-6, "quickrecall"},
+		{47e-6, "hibernus"}, {47e-6, "quickrecall"},
+		{100e-6, "hibernus"}, {100e-6, "quickrecall"},
 	}
 	for i, w := range want {
-		if cases[i].Float("c") != w.c || cases[i].Bool("unified") != w.uni {
-			t.Errorf("case %d = %v, want c=%g unified=%v", i, cases[i].Values, w.c, w.uni)
+		if cases[i].Float("c") != w.c || cases[i].Values["runtime"] != w.rt {
+			t.Errorf("case %d = %v, want c=%g runtime=%s", i, cases[i].Values, w.c, w.rt)
 		}
 		if cases[i].Index != i {
 			t.Errorf("case %d has Index %d", i, cases[i].Index)
 		}
-		if !strings.Contains(cases[i].Name, "c=") || !strings.Contains(cases[i].Name, "unified=") {
+		if !strings.Contains(cases[i].Name, "c=") || !strings.Contains(cases[i].Name, "runtime=") {
 			t.Errorf("case %d name %q missing axis labels", i, cases[i].Name)
 		}
 	}
@@ -228,22 +228,22 @@ func TestGridLabelsAndAccessors(t *testing.T) {
 	if !strings.Contains(first.Name, "c=10µF") {
 		t.Errorf("label override not applied: %q", first.Name)
 	}
-	if first.Int("freq") != 2 {
-		t.Errorf("Int accessor = %d", first.Int("freq"))
+	if first.Values["freq"] != 2 {
+		t.Errorf("freq value = %v", first.Values["freq"])
 	}
 	if first.Values["policy"].(string) != "hillclimb" {
 		t.Errorf("policy value = %v", first.Values["policy"])
 	}
 	// Missing / mistyped lookups degrade to zero values.
-	if first.Float("nope") != 0 || first.Int("policy") != 0 || first.Bool("c") {
-		t.Error("typed accessors should zero-value on miss")
+	if first.Float("nope") != 0 || first.Float("policy") != 0 {
+		t.Error("Float should zero-value on miss")
 	}
 }
 
 func TestMapGridRunsEveryCell(t *testing.T) {
 	g := NewGrid().Axis("a", 0, 1, 2).Axis("b", 0, 1)
 	out, err := MapGrid(&Runner{Workers: 3}, g, func(c Case) (string, error) {
-		return fmt.Sprintf("%d%d", c.Int("a"), c.Int("b")), nil
+		return fmt.Sprintf("%v%v", c.Values["a"], c.Values["b"]), nil
 	})
 	if err != nil {
 		t.Fatal(err)

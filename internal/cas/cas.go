@@ -14,7 +14,7 @@
 //     corrupt or truncated blob is treated as a miss and deleted, never
 //     served.
 //   - Residency is bounded by a byte budget with LRU eviction. An entry
-//     with an in-flight reader is never evicted; eviction skips it and
+//     with an in-flight read is never evicted; eviction skips it and
 //     moves on to the next-least-recent entry.
 package cas
 
@@ -26,7 +26,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -74,7 +73,7 @@ type entry struct {
 	key  string
 	path string
 	size int64 // full file size (header + payload)
-	refs int   // in-flight readers; >0 blocks eviction
+	refs int   // in-flight reads; >0 blocks eviction
 	dead bool  // already unlinked from the index
 	elem *list.Element
 }
@@ -199,92 +198,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// Reader opens a streaming read of key's payload, verifying the stored
-// checksum as the last byte is consumed (Close before EOF skips
-// verification). The entry is pinned — exempt from eviction — until
-// Close. Integrity failures surface as a read error and drop the blob,
-// same as Get.
-func (s *Store) Reader(key string) (io.ReadCloser, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	if !ok {
-		s.misses++
-		s.mu.Unlock()
-		return nil, false
-	}
-	f, err := os.Open(e.path)
-	if err != nil {
-		s.misses++
-		s.dropCorruptLocked(e)
-		s.mu.Unlock()
-		return nil, false
-	}
-	hdr, err := parseHeaderFrom(f)
-	if err != nil || hdr.Key != key {
-		f.Close()
-		s.misses++
-		s.dropCorruptLocked(e)
-		s.mu.Unlock()
-		return nil, false
-	}
-	e.refs++
-	s.lru.MoveToFront(e.elem)
-	s.mu.Unlock()
-	return &blobReader{s: s, e: e, f: f, hdr: hdr, h: sha256.New()}, true
-}
-
-// blobReader streams a pinned blob's payload with checksum verification
-// at the payload's end.
-type blobReader struct {
-	s      *Store
-	e      *entry
-	f      *os.File
-	hdr    header
-	h      hash.Hash
-	read   int64
-	closed bool
-	bad    bool
-}
-
-func (r *blobReader) Read(p []byte) (int, error) {
-	remain := r.hdr.Len - r.read
-	if remain <= 0 {
-		return 0, io.EOF
-	}
-	if int64(len(p)) > remain {
-		p = p[:remain]
-	}
-	n, err := r.f.Read(p)
-	r.read += int64(n)
-	r.h.Write(p[:n])
-	if err == io.EOF && r.read < r.hdr.Len {
-		r.bad = true
-		return n, fmt.Errorf("cas: blob truncated at %d of %d payload bytes", r.read, r.hdr.Len)
-	}
-	if err == nil && r.read == r.hdr.Len {
-		if hex.EncodeToString(r.h.Sum(nil)) != r.hdr.Sum {
-			r.bad = true
-			return n, errors.New("cas: blob checksum mismatch")
-		}
-	}
-	return n, err
-}
-
-func (r *blobReader) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	r.f.Close()
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	r.e.refs--
-	if r.bad {
-		r.s.dropCorruptLocked(r.e)
-	}
-	return nil
-}
-
 // readBlob reads and fully verifies one blob file's payload.
 func readBlob(path, wantKey string) ([]byte, error) {
 	f, err := os.Open(path)
@@ -303,8 +216,8 @@ func readBlob(path, wantKey string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(payload)) != hdr.Len {
-		return nil, fmt.Errorf("cas: blob truncated: %d of %d payload bytes", len(payload), hdr.Len)
+	if n := int64(len(payload)); n != hdr.Len {
+		return nil, fmt.Errorf("cas: blob payload is %d bytes, header says %d", n, hdr.Len)
 	}
 	sum := sha256.Sum256(payload)
 	if hex.EncodeToString(sum[:]) != hdr.Sum {
@@ -337,7 +250,7 @@ func parseHeaderFrom(f *os.File) (header, error) {
 
 // Put stores payload under key, replacing any prior blob, then evicts
 // least-recently-used entries until the byte budget holds (entries with
-// in-flight readers, and the entry just written, are never evicted).
+// in-flight reads, and the entry just written, are never evicted).
 // The write is atomic: temp file, fsync, rename.
 func (s *Store) Put(key string, payload []byte) error {
 	if s.opts.WriteFault != nil {
@@ -407,7 +320,7 @@ func (s *Store) writeAtomic(path string, data []byte) (int64, error) {
 }
 
 // evictLocked drops least-recently-used entries until the budget holds,
-// sparing entries with in-flight readers and the just-written entry.
+// sparing entries with in-flight reads and the just-written entry.
 // Callers hold s.mu.
 func (s *Store) evictLocked(keep *entry) {
 	if s.opts.BudgetBytes <= 0 {

@@ -153,8 +153,9 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 
 // enginePackages names the packages whose results feed content-hash
 // caching, golden corpora, or checkpoint byte-identity — the scope of
-// the determinism analyzers. bench and servicetest are deliberately
-// absent: wall-clock timing and fault proxies are their job.
+// the determinism analyzers. Non-engine packages such as servicetest
+// are deliberately absent: wall-clock timing and fault proxies are
+// their job.
 var enginePackages = map[string]bool{
 	"isa": true, "circuit": true, "mcu": true, "lab": true,
 	"mpsoc": true, "taskburst": true, "eneutral": true,

@@ -9,7 +9,7 @@ import (
 	"repro/internal/scenario"
 )
 
-func codecSpec(t *testing.T) *scenario.Spec {
+func codecSpec(t testing.TB) *scenario.Spec {
 	t.Helper()
 	sp, err := scenario.Parse([]byte(`{
 		"name": "codec-roundtrip",

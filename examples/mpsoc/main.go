@@ -38,15 +38,16 @@ func main() {
 
 	// Power-neutral walk: a sinusoidal harvest budget over 60 s.
 	fmt.Println("\npower-neutral selection against a varying harvest budget:")
-	sel := mpsoc.NewSelector(board)
+	sel := &mpsoc.Selector{Frontier: front}
 	fmt.Printf("  %-6s %-10s %-26s %-8s %s\n", "t(s)", "budget(W)", "selected point", "P(W)", "FPS")
 	for t := 0; t <= 60; t += 6 {
 		budget := 2 + 14*(0.5-0.5*math.Cos(2*math.Pi*float64(t)/60))
-		op, ok := sel.Pick(budget)
+		i, ok := sel.Pick(budget)
 		if !ok {
 			fmt.Printf("  %-6d %-10.2f (insufficient power — buffer or sleep)\n", t, budget)
 			continue
 		}
+		op := sel.Frontier[i]
 		fmt.Printf("  %-6d %-10.2f %-26s %-8.2f %.4f\n",
 			t, budget, op.Label(board), op.PowerW, op.FPS)
 	}

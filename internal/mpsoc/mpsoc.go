@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Cluster describes one CPU cluster's electrical and performance model.
@@ -200,11 +201,34 @@ func ParetoFrontier(pts []OperatingPoint) []OperatingPoint {
 	return front
 }
 
+// Table is what the runtime needs from a board's operating-point
+// space: the Pareto frontier, plus the size and power range of the
+// full enumeration for reports.
+type Table struct {
+	Frontier   []OperatingPoint
+	Points     int
+	MinW, MaxW float64
+}
+
+// NewTable enumerates b's operating points and reduces them to a Table.
+func NewTable(b *Board) *Table {
+	pts := b.OperatingPoints()
+	minW, maxW := PowerRange(pts)
+	return &Table{Frontier: ParetoFrontier(pts), Points: len(pts), MinW: minW, MaxW: maxW}
+}
+
+var xu4Table = sync.OnceValue(func() *Table { return NewTable(XU4()) })
+
+// XU4Table returns XU4's Table. It is built on the first call and
+// shared by every later one, so callers must treat it, its Frontier
+// included, as read-only.
+func XU4Table() *Table { return xu4Table() }
+
 // Selector picks operating points against a power budget — the
 // power-neutral MPSoC's runtime policy [11]: the highest-FPS point whose
 // power fits the instantaneously harvested budget.
 type Selector struct {
-	Frontier []OperatingPoint
+	Frontier []OperatingPoint // a ParetoFrontier, e.g. XU4Table().Frontier
 
 	// Observe, if non-nil, is called by Simulate after every control
 	// step with the step time, the instantaneous budget, and the chosen
@@ -213,21 +237,15 @@ type Selector struct {
 	Observe func(t, budgetW float64, op OperatingPoint, ok bool)
 }
 
-// NewSelector precomputes the Pareto frontier for a board.
-func NewSelector(b *Board) *Selector {
-	return &Selector{Frontier: ParetoFrontier(b.OperatingPoints())}
-}
-
-// Pick returns the best point with PowerW ≤ budget, and false if even the
-// lowest point exceeds the budget (the system must power down or buffer).
-func (s *Selector) Pick(budgetW float64) (OperatingPoint, bool) {
+// Pick returns the Frontier index of the best point with PowerW ≤
+// budget, and false if even the lowest point exceeds the budget (the
+// system must power down or buffer). The frontier is strictly
+// increasing in power, so the index identifies the point.
+func (s *Selector) Pick(budgetW float64) (int, bool) {
 	i := sort.Search(len(s.Frontier), func(i int) bool {
 		return s.Frontier[i].PowerW > budgetW
 	})
-	if i == 0 {
-		return OperatingPoint{}, false
-	}
-	return s.Frontier[i-1], true
+	return i - 1, i > 0
 }
 
 // PowerRange returns the min and max power across a point set — the

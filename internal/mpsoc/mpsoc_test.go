@@ -2,7 +2,9 @@ package mpsoc
 
 import (
 	"math"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -117,14 +119,15 @@ func TestParetoFrontierProperties(t *testing.T) {
 }
 
 func TestSelectorPicksWithinBudget(t *testing.T) {
-	s := NewSelector(XU4())
+	s := &Selector{Frontier: XU4Table().Frontier}
 	budgets := []float64{2.0, 4.0, 8.0, 16.0}
 	lastFPS := 0.0
 	for _, w := range budgets {
-		op, ok := s.Pick(w)
+		i, ok := s.Pick(w)
 		if !ok {
 			t.Fatalf("no point fits %.1f W", w)
 		}
+		op := s.Frontier[i]
 		if op.PowerW > w {
 			t.Errorf("picked %.2f W for a %.1f W budget", op.PowerW, w)
 		}
@@ -142,14 +145,15 @@ func TestSelectorPicksWithinBudget(t *testing.T) {
 func TestSelectorTracksVaryingBudget(t *testing.T) {
 	// Sweep a sinusoidal power budget (a harvesting profile) and verify
 	// the selected FPS follows it — the power-neutral MPSoC behaviour.
-	s := NewSelector(XU4())
+	s := &Selector{Frontier: XU4Table().Frontier}
 	var fpsAt []float64
 	for i := 0; i <= 100; i++ {
 		budget := 2.0 + 14.0*(0.5-0.5*math.Cos(2*math.Pi*float64(i)/100))
-		op, ok := s.Pick(budget)
+		k, ok := s.Pick(budget)
 		if !ok {
 			t.Fatalf("budget %.1f W unsatisfiable", budget)
 		}
+		op := s.Frontier[k]
 		fpsAt = append(fpsAt, op.FPS)
 	}
 	// FPS at the crest must far exceed FPS at the trough.
@@ -193,7 +197,7 @@ func TestSimulateSolarDay(t *testing.T) {
 	// utilization high, renders frames in proportion to the energy
 	// available, and starves only when the budget dips below the cheapest
 	// operating point.
-	s := NewSelector(XU4())
+	s := &Selector{Frontier: XU4Table().Frontier}
 	// 0.5 W overnight rising to 16 W at solar noon, over a 100 s "day".
 	budget := func(t float64) float64 {
 		sn := math.Sin(math.Pi * t / 100)
@@ -224,7 +228,7 @@ func TestSimulateSolarDay(t *testing.T) {
 }
 
 func TestSimulateConstantBudgetNoSwitches(t *testing.T) {
-	s := NewSelector(XU4())
+	s := &Selector{Frontier: XU4Table().Frontier}
 	res := s.Simulate(func(float64) float64 { return 8.0 }, 10, 0.1)
 	if res.Switches != 0 {
 		t.Errorf("constant budget switched %d times", res.Switches)
@@ -233,18 +237,105 @@ func TestSimulateConstantBudgetNoSwitches(t *testing.T) {
 		t.Error("8 W should always fit")
 	}
 	// FPS constant at the 8 W point.
-	op, _ := s.Pick(8.0)
+	i, _ := s.Pick(8.0)
+	op := s.Frontier[i]
 	if math.Abs(res.MeanFPS-op.FPS) > 1e-9 {
 		t.Errorf("mean FPS %.4f != selected point FPS %.4f", res.MeanFPS, op.FPS)
 	}
 }
 
 func TestSimulateFramesScaleWithBudget(t *testing.T) {
-	s := NewSelector(XU4())
+	s := &Selector{Frontier: XU4Table().Frontier}
 	low := s.Simulate(func(float64) float64 { return 3.0 }, 10, 0.1)
 	high := s.Simulate(func(float64) float64 { return 14.0 }, 10, 0.1)
 	if high.Frames < 2*low.Frames {
 		t.Errorf("14 W budget (%.1f frames) should far out-render 3 W (%.1f frames)",
 			high.Frames, low.Frames)
+	}
+}
+
+// refFrontierIndex is the linear scan Sim.Step once ran after every
+// pick to recover the chosen point's frontier index.
+func refFrontierIndex(front []OperatingPoint, op OperatingPoint) int {
+	for i, p := range front {
+		if p.PowerW == op.PowerW && p.FPS == op.FPS {
+			return i
+		}
+	}
+	return -1
+}
+
+// refPick is the policy written out over the full enumeration: the
+// highest-FPS point whose power fits the budget, the cheaper one on an
+// FPS tie.
+func refPick(pts []OperatingPoint, budgetW float64) (OperatingPoint, bool) {
+	var best OperatingPoint
+	found := false
+	for _, p := range pts {
+		if p.PowerW > budgetW {
+			continue
+		}
+		if !found || p.FPS > best.FPS || (p.FPS == best.FPS && p.PowerW < best.PowerW) {
+			best, found = p, true
+		}
+	}
+	return best, found
+}
+
+// TestPickIndexMatchesLinearScan checks the index Pick returns against
+// the policy over all 1188 points, located in the frontier by the
+// linear scan, at every frontier power and its neighbouring floats, below
+// the cheapest point, at zero, negative and infinite budgets.
+func TestPickIndexMatchesLinearScan(t *testing.T) {
+	pts := XU4().OperatingPoints()
+	s := &Selector{Frontier: XU4Table().Frontier}
+	minW := s.Frontier[0].PowerW
+	budgets := []float64{minW / 2, math.Nextafter(minW, 0), 0, math.Copysign(0, -1), -1, math.Inf(-1), math.Inf(1)}
+	for _, p := range s.Frontier {
+		budgets = append(budgets, p.PowerW, math.Nextafter(p.PowerW, 0), math.Nextafter(p.PowerW, math.Inf(1)))
+	}
+	for _, w := range budgets {
+		want := -1
+		if op, ok := refPick(pts, w); ok {
+			want = refFrontierIndex(s.Frontier, op)
+			if want < 0 {
+				t.Fatalf("budget %v: policy point %+v is not on the frontier", w, op)
+			}
+		}
+		got, ok := s.Pick(w)
+		if ok != (want >= 0) || (ok && got != want) {
+			t.Fatalf("Pick(%v) = %d, %v; linear scan says %d", w, got, ok, want)
+		}
+	}
+}
+
+// TestXU4TableBuiltOnce pins the shared table to a fresh enumeration,
+// and checks that every caller, concurrent ones included, gets the one
+// table built on first use without rebuilding it.
+func TestXU4TableBuiltOnce(t *testing.T) {
+	pts := XU4().OperatingPoints()
+	minW, maxW := PowerRange(pts)
+	want := &Table{Frontier: ParetoFrontier(pts), Points: len(pts), MinW: minW, MaxW: maxW}
+	tab := XU4Table()
+	if !reflect.DeepEqual(tab, want) {
+		t.Fatalf("XU4Table() differs from a fresh enumeration")
+	}
+	got := make([]*Table, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = XU4Table()
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != tab {
+			t.Fatalf("goroutine %d got a different table", i)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { XU4Table() }); a != 0 {
+		t.Fatalf("XU4Table() allocates %v times per call after the first; it must not rebuild", a)
 	}
 }

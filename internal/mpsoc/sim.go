@@ -41,7 +41,7 @@ type Sim struct {
 	i                                   int
 	sumFPS, sumBudget, sumUsed, sumUtil float64
 	utilSamples                         int
-	lastPoint                           int
+	lastPoint                           int // frontier index of the last pick; -1 before the first and while starved
 	res                                 SimResult
 }
 
@@ -64,7 +64,11 @@ func (m *Sim) Step(maxSteps int) {
 		w := m.budget(t)
 		m.res.MaxSustainedW = math.Max(m.res.MaxSustainedW, w)
 		m.sumBudget += w
-		op, ok := s.Pick(w)
+		idx, ok := s.Pick(w)
+		var op OperatingPoint
+		if ok {
+			op = s.Frontier[idx]
+		}
 		if s.Observe != nil {
 			s.Observe(t, w, op, ok)
 		}
@@ -77,12 +81,10 @@ func (m *Sim) Step(maxSteps int) {
 			}
 			continue
 		}
-		// Identify the frontier index for switch counting.
-		idx := s.frontierIndex(op)
+		// Every change of frontier index counts, the first selection
+		// too (lastPoint starts at -1); Result discounts that one.
 		if idx != m.lastPoint {
-			if m.lastPoint != -2 { // not first step
-				m.res.Switches++
-			}
+			m.res.Switches++
 			m.lastPoint = idx
 		}
 		m.res.Frames += op.FPS * m.dt
@@ -139,14 +141,4 @@ func (m *Sim) Restore(st SimState) {
 	m.utilSamples = st.UtilSamples
 	m.lastPoint = st.LastPoint
 	m.res = st.Res
-}
-
-// frontierIndex locates op in the frontier by power (unique per point).
-func (s *Selector) frontierIndex(op OperatingPoint) int {
-	for i, p := range s.Frontier {
-		if p.PowerW == op.PowerW && p.FPS == op.FPS {
-			return i
-		}
-	}
-	return -1
 }

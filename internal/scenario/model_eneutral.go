@@ -55,9 +55,10 @@ func (eneutralModel) Metrics() []MetricDoc {
 
 // eneutralMetrics extracts the structured objectives from one
 // energy-neutral case. worst_window is omitted until a window completes.
+// A valid source near MaxFloat64 watts overflows the harvest sum to +Inf
+// and the window ratios to NaN; both are then omitted too.
 func eneutralMetrics(res eneutral.Result, duty0 float64) map[string]float64 {
 	m := map[string]float64{
-		"harvested":  res.HarvestedJ,
 		"consumed":   res.ConsumedJ,
 		"violations": float64(res.Violations),
 		"downtime":   res.DowntimeSec,
@@ -66,7 +67,10 @@ func eneutralMetrics(res eneutral.Result, duty0 float64) map[string]float64 {
 		"mean_duty":  meanDuty(res, duty0),
 		"windows":    float64(len(res.Windows)),
 	}
-	if w := res.WorstWindow(); !math.IsInf(w, 1) {
+	if h := res.HarvestedJ; !math.IsNaN(h) && !math.IsInf(h, 0) {
+		m["harvested"] = h
+	}
+	if w := res.WorstWindow(); !math.IsNaN(w) && !math.IsInf(w, 0) {
 		m["worst_window"] = w
 	}
 	return m

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"repro/internal/mpsoc"
 	"repro/internal/registry"
@@ -46,18 +47,25 @@ func (mpsocModel) Metrics() []MetricDoc {
 }
 
 // mpsocMetrics extracts the structured objectives from one mpsoc case.
-func mpsocMetrics(res mpsoc.SimResult, sel *mpsoc.Selector) map[string]float64 {
-	return map[string]float64{
-		"frames":        res.Frames,
-		"mean_fps":      res.MeanFPS,
-		"budget_w":      res.MeanBudgetW,
-		"used_w":        res.MeanUsedW,
-		"utilization":   res.Utilization,
-		"peak_budget_w": res.MaxSustainedW,
-		"switches":      float64(res.Switches),
-		"starved":       float64(res.Starved),
-		"frontier":      float64(len(sel.Frontier)),
+// The budget metrics are omitted when the budget overflowed to ±Inf
+// (a valid source scaled past MaxFloat64) or is NaN.
+func mpsocMetrics(res mpsoc.SimResult, tab *mpsoc.Table) map[string]float64 {
+	m := map[string]float64{
+		"frames":      res.Frames,
+		"mean_fps":    res.MeanFPS,
+		"used_w":      res.MeanUsedW,
+		"utilization": res.Utilization,
+		"switches":    float64(res.Switches),
+		"starved":     float64(res.Starved),
+		"frontier":    float64(len(tab.Frontier)),
 	}
+	if w := res.MeanBudgetW; !math.IsNaN(w) && !math.IsInf(w, 0) {
+		m["budget_w"] = w
+	}
+	if w := res.MaxSustainedW; !math.IsNaN(w) && !math.IsInf(w, 0) {
+		m["peak_budget_w"] = w
+	}
+	return m
 }
 
 // mpsocDefaultDt is the control period when the spec leaves dt unset:
@@ -106,12 +114,15 @@ func (m mpsocModel) newRun(sp *Spec) (analyticRun, error) {
 	}
 	scale := p["scale"]
 	budget := func(t float64) float64 { return scale * ps.Power(t) }
-	sel := mpsoc.NewSelector(mpsoc.XU4())
+	tab := mpsoc.XU4Table()
+	// Each run has its own Selector, since record sets its Observe; the
+	// frontier it reads is the process-wide table's.
+	sel := &mpsoc.Selector{Frontier: tab.Frontier}
 	dt := float64(sp.Dt)
 	if dt <= 0 {
 		dt = mpsocDefaultDt
 	}
-	return &mpsocRun{Sim: mpsoc.NewSim(sel, budget, float64(sp.Duration), dt), sp: sp, sel: sel}, nil
+	return &mpsocRun{Sim: mpsoc.NewSim(sel, budget, float64(sp.Duration), dt), sp: sp, sel: sel, tab: tab}, nil
 }
 
 // mpsocRun is one sweep-free power-neutral MPSoC case.
@@ -119,6 +130,7 @@ type mpsocRun struct {
 	*mpsoc.Sim
 	sp  *Spec
 	sel *mpsoc.Selector
+	tab *mpsoc.Table
 }
 
 // mpsocCkpt is the checkpoint layout of an mpsoc.SimState. The result
@@ -158,13 +170,12 @@ func (r *mpsocRun) record(rec *trace.Recorder) {
 
 func (r *mpsocRun) report() string {
 	res := r.Result()
-	pts := mpsoc.XU4().OperatingPoints()
-	minW, maxW := mpsoc.PowerRange(pts)
+	tab := r.tab
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "scenario %s: mpsoc power-neutral governor on %s, %gs\n",
 		r.sp.Name, r.sp.Source.Name, float64(r.sp.Duration))
-	fmt.Fprintf(&buf, "  operating points:   %d (pareto frontier %d)\n", len(pts), len(r.sel.Frontier))
-	fmt.Fprintf(&buf, "  power range:        %.2fW – %.2fW (%.1fx modulation)\n", minW, maxW, maxW/minW)
+	fmt.Fprintf(&buf, "  operating points:   %d (pareto frontier %d)\n", tab.Points, len(tab.Frontier))
+	fmt.Fprintf(&buf, "  power range:        %.2fW – %.2fW (%.1fx modulation)\n", tab.MinW, tab.MaxW, tab.MaxW/tab.MinW)
 	fmt.Fprintf(&buf, "  frames rendered:    %.1f (mean %.2f fps)\n", res.Frames, res.MeanFPS)
 	fmt.Fprintf(&buf, "  power budget:       mean %.3fW, used %.3fW (%.1f%% utilization)\n",
 		res.MeanBudgetW, res.MeanUsedW, res.Utilization*100)
@@ -186,4 +197,4 @@ func (r *mpsocRun) cells() []string {
 	}
 }
 
-func (r *mpsocRun) metrics() map[string]float64 { return mpsocMetrics(r.Result(), r.sel) }
+func (r *mpsocRun) metrics() map[string]float64 { return mpsocMetrics(r.Result(), r.tab) }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mpsoc"
 )
 
 // mpsocSpec returns a minimal valid mpsoc-model spec.
@@ -176,5 +178,32 @@ func TestApplyModelParamAxis(t *testing.T) {
 		"sweep":[{"param":"model.eta","values":[0.7,9]}]}`))
 	if err == nil || !strings.Contains(err.Error(), "eta") {
 		t.Errorf("bad model-param axis point: got %v, want an eta error", err)
+	}
+}
+
+// TestMpsocRunsShareXU4Table pins the once-per-process board table:
+// every mpsoc run reads the frontier of mpsoc.XU4Table instead of
+// enumerating the board again, and still gets its own Selector, whose
+// Observe hook the run's tracing sets.
+func TestMpsocRunsShareXU4Table(t *testing.T) {
+	shared := mpsoc.XU4Table()
+	var sels []*mpsoc.Selector
+	for range 2 {
+		sp, err := Parse([]byte(mpsocSpec()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := mpsocModel{}.newRun(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := run.(*mpsocRun)
+		if r.tab != shared || &r.sel.Frontier[0] != &shared.Frontier[0] || len(r.sel.Frontier) != len(shared.Frontier) {
+			t.Fatal("mpsoc run does not read the shared XU4 table")
+		}
+		sels = append(sels, r.sel)
+	}
+	if sels[0] == sels[1] {
+		t.Error("two mpsoc runs share one Selector")
 	}
 }

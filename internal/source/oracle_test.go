@@ -159,20 +159,39 @@ func FuzzSquareWave(f *testing.F) {
 	})
 }
 
+func assertPVMatchesRef(t *testing.T, p *Photovoltaic, probes []float64) {
+	t.Helper()
+	fn := PowerFn(p)
+	for _, tt := range probes {
+		want := refPVCurrent(p, tt)
+		if got := p.Current(tt); !sameBits(got, want) {
+			t.Fatalf("%+v: Current(%v) = %v, reference %v", *p, tt, got, want)
+		}
+		if got, wantP := fn(tt), want*p.OpVoltage; !sameBits(got, wantP) {
+			t.Fatalf("%+v: PowerFn(%v) = %v, reference %v", *p, tt, got, wantP)
+		}
+	}
+}
+
 // TestPhotovoltaicMatchesReference compares the PV cell against the
-// formula with an unconditional math.Mod and flicker over two days,
-// across every hour boundary, at the day wrap, and at negative, huge
-// and non-finite times, for flicker values that do and do not allow
-// the night-time skip.
+// formula with an unconditional math.Mod and flicker over ten days,
+// across every hour boundary, at every day wrap, at day wraps far past
+// the tenth and around the 2⁴⁸-hour end of the exact reduction, and at
+// negative, huge and non-finite times, for flicker values that do and
+// do not allow the night-time skip.
 func TestPhotovoltaicMatchesReference(t *testing.T) {
+	const days = 10
 	probes := specialTimes()
-	for tt := 0.0; tt <= 48*3600; tt += 4.1 {
+	for tt := 0.0; tt <= days*24*3600; tt += 4.1 {
 		probes = append(probes, tt)
 	}
-	for h := 0; h <= 48; h++ {
+	for h := 0; h <= days*24; h++ {
 		probes = ulpProbes(probes, float64(h)*3600)
 	}
-	for _, x := range []float64{-1e300, 1e300, 2.8e307, 2.9e307} {
+	for _, day := range []float64{11, 100, 365, 1000, 12345, 1e6, 1e9, 0x1p40, 0x1p48/24 - 1, 0x1p48 / 24} {
+		probes = ulpProbes(probes, day*24*3600)
+	}
+	for _, x := range []float64{0x1p48 * 3600, -1e300, 1e300, 2.8e307, 2.9e307} {
 		probes = ulpProbes(probes, x)
 	}
 	// The second shape is lit across midnight, so hour 0 and hour 24
@@ -183,18 +202,25 @@ func TestPhotovoltaicMatchesReference(t *testing.T) {
 			p := DefaultPhotovoltaic()
 			p.DawnHour, p.DuskHour, p.EdgeHours = shape[0], shape[1], shape[2]
 			p.Flicker = flicker
-			fn := PowerFn(p)
-			for _, tt := range probes {
-				want := refPVCurrent(p, tt)
-				if got := p.Current(tt); !sameBits(got, want) {
-					t.Fatalf("shape %v flicker=%g: Current(%v) = %v, reference %v", shape, flicker, tt, got, want)
-				}
-				if got, wantP := fn(tt), want*p.OpVoltage; !sameBits(got, wantP) {
-					t.Fatalf("shape %v flicker=%g: PowerFn(%v) = %v, reference %v", shape, flicker, tt, got, wantP)
-				}
-			}
+			assertPVMatchesRef(t, p, probes)
 		}
 	}
+}
+
+// FuzzPhotovoltaic checks the PV cell's method and sampler against the
+// math.Mod reference for arbitrary times and dawn/dusk/edge shapes.
+func FuzzPhotovoltaic(f *testing.F) {
+	f.Add(0.0, 7.0, 19.0, 1.5)
+	f.Add(24*3600.0, 0.5, 23.9, 2.0)
+	f.Add(math.Nextafter(48*3600, 0), 0.5, 23.9, 2.0)
+	f.Add(9.5*24*3600, 7.0, 19.0, 0.0)
+	f.Add(0x1p48*3600, 23.0, 1.0, 30.0)
+	f.Add(-1e5, 7.0, 19.0, 1.5)
+	f.Fuzz(func(t *testing.T, tt, dawn, dusk, edge float64) {
+		p := DefaultPhotovoltaic()
+		p.DawnHour, p.DuskHour, p.EdgeHours = dawn, dusk, edge
+		assertPVMatchesRef(t, p, []float64{tt})
+	})
 }
 
 // TestTraceSourceLoopMatchesReference checks the looped trace's

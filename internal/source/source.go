@@ -165,13 +165,10 @@ func DefaultPhotovoltaic() *Photovoltaic {
 // local midnight of day zero.
 func (p *Photovoltaic) Current(t float64) float64 {
 	hour := t / 3600.0
-	// math.Mod(hour, 24) is hour itself on [0, 24); only other days pay
-	// for the software remainder.
+	// math.Mod(hour, 24) is hour itself on [0, 24); other hours are
+	// reduced by hourOfDay.
 	if !(hour >= 0 && hour < 24) {
-		hour = math.Mod(hour, 24)
-		if hour < 0 {
-			hour += 24
-		}
+		hour = hourOfDay(hour)
 	}
 	day := smoothStep(hour, p.DawnHour, p.EdgeHours) *
 		(1 - smoothStep(hour, p.DuskHour, p.EdgeHours))
@@ -189,6 +186,38 @@ func (p *Photovoltaic) Current(t float64) float64 {
 		i *= 1 + p.Flicker*r*day
 	}
 	return i
+}
+
+// hourOfDay returns math.Mod(h, 24) wrapped into [0, 24), bit for bit.
+//
+// math.Mod is exact but is a software shift-subtract loop, a large
+// share of a multi-day PV run. On [24, 2⁴⁸) the remainder is computed
+// as h − 24·⌊h/24⌋ instead, and it is exact there.
+//
+// Proof obligation: let n be the real ⌊h/24⌋, so 1 ≤ n < 2⁴⁴ and
+// 24n ≤ h < 24(n + 1); math.Mod yields h − 24n.
+//   - ⌊fl(h/24)⌋ = n. Rounding is monotone and n is a float, so
+//     fl(h/24) ≥ n. With 2ᵉ ≤ n + 1 < 2ᵉ⁺¹ the float below n + 1 is at
+//     most 2ᵉ⁻⁵² under it, so h/24 could round up to n + 1 only with
+//     h within 12·2ᵉ⁻⁵² = 0.75·2ᵉ⁻⁴⁸ of 24(n + 1). That is a float in
+//     [1.5·2ᵉ⁺⁴, 3·2ᵉ⁺⁴) and, divisible by 3, not a power of two, so
+//     the next float h below it is a full ulp ≥ 2ᵉ⁻⁴⁸ away.
+//   - 24n < 2⁴⁹ is an exact product, so a fused multiply-subtract sees
+//     the same operands as the separate operations.
+//   - Sterbenz: x − y is exact when y/2 ≤ x ≤ 2y, and with y = 24n,
+//     n ≥ 1, every h ∈ [24n, 24n + 24) qualifies. So the result is
+//     h − 24n exactly, in [0, 24).
+//
+// Negative, huge and non-finite hours keep math.Mod.
+func hourOfDay(h float64) float64 {
+	if h >= 24 && h < 0x1p48 {
+		return h - 24*math.Floor(h/24)
+	}
+	r := math.Mod(h, 24)
+	if r < 0 {
+		r += 24
+	}
+	return r
 }
 
 // flickerSkipMax bounds t and Flicker for the night-time flicker skip:

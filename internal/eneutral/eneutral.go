@@ -130,6 +130,12 @@ type Sim struct {
 	ctlH, ctlT       float64
 	nextCtrl         float64
 	res              Result
+
+	// harvest samples n.Harvest along the step grid, reading the
+	// shared harvest table where it can. The first Step after NewSim or
+	// Restore positions it at the clock.
+	harvest    source.HarvestCursor
+	harvestSet bool
 }
 
 // NewSim prepares a stepper for n over duration seconds at step dt with
@@ -146,9 +152,13 @@ func (s *Sim) Done() bool { return !(s.t < s.duration) }
 func (s *Sim) Step(maxSteps int) {
 	n := s.n
 	dt := s.dt
+	if !s.harvestSet {
+		s.harvest = source.NewHarvestCursor(n.Harvest, dt, s.t, s.duration)
+		s.harvestSet = true
+	}
 	for k := 0; (maxSteps <= 0 || k < maxSteps) && s.t < s.duration; k++ {
 		t := s.t
-		ph := n.Harvest.Power(t)
+		ph := s.harvest.Power(t)
 		eh := ph * dt
 		spill := n.Storage.Charge(eh)
 		_ = spill
@@ -200,6 +210,9 @@ func (s *Sim) Step(maxSteps int) {
 		}
 		s.t += dt
 	}
+	if s.Done() {
+		s.harvest.Finish()
+	}
 }
 
 // Result finalises and returns the run summary. Call after Done.
@@ -250,6 +263,7 @@ func (s *Sim) State() SimState {
 // (same parameters, sources, and controller type).
 func (s *Sim) Restore(st SimState) {
 	s.t = st.T
+	s.harvestSet = false
 	s.winH, s.winC, s.winT = st.WinH, st.WinC, st.WinT
 	s.ctlH, s.ctlT = st.CtlH, st.CtlT
 	s.nextCtrl = st.NextCtrl

@@ -216,7 +216,12 @@ func Run(s Setup) (Result, error) {
 	steps := stepCount(s.Duration, s.Dt)
 	dt := s.Dt
 	obs := s.newObserver()
-	if obs == nil && s.Abort == nil && !s.FastForward {
+	// Power sources charge unconditionally with a rail-voltage-dependent
+	// conversion, which no affine closed form covers, so a run with one
+	// never hops and fast-forward has nothing to do.
+	ff := s.FastForward && s.PSource == nil
+	plat, _ := s.VSource.(source.PlateauVoltage)
+	if obs == nil && s.Abort == nil && !ff {
 		// Hot path: nothing to observe, nothing to poll — the loop is
 		// exactly one rail integration and one device tick per step, with
 		// every per-step feature check hoisted to this single branch.
@@ -232,8 +237,8 @@ func Run(s Setup) (Result, error) {
 				default:
 				}
 			}
-			if s.FastForward {
-				if n := s.tryFastForward(d, rail, obs, steps-i); n > 0 {
+			if ff {
+				if n := s.tryFastForward(d, rail, obs, plat, steps-i); n > 0 {
 					i += n
 					continue
 				}
@@ -268,7 +273,9 @@ func crossedTh(v0, v, th float64) bool {
 
 // tryFastForward attempts to consume up to ffChunk simulation steps
 // analytically. It returns the number of steps skipped, or 0 when the
-// coming interval must be integrated stepwise.
+// coming interval must be integrated stepwise. plat is s.VSource when
+// it advertises plateaus, else nil; the run never calls it with a
+// power source set.
 //
 // Two families of stretches are skippable:
 //
@@ -289,12 +296,7 @@ func crossedTh(v0, v, th float64) bool {
 // ends strictly before the first predicted crossing, so the crossing
 // step is integrated stepwise and lands on exactly the same step
 // boundary as full integration.
-func (s *Setup) tryFastForward(d *mcu.Device, rail *circuit.Rail, obs *observer, remaining int) int {
-	// Power sources charge unconditionally with a rail-voltage-dependent
-	// conversion, which no affine closed form covers.
-	if s.PSource != nil {
-		return 0
-	}
+func (s *Setup) tryFastForward(d *mcu.Device, rail *circuit.Rail, obs *observer, plat source.PlateauVoltage, remaining int) int {
 	n := ffChunk
 	if n > remaining {
 		n = remaining
@@ -311,15 +313,13 @@ func (s *Setup) tryFastForward(d *mcu.Device, rail *circuit.Rail, obs *observer,
 	// never reach past its end.
 	var vs float64
 	hasPlat := false
-	if s.VSource != nil {
-		if pv, ok := s.VSource.(source.PlateauVoltage); ok {
-			if pV, until, ok := pv.Plateau(t0); ok {
-				if span := until - t0; span >= float64(n+1)*s.Dt {
-					vs, hasPlat = pV, true
-				} else if maxK := int(span/s.Dt) - 1; maxK >= 2 {
-					vs, hasPlat = pV, true
-					n = maxK
-				}
+	if plat != nil {
+		if pV, until, ok := plat.Plateau(t0); ok {
+			if span := until - t0; span >= float64(n+1)*s.Dt {
+				vs, hasPlat = pV, true
+			} else if maxK := int(span/s.Dt) - 1; maxK >= 2 {
+				vs, hasPlat = pV, true
+				n = maxK
 			}
 		}
 	}

@@ -63,3 +63,14 @@ func TestEneutralMetricsOmitOverflowedHarvest(t *testing.T) {
 		"params":{"batteryj":1e308},"duration":259200,"dt":60}`,
 		"harvested", "worst_window")
 }
+
+// TestLabMetricsOmitOverflowedHarvest: a bench supply near 1e200 V
+// overflows the rail's harvest sum to +Inf, so harvested is dropped and
+// the rest of the report, consumed and energy_per_op included, still
+// reaches the CAS.
+func TestLabMetricsOmitOverflowedHarvest(t *testing.T) {
+	assertMetricsEncodable(t, `{"name":"lab-inf","workload":"fib24",
+		"storage":{"c":"10u"},"source":{"name":"dc","params":{"v":1e200}},
+		"duration":0.0001}`,
+		"harvested")
+}

@@ -21,11 +21,16 @@ import (
 
 // ckptSpecs are single-run specs sized so the analytic engines need
 // several Steps (> analyticChunk integration steps), making a mid-run
-// checkpoint capture genuinely partial state.
+// checkpoint capture genuinely partial state. The PV-powered runs read
+// the shared harvest table, so a resumed run must find its place in it:
+// eneutral-pv resumes in daylight (t = 16384·4 s ≈ 18.2 h), taskburst-pv
+// at night with the day still ahead.
 var ckptSpecs = map[string]string{
-	"eneutral":  `{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":30000}`,
-	"taskburst": `{"name":"x","model":"taskburst","storage":{"c":"6m"},"source":{"name":"const-power","params":{"p":"2m"}},"duration":2}`,
-	"mpsoc":     `{"name":"x","model":"mpsoc","source":{"name":"const-power","params":{"p":2}},"duration":30000,"dt":1}`,
+	"eneutral":     `{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":30000}`,
+	"taskburst":    `{"name":"x","model":"taskburst","storage":{"c":"6m"},"source":{"name":"const-power","params":{"p":"2m"}},"duration":2}`,
+	"mpsoc":        `{"name":"x","model":"mpsoc","source":{"name":"const-power","params":{"p":2}},"duration":30000,"dt":1}`,
+	"eneutral-pv":  `{"name":"x","model":"eneutral","source":{"name":"pv"},"duration":86400,"dt":4}`,
+	"taskburst-pv": `{"name":"x","model":"taskburst","storage":{"c":"6m"},"source":{"name":"pv"},"duration":86400,"dt":1}`,
 }
 
 // tracesEqual compares two recorders through the lossless columnar
@@ -225,6 +230,11 @@ func TestAnalyticCheckpointBytesPinned(t *testing.T) {
 		"taskburst/trace": "e9dde2ba59018bb57dc9d332d1110c989c8d1ccb36b7f45cc783059f8cf5a41b",
 		"mpsoc":           "4ab2b8275347c56482f2f1d437a21980863685aeb27dd84507d6c708fa2db4be",
 		"mpsoc/trace":     "d5fcc5af68c7349fed53de48396a055f66b07b3308f8d1bcabf95e807d6e2d80",
+		// The PV pins were taken before the harvest table existed.
+		"eneutral-pv":        "44bb754e32089d7a835d65a111c046cd9c41281da9f3cc7cda234ac1192cada4",
+		"eneutral-pv/trace":  "71cf54379517032d78f68cbb7ce4b9001fa3ec495223269001b2cfc80d45efd6",
+		"taskburst-pv":       "6151deb923b174979665494b6b856354d42dcffa17f1f8aaf620b3052fe0f0e8",
+		"taskburst-pv/trace": "32ddb8f969a01de1de175864a6752ad68cce0331f7f5ee5e8a7a436d8c627ee5",
 	}
 	for name, src := range ckptSpecs {
 		for _, traced := range []bool{false, true} {

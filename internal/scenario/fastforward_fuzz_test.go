@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/lab"
 	"repro/internal/mcu"
 	"repro/internal/programs"
 	"repro/internal/source"
@@ -110,4 +111,26 @@ func runFF(t *testing.T, sp *Spec, ff bool) ffOutcome {
 	}
 	res := rep.Cases[0].Lab
 	return ffOutcome{res.Completions, res.WrongResults, res.CompletionTimes, res.Stats}
+}
+
+// TestFastForwardPowerSourceMatchesStepwise: a power source never hops
+// (no closed form covers its rail-voltage-dependent charging), so a
+// curated PV-powered lab run with fast-forward on must produce exactly
+// the lab.Result of the stepwise run, energies and final voltage
+// included.
+func TestFastForwardPowerSourceMatchesStepwise(t *testing.T) {
+	var res [2]lab.Result
+	for i, ff := range []bool{false, true} {
+		rep, err := RunModel(gateSpec(t, "eneutral-duty-cycle", "", ff), RunOptions{})
+		if err != nil {
+			t.Fatalf("fastforward=%v: %v", ff, err)
+		}
+		res[i] = rep.Cases[0].Lab
+	}
+	if res[0].Completions == 0 {
+		t.Fatal("the stepwise run completed nothing; the comparison would be vacuous")
+	}
+	if !reflect.DeepEqual(res[1], res[0]) {
+		t.Errorf("fast-forward %+v\nstepwise     %+v", res[1], res[0])
+	}
 }

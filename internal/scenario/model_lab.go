@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/lab"
@@ -50,7 +51,9 @@ func (labModel) Metrics() []MetricDoc {
 
 // labMetrics extracts the lab engine's structured objectives from one
 // case result. Undefined values (energy/op and first-completion with
-// zero completions) are omitted, per the ModelCase.Metrics contract.
+// zero completions) are omitted, per the ModelCase.Metrics contract. A
+// valid supply near 1e200 V overflows the rail's energy sums, so a
+// non-finite harvested, consumed or energy/op is omitted too.
 func labMetrics(res lab.Result, duration float64) map[string]float64 {
 	st := res.Stats
 	m := map[string]float64{
@@ -60,11 +63,16 @@ func labMetrics(res lab.Result, duration float64) map[string]float64 {
 		"snapshots":   float64(st.SavesStarted),
 		"restores":    float64(st.Restores),
 		"brownouts":   float64(st.BrownOuts),
-		"harvested":   res.HarvestedJ,
-		"consumed":    res.ConsumedJ,
 	}
+	finite := func(key string, v float64) {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			m[key] = v
+		}
+	}
+	finite("harvested", res.HarvestedJ)
+	finite("consumed", res.ConsumedJ)
 	if res.Completions > 0 {
-		m["energy_per_op"] = res.EnergyPerCompletion()
+		finite("energy_per_op", res.EnergyPerCompletion())
 		m["first_completion"] = res.FirstCompletion
 	}
 	return m

@@ -97,6 +97,12 @@ type Sim struct {
 	n            *Node
 	duration, dt float64
 	t            float64
+
+	// harvest samples n.Harvest along the step grid, reading the
+	// shared harvest table where it can. The first Step after NewSim or
+	// Restore positions it at the clock.
+	harvest    source.HarvestCursor
+	harvestSet bool
 }
 
 // NewSim prepares a stepper for n over duration seconds at step dt.
@@ -113,9 +119,13 @@ func (s *Sim) Step(maxSteps int) {
 	n := s.n
 	dt := s.dt
 	const maxI = 1.0
+	if !s.harvestSet {
+		s.harvest = source.NewHarvestCursor(n.Harvest, dt, s.t, s.duration)
+		s.harvestSet = true
+	}
 	for k := 0; (maxSteps <= 0 || k < maxSteps) && s.t < s.duration; k++ {
 		t := s.t
-		p := n.Harvest.Power(t)
+		p := s.harvest.Power(t)
 		if p > 0 {
 			v := math.Max(n.Cap.V, 0.1)
 			i := math.Min(p/v, maxI)
@@ -135,6 +145,9 @@ func (s *Sim) Step(maxSteps int) {
 			n.Observe(t, n.Cap.V, fired)
 		}
 		s.t += dt
+	}
+	if s.Done() {
+		s.harvest.Finish()
 	}
 }
 
@@ -157,6 +170,7 @@ func (s *Sim) State() SimState {
 // must have been rebuilt identically to the one that produced the state.
 func (s *Sim) Restore(st SimState) {
 	s.t = st.T
+	s.harvestSet = false
 	s.n.Cap.V = st.V
 	s.n.Cap.ClampedJ = st.ClampedJ
 	s.n.Events = append([]float64(nil), st.Events...)

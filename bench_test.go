@@ -118,7 +118,9 @@ func BenchmarkEq1EnergyNeutralWSN(b *testing.B) {
 		n.PActive = 3e-3
 		n.PSleep = 3e-6
 		n.Controller = eneutral.NewKansal()
-		res := n.Simulate(4*units.Day, 10, units.Day)
+		sim := eneutral.NewSim(n, 4*units.Day, 10, units.Day)
+		sim.Step(0)
+		res := sim.Result()
 		if res.Violations != 0 {
 			b.Fatal("adaptive node violated eq. (2)")
 		}
@@ -484,12 +486,12 @@ func BenchmarkSnapshotSaveRestore(b *testing.B) {
 // BenchmarkTaskBurst measures the charge-fire loop.
 func BenchmarkTaskBurst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		n, err := taskburst.NewNode(500e-6, taskburst.MonjoloTask(),
+		n, err := taskburst.NewNode(500e-6, taskburst.Task{Name: "ping", EnergyJ: 1e-3},
 			&source.ConstantPower{P: 5e-3}, 1.8, 5.0, 0.8)
 		if err != nil {
 			b.Fatal(err)
 		}
-		n.Simulate(10, 1e-4)
+		taskburst.NewSim(n, 10, 1e-4).Step(0)
 		if len(n.Events) == 0 {
 			b.Fatal("no events")
 		}

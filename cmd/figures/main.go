@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -26,28 +27,41 @@ import (
 )
 
 func main() {
-	outDir := flag.String("out", "", "directory to write CSV traces and reports into")
-	only := flag.String("only", "", "run a single experiment by ID (e.g. fig7)")
-	workers := flag.Int("workers", 0, "experiment-level parallelism (0 = one per core)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, runs the selected
+// experiments, and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	outDir := fs.String("out", "", "directory to write CSV traces and reports into")
+	only := fs.String("only", "", "run a single experiment by ID (e.g. fig7)")
+	workers := fs.Int("workers", 0, "experiment-level parallelism (0 = one per core)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	exps := experiments.All()
 	if *only != "" {
 		e, ok := experiments.ByID(*only)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "figures: unknown experiment %q; available:\n", *only)
+			fmt.Fprintf(stderr, "figures: unknown experiment %q; available:\n", *only)
 			for _, e := range exps {
-				fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
+				fmt.Fprintf(stderr, "  %-8s %s\n", e.ID, e.Title)
 			}
-			os.Exit(2)
+			return 2
 		}
 		exps = []experiments.Experiment{e}
 	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "figures: %v\n", err)
+			return 1
 		}
 	}
 
@@ -62,7 +76,7 @@ func main() {
 	runner := &sweep.Runner{Workers: *workers}
 	if len(exps) > 1 {
 		runner.OnProgress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "figures: %d/%d experiments done\n", done, total)
+			fmt.Fprintf(stderr, "figures: %d/%d experiments done\n", done, total)
 		}
 	}
 	runs, _ := sweep.Map(runner, len(exps),
@@ -73,39 +87,40 @@ func main() {
 
 	failed := 0
 	for i, e := range exps {
-		fmt.Printf("running %s: %s\n", e.ID, e.Title)
+		fmt.Fprintf(stdout, "running %s: %s\n", e.ID, e.Title)
 		out, err := runs[i].out, runs[i].err
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s failed: %v\n", e.ID, err)
+			fmt.Fprintf(stderr, "figures: %s failed: %v\n", e.ID, err)
 			failed++
 			continue
 		}
-		fmt.Println(out.Render())
+		fmt.Fprintln(stdout, out.Render())
 		if *outDir == "" {
 			continue
 		}
 		report := filepath.Join(*outDir, e.ID+".txt")
 		if err := os.WriteFile(report, []byte(out.Render()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: write %s: %v\n", report, err)
+			fmt.Fprintf(stderr, "figures: write %s: %v\n", report, err)
 			failed++
 		}
 		if out.Recorder != nil {
 			csvPath := filepath.Join(*outDir, e.ID+".csv")
 			f, err := os.Create(csvPath)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+				fmt.Fprintf(stderr, "figures: %v\n", err)
 				failed++
 				continue
 			}
 			if err := out.Recorder.WriteCSV(f); err != nil {
-				fmt.Fprintf(os.Stderr, "figures: write %s: %v\n", csvPath, err)
+				fmt.Fprintf(stderr, "figures: write %s: %v\n", csvPath, err)
 				failed++
 			}
 			f.Close()
-			fmt.Printf("wrote %s\n", csvPath)
+			fmt.Fprintf(stdout, "wrote %s\n", csvPath)
 		}
 	}
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"repro/internal/lab"
 	"repro/internal/mcu"
@@ -21,7 +22,7 @@ import (
 
 func run(aware bool) (lab.Result, *periph.Bank) {
 	var bank *periph.Bank
-	res := lab.MustRun(lab.Setup{
+	res, err := lab.Run(lab.Setup{
 		Workload:  periph.SenseWorkload(64, 3, programs.DefaultLayout()),
 		Params:    mcu.DefaultParams(),
 		Configure: func(d *mcu.Device) { bank = periph.Attach(d, aware) },
@@ -33,6 +34,10 @@ func run(aware bool) (lab.Result, *periph.Bank) {
 		LeakR:    50e3,
 		Duration: 3.0,
 	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "periph: %v\n", err)
+		os.Exit(1)
+	}
 	return res, bank
 }
 

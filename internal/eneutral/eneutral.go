@@ -44,7 +44,7 @@ type Node struct {
 	Controller Controller
 	CtrlPeriod float64 // seconds between controller invocations
 
-	// Observe, if non-nil, is called by Simulate after every step with
+	// Observe, if non-nil, is called by Sim.Step after every step with
 	// the time, the battery state of charge, the present duty cycle,
 	// and whether the node is dead. It is a pure observer — tracing
 	// hooks in here.
@@ -107,20 +107,12 @@ func (r Result) WorstWindow() float64 {
 	return worst
 }
 
-// Simulate runs the node for duration seconds with the given integration
-// step and eq. (1) evaluation window (typically 24 h).
-func (n *Node) Simulate(duration, dt, window float64) Result {
-	sim := NewSim(n, duration, dt, window)
-	sim.Step(0)
-	return sim.Result()
-}
-
-// Sim is a resumable stepper over the same integration loop as Simulate:
-// it advances in bounded chunks so a caller can interleave cancellation
-// checks or capture a checkpoint between chunks, and its full state is
-// exposed through State/Restore. The step-by-step arithmetic is identical
-// to an uninterrupted run, so a restored Sim produces bit-identical
-// results.
+// Sim runs a node for a duration with a given integration step and
+// eq. (1) evaluation window (typically 24 h). It advances in bounded
+// chunks so a caller can interleave cancellation checks or capture a
+// checkpoint between chunks, and its full state is exposed through
+// State/Restore. The step-by-step arithmetic is identical to an
+// uninterrupted run, so a restored Sim produces bit-identical results.
 type Sim struct {
 	n                    *Node
 	duration, dt, window float64

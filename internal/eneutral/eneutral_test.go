@@ -23,7 +23,9 @@ func TestAdaptiveNodeIsEnergyNeutral(t *testing.T) {
 	n.PActive = 3e-3
 	n.PSleep = 3e-6
 	n.Controller = NewKansal()
-	res := n.Simulate(4*units.Day, 10, units.Day)
+	sim := NewSim(n, 4*units.Day, 10, units.Day)
+	sim.Step(0)
+	res := sim.Result()
 	if res.Violations != 0 {
 		t.Errorf("eq. (2) violated %d times", res.Violations)
 	}
@@ -50,7 +52,9 @@ func TestOverAggressiveFixedDutyViolatesEq2(t *testing.T) {
 	n.PSleep = 3e-6
 	n.Duty = 0.8 // 2.4 mW demand against ≈1 mW harvest
 	n.Controller = &FixedController{Value: 0.8}
-	res := n.Simulate(4*units.Day, 10, units.Day)
+	sim := NewSim(n, 4*units.Day, 10, units.Day)
+	sim.Step(0)
+	res := sim.Result()
 	if res.Violations == 0 {
 		t.Error("over-aggressive fixed duty should deplete the battery (eq. 2)")
 	}
@@ -77,7 +81,9 @@ func TestConservativeFixedDutyWastesHarvest(t *testing.T) {
 		n.PSleep = 3e-6
 		n.Duty = v.duty
 		n.Controller = v.ctl()
-		return n.Simulate(4*units.Day, 10, units.Day), nil
+		sim := NewSim(n, 4*units.Day, 10, units.Day)
+		sim.Step(0)
+		return sim.Result(), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +105,9 @@ func TestKansalTracksDiurnalCycle(t *testing.T) {
 	n.PActive = 3e-3
 	n.PSleep = 3e-6
 	n.Controller = NewKansal()
-	res := n.Simulate(2*units.Day, 10, units.Day)
+	sim := NewSim(n, 2*units.Day, 10, units.Day)
+	sim.Step(0)
+	res := sim.Result()
 	if len(res.DutyTrace) < 40 {
 		t.Fatalf("duty trace too short: %d", len(res.DutyTrace))
 	}
@@ -122,7 +130,9 @@ func TestNodeRevivesAfterDepletion(t *testing.T) {
 	n.PSleep = 3e-6
 	n.Duty = 0.5
 	n.Controller = NewKansal()
-	res := n.Simulate(2*units.Day, 10, units.Day)
+	sim := NewSim(n, 2*units.Day, 10, units.Day)
+	sim.Step(0)
+	res := sim.Result()
 	if res.DowntimeSec == 0 {
 		t.Skip("node never died; nothing to test")
 	}
@@ -157,7 +167,9 @@ func TestSimulationDeterminism(t *testing.T) {
 		n.PActive = 3e-3
 		n.PSleep = 3e-6
 		n.Controller = NewKansal()
-		return n.Simulate(units.Day, 10, units.Day)
+		sim := NewSim(n, units.Day, 10, units.Day)
+		sim.Step(0)
+		return sim.Result()
 	}
 	a, b := run(), run()
 	if a.HarvestedJ != b.HarvestedJ || a.ConsumedJ != b.ConsumedJ ||

@@ -63,7 +63,9 @@ func runEq1() (*Output, error) {
 		n.PSleep = 3e-6
 		n.Duty = v.duty
 		n.Controller = v.ctl()
-		return n.Simulate(4*units.Day, 10, units.Day), nil
+		sim := eneutral.NewSim(n, 4*units.Day, 10, units.Day)
+		sim.Step(0)
+		return sim.Result(), nil
 	})
 	if err != nil {
 		return nil, err

@@ -560,13 +560,3 @@ func stepCount(duration, dt float64) int {
 	}
 	return int(math.Ceil(n))
 }
-
-// MustRun is Run that panics on setup errors — for benchmarks and examples
-// where the setup is statically known to be valid.
-func MustRun(s Setup) Result {
-	r, err := Run(s)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

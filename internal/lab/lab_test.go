@@ -135,15 +135,6 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-func TestMustRunPanicsOnBadSetup(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun should panic on invalid setup")
-		}
-	}()
-	MustRun(Setup{})
-}
-
 func TestWrongResultDetection(t *testing.T) {
 	// Deliberately corrupt the expected checksum: every completion must be
 	// counted as wrong, none as correct.

@@ -230,7 +230,7 @@ func XU4Table() *Table { return xu4Table() }
 type Selector struct {
 	Frontier []OperatingPoint // a ParetoFrontier, e.g. XU4Table().Frontier
 
-	// Observe, if non-nil, is called by Simulate after every control
+	// Observe, if non-nil, is called by Sim.Step after every control
 	// step with the step time, the instantaneous budget, and the chosen
 	// point (ok=false on starved steps, where op is zero). It is a pure
 	// observer — tracing hooks in here.

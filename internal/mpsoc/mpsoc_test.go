@@ -203,7 +203,9 @@ func TestSimulateSolarDay(t *testing.T) {
 		sn := math.Sin(math.Pi * t / 100)
 		return 0.5 + (16.0-0.5)*sn*sn
 	}
-	res := s.Simulate(budget, 100, 0.1)
+	sim := NewSim(s, budget, 100, 0.1)
+	sim.Step(0)
+	res := sim.Result()
 	if res.Steps != 1000 {
 		t.Fatalf("steps = %d", res.Steps)
 	}
@@ -229,7 +231,9 @@ func TestSimulateSolarDay(t *testing.T) {
 
 func TestSimulateConstantBudgetNoSwitches(t *testing.T) {
 	s := &Selector{Frontier: XU4Table().Frontier}
-	res := s.Simulate(func(float64) float64 { return 8.0 }, 10, 0.1)
+	sim := NewSim(s, func(float64) float64 { return 8.0 }, 10, 0.1)
+	sim.Step(0)
+	res := sim.Result()
 	if res.Switches != 0 {
 		t.Errorf("constant budget switched %d times", res.Switches)
 	}
@@ -246,8 +250,12 @@ func TestSimulateConstantBudgetNoSwitches(t *testing.T) {
 
 func TestSimulateFramesScaleWithBudget(t *testing.T) {
 	s := &Selector{Frontier: XU4Table().Frontier}
-	low := s.Simulate(func(float64) float64 { return 3.0 }, 10, 0.1)
-	high := s.Simulate(func(float64) float64 { return 14.0 }, 10, 0.1)
+	lowSim := NewSim(s, func(float64) float64 { return 3.0 }, 10, 0.1)
+	lowSim.Step(0)
+	low := lowSim.Result()
+	highSim := NewSim(s, func(float64) float64 { return 14.0 }, 10, 0.1)
+	highSim.Step(0)
+	high := highSim.Result()
 	if high.Frames < 2*low.Frames {
 		t.Errorf("14 W budget (%.1f frames) should far out-render 3 W (%.1f frames)",
 			high.Frames, low.Frames)

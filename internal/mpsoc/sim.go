@@ -15,23 +15,16 @@ type SimResult struct {
 	MaxSustainedW float64 // largest budget observed
 }
 
-// Simulate runs the power-neutral selector against a time-varying power
-// budget for duration seconds at step dt: at every control step the
+// Sim runs the power-neutral selector against a time-varying power
+// budget over a duration at control step dt: at every step the
 // highest-FPS operating point fitting the instantaneous budget is chosen
-// (the runtime policy of [11]). Frames accumulate at the selected point's
-// rate; steps whose budget cannot fit even the cheapest point render
-// nothing (the board must buffer or power down).
-func (s *Selector) Simulate(budget func(t float64) float64, duration, dt float64) SimResult {
-	sim := NewSim(s, budget, duration, dt)
-	sim.Step(0)
-	return sim.Result()
-}
-
-// Sim is a resumable stepper over the same control loop as Simulate: it
-// advances in bounded chunks so a caller can interleave cancellation
-// checks or capture a checkpoint between chunks, with its full state
-// exposed through State/Restore. The per-step arithmetic is identical
-// to an uninterrupted run.
+// (the runtime policy of [11]). Frames accumulate at the selected
+// point's rate; steps whose budget cannot fit even the cheapest point
+// render nothing (the board must buffer or power down). It advances in
+// bounded chunks so a caller can interleave cancellation checks or
+// capture a checkpoint between chunks, with its full state exposed
+// through State/Restore. The per-step arithmetic is identical to an
+// uninterrupted run.
 type Sim struct {
 	s      *Selector
 	budget func(t float64) float64

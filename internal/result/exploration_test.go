@@ -26,7 +26,8 @@ func explorationSpecs(t *testing.T) []string {
 // the same conformance pinning the scenario corpus provides, extended
 // to the explorer. The service's /v1/explorations endpoint serves the
 // same bytes by construction (its evaluator only changes where metrics
-// come from, never what the report says).
+// come from, never what the report says). Each curated exploration must
+// also say what it answers and, on its base, where in the paper.
 func TestGoldenExplorations(t *testing.T) {
 	for _, path := range explorationSpecs(t) {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
@@ -34,6 +35,9 @@ func TestGoldenExplorations(t *testing.T) {
 			es, err := explore.Load(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if es.Description == "" || es.Base.Paper == "" {
+				t.Errorf("curated exploration needs a description and a base paper reference")
 			}
 			rep, err := RunExploration(es, Options{Workers: 1})
 			if err != nil {

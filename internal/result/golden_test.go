@@ -38,7 +38,8 @@ func goldenSpecs(t *testing.T) []string {
 }
 
 // TestGoldenReports byte-compares RunSpec's rendered report for every
-// curated spec against the committed golden corpus.
+// curated spec against the committed golden corpus. A curated spec is
+// also documentation: it must say what it shows and where in the paper.
 func TestGoldenReports(t *testing.T) {
 	for _, path := range goldenSpecs(t) {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
@@ -46,6 +47,9 @@ func TestGoldenReports(t *testing.T) {
 			sp, err := scenario.Load(path)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sp.Description == "" || sp.Paper == "" {
+				t.Errorf("curated spec needs a description and a paper reference")
 			}
 			rep, err := RunSpec(sp, Options{Workers: 1})
 			if err != nil {

@@ -163,8 +163,6 @@ func PowerFn(ps PowerSource) func(t float64) float64 {
 		}
 	case *Photovoltaic:
 		return s.Power
-	case *RFBurst:
-		return s.Power
 	case *Kinetic:
 		return s.Power
 	case *MarkovSource:

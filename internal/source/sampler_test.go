@@ -55,7 +55,7 @@ func TestSamplersMatchCombinators(t *testing.T) {
 		"scaled-power": &ScaledPower{Source: &ConstantPower{P: 5e-3}, Gain: 0.8},
 		"sum-power": &SumPower{Sources: []PowerSource{
 			&ConstantPower{P: 1e-3},
-			&RFBurst{BurstPower: 10e-3, Period: 0.5, Duty: 0.2, JitterFrac: 0.1},
+			&Kinetic{EventEnergy: 2e-3, EventPeriod: 0.5, Decay: 0.02, Seed: 7},
 		}},
 		"kinetic":     &Kinetic{EventEnergy: 1e-3, EventPeriod: 0.7, Decay: 0.05, Seed: 42},
 		"trace-power": &TraceSource{Times: []float64{0, 1}, Values: []float64{1e-3, 2e-3}},

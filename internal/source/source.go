@@ -249,33 +249,6 @@ func smoothStep(x, center, width float64) float64 {
 	}
 }
 
-// RFBurst models an RFID/RF-power harvester: power arrives in bursts while
-// the reader illuminates the tag, with silence in between (the WISPCam
-// supply regime).
-type RFBurst struct {
-	BurstPower  float64 // power during illumination in watts
-	Period      float64 // seconds between burst starts
-	Duty        float64 // fraction of the period illuminated (0..1)
-	JitterFrac  float64 // relative jitter on burst start (deterministic hash)
-	IdleLeakage float64 // trickle power between bursts in watts
-}
-
-// Power implements PowerSource.
-func (r *RFBurst) Power(t float64) float64 {
-	if r.Period <= 0 {
-		return r.BurstPower
-	}
-	n := math.Floor(t / r.Period)
-	start := n * r.Period
-	if r.JitterFrac > 0 {
-		start += r.Period * r.JitterFrac * hashUnit(int64(n))
-	}
-	if t >= start && t < start+r.Duty*r.Period {
-		return r.BurstPower
-	}
-	return r.IdleLeakage
-}
-
 // hashUnit maps an integer deterministically to [-0.5, 0.5).
 func hashUnit(n int64) float64 {
 	x := uint64(n)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9

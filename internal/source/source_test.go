@@ -145,41 +145,6 @@ func TestSmoothStep(t *testing.T) {
 	}
 }
 
-func TestRFBurst(t *testing.T) {
-	r := &RFBurst{BurstPower: 0.01, Period: 1, Duty: 0.3}
-	if got := r.Power(0.1); got != 0.01 {
-		t.Errorf("inside burst = %g, want 0.01", got)
-	}
-	if got := r.Power(0.5); got != 0 {
-		t.Errorf("outside burst = %g, want 0", got)
-	}
-	// Degenerate period: always on.
-	r2 := &RFBurst{BurstPower: 0.5}
-	if r2.Power(3) != 0.5 {
-		t.Error("zero period should be continuous power")
-	}
-	// Idle leakage applies between bursts.
-	r3 := &RFBurst{BurstPower: 1, Period: 1, Duty: 0.1, IdleLeakage: 1e-6}
-	if r3.Power(0.9) != 1e-6 {
-		t.Error("idle leakage not applied")
-	}
-}
-
-func TestRFBurstDutyCycleAverage(t *testing.T) {
-	// Time-averaged power ≈ duty × burst power.
-	r := &RFBurst{BurstPower: 1, Period: 0.5, Duty: 0.25}
-	var sum float64
-	n := 0
-	for tt := 0.0; tt < 100; tt += 1e-3 {
-		sum += r.Power(tt)
-		n++
-	}
-	avg := sum / float64(n)
-	if math.Abs(avg-0.25) > 0.01 {
-		t.Errorf("average power = %g, want ≈0.25", avg)
-	}
-}
-
 func TestKineticEnergyPerEvent(t *testing.T) {
 	// Integral of power over one isolated event ≈ EventEnergy.
 	k := &Kinetic{EventEnergy: 1e-3, EventPeriod: 10, Decay: 0.05}

@@ -41,7 +41,7 @@ type Node struct {
 
 	Events []float64 // firing timestamps
 
-	// Observe, if non-nil, is called by Simulate after every step with
+	// Observe, if non-nil, is called by Sim.Step after every step with
 	// the time, the capacitor voltage, and whether a task fired on this
 	// step. It is a pure observer — tracing hooks in here.
 	Observe func(t, v float64, fired bool)
@@ -81,18 +81,12 @@ func (e ErrCapacitorTooSmall) Error() string {
 		units.Format(e.VMax, "V")
 }
 
-// Simulate charges the node from its harvester for duration seconds at
-// step dt, firing tasks as energy permits. Firing timestamps accumulate in
-// Events.
-func (n *Node) Simulate(duration, dt float64) {
-	NewSim(n, duration, dt).Step(0)
-}
-
-// Sim is a resumable stepper over the same charge/fire loop as Simulate:
-// it advances in bounded chunks so a caller can interleave cancellation
-// checks or capture a checkpoint between chunks, with its full state
-// exposed through State/Restore. The per-step arithmetic is identical to
-// an uninterrupted run.
+// Sim charges a node from its harvester over a duration at step dt,
+// firing tasks as energy permits; firing timestamps accumulate in the
+// node's Events. It advances in bounded chunks so a caller can
+// interleave cancellation checks or capture a checkpoint between chunks,
+// with its full state exposed through State/Restore. The per-step
+// arithmetic is identical to an uninterrupted run.
 type Sim struct {
 	n            *Node
 	duration, dt float64
@@ -189,15 +183,3 @@ func (n *Node) Rate(t0, t1 float64) float64 {
 	}
 	return float64(count) / (t1 - t0)
 }
-
-// WISPCamTask is the reference photo-capture task: ≈6 mJ per VGA photo
-// including NVM storage (the WISPCam fires once per 6 mF super-capacitor
-// charge).
-func WISPCamTask() Task { return Task{Name: "photo", EnergyJ: 6e-3} }
-
-// MonjoloTask is the reference energy-meter ping: one packet per 500 µF
-// charge, ≈ 1 mJ including radio startup.
-func MonjoloTask() Task { return Task{Name: "ping", EnergyJ: 1e-3} }
-
-// GomezBurstTask is a sample+transmit burst in the 80 µF regime of [5].
-func GomezBurstTask() Task { return Task{Name: "burst", EnergyJ: 100e-6} }

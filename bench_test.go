@@ -5,8 +5,8 @@
 // Each bench reports its shape metrics via b.ReportMetric, so
 // `go test -run '^$' -bench . -benchtime 1x .` doubles as the experiment
 // log: the custom columns (completions, eq3-rel-err, power-ratio, ...)
-// are the numbers checked against the paper. Every lab run here is a
-// scenario.Spec of registry names and defaults, the same definition
+// are the numbers checked against the paper. Every lab run here starts
+// from a curated spec under examples/scenarios, the same definition
 // `ehsim -scenario` runs.
 package repro_test
 
@@ -14,6 +14,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/examples"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/eneutral"
@@ -132,7 +133,7 @@ func BenchmarkEq1EnergyNeutralWSN(b *testing.B) {
 // BenchmarkEq3PowerNeutralTracking measures how tightly the governed MCU
 // satisfies eq. (3) at the minimal-storage end of the sweep.
 func BenchmarkEq3PowerNeutralTracking(b *testing.B) {
-	sp := governedFFT("eq3-tracking", 47e-6)
+	sp := governedFFT(b, 47e-6)
 	var r trackedRun
 	for i := 0; i < b.N; i++ {
 		if r = runTracked(b, sp); r.Stats.BrownOuts != 0 {
@@ -172,45 +173,41 @@ func BenchmarkPeripheralGap(b *testing.B) {
 // Ablation benches
 // ---------------------------------------------------------------------------
 
-// runtimesTestbed is the standard intermittent testbed of the runtimes
-// experiment: sieve-3000 on the registry's default square supply (4 ms
-// on, 150 ms dark) behind a leaky 10 µF rail for 3 s, protected by the
-// named runtime at its registry defaults.
-func runtimesTestbed(name, runtime string, sweep ...scenario.Axis) *scenario.Spec {
-	return &scenario.Spec{
-		Name:     name,
-		Workload: "sieve3000",
-		Storage:  scenario.StorageSpec{C: 10e-6, LeakR: 50e3},
-		Source:   scenario.SourceSpec{Name: "square"},
-		Runtime:  scenario.RuntimeSpec{Name: runtime},
-		Duration: 3.0,
-		Sweep:    sweep,
+// curated loads the named curated spec, sets one parameter with Apply,
+// and replaces its sweep axes with the given ones (none: a single run).
+func curated(b *testing.B, name, param string, value any, sweep []scenario.Axis) *scenario.Spec {
+	b.Helper()
+	sp, err := examples.Scenario(name)
+	if err != nil {
+		b.Fatal(err)
 	}
+	if err := sp.Apply(param, value); err != nil {
+		b.Fatal(err)
+	}
+	sp.Sweep = sweep
+	return sp
 }
 
-// governedFFT is the eq. (3) testbed: fft64 on the registry's default
-// 20 Hz half-wave rectified sine, the rail precharged to the governor's
-// 3 V setpoint, under the hill-climb DFS governor.
-func governedFFT(name string, c scenario.Value, sweep ...scenario.Axis) *scenario.Spec {
-	return &scenario.Spec{
-		Name:     name,
-		Workload: "fft64",
-		Storage:  scenario.StorageSpec{C: c, V0: 3.0},
-		Source:   scenario.SourceSpec{Name: "rectified-sine"},
-		Governor: &scenario.GovernorSpec{
-			Policy: "hillclimb",
-			Params: map[string]scenario.Value{"hysteresis": 0.25},
-		},
-		Duration: 2.0,
-		Dt:       5e-6,
-		Sweep:    sweep,
-	}
+// runtimesTestbed is the runtimes experiment's curated testbed
+// (runtimes-square-sieve: sieve-3000 on the registry's default square
+// supply, 4 ms on and 150 ms dark, behind a leaky 10 µF rail for 3 s)
+// under one runtime at its registry defaults.
+func runtimesTestbed(b *testing.B, runtime string, sweep ...scenario.Axis) *scenario.Spec {
+	return curated(b, "runtimes-square-sieve", "runtime", runtime, sweep)
+}
+
+// governedFFT is the eq. (3) experiment's curated testbed
+// (powerneutral-storage-sweep: fft64 on the registry's default 20 Hz
+// half-wave rectified sine, the rail precharged to the governor's 3 V
+// setpoint, under the hill-climb DFS governor) at one capacitance.
+func governedFFT(b *testing.B, c float64, sweep ...scenario.Axis) *scenario.Spec {
+	return curated(b, "powerneutral-storage-sweep", "c", c, sweep)
 }
 
 // storageSweep walks the taxonomy's storage axis under hibernus, whose
 // eq. (4) threshold is calibrated to each case's capacitance.
-func storageSweep() *scenario.Spec {
-	return runtimesTestbed("storage-sweep", "hibernus",
+func storageSweep(b *testing.B) *scenario.Spec {
+	return runtimesTestbed(b, "hibernus",
 		scenario.Axis{Param: "c", Values: []scenario.Value{4.7e-6, 10e-6, 47e-6, 470e-6}})
 }
 
@@ -275,7 +272,7 @@ func benchCases[R any](b *testing.B, sp *scenario.Spec,
 // tighter the margin, the more active time per dip — until saves start
 // aborting.
 func BenchmarkAblationHibernusMargin(b *testing.B) {
-	sp := runtimesTestbed("hibernus-margin", "hibernus",
+	sp := runtimesTestbed(b, "hibernus",
 		scenario.Axis{Param: "runtime.margin", Values: []scenario.Value{1.0, 1.1, 1.25}})
 	benchCases(b, sp, runLab, func(b *testing.B, res lab.Result) {
 		b.ReportMetric(float64(res.Completions), "completions")
@@ -286,7 +283,7 @@ func BenchmarkAblationHibernusMargin(b *testing.B) {
 // BenchmarkAblationMementosThreshold compares Mementos voltage-check
 // thresholds: higher thresholds snapshot earlier and more often.
 func BenchmarkAblationMementosThreshold(b *testing.B) {
-	sp := runtimesTestbed("mementos-vcheck", "mementos",
+	sp := runtimesTestbed(b, "mementos",
 		scenario.Axis{Param: "runtime.vcheck", Values: []scenario.Value{2.0, 2.2, 2.8}})
 	benchCases(b, sp, runLab, func(b *testing.B, res lab.Result) {
 		b.ReportMetric(float64(res.Stats.SavesStarted), "snapshots")
@@ -297,7 +294,7 @@ func BenchmarkAblationMementosThreshold(b *testing.B) {
 // BenchmarkAblationGovernorPolicy compares the hill-climb and proportional
 // DFS policies on the same supply.
 func BenchmarkAblationGovernorPolicy(b *testing.B) {
-	sp := governedFFT("governor-policy", 470e-6,
+	sp := governedFFT(b, 470e-6,
 		scenario.Axis{Param: "governor", Names: []string{"hillclimb", "proportional"}})
 	benchCases(b, sp, runTracked, func(b *testing.B, r trackedRun) {
 		b.ReportMetric(r.eq3.RelativeError(), "eq3-rel-err")
@@ -309,7 +306,7 @@ func BenchmarkAblationGovernorPolicy(b *testing.B) {
 // same hibernus system: more storage, fewer outages survived per joule but
 // longer uninterrupted stretches.
 func BenchmarkAblationStorageSweep(b *testing.B) {
-	benchCases(b, storageSweep(), runLab, func(b *testing.B, res lab.Result) {
+	benchCases(b, storageSweep(b), runLab, func(b *testing.B, res lab.Result) {
 		b.ReportMetric(float64(res.Completions), "completions")
 		b.ReportMetric(float64(res.Stats.BrownOuts), "brownouts")
 	})
@@ -320,18 +317,13 @@ func BenchmarkAblationStorageSweep(b *testing.B) {
 // wait) vs 24 MHz (freqindex 5, wait states) — throughput does not scale
 // with the clock.
 func BenchmarkAblationFRAMWaitStates(b *testing.B) {
-	sp := &scenario.Spec{
-		Name:     "fram-wait-states",
-		Workload: "fft64",
-		Device:   scenario.DeviceSpec{Profile: "unified-nv"},
-		Storage:  scenario.StorageSpec{C: 10e-6},
-		Source: scenario.SourceSpec{
-			Name:   "dc",
-			Params: map[string]scenario.Value{"rs": 50},
-		},
-		Duration: 0.2,
-		Sweep:    []scenario.Axis{{Param: "freqindex", Values: []scenario.Value{3, 5}}},
-	}
+	// The curated FRAM-vs-SRAM testbed (fft64, 10 µF) with no runtime,
+	// forced onto the unified-FRAM device, on a stiff DC supply.
+	sp := curated(b, "transient-fram-vs-sram", "runtime", "none",
+		[]scenario.Axis{{Param: "freqindex", Values: []scenario.Value{3, 5}}})
+	sp.Device.Profile = "unified-nv"
+	sp.Source = scenario.SourceSpec{Name: "dc", Params: map[string]scenario.Value{"rs": 50}}
+	sp.Duration = 0.2
 	benchCases(b, sp, runLab, func(b *testing.B, res lab.Result) {
 		b.ReportMetric(float64(res.Completions)/float64(sp.Duration), "ffts/s")
 	})
@@ -347,7 +339,7 @@ func BenchmarkFastForward(b *testing.B) {
 		ff   bool
 	}{{"integrated", false}, {"fast-forward", true}} {
 		b.Run(tag.name, func(b *testing.B) {
-			sp := runtimesTestbed("fast-forward", "hibernus")
+			sp := runtimesTestbed(b, "hibernus")
 			sp.FastForward = tag.ff
 			var done int
 			for i := 0; i < b.N; i++ {
@@ -363,7 +355,7 @@ func BenchmarkFastForward(b *testing.B) {
 // host its ns/op drops roughly with the worker count relative to the
 // ablation's serial sum.
 func BenchmarkSweepStorageAxis(b *testing.B) {
-	sp := storageSweep()
+	sp := storageSweep(b)
 	for i := 0; i < b.N; i++ {
 		rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/examples"
 	"repro/internal/circuit"
 	"repro/internal/eneutral"
 	"repro/internal/lab"
@@ -115,23 +116,14 @@ func runEq1() (*Output, error) {
 // all — the system is drifting from power-neutral toward energy-neutral
 // operation along Fig. 2's storage axis.
 func runEq3() (*Output, error) {
-	caps := []scenario.Value{47e-6, 100e-6, 220e-6, 470e-6, 1000e-6}
+	sp, err := examples.Scenario("powerneutral-storage-sweep")
+	if err != nil {
+		return nil, err
+	}
+	caps := sp.Sweep[0].Values
 	tbl := Table{
 		Title:   "Governed MCU on a 20 Hz rectified supply, V target 3.0 V",
 		Columns: []string{"C", "windowed eq.(3) error", "V_CC excursion", "brown-outs", "completions"},
-	}
-	sp := &scenario.Spec{
-		Name:     "eq3",
-		Workload: "fft64",
-		Storage:  scenario.StorageSpec{C: caps[0], V0: 3.0},
-		Source:   scenario.SourceSpec{Name: "rectified-sine"},
-		Governor: &scenario.GovernorSpec{
-			Policy: "hillclimb",
-			Params: map[string]scenario.Value{"hysteresis": 0.25},
-		},
-		Duration: 2.0,
-		Dt:       5e-6,
-		Sweep:    []scenario.Axis{{Param: "c", Values: caps}},
 	}
 	type eq3Out struct {
 		res lab.Result
@@ -178,38 +170,17 @@ func runEq3() (*Output, error) {
 	return out, nil
 }
 
-// Eq4Spec is the declarative form of the eq. (4) margin sweep: the
-// standard square-wave testbed with a sweep axis over the hibernus guard
-// margin — the spec-driven twin of runEq4's hand-built grid.
-func Eq4Spec() *scenario.Spec {
-	return &scenario.Spec{
-		Name:        "eq4-margin-sweep",
-		Description: "hibernus V_H margin sweep on the square-wave testbed: under-margined eq. (4) thresholds abort snapshots",
-		Paper:       "conf_date_MerrettA17 §II.B, eq. (4)",
-		Workload:    "sieve3000",
-		Storage:     scenario.StorageSpec{C: 10e-6, LeakR: 50e3},
-		Source:      scenario.SourceSpec{Name: "square"},
-		Runtime: scenario.RuntimeSpec{
-			Name:   "hibernus",
-			Params: map[string]scenario.Value{"vrheadroom": 0.35},
-		},
-		Duration: 3.0,
-		Sweep: []scenario.Axis{
-			{Param: "runtime.margin", Values: []scenario.Value{0.80, 0.90, 0.95, 1.00, 1.10, 1.25}},
-		},
-	}
-}
-
 // runEq4 sweeps the guard margin on the eq. (4) threshold. Below 1.0 the
 // snapshot energy budget is violated and saves are cut off; at and above
-// 1.0 every save survives. Cases come from Eq4Spec's sweep axis; the
-// harness wraps each compiled Setup only to capture the calibrated V_H.
+// 1.0 every save survives. Cases come from the curated eq4-margin-sweep
+// spec's sweep axis; the harness wraps each compiled Setup only to
+// capture the calibrated V_H.
 func runEq4() (*Output, error) {
-	sp := Eq4Spec()
-	var margins []float64
-	for _, v := range sp.Sweep[0].Values {
-		margins = append(margins, float64(v))
+	sp, err := examples.Scenario("eq4-margin-sweep")
+	if err != nil {
+		return nil, err
 	}
+	margins := sp.Sweep[0].Values
 	tbl := Table{
 		Title:   "hibernus V_H margin sweep (10 µF rail, square-wave outages)",
 		Columns: []string{"margin on eq.(4) V_H", "V_H", "saves started", "saves aborted", "completions"},
@@ -224,12 +195,7 @@ func runEq4() (*Output, error) {
 			return eq4Out{}, err
 		}
 		var h *transient.Hibernus
-		makeRuntime := s.MakeRuntime
-		s.MakeRuntime = func(d *mcu.Device) mcu.Runtime {
-			rt := makeRuntime(d)
-			h = rt.(*transient.Hibernus)
-			return rt
-		}
+		captureHibernus(&s, &h)
 		res, err := lab.Run(s)
 		if err != nil {
 			return eq4Out{}, err
@@ -279,32 +245,24 @@ func runEq5() (*Output, error) {
 		Title:   "Energy per completed FFT-64 vs outage frequency",
 		Columns: []string{"outage freq", "hibernus (µJ/op)", "quickrecall (µJ/op)", "winner"},
 	}
-	// The full comparison is a 5×2 grid — outage frequency × memory system —
-	// of independent six-second runs: exactly the shape the sweep engine
-	// fans out. Row-major order means results arrive [f0/hib, f0/qr, f1/hib, ...].
-	// The runtime picks the device: quickrecall runs on the unified-FRAM
-	// profile, hibernus on the split-SRAM default.
-	grid := sweep.NewGrid().
-		Floats("freq", freqs...).
-		Axis("runtime", "hibernus", "quickrecall")
-	runs, err := sweep.MapGrid(nil, grid, func(c sweep.Case) (lab.Result, error) {
-		half := scenario.Value(1.0 / c.Float("freq") / 2)
-		sp := &scenario.Spec{
-			Name:     "eq5",
-			Workload: "fft64",
-			Storage:  scenario.StorageSpec{C: 10e-6},
-			Source: scenario.SourceSpec{
-				Name:   "square",
-				Params: map[string]scenario.Value{"ontime": half, "offtime": half},
-			},
-			Runtime:  scenario.RuntimeSpec{Name: c.Values["runtime"].(string)},
-			Duration: 6.0,
+	// Each outage frequency is one run of the curated
+	// transient-fram-vs-sram spec — its runtime axis is the memory system,
+	// hibernus then quickrecall — with the square supply's on- and
+	// off-time both set to half the outage period.
+	sp, err := examples.Scenario("transient-fram-vs-sram")
+	if err != nil {
+		return nil, err
+	}
+	reps, err := sweep.Map(nil, len(freqs), func(c sweep.Case) (*scenario.ModelReport, error) {
+		cs := sp.Clone()
+		half := 1.0 / freqs[c.Index] / 2
+		if err := cs.Apply("source.ontime", half); err != nil {
+			return nil, err
 		}
-		s, err := sp.Setup()
-		if err != nil {
-			return lab.Result{}, err
+		if err := cs.Apply("source.offtime", half); err != nil {
+			return nil, err
 		}
-		return lab.Run(s)
+		return scenario.RunModel(cs, scenario.RunOptions{})
 	})
 	if err != nil {
 		return nil, err
@@ -312,7 +270,7 @@ func runEq5() (*Output, error) {
 
 	var hibE, qrE []float64
 	for i, f := range freqs {
-		h, q := runs[2*i], runs[2*i+1]
+		h, q := reps[i].Cases[0].Lab, reps[i].Cases[1].Lab
 		he := h.EnergyPerCompletion() * 1e6
 		qe := q.EnergyPerCompletion() * 1e6
 		hibE = append(hibE, he)
@@ -385,14 +343,13 @@ func probeDevice(unified bool) (*mcu.Device, error) {
 // runRuntimes compares all five protection strategies on the standard
 // intermittent testbed.
 func runRuntimes() (*Output, error) {
-	names := []string{"none", "mementos", "hibernus", "hibernus++", "quickrecall"}
-	sp := &scenario.Spec{
-		Name:     "runtimes",
-		Workload: "sieve3000",
-		Storage:  scenario.StorageSpec{C: 10e-6, LeakR: 50e3},
-		Source:   scenario.SourceSpec{Name: "square"},
-		Duration: 3.0,
-		Sweep:    []scenario.Axis{{Param: "runtime", Names: names}},
+	sp, err := examples.Scenario("runtimes-square-sieve")
+	if err != nil {
+		return nil, err
+	}
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
+	if err != nil {
+		return nil, err
 	}
 	tbl := Table{
 		Title: "sieve-3000 on 3.3 V square wave (4 ms on / 150 ms off), 10 µF rail",
@@ -403,21 +360,12 @@ func runRuntimes() (*Output, error) {
 		ID:          "runtimes",
 		Description: "comparative behaviour of the surveyed transient runtimes",
 	}
-	runs, err := sweep.MapGrid(nil, sp.Grid(), func(c sweep.Case) (lab.Result, error) {
-		s, err := sp.SetupAt(c)
-		if err != nil {
-			return lab.Result{}, err
-		}
-		return lab.Run(s)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if runs[0].Completions != 0 {
+	if rep.Cases[0].Lab.Completions != 0 {
 		return nil, fmt.Errorf("runtimes: baseline unexpectedly completed")
 	}
-	for i, res := range runs {
-		label := names[i]
+	names := sp.Sweep[0].Names
+	for i, c := range rep.Cases {
+		res, label := c.Lab, names[i]
 		if label == "none" {
 			label = "none (restart)"
 		}

@@ -123,12 +123,10 @@ func TestFig7Shape(t *testing.T) {
 	// The paper's shape: completion a few supply cycles in, with roughly
 	// one snapshot per supply cycle.
 	comp := cell(t, out, "first FFT completion", 1)
-	if !strings.Contains(comp, "cycle") {
-		t.Fatalf("unexpected completion cell %q", comp)
-	}
-	var cyc int
-	if _, err := fmt_Sscanf(comp, &cyc); err != nil {
-		t.Fatalf("cannot parse completion cycle from %q: %v", comp, err)
+	_, rest, ok := strings.Cut(comp, "(supply cycle ")
+	cyc, err := strconv.Atoi(strings.TrimSuffix(rest, ")"))
+	if !ok || err != nil {
+		t.Fatalf("cannot parse completion cycle from %q", comp)
 	}
 	if cyc < 2 || cyc > 5 {
 		t.Errorf("FFT completed in supply cycle %d; the paper's shape is cycle 3 (accept 2–5)", cyc)
@@ -137,25 +135,6 @@ func TestFig7Shape(t *testing.T) {
 		t.Error("fig7 produced corrupted results")
 	}
 }
-
-// fmt_Sscanf extracts the "(supply cycle N)" integer.
-func fmt_Sscanf(cellVal string, cyc *int) (int, error) {
-	i := strings.Index(cellVal, "cycle ")
-	if i < 0 {
-		return 0, strconvError("no cycle")
-	}
-	rest := strings.TrimSuffix(cellVal[i+len("cycle "):], ")")
-	v, err := strconv.Atoi(strings.TrimSpace(rest))
-	if err != nil {
-		return 0, err
-	}
-	*cyc = v
-	return 1, nil
-}
-
-type strconvError string
-
-func (e strconvError) Error() string { return string(e) }
 
 func TestFig8Shape(t *testing.T) {
 	out := runExp(t, "fig8")

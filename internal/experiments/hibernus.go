@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/examples"
 	"repro/internal/circuit"
 	"repro/internal/lab"
 	"repro/internal/mcu"
@@ -26,66 +27,32 @@ func init() {
 	})
 }
 
-// fig7SupplyHz is the supply frequency for the Fig. 7 reproduction. The
-// paper drives hibernus from a signal generator; the published waveform
-// uses a low-frequency half-wave rectified sine with the FFT completing in
-// the third supply cycle.
-const fig7SupplyHz = 20.0
-
-// Fig7Spec is the declarative form of the Fig. 7 reproduction — the same
-// values as examples/scenarios/fig7-rectified-sine-hibernus.json (a test
-// pins the two together), so `ehsim -scenario` on that file reproduces
-// this harness's numbers exactly.
-func Fig7Spec() *scenario.Spec {
-	return &scenario.Spec{
-		Name:        "fig7-rectified-sine-hibernus",
-		Description: "Hibernus executing a 128-point FFT across a 20 Hz half-wave rectified sine supply: one snapshot per dip at V_H, restore/wake at V_R, completion a few supply cycles after the start. This file is the declarative twin of the registered fig7 experiment (cmd/figures -only fig7); a test pins the two together.",
-		Paper:       "conf_date_MerrettA17 §III, Fig. 7",
-		Workload:    "fft128",
-		Device:      scenario.DeviceSpec{FreqIndex: scenario.IntPtr(1)}, // 2 MHz: the FFT spans several supply cycles
-		Storage:     scenario.StorageSpec{C: 10e-6},
-		Source: scenario.SourceSpec{
-			Name: "rectified-sine",
-			Params: map[string]scenario.Value{
-				"amplitude": 3.6, "freq": fig7SupplyHz, "rs": 150, "diodev": 0.2,
-			},
-		},
-		Runtime: scenario.RuntimeSpec{
-			Name:   "hibernus",
-			Params: map[string]scenario.Value{"margin": 1.05, "vrheadroom": 0.3},
-		},
-		Duration: 0.5,
-	}
-}
-
 // runFig7 reproduces the hibernus waveform: V_CC riding the rectified
 // supply, a single snapshot per dip at V_H, a restore/wake at V_R, and the
-// FFT completing a few supply cycles after it started. The Setup is
-// compiled from Fig7Spec — the declarative round trip — with the
-// harness-only observers (recorder, runtime capture) layered on after
-// compilation.
+// FFT completing a few supply cycles after it started. The testbed is the
+// curated fig7-rectified-sine-hibernus spec; the harness adds only its
+// observers (recorder, V_H/V_R capture).
 func runFig7() (*Output, error) {
-	rec := trace.NewRecorder()
-	rec.SetInterval(0.5e-3)
-
-	s, err := Fig7Spec().Setup()
+	sp, err := examples.Scenario("fig7-rectified-sine-hibernus")
 	if err != nil {
 		return nil, err
 	}
-	var h *transient.Hibernus
-	makeRuntime := s.MakeRuntime
-	s.MakeRuntime = func(d *mcu.Device) mcu.Runtime {
-		rt := makeRuntime(d)
-		h = rt.(*transient.Hibernus)
-		return rt
+	s, err := sp.Setup()
+	if err != nil {
+		return nil, err
 	}
+	rec := trace.NewRecorder()
+	rec.SetInterval(0.5e-3)
 	s.Recorder = rec
+	var h *transient.Hibernus
+	captureHibernus(&s, &h)
 	res, err := lab.Run(s)
 	if err != nil {
 		return nil, err
 	}
 
-	period := 1.0 / fig7SupplyHz
+	supplyHz := float64(sp.Source.Params["freq"])
+	period := 1.0 / supplyHz
 	completionCycle := -1
 	if res.FirstCompletion >= 0 {
 		completionCycle = int(res.FirstCompletion/period) + 1
@@ -99,7 +66,7 @@ func runFig7() (*Output, error) {
 		Title:   "Run summary",
 		Columns: []string{"metric", "value"},
 		Rows: [][]string{
-			{"supply", fmt.Sprintf("%.1f Hz half-wave rectified sine, 3.6 V peak", fig7SupplyHz)},
+			{"supply", fmt.Sprintf("%.1f Hz half-wave rectified sine, %.1f V peak", supplyHz, float64(sp.Source.Params["amplitude"]))},
 			{"V_H (eq. 4)", fmt.Sprintf("%.2f V", h.VH)},
 			{"V_R", fmt.Sprintf("%.2f V", h.VR)},
 			{"snapshots", fmt.Sprintf("%d", res.Stats.SavesDone)},
@@ -113,43 +80,50 @@ func runFig7() (*Output, error) {
 		out.Plots = append(out.Plots, trace.Plot(vcc, 96, 14))
 	}
 	out.Note("paper: snapshot on each V_H crossing, restore at V_R, FFT completes in the 3rd supply cycle; measured completion in cycle %d with %d snapshots over %d cycles",
-		completionCycle, res.Stats.SavesDone, int(0.5/period))
+		completionCycle, res.Stats.SavesDone, int(float64(sp.Duration)/period))
 	if res.WrongResults > 0 {
 		return nil, fmt.Errorf("fig7: %d corrupted completions", res.WrongResults)
 	}
 	return out, nil
 }
 
-// fig8Spec is the Fig. 8 testbed: an FFT-64 on the registry's default
-// wind gust behind a 330 µF rail, under hibernus-PN — or, for the static
-// baseline, plain hibernus pinned at 16 MHz (DFS level 4).
-func fig8Spec(pn bool) *scenario.Spec {
-	sp := &scenario.Spec{
-		Name:     "fig8",
-		Workload: "fft64",
-		Storage:  scenario.StorageSpec{C: 330e-6},
-		Source:   scenario.SourceSpec{Name: "wind"},
-		Runtime:  scenario.RuntimeSpec{Name: "hibernus-pn"},
-		Duration: 5.0,
+// captureHibernus wraps s's runtime factory so that, once lab.Run has
+// built the runtime, *h is the hibernus instance and its calibrated
+// V_H/V_R can be read.
+func captureHibernus(s *lab.Setup, h **transient.Hibernus) {
+	makeRuntime := s.MakeRuntime
+	s.MakeRuntime = func(d *mcu.Device) mcu.Runtime {
+		rt := makeRuntime(d)
+		*h = rt.(*transient.Hibernus)
+		return rt
 	}
-	if !pn {
-		sp.Runtime.Name = "hibernus"
-		sp.Device.FreqIndex = scenario.IntPtr(4)
-	}
-	return sp
 }
 
 // runFig8 compares hibernus-PN against static-frequency hibernus on the
 // turbine gust, reporting the DFS trace and the uninterrupted-operation
-// window.
+// window. The PN system is the curated powerneutral-wind-gust spec; the
+// static baseline is the same spec under plain hibernus pinned at 16 MHz
+// (DFS level 4).
 func runFig8() (*Output, error) {
+	pnSpec, err := examples.Scenario("powerneutral-wind-gust")
+	if err != nil {
+		return nil, err
+	}
+	plainSpec := pnSpec.Clone()
+	if err := plainSpec.Apply("runtime", "hibernus"); err != nil {
+		return nil, err
+	}
+	if err := plainSpec.Apply("freqindex", 4.0); err != nil {
+		return nil, err
+	}
+
 	type runOut struct {
 		res     lab.Result
 		stretch float64
 		rec     *trace.Recorder
 	}
-	run := func(pn bool) (runOut, error) {
-		s, err := fig8Spec(pn).Setup()
+	run := func(sp *scenario.Spec) (runOut, error) {
+		s, err := sp.Setup()
 		if err != nil {
 			return runOut{}, err
 		}
@@ -175,7 +149,10 @@ func runFig8() (*Output, error) {
 	// The PN system and its static baseline share nothing but the supply —
 	// run them as a two-case sweep.
 	outs, err := sweep.Map(nil, 2, func(c sweep.Case) (runOut, error) {
-		return run(c.Index == 0)
+		if c.Index == 0 {
+			return run(pnSpec)
+		}
+		return run(plainSpec)
 	})
 	if err != nil {
 		return nil, err

@@ -225,7 +225,7 @@ func newTableSweepEngine(m analyticModel, sp *Spec, opts RunOptions, checkpoint 
 func (e *tableSweepEngine) Step() error {
 	c := e.cases[e.next]
 	if e.cur == nil {
-		cs, err := e.sp.at(c)
+		cs, err := e.sp.At(c)
 		if err != nil {
 			return err
 		}

@@ -101,7 +101,7 @@ func (s *Spec) Grid() *sweep.Grid {
 		labels := make([]string, len(ax.Values))
 		for i, v := range ax.Values {
 			vals[i] = float64(v)
-			labels[i] = axisLabel(ax.Param, float64(v))
+			labels[i] = AxisLabel(ax.Param, float64(v))
 		}
 		g.Floats(ax.Param, vals...)
 		g.Labels(labels...)
@@ -112,10 +112,7 @@ func (s *Spec) Grid() *sweep.Grid {
 // AxisLabel renders one axis point for case names and tables — exported
 // so explorers labelling machine-generated grids match sweep-table
 // spelling exactly.
-func AxisLabel(param string, v float64) string { return axisLabel(param, v) }
-
-// axisLabel renders one axis point for case names and tables.
-func axisLabel(param string, v float64) string {
+func AxisLabel(param string, v float64) string {
 	switch param {
 	case "c", "storage.c":
 		return units.Format(v, "F")
@@ -135,7 +132,7 @@ func axisLabel(param string, v float64) string {
 //	    ...
 //	})
 func (s *Spec) SetupAt(c sweep.Case) (lab.Setup, error) {
-	cs, err := s.at(c)
+	cs, err := s.At(c)
 	if err != nil {
 		return lab.Setup{}, err
 	}
@@ -188,7 +185,8 @@ func (s *Spec) Apply(param string, value any) error {
 		if f != math.Trunc(f) || math.Abs(f) > math.MaxInt32 {
 			return fmt.Errorf("freqindex %g is not an integer DFS level", f)
 		}
-		s.Device.FreqIndex = IntPtr(int(f))
+		fi := int(f)
+		s.Device.FreqIndex = &fi
 	default:
 		group, key, found := strings.Cut(param, ".")
 		if !found {

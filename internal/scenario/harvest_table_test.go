@@ -84,7 +84,7 @@ func TestHarvestTableRunsMatchUntabled(t *testing.T) {
 			sp := mustParse(t, src)
 			m := analyticModelOf(t, sp)
 			for _, c := range sp.Grid().Cases() {
-				cs, err := sp.at(c)
+				cs, err := sp.At(c)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -264,15 +264,11 @@ func (s *Spec) buildPowerSource() (source.PowerSource, error) {
 }
 
 // At returns a sweep-free copy of the spec with the case's coordinates
-// applied — the exported face of the expansion step, for callers
-// (internal/explore) that stream Grid().CaseAt(i) cases themselves.
-func (s *Spec) At(c sweep.Case) (*Spec, error) { return s.at(c) }
-
-// at returns a sweep-free copy of the spec with the case's coordinates
-// applied — the shared expansion step behind SetupAt and the analytic
-// models' sweep loops.
-func (s *Spec) at(c sweep.Case) (*Spec, error) {
-	cs := s.clone()
+// applied — the expansion step behind SetupAt, the analytic models' sweep
+// loops and callers (internal/explore) that stream Grid().CaseAt(i) cases
+// themselves.
+func (s *Spec) At(c sweep.Case) (*Spec, error) {
+	cs := s.Clone()
 	cs.Sweep = nil
 	for _, ax := range s.Sweep {
 		v, ok := c.Values[ax.Param]

@@ -161,7 +161,7 @@ func TestApplyModelParamAxis(t *testing.T) {
 	if grid.Size() != 2 {
 		t.Fatalf("grid size = %d, want 2", grid.Size())
 	}
-	cs, err := sp.at(grid.Cases()[1])
+	cs, err := sp.At(grid.Cases()[1])
 	if err != nil {
 		t.Fatal(err)
 	}

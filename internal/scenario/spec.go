@@ -251,7 +251,7 @@ func (s *Spec) Validate() error {
 		// Probe every point against a fresh copy, so each point's shape is
 		// checked before any case runs — not just the last-applied one.
 		for _, pt := range pts {
-			probe := s.clone()
+			probe := s.Clone()
 			probe.Sweep = nil
 			if err := probe.Apply(ax.Param, pt); err != nil {
 				return s.errf("sweep[%d]: %w", i, err)
@@ -284,11 +284,7 @@ func (s *Spec) HasSweep() bool { return len(s.Sweep) > 0 }
 // Clone deep-copies the spec (param maps and sweep slice included) so a
 // caller can Apply per-case values without aliasing the original —
 // the expansion step design-space explorers build on.
-func (s *Spec) Clone() *Spec { return s.clone() }
-
-// clone deep-copies the spec (param maps and sweep slice included) so
-// per-case mutation via Apply cannot alias the base spec.
-func (s *Spec) clone() *Spec {
+func (s *Spec) Clone() *Spec {
 	c := *s
 	c.Params = cloneParams(s.Params)
 	c.Source.Params = cloneParams(s.Source.Params)
@@ -328,6 +324,3 @@ func toParams(p map[string]Value) registry.Params {
 	}
 	return out
 }
-
-// IntPtr is a literal-friendly helper for DeviceSpec.FreqIndex.
-func IntPtr(i int) *int { return &i }

@@ -3,13 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"repro/examples"
 	"repro/internal/lab"
-	"repro/internal/mcu"
-	"repro/internal/periph"
-	"repro/internal/programs"
-	"repro/internal/source"
-	"repro/internal/sweep"
-	"repro/internal/transient"
+	"repro/internal/scenario"
 )
 
 func init() {
@@ -24,43 +20,27 @@ func init() {
 // peripheral-aware extension on a sensing workload whose correctness
 // depends on ADC calibration registers and a radio configuration
 // handshake — the exact failure mode the paper's discussion warns about.
+// The testbed is the curated spec's runtime axis: hibernus, then
+// hibernus-periph.
 func runPeriph() (*Output, error) {
-	type outcome struct {
-		res  lab.Result
-		bank *periph.Bank
-	}
-	run := func(aware bool) (outcome, error) {
-		var bank *periph.Bank
-		res, err := lab.Run(lab.Setup{
-			Workload:  periph.SenseWorkload(64, 3, programs.DefaultLayout()),
-			Params:    mcu.DefaultParams(),
-			Configure: func(d *mcu.Device) { bank = periph.Attach(d, aware) },
-			MakeRuntime: func(d *mcu.Device) mcu.Runtime {
-				return transient.NewHibernus(d, 10e-6, 1.1, 0.35)
-			},
-			VSource:  &source.SquareWaveVoltage{High: 3.3, OnTime: 0.004, OffTime: 0.150, Rs: 100},
-			C:        10e-6,
-			LeakR:    50e3,
-			Duration: 3.0,
-		})
-		return outcome{res: res, bank: bank}, err
-	}
-	outs, err := sweep.Map(nil, 2, func(c sweep.Case) (outcome, error) {
-		return run(c.Index == 1)
-	})
+	sp, err := examples.Scenario("periph-sense-hibernus")
 	if err != nil {
 		return nil, err
 	}
-	naive, aware := outs[0], outs[1]
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	naive, aware := rep.Cases[0].Lab, rep.Cases[1].Lab
 
-	row := func(name string, o outcome) []string {
+	row := func(name string, res lab.Result) []string {
 		return []string{
 			name,
-			fmt.Sprintf("%d", o.res.Completions),
-			fmt.Sprintf("%d", o.res.WrongResults),
-			fmt.Sprintf("%d", len(o.bank.TxDelivered)),
-			fmt.Sprintf("%d", o.bank.TxDropped),
-			fmt.Sprintf("%d", o.res.Stats.BrownOuts),
+			fmt.Sprintf("%d", res.Completions),
+			fmt.Sprintf("%d", res.WrongResults),
+			fmt.Sprintf("%d", res.TxDelivered),
+			fmt.Sprintf("%d", res.TxDropped),
+			fmt.Sprintf("%d", res.Stats.BrownOuts),
 		}
 	}
 	tbl := Table{
@@ -78,9 +58,9 @@ func runPeriph() (*Output, error) {
 		Tables:      []Table{tbl},
 	}
 	out.Note("paper discussion: \"work to date has primarily focused on computation, and not the plethora of peripherals\"; measured: naive restore yields %d wrong results and drops %d packets, the peripheral-aware extension yields %d wrong results and drops %d",
-		naive.res.WrongResults, naive.bank.TxDropped,
-		aware.res.WrongResults, aware.bank.TxDropped)
-	if aware.res.WrongResults != 0 || aware.bank.TxDropped != 0 {
+		naive.WrongResults, naive.TxDropped,
+		aware.WrongResults, aware.TxDropped)
+	if aware.WrongResults != 0 || aware.TxDropped != 0 {
 		return nil, fmt.Errorf("periph: aware runtime should be clean")
 	}
 	return out, nil

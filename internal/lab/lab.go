@@ -17,6 +17,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/isa"
 	"repro/internal/mcu"
+	"repro/internal/periph"
 	"repro/internal/programs"
 	"repro/internal/source"
 	"repro/internal/trace"
@@ -26,11 +27,6 @@ import (
 type Setup struct {
 	Workload *programs.Workload
 	Params   mcu.Params
-
-	// Configure, if non-nil, runs right after the device is built and
-	// before the runtime attaches — the hook for wiring peripherals
-	// (periph.Attach) or tweaking device state.
-	Configure func(d *mcu.Device)
 
 	// MakeRuntime, if non-nil, builds the transient runtime after the
 	// device exists (runtimes often need device parameters and the rail
@@ -142,6 +138,12 @@ type Result struct {
 	Steps int
 
 	FirstCompletion float64 // time of first completion, or -1
+
+	// Bank reports that the workload drove a peripheral bank
+	// (programs.Workload.MMIO); TxDelivered and TxDropped are then the
+	// bank radio's delivered and dropped packet counts.
+	Bank                   bool
+	TxDelivered, TxDropped int
 }
 
 // Throughput returns completions per simulated second.
@@ -193,8 +195,14 @@ func Run(s Setup) (Result, error) {
 		}
 	}
 
-	if s.Configure != nil {
-		s.Configure(d)
+	// The bank goes on before the runtime is built: a runtime whose
+	// snapshots cover it sizes its eq. (4) threshold with the bank's
+	// bytes included.
+	var bank *periph.Bank
+	if s.Workload.MMIO {
+		bank = periph.NewBank()
+		d.Bus.MMIOBase, d.Bus.MMIOLen, d.Bus.Periph = mcu.DefaultMMIOBase, mcu.DefaultMMIOLen, bank
+		d.Aux = bank
 	}
 	if s.MakeRuntime != nil {
 		if rt := s.MakeRuntime(d); rt != nil {
@@ -256,6 +264,9 @@ func Run(s Setup) (Result, error) {
 	res.ConsumedJ = rail.ConsumedJ
 	res.FinalV = cap.V
 	res.RuntimeErr = d.Err
+	if bank != nil {
+		res.Bank, res.TxDelivered, res.TxDropped = true, bank.TxDelivered, bank.TxDropped
+	}
 	return res, nil
 }
 

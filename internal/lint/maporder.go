@@ -10,12 +10,12 @@ import (
 // MaporderAnalyzer guards report byte-identity and canonical-hash
 // stability against Go's randomized map iteration: a `for range` over a
 // map whose body writes to an io.Writer (report renderers, hash.Hash,
-// strings.Builder), feeds canonical JSON, or appends freshly rendered
-// strings produces output whose order differs run to run — exactly the
-// failure that breaks Spec.Hash() stability, golden corpora, and
-// CLI↔daemon byte-comparison. The fix is always the same: collect the
-// keys, sort them, iterate the slice (appending the bare key inside the
-// range is therefore allowed).
+// strings.Builder) or to stdout (fmt.Print*), feeds canonical JSON, or
+// appends freshly rendered strings produces output whose order differs
+// run to run — exactly the failure that breaks Spec.Hash() stability,
+// golden corpora, and CLI↔daemon byte-comparison. The fix is always the
+// same: collect the keys, sort them, iterate the slice (appending the
+// bare key inside the range is therefore allowed).
 var MaporderAnalyzer = &Analyzer{
 	Name: "maporder",
 	Doc:  "flag map iteration feeding writers, hashes, canonical JSON, or rendered slices",
@@ -129,7 +129,7 @@ func checkMapRangeBody(p *Pass, rs *ast.RangeStmt) {
 			return true
 		}
 		switch {
-		case pkgOf(fn) == "fmt" && strings.HasPrefix(fn.Name(), "Fprint"):
+		case pkgOf(fn) == "fmt" && (strings.HasPrefix(fn.Name(), "Fprint") || strings.HasPrefix(fn.Name(), "Print")):
 			p.Reportf(call.Pos(), "fmt.%s inside a map iteration emits bytes in random order: collect and sort the map keys first", fn.Name())
 		case pkgOf(fn) == "encoding/json" && (fn.Name() == "Marshal" || fn.Name() == "MarshalIndent" || fn.Name() == "Encode"):
 			p.Reportf(call.Pos(), "encoding/json %s inside a map iteration feeds canonical JSON in random order: collect and sort the map keys first", fn.Name())

@@ -18,6 +18,14 @@ func BadWrite(w *bytes.Buffer, m map[string]float64) {
 	}
 }
 
+// BadPrint is BadWrite on stdout: fmt.Print* is fmt.Fprint* to
+// os.Stdout.
+func BadPrint(m map[string]float64) {
+	for k, v := range m {
+		fmt.Printf("%s=%g\n", k, v) // want `fmt\.Printf inside a map iteration emits bytes in random order`
+	}
+}
+
 // BadAppend builds a row slice from rendered strings in map order.
 func BadAppend(m map[string]float64) []string {
 	var rows []string

@@ -57,9 +57,10 @@ type Bank struct {
 	// restart replays the sequence, a true restore continues it.
 	seq uint16
 
-	// Telemetry (host side, not part of device state).
+	// Telemetry (host side, not part of device state): counts only, so
+	// a run of any length holds a bank of fixed size.
 	SamplesRead int
-	TxDelivered []byte
+	TxDelivered int
 	TxDropped   int
 }
 
@@ -158,7 +159,7 @@ func (b *Bank) WriteReg(off uint16, v byte) {
 		b.radPwr = v
 	case RegRadTx:
 		if b.radCfg == RadioMagic {
-			b.TxDelivered = append(b.TxDelivered, v)
+			b.TxDelivered++
 		} else {
 			b.TxDropped++
 		}

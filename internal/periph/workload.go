@@ -8,6 +8,17 @@ import (
 	"repro/internal/programs"
 )
 
+// sense64 is the testbed of the `periph` figure: 64 samples per batch at
+// gain ×3. It registers here, as powerneutral registers hibernus-pn into
+// the runtime table, because the guest is defined by this package's
+// register map.
+func init() {
+	programs.Register("sense64", programs.Factory{
+		Desc:  "64 ADC samples at gain ×3, each running sum sent by radio (drives the peripheral bank)",
+		Build: func(l programs.Layout) *programs.Workload { return SenseWorkload(64, 3, l) },
+	})
+}
+
 // SenseWorkload generates the calibrated-sensing guest: at boot it
 // configures the ADC (enable, gain) and the radio (magic handshake), then
 // loops reading n samples, accumulating them and transmitting each running
@@ -59,6 +70,7 @@ loop:
 		RAMBase:  l.RAMBase,
 		NVBase:   l.NVBase,
 		StackTop: l.StackTop,
+		MMIO:     true,
 	}
 }
 
@@ -74,18 +86,4 @@ func ExpectedSum(n int, gain byte, channel byte) uint16 {
 		sum += uint16(math.Min(float64(v), 255))
 	}
 	return sum
-}
-
-// Attach wires a fresh peripheral bank onto a device at the default MMIO
-// window. aware selects whether snapshots cover the bank (the
-// peripheral-aware runtime extension) or not (the naive baseline the
-// paper's discussion criticises).
-func Attach(d *mcu.Device, aware bool) *Bank {
-	bank := NewBank()
-	d.Bus.MMIOBase = mcu.DefaultMMIOBase
-	d.Bus.MMIOLen = mcu.DefaultMMIOLen
-	d.Bus.Periph = bank
-	d.Aux = bank
-	d.SnapshotAux = aware
-	return bank
 }

@@ -50,6 +50,11 @@ type Workload struct {
 	RAMBase  uint16
 	NVBase   uint16
 	StackTop uint16
+
+	// MMIO reports that the guest drives the peripheral register bank at
+	// mcu.DefaultMMIOBase; the lab wires a fresh bank onto the device
+	// for it.
+	MMIO bool
 }
 
 // Layout carries the memory placement parameters for workload generation.

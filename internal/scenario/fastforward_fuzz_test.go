@@ -59,8 +59,9 @@ func nameIndex(f *testing.F, names []string, name string) uint8 {
 // plateaus in closed form must land every discrete event on the step
 // full integration would use. Each input runs one registry-built spec
 // with fast-forward off and on and requires identical completions,
-// wrong results and completion times, and an identical mcu.Stats —
-// event counts, per-mode seconds and cycles run.
+// wrong results and completion times, an identical mcu.Stats — event
+// counts, per-mode seconds and cycles run — and identical radio packet
+// counts for a workload that drives the peripheral bank.
 func FuzzFastForwardMatchesStepwise(f *testing.F) {
 	// Seeds by registry name, so they keep their meaning as the
 	// registries grow.
@@ -78,6 +79,8 @@ func FuzzFastForwardMatchesStepwise(f *testing.F) {
 		{"fft128", "solar", "nvp", 0},
 		{"sieve1000", "rectified-sine", "mementos", 2},
 		{"crc64", "square", "none", 1},
+		{"sense64", "square", "hibernus-periph", 1},
+		{"sense64", "square", "hibernus", 1},
 	} {
 		f.Add(nameIndex(f, programs.Names(), seed.workload), nameIndex(f, voltageSources(), seed.src),
 			nameIndex(f, transient.RuntimeNames(), seed.runtime), seed.c)
@@ -98,6 +101,7 @@ type ffOutcome struct {
 	Completions, WrongResults int
 	CompletionTimes           []float64
 	Stats                     mcu.Stats
+	TxDelivered, TxDropped    int
 }
 
 // runFF runs the spec through RunModel with fast-forward set as given.
@@ -110,7 +114,7 @@ func runFF(t *testing.T, sp *Spec, ff bool) ffOutcome {
 		t.Fatalf("fastforward=%v: %v", ff, err)
 	}
 	res := rep.Cases[0].Lab
-	return ffOutcome{res.Completions, res.WrongResults, res.CompletionTimes, res.Stats}
+	return ffOutcome{res.Completions, res.WrongResults, res.CompletionTimes, res.Stats, res.TxDelivered, res.TxDropped}
 }
 
 // TestFastForwardPowerSourceMatchesStepwise: a power source never hops

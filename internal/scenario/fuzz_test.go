@@ -30,6 +30,8 @@ func FuzzParseSpec(f *testing.F) {
 	}
 	f.Add([]byte(`{"name":"x","workload":"fft64","storage":{"c":"10u"},"source":{"name":"dc"},"duration":1}`))
 	f.Add([]byte(`{"name":"s","workload":"crc256","storage":{"c":1e-5},"source":{"name":"square","params":{"ontime":"4m"}},"runtime":{"name":"hibernus"},"duration":"500m","sweep":[{"param":"c","values":["4.7u",1e-5]},{"param":"runtime","names":["hibernus","quickrecall"]}]}`))
+	f.Add([]byte(`{"name":"p","workload":"sense64","storage":{"c":"10u","leakr":"50k"},"source":{"name":"square"},"runtime":{"name":"hibernus-periph","params":{"margin":1.2}},"duration":1}`))
+	f.Add([]byte(`{"name":"ps","workload":"sieve3000","storage":{"c":"10u"},"source":{"name":"square"},"duration":1,"sweep":[{"param":"workload","names":["sieve3000","sense64"]},{"param":"runtime","names":["hibernus","hibernus-periph"]}]}`))
 	f.Add([]byte(`{"name":"g","workload":"fft64","storage":{"c":"330u"},"source":{"name":"wind"},"governor":{"policy":"hillclimb"},"duration":1}`))
 	f.Add([]byte(`{"name":"mp","model":"mpsoc","source":{"name":"const-power"},"params":{"scale":"2"},"duration":10,"dt":1}`))
 	f.Add([]byte(`{"name":"tb","model":"taskburst","storage":{"c":"6m"},"source":{"name":"pv"},"params":{"taskenergy":"1m"},"duration":5,"sweep":[{"param":"model.eta","values":[0.5,0.7]}]}`))

@@ -46,14 +46,17 @@ func (labModel) Metrics() []MetricDoc {
 		{Key: "brownouts", Unit: "count", Desc: "supply brown-outs"},
 		{Key: "harvested", Unit: "J", Desc: "energy harvested from the source"},
 		{Key: "consumed", Unit: "J", Desc: "energy consumed by the node"},
+		{Key: "tx_delivered", Unit: "count", Desc: "radio packets the peripheral bank delivered (absent without a bank)"},
+		{Key: "tx_dropped", Unit: "count", Desc: "radio packets the unconfigured radio dropped (absent without a bank)"},
 	}
 }
 
 // labMetrics extracts the lab engine's structured objectives from one
 // case result. Undefined values (energy/op and first-completion with
-// zero completions) are omitted, per the ModelCase.Metrics contract. A
-// valid supply near 1e200 V overflows the rail's energy sums, so a
-// non-finite harvested, consumed or energy/op is omitted too.
+// zero completions, packet counts without a peripheral bank) are
+// omitted, per the ModelCase.Metrics contract. A valid supply near
+// 1e200 V overflows the rail's energy sums, so a non-finite harvested,
+// consumed or energy/op is omitted too.
 func labMetrics(res lab.Result, duration float64) map[string]float64 {
 	st := res.Stats
 	m := map[string]float64{
@@ -74,6 +77,10 @@ func labMetrics(res lab.Result, duration float64) map[string]float64 {
 	if res.Completions > 0 {
 		finite("energy_per_op", res.EnergyPerCompletion())
 		m["first_completion"] = res.FirstCompletion
+	}
+	if res.Bank {
+		m["tx_delivered"] = float64(res.TxDelivered)
+		m["tx_dropped"] = float64(res.TxDropped)
 	}
 	return m
 }
@@ -257,6 +264,9 @@ type wireLabResult struct {
 	RuntimeErr      string
 	Steps           int
 	FirstCompletion float64
+	Bank            bool `json:",omitempty"`
+	TxDelivered     int  `json:",omitempty"`
+	TxDropped       int  `json:",omitempty"`
 }
 
 // toWire flattens a lab.Result for serialisation.
@@ -271,6 +281,9 @@ func toWire(res lab.Result) wireLabResult {
 		FinalV:          res.FinalV,
 		Steps:           res.Steps,
 		FirstCompletion: res.FirstCompletion,
+		Bank:            res.Bank,
+		TxDelivered:     res.TxDelivered,
+		TxDropped:       res.TxDropped,
 	}
 	if res.RuntimeErr != nil {
 		w.RuntimeErr = res.RuntimeErr.Error()
@@ -290,6 +303,9 @@ func fromWire(w wireLabResult) lab.Result {
 		FinalV:          w.FinalV,
 		Steps:           w.Steps,
 		FirstCompletion: w.FirstCompletion,
+		Bank:            w.Bank,
+		TxDelivered:     w.TxDelivered,
+		TxDropped:       w.TxDropped,
 	}
 	if w.RuntimeErr != "" {
 		res.RuntimeErr = errors.New(w.RuntimeErr)

@@ -51,24 +51,44 @@ func writeSummary(w io.Writer, res lab.Result, duration float64) {
 		st.ActiveSec, st.SleepSec, st.SaveSec, st.OffSec)
 	fmt.Fprintf(w, "  energy:             harvested %s, consumed %s\n",
 		units.Format(res.HarvestedJ, "J"), units.Format(res.ConsumedJ, "J"))
+	if res.Bank {
+		fmt.Fprintf(w, "  packets:            %d delivered, %d dropped\n", res.TxDelivered, res.TxDropped)
+	}
 	if res.RuntimeErr != nil {
 		fmt.Fprintf(w, "  guest fault:        %v\n", res.RuntimeErr)
 	}
 }
 
 // writeSweepTable renders the lab sweep comparison table: a header row,
-// then one row per case.
+// then one row per case. When any case drove a peripheral bank, the
+// table gains delivered and dropped packet columns ("-" for a case
+// without a bank).
 func writeSweepTable(w io.Writer, names []string, results []lab.Result) {
-	fmt.Fprintf(w, "%-32s %-12s %-8s %-10s %-10s %-12s %-12s\n",
+	bank := false
+	for _, res := range results {
+		bank = bank || res.Bank
+	}
+	fmt.Fprintf(w, "%-32s %-12s %-8s %-10s %-10s %-12s %-12s",
 		"case", "completions", "wrong", "snapshots", "brownouts", "energy/op", "harvested")
+	if bank {
+		fmt.Fprintf(w, " %-10s %-10s", "delivered", "dropped")
+	}
+	fmt.Fprintln(w)
 	for i, res := range results {
 		eop := "∞"
 		if res.Completions > 0 {
 			eop = units.Format(res.EnergyPerCompletion(), "J")
 		}
-		fmt.Fprintf(w, "%-32s %-12d %-8d %-10d %-10d %-12s %-12s\n",
+		fmt.Fprintf(w, "%-32s %-12d %-8d %-10d %-10d %-12s %-12s",
 			names[i], res.Completions, res.WrongResults,
 			res.Stats.SavesStarted, res.Stats.BrownOuts, eop,
 			units.Format(res.HarvestedJ, "J"))
+		switch {
+		case res.Bank:
+			fmt.Fprintf(w, " %-10d %-10d", res.TxDelivered, res.TxDropped)
+		case bank:
+			fmt.Fprintf(w, " %-10s %-10s", "-", "-")
+		}
+		fmt.Fprintln(w)
 	}
 }

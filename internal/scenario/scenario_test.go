@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -352,5 +353,36 @@ func TestValueUnmarshalForms(t *testing.T) {
 	}
 	if s.Storage.C != Value(330e-6) || s.Storage.V0 != 2 || s.Duration != Value(1e-3) {
 		t.Errorf("mixed value forms: %+v", s)
+	}
+}
+
+// TestHibernusPeriphWithoutBankIsHibernus: on a workload that drives no
+// peripheral bank there is no aux state to snapshot, so the
+// peripheral-aware runtime must reproduce hibernus' lab.Result exactly.
+func TestHibernusPeriphWithoutBankIsHibernus(t *testing.T) {
+	var res [2]lab.Result
+	for i, rt := range []string{"hibernus", "hibernus-periph"} {
+		rep, err := RunModel(&Spec{
+			Name:     "no-bank",
+			Workload: "sieve3000",
+			Storage:  StorageSpec{C: 10e-6, LeakR: 50e3},
+			Source:   SourceSpec{Name: "square"},
+			Runtime:  RuntimeSpec{Name: rt},
+			Duration: 1,
+		}, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", rt, err)
+		}
+		res[i] = rep.Cases[0].Lab
+	}
+	if res[0].Completions == 0 || res[0].Stats.Restores == 0 {
+		t.Fatalf("hibernus completed %d and restored %d times; the comparison would be vacuous",
+			res[0].Completions, res[0].Stats.Restores)
+	}
+	if res[0].Bank {
+		t.Fatal("sieve3000 ran with a peripheral bank")
+	}
+	if !reflect.DeepEqual(res[1], res[0]) {
+		t.Errorf("hibernus-periph %+v\nhibernus        %+v", res[1], res[0])
 	}
 }

@@ -72,6 +72,16 @@ func init() {
 			return NewHibernus(d, c, p["margin"], p["vrheadroom"])
 		},
 	})
+	RegisterRuntime("hibernus-periph", RuntimeEntry{
+		Desc:   "hibernus whose snapshots also cover the peripheral bank's registers (same as hibernus without a bank)",
+		Params: hibernusParams,
+		Make: func(d *mcu.Device, c float64, p registry.Params) mcu.Runtime {
+			// Set before NewHibernus: eq. (4) sizes V_H from the
+			// snapshot, aux bytes included.
+			d.SnapshotAux = true
+			return NewHibernus(d, c, p["margin"], p["vrheadroom"])
+		},
+	})
 	RegisterRuntime("hibernus++", RuntimeEntry{
 		Desc: "self-calibrating hibernus: learns V_H/V_R online, no design-time characterisation",
 		Make: func(d *mcu.Device, _ float64, _ registry.Params) mcu.Runtime {

@@ -88,6 +88,17 @@ type Rail struct {
 	voltFn  func(float64) float64
 	powerFn func(float64) float64
 	rs      float64
+
+	// The grid: the first clock move (Step or a closed-form advance)
+	// keys the voltage source's shared sample table on its dt, and while
+	// every move uses that dt the clock is t_k of the table's grid, with
+	// samples at index k. A move by any other dt leaves the table for
+	// good (tabled = false), and Step calls voltFn from then on.
+	gridSet bool
+	gridDt  float64
+	tabled  bool                // Step reads the source through samples
+	samples source.SampleCursor // VSource along the grid of gridDt
+	expect  int                 // steps a run plans, from ExpectSteps
 }
 
 // NewRail returns a rail over the given storage capacitor.
@@ -123,15 +134,55 @@ func (r *Rail) bind() {
 	}
 }
 
+// ExpectSteps tells the rail, before its first Step, that its run takes
+// n Steps. It only sizes the recording of samples the shared table
+// lacks, which a cold run then allocates once; without it the recording
+// grows as it goes, which is what a fast-forward run wants, since a hop
+// past the table ends its recording early.
+func (r *Rail) ExpectSteps(n int) { r.expect = n }
+
+// Finish publishes the voltage samples the rail recorded to the shared
+// sample table. Call it once a run has covered its duration; a run that
+// stops early never calls it, and publishes nothing.
+func (r *Rail) Finish() { r.samples.Finish() }
+
+// regrid runs at a clock move by dt ≠ gridDt: the first move keys the
+// sample table on dt, a later one leaves it for good.
+func (r *Rail) regrid(dt float64) {
+	if !r.bound {
+		r.bind()
+	}
+	if r.gridSet {
+		r.tabled = false
+		r.gridDt = dt
+		return
+	}
+	r.gridSet, r.gridDt = true, dt
+	if r.VSource == nil {
+		return
+	}
+	end := math.Inf(1)
+	if r.expect > 0 {
+		end = r.now + float64(r.expect)*dt
+	}
+	r.samples = source.NewVoltageCursor(r.VSource, dt, r.now, end)
+	r.tabled = r.samples.Tabled()
+}
+
 // sourceCurrent computes the current the source pushes into the node at
-// rail voltage v and time t.
+// rail voltage v and time t, which Step passes as the grid instant t_k.
 func (r *Rail) sourceCurrent(v, t float64) float64 {
 	if !r.bound {
 		r.bind()
 	}
 	var i float64
 	if r.voltFn != nil {
-		vs := r.voltFn(t)
+		var vs float64
+		if r.tabled {
+			vs = r.samples.Sample(t)
+		} else {
+			vs = r.voltFn(t)
+		}
 		if vs > v { // ideal series diode: no reverse current
 			i += (vs - v) / r.rs
 		}
@@ -145,8 +196,8 @@ func (r *Rail) sourceCurrent(v, t float64) float64 {
 			if limit <= 0 {
 				limit = 1
 			}
-			vEff := math.Max(v, 0.1)
-			i += math.Min(p/vEff, limit)
+			vEff := max(v, 0.1)
+			i += min(p/vEff, limit)
 		}
 	}
 	return i
@@ -156,6 +207,9 @@ func (r *Rail) sourceCurrent(v, t float64) float64 {
 // at the present voltage, integrates the capacitor and updates telemetry.
 // It returns the rail voltage after the step.
 func (r *Rail) Step(dt float64) float64 {
+	if dt != r.gridDt {
+		r.regrid(dt)
+	}
 	t := r.now
 	v := r.Cap.V
 	iSrc := r.sourceCurrent(v, t)
@@ -280,9 +334,18 @@ func (r *Rail) PeekIdle(n int, dt, iLoad float64) float64 {
 // bit-identical instants to stepwise integration. A single aggregated
 // n·dt add rounds differently, and at a waveform edge that last-ulp shift
 // can move the sampled discontinuity to the neighbouring step.
+//
+// The grid index advances with the clock, so the Step after a hop reads
+// the sample of the instant it lands on.
 func (r *Rail) advanceClock(n int, dt float64) {
+	if dt != r.gridDt {
+		r.regrid(dt)
+	}
 	for k := 0; k < n; k++ {
 		r.now += dt
+	}
+	if r.tabled {
+		r.samples.Skip(n)
 	}
 }
 

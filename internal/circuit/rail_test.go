@@ -130,3 +130,63 @@ func TestRailHalfWaveRectifiedSineShape(t *testing.T) {
 		t.Errorf("expected ripple across half-cycles, got %g..%g", minV, maxV)
 	}
 }
+
+// TestRailSampleTable: a rail on a rectified sine reads the shared sample
+// table bit-identically to sampling the source: a stepwise run that
+// records the table, then runs that read it across a closed-form hop and
+// a change of step, which leaves the table for good. The reference hides
+// the source's type, so it never reaches a table.
+func TestRailSampleTable(t *testing.T) {
+	const dt = 5e-6
+	// A series resistance no other test uses, so the first run is cold.
+	vs := source.HalfWave(&source.SignalGenerator{Amplitude: 3.6, Frequency: 20, Rs: 150.03125}, 0.2)
+	type state struct{ now, v, harvested, consumed, lastSrc, lastLoad float64 }
+	newRail := func(src source.VoltageSource) *Rail {
+		cap := NewCapacitor(10e-6, 0)
+		cap.LeakR = 50e3
+		r := NewRail(cap)
+		r.VSource = src
+		r.AddLoad(&ConstantCurrentLoad{I: 1e-3, VMin: 1.8})
+		return r
+	}
+	stateOf := func(r *Rail) state {
+		return state{r.now, r.Cap.V, r.HarvestedJ, r.ConsumedJ, r.LastSourceI, r.LastLoadI}
+	}
+	steps := func(r *Rail, n int, dt float64) {
+		for range n {
+			r.Step(dt)
+		}
+	}
+	// stepwise runs 10,000 steps: the first run records the table.
+	stepwise := func(src source.VoltageSource) state {
+		r := newRail(src)
+		r.ExpectSteps(10000)
+		steps(r, 10000, dt)
+		r.Finish()
+		return stateOf(r)
+	}
+	// hopping steps, hops 200 steps in closed form, steps on, then
+	// doubles its step for a while, all inside the table's span and on
+	// the rising edge of the first half-wave, where the diode conducts,
+	// so a sample read at the wrong instant moves the rail.
+	hopping := func(src source.VoltageSource) state {
+		r := newRail(src)
+		steps(r, 400, dt)
+		r.AdvanceIdle(200, dt, 1e-6)
+		steps(r, 400, dt)
+		steps(r, 300, 2*dt)
+		steps(r, 500, dt)
+		r.Finish()
+		return stateOf(r)
+	}
+	hidden := struct{ source.VoltageSource }{vs}
+	want := stepwise(hidden)
+	for pass := range 2 {
+		if got := stepwise(vs); got != want {
+			t.Fatalf("stepwise run %d: %+v, want %+v", pass+1, got, want)
+		}
+	}
+	if got, want := hopping(vs), hopping(hidden); got != want {
+		t.Fatalf("run with a hop and a step change: %+v, want %+v", got, want)
+	}
+}

@@ -124,9 +124,9 @@ type Sim struct {
 	res              Result
 
 	// harvest samples n.Harvest along the step grid, reading the
-	// shared harvest table where it can. The first Step after NewSim or
+	// shared sample table where it can. The first Step after NewSim or
 	// Restore positions it at the clock.
-	harvest    source.HarvestCursor
+	harvest    source.SampleCursor
 	harvestSet bool
 }
 
@@ -145,12 +145,12 @@ func (s *Sim) Step(maxSteps int) {
 	n := s.n
 	dt := s.dt
 	if !s.harvestSet {
-		s.harvest = source.NewHarvestCursor(n.Harvest, dt, s.t, s.duration)
+		s.harvest = source.NewPowerCursor(n.Harvest, dt, s.t, s.duration)
 		s.harvestSet = true
 	}
 	for k := 0; (maxSteps <= 0 || k < maxSteps) && s.t < s.duration; k++ {
 		t := s.t
-		ph := s.harvest.Power(t)
+		ph := s.harvest.Sample(t)
 		eh := ph * dt
 		spill := n.Storage.Charge(eh)
 		_ = spill

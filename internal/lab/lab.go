@@ -228,7 +228,14 @@ func Run(s Setup) (Result, error) {
 	// conversion, which no affine closed form covers, so a run with one
 	// never hops and fast-forward has nothing to do.
 	ff := s.FastForward && s.PSource == nil
-	plat, _ := s.VSource.(source.PlateauVoltage)
+	var plat func(t float64) (v, until float64, ok bool)
+	if ff {
+		plat = source.PlateauFn(s.VSource)
+	} else {
+		// A stepwise run samples every step, so a cold run's recording
+		// is sized once; a hop would end it early.
+		rail.ExpectSteps(steps)
+	}
 	if obs == nil && s.Abort == nil && !ff {
 		// Hot path: nothing to observe, nothing to poll — the loop is
 		// exactly one rail integration and one device tick per step, with
@@ -258,6 +265,7 @@ func Run(s Setup) (Result, error) {
 		}
 	}
 
+	rail.Finish()
 	res.Steps = steps
 	res.Stats = d.Stats
 	res.HarvestedJ = rail.HarvestedJ
@@ -284,9 +292,9 @@ func crossedTh(v0, v, th float64) bool {
 
 // tryFastForward attempts to consume up to ffChunk simulation steps
 // analytically. It returns the number of steps skipped, or 0 when the
-// coming interval must be integrated stepwise. plat is s.VSource when
-// it advertises plateaus, else nil; the run never calls it with a
-// power source set.
+// coming interval must be integrated stepwise. plat is s.VSource's
+// bound Plateau (source.PlateauFn) when it advertises plateaus, else
+// nil; the run never calls it with a power source set.
 //
 // Two families of stretches are skippable:
 //
@@ -307,7 +315,7 @@ func crossedTh(v0, v, th float64) bool {
 // ends strictly before the first predicted crossing, so the crossing
 // step is integrated stepwise and lands on exactly the same step
 // boundary as full integration.
-func (s *Setup) tryFastForward(d *mcu.Device, rail *circuit.Rail, obs *observer, plat source.PlateauVoltage, remaining int) int {
+func (s *Setup) tryFastForward(d *mcu.Device, rail *circuit.Rail, obs *observer, plat func(float64) (float64, float64, bool), remaining int) int {
 	n := ffChunk
 	if n > remaining {
 		n = remaining
@@ -325,7 +333,7 @@ func (s *Setup) tryFastForward(d *mcu.Device, rail *circuit.Rail, obs *observer,
 	var vs float64
 	hasPlat := false
 	if plat != nil {
-		if pV, until, ok := plat.Plateau(t0); ok {
+		if pV, until, ok := plat(t0); ok {
 			if span := until - t0; span >= float64(n+1)*s.Dt {
 				vs, hasPlat = pV, true
 			} else if maxK := int(span/s.Dt) - 1; maxK >= 2 {

@@ -55,6 +55,8 @@ func (m *Sim) Step(maxSteps int) {
 		i := m.i
 		t := float64(i) * m.dt
 		w := m.budget(t)
+		// math.Max, not the builtin: they differ only on +Inf against
+		// NaN, where math.Max keeps the +Inf a non-finite budget reached.
 		m.res.MaxSustainedW = math.Max(m.res.MaxSustainedW, w)
 		m.sumBudget += w
 		idx, ok := s.Pick(w)
@@ -83,7 +85,7 @@ func (m *Sim) Step(maxSteps int) {
 		m.res.Frames += op.FPS * m.dt
 		m.sumFPS += op.FPS
 		m.sumUsed += op.PowerW
-		m.sumUtil += op.PowerW / math.Max(w, 1e-9)
+		m.sumUtil += op.PowerW / max(w, 1e-9)
 		m.utilSamples++
 	}
 }

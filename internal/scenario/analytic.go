@@ -273,7 +273,7 @@ func (e *tableSweepEngine) Report() (*ModelReport, error) {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "scenario %s: sweep over %s, %d cases\n",
 		e.sp.Name, SweepAxesLabel(e.sp), len(e.cases))
-	writeCellTable(&buf, "case", 32, e.m.sweepHeader(), e.names, e.rows)
+	writeCellTable(&buf, e.m.sweepHeader(), e.names, e.rows)
 	return &ModelReport{
 		Sweep:      true,
 		Text:       buf.String(),
@@ -283,10 +283,10 @@ func (e *tableSweepEngine) Report() (*ModelReport, error) {
 }
 
 // writeCellTable renders a generic sweep table: a header row, then one
-// row of pre-formatted cells per case. width sets the first column's
-// width, col0 its title.
-func writeCellTable(w io.Writer, col0 string, width int, header, names []string, rows [][]string) {
-	fmt.Fprintf(w, "%-*s", width, col0)
+// row of pre-formatted cells per case.
+func writeCellTable(w io.Writer, header, names []string, rows [][]string) {
+	width := caseWidth(names)
+	fmt.Fprintf(w, "%-*s", width, "case")
 	for _, h := range header {
 		fmt.Fprintf(w, " %-12s", h)
 	}

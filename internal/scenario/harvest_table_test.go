@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/lab"
 	"repro/internal/source"
+	"repro/internal/sweep"
 )
 
 // pvTableSpecs are PV-powered analytic sweeps over dt and a node
@@ -148,6 +150,66 @@ func TestHarvestTableSweepConcurrent(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.Cases, want.Cases) {
 					t.Errorf("run %d: cases differ from the untabled run:\n got %+v\nwant %+v", i, got.Cases, want.Cases)
+				}
+			}
+		})
+	}
+}
+
+// TestSampleTableLabRunsMatchUntabled: the lab rail reads the shared
+// sample table for the sine family, and every run of fig7 and of the
+// first and last case of powerneutral-storage-sweep returns a lab.Result
+// reflect.DeepEqual to a run whose source type is hidden from the table:
+// energies, FinalV and completion times included. Each spec runs on two
+// series resistances no other test uses, so the first run on each finds
+// no table: on one the stepwise run records it, and warm stepwise and
+// fast-forward runs read it; on the other a fast-forward run records it,
+// ending at its first hop, and a later run extends it.
+func TestSampleTableLabRunsMatchUntabled(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rs   float64
+	}{
+		{"fig7-rectified-sine-hibernus", 150},
+		{"powerneutral-storage-sweep", 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, order := range [][]bool{{false, false, true}, {true, true, false}} {
+				rs := tc.rs + float64(i+1)/32
+				for _, ff := range order {
+					sp := gateSpec(t, tc.name, "", ff)
+					if err := sp.Apply("source.rs", rs); err != nil {
+						t.Fatal(err)
+					}
+					// fig7 has no sweep: its one case is the spec.
+					cases := sp.Grid().Cases()
+					if len(cases) > 1 {
+						cases = []sweep.Case{cases[0], cases[len(cases)-1]}
+					}
+					if len(cases) == 0 {
+						cases = []sweep.Case{{Name: tc.name}}
+					}
+					for _, c := range cases {
+						run := func(hide bool) lab.Result {
+							st, err := sp.SetupAt(c)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if hide {
+								st.VSource = struct{ source.VoltageSource }{st.VSource}
+							}
+							res, err := lab.Run(st)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return res
+						}
+						got, want := run(false), run(true)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("rs %v, fast-forward %v, case %s: with the table\n%+v\nwithout\n%+v",
+								rs, ff, c.Name, got, want)
+						}
+					}
 				}
 			}
 		})

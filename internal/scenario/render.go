@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/lab"
 	"repro/internal/units"
@@ -59,6 +60,16 @@ func writeSummary(w io.Writer, res lab.Result, duration float64) {
 	}
 }
 
+// caseWidth is the width of a sweep table's case column: the longest
+// case name, and at least 32 characters.
+func caseWidth(names []string) int {
+	width := 32
+	for _, n := range names {
+		width = max(width, utf8.RuneCountInString(n))
+	}
+	return width
+}
+
 // writeSweepTable renders the lab sweep comparison table: a header row,
 // then one row per case. When any case drove a peripheral bank, the
 // table gains delivered and dropped packet columns ("-" for a case
@@ -68,8 +79,9 @@ func writeSweepTable(w io.Writer, names []string, results []lab.Result) {
 	for _, res := range results {
 		bank = bank || res.Bank
 	}
-	fmt.Fprintf(w, "%-32s %-12s %-8s %-10s %-10s %-12s %-12s",
-		"case", "completions", "wrong", "snapshots", "brownouts", "energy/op", "harvested")
+	width := caseWidth(names)
+	fmt.Fprintf(w, "%-*s %-12s %-8s %-10s %-10s %-12s %-12s",
+		width, "case", "completions", "wrong", "snapshots", "brownouts", "energy/op", "harvested")
 	if bank {
 		fmt.Fprintf(w, " %-10s %-10s", "delivered", "dropped")
 	}
@@ -79,8 +91,8 @@ func writeSweepTable(w io.Writer, names []string, results []lab.Result) {
 		if res.Completions > 0 {
 			eop = units.Format(res.EnergyPerCompletion(), "J")
 		}
-		fmt.Fprintf(w, "%-32s %-12d %-8d %-10d %-10d %-12s %-12s",
-			names[i], res.Completions, res.WrongResults,
+		fmt.Fprintf(w, "%-*s %-12d %-8d %-10d %-10d %-12s %-12s",
+			width, names[i], res.Completions, res.WrongResults,
 			res.Stats.SavesStarted, res.Stats.BrownOuts, eop,
 			units.Format(res.HarvestedJ, "J"))
 		switch {

@@ -1,6 +1,9 @@
 package source
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Rectified wraps a VoltageSource with an ideal half-wave rectifier:
 // negative half-cycles clipped to zero, minus a forward diode drop. This
@@ -105,7 +108,8 @@ type GatedVoltage struct {
 	Invert  bool         // if true, windows are outages instead
 }
 
-// Voltage implements VoltageSource.
+// Voltage implements VoltageSource. It scans every window: it is the
+// reference the indexed sampler (VoltageFn) is checked against.
 func (g *GatedVoltage) Voltage(t float64) float64 {
 	in := false
 	for _, w := range g.Windows {
@@ -126,7 +130,8 @@ func (g *GatedVoltage) SeriesResistance() float64 { return g.Source.SeriesResist
 // Plateau implements PlateauVoltage when the wrapped source does: the
 // constant stretch is the wrapped source's plateau intersected with the
 // window edges (which Voltage compares against t directly, so they bound
-// the stretch exactly).
+// the stretch exactly). Like Voltage it scans every window and is the
+// reference for the indexed PlateauFn.
 func (g *GatedVoltage) Plateau(t float64) (float64, float64, bool) {
 	pv, ok := g.Source.(PlateauVoltage)
 	if !ok {
@@ -158,6 +163,90 @@ func (g *GatedVoltage) Plateau(t float64) (float64, float64, bool) {
 		until = u
 	}
 	return v, until, true
+}
+
+// gateIndex is a window schedule prepared for O(log n) lookups. Its
+// sorted, distinct edges cut the time line into segments: segment j is
+// [edges[j-1], edges[j]), with segment 0 everything below edges[0] and
+// the last everything from the last edge up. A binary search on the
+// edges finds t's segment.
+//
+// The edges are every window start that is not NaN (Plateau bounds a
+// stretch by the next start even of an empty window) and the end of
+// every non-empty window (a < b, so NaN windows drop out). Voltage and
+// Plateau compare t with these same values, so on a segment:
+//   - membership is constant: a window [a, b) contains all of segment j
+//     or none of it, since a and b are edges; it contains it iff
+//     a ≤ edges[j-1] and b ≥ edges[j];
+//   - Plateau's until is edges[j] (+Inf past the last edge). Its
+//     candidates, a start above t or the end of a window holding t, are
+//     edges above t, so none is below edges[j]; and edges[j] is one: a
+//     start, or the end b of a non-empty window [a, b) with
+//     a < b = edges[j], where a, an edge, is at most edges[j-1], so the
+//     window holds t.
+//
+// So lookups are exact, ±Inf edges and a NaN t (which lands past the
+// last edge: outside every window, until +Inf) included. The one thing
+// a lookup may change is the sign of a zero until, where windows list
+// both -0 and +0 as edges.
+type gateIndex struct {
+	edges []float64
+	in    []bool // per segment: inside some window
+}
+
+func newGateIndex(windows [][2]float64) *gateIndex {
+	var edges []float64
+	for _, w := range windows {
+		if w[0] == w[0] {
+			edges = append(edges, w[0])
+		}
+		if w[0] < w[1] {
+			edges = append(edges, w[1])
+		}
+	}
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	// depth[j] counts the windows holding segment j: [a, b) holds the
+	// segments after a's edge up to b's.
+	depth := make([]int, len(edges)+2)
+	for _, w := range windows {
+		if w[0] < w[1] {
+			a, _ := slices.BinarySearch(edges, w[0])
+			b, _ := slices.BinarySearch(edges, w[1])
+			depth[a+1]++
+			depth[b+1]--
+		}
+	}
+	x := &gateIndex{edges: edges, in: make([]bool, len(edges)+1)}
+	n := 0
+	for j := range x.in {
+		n += depth[j]
+		x.in[j] = n > 0
+	}
+	return x
+}
+
+// segment returns the index of the segment containing t: the number of
+// edges at or below t.
+func (x *gateIndex) segment(t float64) int {
+	lo, hi := 0, len(x.edges)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x.edges[m] > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// until returns the end of segment j's constant stretch.
+func (x *gateIndex) until(j int) float64 {
+	if j < len(x.edges) {
+		return x.edges[j]
+	}
+	return math.Inf(1)
 }
 
 // SquareWaveVoltage produces a square supply alternating between High for

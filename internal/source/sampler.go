@@ -113,16 +113,9 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 		return func(t float64) float64 { return gain * inner(t) }
 	case *GatedVoltage:
 		inner := VoltageFn(s.Source)
-		windows, invert := s.Windows, s.Invert
+		x, invert := newGateIndex(s.Windows), s.Invert
 		return func(t float64) float64 {
-			in := false
-			for _, w := range windows {
-				if t >= w[0] && t < w[1] {
-					in = true
-					break
-				}
-			}
-			if in != invert {
+			if x.in[x.segment(t)] != invert {
 				return inner(t)
 			}
 			return 0
@@ -135,6 +128,40 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 		return s.Voltage
 	default:
 		return vs.Voltage
+	}
+}
+
+// PlateauFn returns a function equivalent to vs.Plateau, or nil when vs
+// does not implement PlateauVoltage. A GatedVoltage's windows are
+// indexed here, once, so a lookup costs O(log windows) instead of a
+// scan; see gateIndex for why it is exact.
+func PlateauFn(vs VoltageSource) func(t float64) (v, until float64, ok bool) {
+	g, ok := vs.(*GatedVoltage)
+	if !ok {
+		if p, ok := vs.(PlateauVoltage); ok {
+			return p.Plateau
+		}
+		return nil
+	}
+	inner := PlateauFn(g.Source)
+	if inner == nil {
+		return func(float64) (float64, float64, bool) { return 0, 0, false }
+	}
+	x, invert := newGateIndex(g.Windows), g.Invert
+	return func(t float64) (float64, float64, bool) {
+		j := x.segment(t)
+		until := x.until(j)
+		if x.in[j] == invert { // gated off: a zero plateau up to the next edge
+			return 0, until, true
+		}
+		v, u, ok := inner(t)
+		if !ok {
+			return 0, 0, false
+		}
+		if u < until {
+			until = u
+		}
+		return v, until, true
 	}
 }
 

@@ -5,23 +5,39 @@ import (
 	"sync"
 )
 
-// The harvest table. The analytic steppers (eneutral, taskburst) sample
-// their PowerSource on the grid t_0 = 0, t_{k+1} = fl(t_k + dt), and
-// sweeps and explorations re-run one unchanged supply while they vary
-// the node. Each indoor-PV sample costs two sines and a raised-cosine
-// edge, so the package keeps one process-wide memo of Power(t_k) per
-// Photovoltaic parameter values and dt. t_k does not depend on the run's
+// The sample table. The analytic steppers (eneutral, taskburst) sample
+// their PowerSource, and the lab rail its VoltageSource, on the grid
+// t_0 = 0, t_{k+1} = fl(t_k + dt), and sweeps, explorations and the
+// service re-run one unchanged supply while they vary the node. So the
+// package keeps one process-wide memo of the samples on that grid per
+// source parameter values and dt. t_k does not depend on the run's
 // duration, so a longer table serves a shorter run as its prefix.
 //
 // Runs build the tables themselves: a run on the grid records the
 // samples it computes past the end of the table it found, and publishes
 // them once it has covered its duration. A cancelled run publishes
 // nothing, and no run ever waits for another. Every entry is the value
-// Power(t_k) returns, so reading the table is bit-identical to calling
-// Power.
+// the source's sampler returns at t_k, so reading the table is
+// bit-identical to sampling.
 //
-// Of the registry's two power sources only the PV cell gets a table: a
-// constant power costs less than a table load.
+// Which sources get a table is a trade of the sample's cost against the
+// table's memory, which stays resident for the life of the process:
+//
+//   - pv (*Photovoltaic) in the analytic steppers: two sines and a
+//     raised-cosine edge per sample.
+//   - sine (*SignalGenerator with Frequency ≠ 0) and rectified-sine
+//     (*Rectified over such a generator) on the rail's voltage path: one
+//     math.Sin per 5 µs step, where a rail that sleeps through most of
+//     each cycle (Fig. 7) spends a third of its run. The Fig. 7 run's
+//     table is 100,000 samples, 781 KiB.
+//   - Not wind: its Fig. 8 gust run is 1,000,000 samples, 7.6 MiB held
+//     for the process's life (+58% of a lab stream's peak RSS), to save
+//     about 35 ns of a ~190 ns step.
+//   - Not pv on the rail: the duty-cycle run's table is 3.05 MiB, which
+//     with Fig. 7's adds about 30% to a lab stream's RSS, for about
+//     19 ns of a ~157 ns step.
+//   - Not the square wave, dc or const-power: a sample costs less than
+//     a table load.
 
 const (
 	// tableMaxLen caps one table at 8 MiB of samples. Steps past it are
@@ -35,23 +51,58 @@ const (
 	memoMaxTables = 64
 )
 
-// tableKey identifies one table: the bits of every Photovoltaic
-// parameter and of dt. Bits, not values, so NaN parameters still find
-// their table and -0 and +0 never share one.
+// tableKind says which sampler a table holds, so tables of different
+// sources never share a key.
+type tableKind uint8
+
+const (
+	noTable tableKind = iota
+	pvTable
+	sineTable
+	rectifiedSineTable
+)
+
+// tableKey identifies one table: its kind, the bits of every parameter
+// of the source, and the bits of dt. Bits, not values, so NaN
+// parameters still find their table and -0 and +0 never share one.
 type tableKey struct {
-	pv [7]uint64
-	dt uint64
+	kind  tableKind
+	param [7]uint64
+	dt    uint64
 }
 
 func pvKey(p *Photovoltaic, dt float64) tableKey {
 	b := math.Float64bits
 	return tableKey{
-		pv: [7]uint64{
+		kind: pvTable,
+		param: [7]uint64{
 			b(p.BaseCurrent), b(p.PeakCurrent), b(p.OpVoltage),
 			b(p.DawnHour), b(p.DuskHour), b(p.EdgeHours), b(p.Flicker),
 		},
 		dt: b(dt),
 	}
+}
+
+// voltageKey returns the table key for vs sampled at step dt, with kind
+// noTable for a source that gets no table.
+func voltageKey(vs VoltageSource, dt float64) tableKey {
+	var g *SignalGenerator
+	k := tableKey{dt: math.Float64bits(dt)}
+	switch s := vs.(type) {
+	case *SignalGenerator:
+		g, k.kind = s, sineTable
+	case *Rectified:
+		g, _ = s.Source.(*SignalGenerator)
+		k.kind = rectifiedSineTable
+		k.param[5] = math.Float64bits(s.DiodeV)
+	}
+	if g == nil || g.Frequency == 0 {
+		return tableKey{}
+	}
+	b := math.Float64bits
+	k.param[0], k.param[1], k.param[2] = b(g.Amplitude), b(g.Frequency), b(g.Offset)
+	k.param[3], k.param[4] = b(g.Phase), b(g.Rs)
+	return k
 }
 
 // memoTable is one published table. tab is never written after it is
@@ -115,38 +166,51 @@ func publishTable(k tableKey, tab []float64) {
 	memo.bytes += 8 * len(tab)
 }
 
-// HarvestCursor samples a PowerSource along an analytic stepper's grid
-// t_0 = 0, t_{k+1} = fl(t_k + dt). Where the shared table covers the
-// step it reads the table, past its end it calls Power, and on a run
-// that started on the grid it records those samples for Finish to
-// publish. The zero value is not usable; build one with
-// NewHarvestCursor.
-type HarvestCursor struct {
-	src PowerSource
-	tab []float64 // the shared table as found; read-only
-	k   int       // grid index of the next sample while k < len(tab)
+// SampleCursor samples one source along a stepper's grid t_0 = 0,
+// t_{k+1} = fl(t_k + dt). Where the shared table covers the step it
+// reads the table, past its end it calls the source's sampler, and on a
+// run that started on the grid it records those samples for Finish to
+// publish. Build one with NewPowerCursor or NewVoltageCursor; the zero
+// value has no source to sample, and its Finish does nothing.
+type SampleCursor struct {
+	fn  func(float64) float64 // the source's sampler
+	tab []float64             // the shared table as found; read-only
+	k   int                   // grid index of the next sample
 
 	key       tableKey
 	recording bool      // rec extends tab by the samples past its end
-	rec       []float64 // Power(t_k) for k = len(tab), len(tab)+1, …
+	rec       []float64 // fn(t_k) for k = len(tab), len(tab)+1, …
 	recCap    int       // rec's capacity once a sample misses the table
 }
 
-// NewHarvestCursor returns a cursor over src for a stepper of step dt
-// whose clock runs from t to end: t is 0 for a fresh run and the
-// restored clock for a resumed one. The cursor finds the grid index of
-// t by replaying the accumulation, up to the end of the table only, and
-// requires t_k == t exactly; a clock off the grid or past the table
-// reads nothing from the table and records nothing. end only sizes the
-// recording. The source's parameters must not change while the cursor
-// is in use.
-func NewHarvestCursor(src PowerSource, dt, t, end float64) HarvestCursor {
-	pv, ok := src.(*Photovoltaic)
-	if !ok {
-		return HarvestCursor{src: src}
+// NewPowerCursor returns a cursor over src.Power for a stepper of step
+// dt whose clock runs from t to end; see newCursor.
+func NewPowerCursor(src PowerSource, dt, t, end float64) SampleCursor {
+	if p, ok := src.(*Photovoltaic); ok {
+		return newCursor(src.Power, pvKey(p, dt), dt, t, end)
 	}
-	c := HarvestCursor{src: src, key: pvKey(pv, dt)}
-	tab := lookupTable(c.key)
+	return SampleCursor{fn: src.Power}
+}
+
+// NewVoltageCursor returns a cursor over VoltageFn(vs) for a stepper of
+// step dt whose clock runs from t to end; see newCursor.
+func NewVoltageCursor(vs VoltageSource, dt, t, end float64) SampleCursor {
+	return newCursor(VoltageFn(vs), voltageKey(vs, dt), dt, t, end)
+}
+
+// newCursor finds the grid index of t by replaying the accumulation, up
+// to the end of the table only, and requires t_k == t exactly; a clock
+// off the grid or past the table reads nothing from the table and
+// records nothing, and so does a source of kind noTable. t is 0 for a
+// fresh run and the restored clock for a resumed one; end only sizes
+// the recording. The source's parameters must not change while the
+// cursor is in use.
+func newCursor(fn func(float64) float64, key tableKey, dt, t, end float64) SampleCursor {
+	c := SampleCursor{fn: fn, key: key}
+	if key.kind == noTable {
+		return c
+	}
+	tab := lookupTable(key)
 	k, tk := 0, 0.0
 	for k < len(tab) && tk < t {
 		tk += dt
@@ -158,20 +222,25 @@ func NewHarvestCursor(src PowerSource, dt, t, end float64) HarvestCursor {
 	c.tab, c.k, c.recording = tab, k, true
 	// The run takes about (end−t)/dt steps; two more absorb the clock's
 	// rounding, so the recording is allocated once and published as is.
+	// An unknown length (infinite or NaN) sizes nothing: the recording
+	// then grows as it goes.
 	c.recCap = tableMaxLen - len(tab)
 	switch n := (end-t)/dt + 2; {
-	case n >= float64(c.recCap):
-	case n > 0:
-		c.recCap = int(n)
-	default: // NaN too
+	case math.IsInf(n, 1) || !(n > 0):
 		c.recCap = 0
+	case n < float64(c.recCap):
+		c.recCap = int(n)
 	}
 	return c
 }
 
-// Power returns src.Power(t) for the cursor's next grid instant t_k,
-// which the caller passes as t, and advances to t_{k+1}.
-func (c *HarvestCursor) Power(t float64) float64 {
+// Tabled reports whether the cursor's source gets a table at all; a
+// caller may sample an untabled source directly instead.
+func (c *SampleCursor) Tabled() bool { return c.key.kind != noTable }
+
+// Sample returns the source's sample at the cursor's next grid instant
+// t_k, which the caller passes as t, and advances to t_{k+1}.
+func (c *SampleCursor) Sample(t float64) float64 {
 	if c.k < len(c.tab) {
 		c.k++
 		return c.tab[c.k-1]
@@ -181,26 +250,39 @@ func (c *HarvestCursor) Power(t float64) float64 {
 
 // miss computes a sample past the table and records it while the table
 // it would extend stays within tableMaxLen.
-func (c *HarvestCursor) miss(t float64) float64 {
-	p := c.src.Power(t)
+func (c *SampleCursor) miss(t float64) float64 {
+	v := c.fn(t)
+	c.k++
 	if c.recording {
 		if c.rec == nil {
 			c.rec = make([]float64, 0, c.recCap)
 		}
 		if len(c.tab)+len(c.rec) < tableMaxLen {
-			c.rec = append(c.rec, p)
+			c.rec = append(c.rec, v)
 		} else {
 			c.recording = false
 		}
 	}
-	return p
+	return v
+}
+
+// Skip advances the cursor over n grid instants its caller did not
+// sample (a fast-forward hop). The table still serves the instants after
+// a hop that ends inside it, but a hop past its end leaves a gap no
+// table can hold: the recording ends there, and Finish publishes what
+// came before.
+func (c *SampleCursor) Skip(n int) {
+	c.k += n
+	if c.k > len(c.tab)+len(c.rec) {
+		c.recording = false
+	}
 }
 
 // Finish publishes the samples the cursor recorded as the longer table
 // for its source and step. Call it once the run has covered its
 // duration; a run that stops early never calls it, and publishes
 // nothing. A second call does nothing.
-func (c *HarvestCursor) Finish() {
+func (c *SampleCursor) Finish() {
 	switch {
 	case len(c.rec) == 0:
 	case len(c.tab) == 0 && cap(c.rec) == c.recCap:

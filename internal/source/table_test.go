@@ -9,17 +9,40 @@ import (
 // walk samples src through a cursor at grid steps from..to-1 of step dt,
 // the way the analytic steppers do, and fails on the first sample whose
 // bits differ from src.Power(t_k). It returns the cursor for Finish.
-func walk(t *testing.T, src PowerSource, dt float64, from, to int) HarvestCursor {
+func walk(t *testing.T, src PowerSource, dt float64, from, to int) SampleCursor {
 	t.Helper()
+	tk := gridAt(dt, from)
+	return walkCursor(t, NewPowerCursor(src, dt, tk, tk+float64(to-from)*dt), src.Power, dt, from, to)
+}
+
+// walkVoltage is walk for a voltage source, against VoltageFn(vs). An
+// unsized walk passes the length the rail passes when it knows none.
+func walkVoltage(t *testing.T, vs VoltageSource, dt float64, from, to int, sized bool) SampleCursor {
+	t.Helper()
+	tk := gridAt(dt, from)
+	end := math.Inf(1)
+	if sized {
+		end = tk + float64(to-from)*dt
+	}
+	return walkCursor(t, NewVoltageCursor(vs, dt, tk, end), VoltageFn(vs), dt, from, to)
+}
+
+// gridAt returns t_k of the grid of step dt.
+func gridAt(dt float64, k int) float64 {
 	tk := 0.0
-	for k := 0; k < from; k++ {
+	for range k {
 		tk += dt
 	}
-	c := NewHarvestCursor(src, dt, tk, tk+float64(to-from)*dt)
+	return tk
+}
+
+func walkCursor(t *testing.T, c SampleCursor, fn func(float64) float64, dt float64, from, to int) SampleCursor {
+	t.Helper()
+	tk := gridAt(dt, from)
 	for k := from; k < to; k++ {
-		got, want := c.Power(tk), src.Power(tk)
+		got, want := c.Sample(tk), fn(tk)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("dt %v, step %d (t=%v): cursor %v, Power %v", dt, k, tk, got, want)
+			t.Fatalf("dt %v, step %d (t=%v): cursor %v, source %v", dt, k, tk, got, want)
 		}
 		tk += dt
 	}
@@ -31,14 +54,22 @@ func walk(t *testing.T, src PowerSource, dt float64, from, to int) HarvestCursor
 // least minLen entries.
 func assertTableExact(t *testing.T, p *Photovoltaic, dt float64, minLen int) {
 	t.Helper()
-	tab := lookupTable(pvKey(p, dt))
+	assertEntriesExact(t, pvKey(p, dt), p.Power, dt, minLen)
+}
+
+// assertEntriesExact requires every entry of the published table for key
+// to equal fn(t_k) bit for bit, and the table to hold at least minLen
+// entries.
+func assertEntriesExact(t *testing.T, key tableKey, fn func(float64) float64, dt float64, minLen int) {
+	t.Helper()
+	tab := lookupTable(key)
 	if len(tab) < minLen {
 		t.Fatalf("table for dt %v holds %d samples, want at least %d", dt, len(tab), minLen)
 	}
 	tk := 0.0
 	for k, got := range tab {
-		if want := p.Power(tk); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("dt %v: table[%d] (t=%v) = %v, Power %v", dt, k, tk, got, want)
+		if want := fn(tk); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("dt %v: table[%d] (t=%v) = %v, source %v", dt, k, tk, got, want)
 		}
 		tk += dt
 	}
@@ -100,7 +131,7 @@ func TestHarvestTableReusedAcrossRuns(t *testing.T) {
 	if &tab[0] != rec {
 		t.Error("a fresh table was copied on publish")
 	}
-	c = NewHarvestCursor(p, dt, 0, 0)
+	c = NewPowerCursor(p, dt, 0, 0)
 	if len(c.tab) != 5000 || c.k != 0 {
 		t.Fatalf("a fresh run found %d samples at index %d, want 5000 at 0", len(c.tab), c.k)
 	}
@@ -131,16 +162,16 @@ func TestHarvestCursorResume(t *testing.T) {
 	c.Finish()
 	tk := 0.0
 	for k := 0; k < 1000; k++ {
-		if c := NewHarvestCursor(p, dt, tk, tk); c.k != k || !c.recording {
+		if c := NewPowerCursor(p, dt, tk, tk); c.k != k || !c.recording {
 			t.Fatalf("clock t_%d = %v: cursor at %d (recording %v)", k, tk, c.k, c.recording)
 		}
 		tk += dt
 	}
-	if c := NewHarvestCursor(p, dt, tk, tk); c.k != 1000 || !c.recording {
+	if c := NewPowerCursor(p, dt, tk, tk); c.k != 1000 || !c.recording {
 		t.Errorf("clock at the table's end: cursor at %d (recording %v), want 1000 and recording", c.k, c.recording)
 	}
 	for _, off := range []float64{0.05, -1, math.NaN(), tk + dt} {
-		c := NewHarvestCursor(p, dt, off, off)
+		c := NewPowerCursor(p, dt, off, off)
 		if len(c.tab) != 0 || c.recording {
 			t.Errorf("clock %v off the grid or past the table: cursor reads %d samples (recording %v)",
 				off, len(c.tab), c.recording)
@@ -149,37 +180,164 @@ func TestHarvestCursorResume(t *testing.T) {
 	walk(t, p, dt, 37, 1200) // resume mid-table and run past its end
 }
 
-// TestHarvestTableOnlyForPV: other power sources are sampled directly.
-func TestHarvestTableOnlyForPV(t *testing.T) {
-	cp := &ConstantPower{P: 1e-3}
-	c := walk(t, cp, 1, 0, 100)
-	if c.tab != nil || c.recording || c.rec != nil {
-		t.Errorf("const-power cursor has a table (%d samples, recording %v)", len(c.tab), c.recording)
+// TestSampleTableOnlyForPVAndSine: the PV cell and the sine family get a
+// table; every other source is sampled directly, and a cursor over one
+// reads, records and publishes nothing.
+func TestSampleTableOnlyForPVAndSine(t *testing.T) {
+	gen := &SignalGenerator{Amplitude: 3.6, Frequency: 20, Rs: 150}
+	dcGen := &SignalGenerator{Amplitude: 3.6, Rs: 150}
+	tabled := map[string]SampleCursor{
+		"pv":             NewPowerCursor(DefaultPhotovoltaic(), 1, 0, 1),
+		"sine":           NewVoltageCursor(gen, 1e-3, 0, 1),
+		"rectified-sine": NewVoltageCursor(HalfWave(gen, 0.2), 1e-3, 0, 1),
 	}
-	c.Finish()
+	for name, c := range tabled {
+		if !c.Tabled() {
+			t.Errorf("%s has no table", name)
+		}
+	}
+	untabled := map[string]SampleCursor{
+		"const-power":      walk(t, &ConstantPower{P: 1e-3}, 1, 0, 100),
+		"dc":               walkVoltage(t, &ConstantVoltage{V: 3.3, Rs: 10}, 1e-3, 0, 100, true),
+		"square":           walkVoltage(t, &SquareWaveVoltage{High: 3.3, OnTime: 0.004, OffTime: 0.15}, 1e-3, 0, 100, true),
+		"wind":             walkVoltage(t, HalfWave(DefaultWindTurbine(), 0.2), 1e-3, 0, 100, true),
+		"sine at 0 Hz":     walkVoltage(t, dcGen, 1e-3, 0, 100, true),
+		"rectified dc":     walkVoltage(t, HalfWave(dcGen, 0.2), 1e-3, 0, 100, true),
+		"scaled sine":      walkVoltage(t, &ScaledVoltage{Source: gen, Gain: 2}, 1e-3, 0, 100, true),
+		"gated sine":       walkVoltage(t, &GatedVoltage{Source: gen, Windows: [][2]float64{{0, 1}}}, 1e-3, 0, 100, true),
+		"hidden rectified": walkVoltage(t, struct{ VoltageSource }{HalfWave(gen, 0.2)}, 1e-3, 0, 100, true),
+	}
+	for name, c := range untabled {
+		if c.Tabled() || c.tab != nil || c.recording || c.rec != nil {
+			t.Errorf("%s cursor has a table (%d samples, recording %v, %d recorded)",
+				name, len(c.tab), c.recording, len(c.rec))
+		}
+		c.Finish()
+	}
 }
 
 // TestHarvestTableKeyCoversEveryParameter: the key holds the bits of
-// every Photovoltaic field, so a parameter added later cannot silently
-// share a table with a differently shaped cell.
+// every field of the sources that get a table — the PV cell, the signal
+// generator and the rectifier — so a parameter added later cannot
+// silently share a table with a differently shaped source.
 func TestHarvestTableKeyCoversEveryParameter(t *testing.T) {
 	var k tableKey
-	if n := reflect.TypeOf(Photovoltaic{}).NumField(); n != len(k.pv) {
-		t.Fatalf("Photovoltaic has %d fields, the table key covers %d", n, len(k.pv))
+	if n := reflect.TypeOf(Photovoltaic{}).NumField(); n != len(k.param) {
+		t.Fatalf("Photovoltaic has %d fields, the table key covers %d", n, len(k.param))
 	}
+	// The generator's fields, then the rectifier's DiodeV (its other
+	// field is the generator).
+	if n, m := reflect.TypeOf(SignalGenerator{}).NumField(), reflect.TypeOf(Rectified{}).NumField(); n != 5 || m != 2 {
+		t.Fatalf("SignalGenerator has %d fields and Rectified %d, the key covers 5 and 2", n, m)
+	}
+	// perturb returns, for every float field of the struct v points to,
+	// a copy with that field moved, named after the field.
+	perturb := func(v any) map[string]any {
+		out := map[string]any{}
+		e := reflect.ValueOf(v).Elem()
+		for i := 0; i < e.NumField(); i++ {
+			if e.Field(i).Kind() != reflect.Float64 {
+				continue
+			}
+			c := reflect.New(e.Type())
+			c.Elem().Set(e)
+			f := c.Elem().Field(i)
+			f.SetFloat(f.Float() + 1)
+			out[e.Type().Field(i).Name] = c.Interface()
+		}
+		return out
+	}
+
 	base := DefaultPhotovoltaic()
-	v := reflect.ValueOf(base).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		p := *base
-		f := reflect.ValueOf(&p).Elem().Field(i)
-		f.SetFloat(f.Float() + 1)
-		if pvKey(&p, 1) == pvKey(base, 1) {
-			t.Errorf("field %s is not part of the key", v.Type().Field(i).Name)
+	for name, p := range perturb(base) {
+		if pvKey(p.(*Photovoltaic), 1) == pvKey(base, 1) {
+			t.Errorf("Photovoltaic.%s is not part of the key", name)
 		}
 	}
 	if pvKey(base, 1) == pvKey(base, 2) {
-		t.Error("dt is not part of the key")
+		t.Error("dt is not part of the PV key")
 	}
+
+	gen := &SignalGenerator{Amplitude: 3.6, Frequency: 20, Offset: 0.1, Phase: 0.2, Rs: 150}
+	rect := HalfWave(gen, 0.2)
+	for name, g := range perturb(gen) {
+		g := g.(*SignalGenerator)
+		if voltageKey(g, 1) == voltageKey(gen, 1) {
+			t.Errorf("SignalGenerator.%s is not part of the sine key", name)
+		}
+		if voltageKey(HalfWave(g, 0.2), 1) == voltageKey(rect, 1) {
+			t.Errorf("SignalGenerator.%s is not part of the rectified-sine key", name)
+		}
+	}
+	for name, r := range perturb(rect) {
+		if voltageKey(r.(*Rectified), 1) == voltageKey(rect, 1) {
+			t.Errorf("Rectified.%s is not part of the key", name)
+		}
+	}
+	if voltageKey(rect, 1) == voltageKey(rect, 2) || voltageKey(gen, 1) == voltageKey(gen, 2) {
+		t.Error("dt is not part of the voltage keys")
+	}
+	// Kinds keep a generator, the same generator rectified with no drop
+	// and a PV cell whose bits happened to match apart.
+	if voltageKey(gen, 1) == voltageKey(HalfWave(gen, 0), 1) {
+		t.Error("a sine and a rectified sine share a key")
+	}
+	pvLike := voltageKey(gen, 1)
+	pvLike.kind = pvTable
+	if pvLike == voltageKey(gen, 1) {
+		t.Error("the kind is not part of the key")
+	}
+}
+
+// FuzzVoltageTable checks the shared table against VoltageFn for any
+// sine or rectified sine and any step: a fresh run that records, a
+// longer run that reads the table and extends it, a run that skips over
+// a stretch (a fast-forward hop) inside or past the table, and a run
+// resumed mid-grid all sample exactly VoltageFn(t_k), and so does every
+// published entry; the generator behind another diode drop too.
+func FuzzVoltageTable(f *testing.F) {
+	f.Add(3.6, 20.0, 0.0, 0.0, 0.2, 5e-6, true, uint16(3000), uint16(700), uint16(40))
+	f.Add(4.5, 20.0, 0.0, 0.0, 0.0, 5e-6, false, uint16(4000), uint16(4000), uint16(0))
+	f.Add(1.0, -3.0, 2.0, 1.0, -0.5, 0.1, true, uint16(500), uint16(1), uint16(9))
+	f.Add(0.0, 1e9, 0.5, 0.0, 0.2, 1e-3, true, uint16(2), uint16(0), uint16(3))
+	f.Add(3.6, math.NaN(), 0.0, 0.0, 0.2, 1e-4, true, uint16(300), uint16(100), uint16(1000))
+	f.Add(3.6, 20.0, math.Inf(1), 0.0, math.NaN(), 3600.0, true, uint16(65535), uint16(9), uint16(65535))
+	f.Fuzz(func(t *testing.T, amp, freq, offset, phase, diodeV, dt float64, rectified bool, n, resume, skip uint16) {
+		var vs VoltageSource = &SignalGenerator{Amplitude: amp, Frequency: freq, Offset: offset, Phase: phase, Rs: 100}
+		if rectified {
+			vs = HalfWave(vs, diodeV)
+		}
+		fn, key := VoltageFn(vs), voltageKey(vs, dt)
+		first := int(n) % 4096
+		total := first + int(n)%1024
+		c := walkVoltage(t, vs, dt, 0, first, true)
+		c.Finish()
+		if first > 0 && key.kind != noTable {
+			assertEntriesExact(t, key, fn, dt, first)
+		}
+		c = walkVoltage(t, vs, dt, 0, total, false)
+		c.Finish()
+		if total > 0 && key.kind != noTable {
+			assertEntriesExact(t, key, fn, dt, total)
+		}
+
+		// A hop of skip%300 instants at from, then the rest of the run.
+		from, hop := int(resume)%(total+1), int(skip)%300
+		c = walkVoltage(t, vs, dt, 0, from, false)
+		c.Skip(hop)
+		c = walkCursor(t, c, fn, dt, from+hop, total+hop+5)
+		c.Finish()
+		if key.kind != noTable {
+			assertEntriesExact(t, key, fn, dt, total)
+		}
+		walkVoltage(t, vs, dt, from, total+5, true)
+
+		// The same generator behind another diode drop reads a table of
+		// its own.
+		if r, ok := vs.(*Rectified); ok {
+			walkVoltage(t, HalfWave(r.Source, r.DiodeV+0.25), dt, 0, total, false)
+		}
+	})
 }
 
 // TestHarvestTableByteCap pins the memory bound: one table holds at most

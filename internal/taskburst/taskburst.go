@@ -93,9 +93,9 @@ type Sim struct {
 	t            float64
 
 	// harvest samples n.Harvest along the step grid, reading the
-	// shared harvest table where it can. The first Step after NewSim or
+	// shared sample table where it can. The first Step after NewSim or
 	// Restore positions it at the clock.
-	harvest    source.HarvestCursor
+	harvest    source.SampleCursor
 	harvestSet bool
 }
 
@@ -114,15 +114,15 @@ func (s *Sim) Step(maxSteps int) {
 	dt := s.dt
 	const maxI = 1.0
 	if !s.harvestSet {
-		s.harvest = source.NewHarvestCursor(n.Harvest, dt, s.t, s.duration)
+		s.harvest = source.NewPowerCursor(n.Harvest, dt, s.t, s.duration)
 		s.harvestSet = true
 	}
 	for k := 0; (maxSteps <= 0 || k < maxSteps) && s.t < s.duration; k++ {
 		t := s.t
-		p := s.harvest.Power(t)
+		p := s.harvest.Sample(t)
 		if p > 0 {
-			v := math.Max(n.Cap.V, 0.1)
-			i := math.Min(p/v, maxI)
+			v := max(n.Cap.V, 0.1)
+			i := min(p/v, maxI)
 			n.Cap.Step(i, dt)
 		} else {
 			n.Cap.Step(0, dt)

@@ -80,15 +80,12 @@ func (c *Capacitor) DrawEnergy(e, vFloor float64) float64 {
 	return e
 }
 
-// Battery is a simple state-of-charge energy reservoir with a terminal
-// voltage that sags linearly with depth of discharge and separate
+// Battery is a simple state-of-charge energy reservoir with separate
 // charge/discharge efficiencies. It is sufficient for the energy-neutral
 // experiments, where what matters is eq. (1) bookkeeping over hours–days.
 type Battery struct {
 	CapacityJ   float64 // full-charge energy, joules
 	SoC         float64 // state of charge, 0..1
-	VFull       float64 // terminal voltage at SoC=1
-	VEmpty      float64 // terminal voltage at SoC=0
 	EtaCharge   float64 // fraction of input energy stored
 	EtaDischrg  float64 // fraction of stored energy delivered
 	ThroughputJ float64 // cumulative energy cycled through (wear proxy)
@@ -100,20 +97,10 @@ func NewBattery(capacityJ, soc float64) *Battery {
 	return &Battery{
 		CapacityJ:  capacityJ,
 		SoC:        units.Clamp(soc, 0, 1),
-		VFull:      4.2,
-		VEmpty:     3.0,
 		EtaCharge:  0.95,
 		EtaDischrg: 0.95,
 	}
 }
-
-// Voltage returns the present terminal voltage.
-func (b *Battery) Voltage() float64 {
-	return b.VEmpty + (b.VFull-b.VEmpty)*b.SoC
-}
-
-// Energy returns the stored energy in joules.
-func (b *Battery) Energy() float64 { return b.SoC * b.CapacityJ }
 
 // Charge adds e joules of input energy; the stored amount is scaled by the
 // charge efficiency and clamped at capacity. It returns the energy that

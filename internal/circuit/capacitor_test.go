@@ -120,24 +120,24 @@ func TestDrawEnergyConservation(t *testing.T) {
 
 func TestBatteryChargeDischarge(t *testing.T) {
 	b := NewBattery(1000, 0.5)
-	if math.Abs(b.Energy()-500) > 1e-9 {
-		t.Errorf("energy = %g, want 500", b.Energy())
+	if math.Abs(b.SoC*b.CapacityJ-500) > 1e-9 {
+		t.Errorf("energy = %g, want 500", b.SoC*b.CapacityJ)
 	}
 	// Charge 100 J: stored 95 J at η=0.95.
 	spill := b.Charge(100)
 	if spill != 0 {
 		t.Errorf("unexpected spill %g", spill)
 	}
-	if math.Abs(b.Energy()-595) > 1e-9 {
-		t.Errorf("post-charge energy = %g, want 595", b.Energy())
+	if math.Abs(b.SoC*b.CapacityJ-595) > 1e-9 {
+		t.Errorf("post-charge energy = %g, want 595", b.SoC*b.CapacityJ)
 	}
 	// Discharge 95 J delivered: removes 100 J stored.
 	got := b.Discharge(95)
 	if math.Abs(got-95) > 1e-9 {
 		t.Errorf("delivered = %g, want 95", got)
 	}
-	if math.Abs(b.Energy()-495) > 1e-9 {
-		t.Errorf("post-discharge energy = %g, want 495", b.Energy())
+	if math.Abs(b.SoC*b.CapacityJ-495) > 1e-9 {
+		t.Errorf("post-discharge energy = %g, want 495", b.SoC*b.CapacityJ)
 	}
 }
 
@@ -157,16 +157,6 @@ func TestBatterySpillAndDepletion(t *testing.T) {
 	}
 	if b2.SoC > 1e-9 {
 		t.Errorf("battery should be depleted, SoC = %g", b2.SoC)
-	}
-}
-
-func TestBatteryVoltageTracksSoC(t *testing.T) {
-	b := NewBattery(100, 1)
-	vFull := b.Voltage()
-	b.SoC = 0
-	vEmpty := b.Voltage()
-	if vFull != 4.2 || vEmpty != 3.0 {
-		t.Errorf("voltage range %g..%g, want 3.0..4.2", vEmpty, vFull)
 	}
 }
 

@@ -14,12 +14,6 @@ type Load interface {
 	Current(v, t float64) float64
 }
 
-// LoadFunc adapts a plain function to the Load interface.
-type LoadFunc func(v, t float64) float64
-
-// Current implements Load.
-func (f LoadFunc) Current(v, t float64) float64 { return f(v, t) }
-
 // ConstantCurrentLoad draws a fixed current whenever the rail is above a
 // minimum operating voltage.
 type ConstantCurrentLoad struct {
@@ -33,19 +27,6 @@ func (l *ConstantCurrentLoad) Current(v, _ float64) float64 {
 		return 0
 	}
 	return l.I
-}
-
-// ResistiveLoad draws V/R.
-type ResistiveLoad struct {
-	R float64
-}
-
-// Current implements Load.
-func (l *ResistiveLoad) Current(v, _ float64) float64 {
-	if l.R <= 0 {
-		return 0
-	}
-	return v / l.R
 }
 
 // Rail is the single-node power rail: a storage capacitor charged by a
@@ -465,20 +446,4 @@ func (r *Rail) AdvanceDriven(n int, dt, iLoad, vs float64) float64 {
 	r.LastLoadI = iLoad
 	r.advanceClock(n, dt)
 	return r.Cap.V
-}
-
-// Run steps the rail until time end, invoking observe (if non-nil) after
-// every step. The step count is computed up front so accumulated floating-
-// point drift in the clock cannot add or drop a step.
-func (r *Rail) Run(end, dt float64, observe func(t, v float64)) {
-	if dt <= 0 || end <= r.now {
-		return
-	}
-	n := int(math.Round((end - r.now) / dt))
-	for i := 0; i < n; i++ {
-		v := r.Step(dt)
-		if observe != nil {
-			observe(r.now, v)
-		}
-	}
 }

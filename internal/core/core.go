@@ -13,8 +13,8 @@
 //
 // The equation predicates (EnergyNeutralOver, SupplyMaintained,
 // PowerNeutralOver) evaluate the taxonomy's defining conditions over
-// arbitrary traces, and are what the experiment harness uses to check that
-// the simulated systems actually exhibit the classes claimed for them.
+// arbitrary traces. Only this package's tests call them: nothing yet
+// checks a simulated run against the class its spec claims.
 package core
 
 import (

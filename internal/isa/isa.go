@@ -184,9 +184,6 @@ type Instr struct {
 	Addr uint16 // address the instruction was fetched from
 }
 
-// Size returns the encoded size of the instruction in bytes.
-func (in Instr) Size() uint16 { return uint16(Length(in.Op)) }
-
 // String renders the instruction in assembly syntax.
 func (in Instr) String() string {
 	s, ok := SpecFor(in.Op)

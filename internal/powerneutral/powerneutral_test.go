@@ -265,6 +265,11 @@ func TestHibernusPNOptsOutOfSleepFastForward(t *testing.T) {
 	}
 }
 
+// resistor is a test load drawing V/R, R in ohms.
+type resistor float64
+
+func (r resistor) Current(v, _ float64) float64 { return v / float64(r) }
+
 func TestTrackerStats(t *testing.T) {
 	tr := NewTracker()
 	if !math.IsInf(tr.Stats().RelativeError(), 1) {
@@ -273,7 +278,7 @@ func TestTrackerStats(t *testing.T) {
 	cap := circuit.NewCapacitor(1e-6, 3)
 	rail := circuit.NewRail(cap)
 	rail.VSource = &source.ConstantVoltage{V: 3.3, Rs: 100}
-	rail.AddLoad(&circuit.ResistiveLoad{R: 1000})
+	rail.AddLoad(resistor(1000))
 	tr.Window = 1e-4
 	for i := 0; i < 1000; i++ {
 		rail.Step(1e-5)

@@ -71,14 +71,6 @@ func (t *Table[E]) Get(name string) (E, error) {
 // convention in package units.
 type Params map[string]float64
 
-// Get returns the value for key, or def when absent.
-func (p Params) Get(key string, def float64) float64 {
-	if v, ok := p[key]; ok {
-		return v
-	}
-	return def
-}
-
 // ParamDoc documents one tunable an entry accepts: its key, the value
 // used when the caller omits it, and a one-line description for
 // discovery output.

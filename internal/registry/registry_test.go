@@ -81,10 +81,3 @@ func TestResolveUnknownKey(t *testing.T) {
 		}
 	}
 }
-
-func TestParamsGet(t *testing.T) {
-	p := Params{"a": 1}
-	if p.Get("a", 9) != 1 || p.Get("b", 9) != 9 {
-		t.Fatal("Params.Get default handling broken")
-	}
-}

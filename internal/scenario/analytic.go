@@ -127,14 +127,6 @@ func (e *analyticEngine) Step() error { e.run.Step(analyticChunk); return nil }
 // Done implements Engine.
 func (e *analyticEngine) Done() bool { return e.run.Done() }
 
-// Progress implements Engine.
-func (e *analyticEngine) Progress() (int, int) {
-	if e.run.Done() {
-		return 1, 1
-	}
-	return 0, 1
-}
-
 // Checkpoint implements Engine.
 func (e *analyticEngine) Checkpoint() ([]byte, error) {
 	sim, err := json.Marshal(e.run.state())
@@ -253,9 +245,6 @@ func (e *tableSweepEngine) Step() error {
 
 // Done implements Engine.
 func (e *tableSweepEngine) Done() bool { return e.next >= len(e.cases) }
-
-// Progress implements Engine.
-func (e *tableSweepEngine) Progress() (int, int) { return e.next, len(e.cases) }
 
 // Checkpoint implements Engine: serialise the completed prefix.
 func (e *tableSweepEngine) Checkpoint() ([]byte, error) {

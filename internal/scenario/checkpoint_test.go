@@ -171,8 +171,8 @@ func TestLabSweepCheckpointResumeAcrossWorkers(t *testing.T) {
 	if err := eng.Step(); err != nil { // one wave of one case
 		t.Fatal(err)
 	}
-	if done, total := eng.Progress(); done != 1 || total != 3 {
-		t.Fatalf("after one single-worker wave: progress %d/%d, want 1/3", done, total)
+	if e := eng.(*labSweepEngine); e.next != 1 || len(e.cases) != 3 {
+		t.Fatalf("after one single-worker wave: %d of %d cases done, want 1 of 3", e.next, len(e.cases))
 	}
 	state, err := eng.Checkpoint()
 	if err != nil {

@@ -25,9 +25,6 @@ type Engine interface {
 	// Done reports whether the run is complete and Report may be called.
 	Done() bool
 
-	// Progress returns the cases completed so far and the total.
-	Progress() (done, total int)
-
 	// Checkpoint serialises the engine's state for a later resume via
 	// ResumeModel. The returned bytes are model-private; the driver
 	// wraps them in a versioned envelope bound to the spec hash.

@@ -199,14 +199,6 @@ func (e *labSingleEngine) Step() error {
 // Done implements Engine.
 func (e *labSingleEngine) Done() bool { return e.done }
 
-// Progress implements Engine.
-func (e *labSingleEngine) Progress() (int, int) {
-	if e.done {
-		return 1, 1
-	}
-	return 0, 1
-}
-
 // Checkpoint implements Engine: a restart-from-zero marker.
 func (e *labSingleEngine) Checkpoint() ([]byte, error) {
 	return json.Marshal(labSingleState{Restart: true})
@@ -403,9 +395,6 @@ func (e *labSweepEngine) Step() error {
 
 // Done implements Engine.
 func (e *labSweepEngine) Done() bool { return e.next >= len(e.cases) }
-
-// Progress implements Engine.
-func (e *labSweepEngine) Progress() (int, int) { return e.next, len(e.cases) }
 
 // Checkpoint implements Engine: serialise the completed prefix and the
 // case-0 trace (captured iff the first wave completed).

@@ -33,44 +33,6 @@ func (r *Rectified) Voltage(t float64) float64 {
 // source's resistance.
 func (r *Rectified) SeriesResistance() float64 { return r.Source.SeriesResistance() }
 
-// ScaledVoltage scales a VoltageSource's output by Gain (e.g. a transformer
-// or attenuator) and its resistance by Gain² (impedance transformation).
-type ScaledVoltage struct {
-	Source VoltageSource
-	Gain   float64
-}
-
-// Voltage implements VoltageSource.
-func (s *ScaledVoltage) Voltage(t float64) float64 { return s.Gain * s.Source.Voltage(t) }
-
-// SeriesResistance implements VoltageSource.
-func (s *ScaledVoltage) SeriesResistance() float64 {
-	return s.Gain * s.Gain * s.Source.SeriesResistance()
-}
-
-// ScaledPower scales a PowerSource by a constant efficiency factor.
-type ScaledPower struct {
-	Source PowerSource
-	Gain   float64
-}
-
-// Power implements PowerSource.
-func (s *ScaledPower) Power(t float64) float64 { return s.Gain * s.Source.Power(t) }
-
-// SumPower superimposes several power sources (multi-source harvesting).
-type SumPower struct {
-	Sources []PowerSource
-}
-
-// Power implements PowerSource.
-func (s *SumPower) Power(t float64) float64 {
-	var p float64
-	for _, src := range s.Sources {
-		p += src.Power(t)
-	}
-	return p
-}
-
 // ConstantPower is a fixed available-power supply (the "battery/mains"
 // reference point of the taxonomy: virtually unlimited power until
 // exhausted).

@@ -33,32 +33,6 @@ func TestHalfWaveNeverNegative(t *testing.T) {
 	}
 }
 
-func TestScaledVoltage(t *testing.T) {
-	c := &ConstantVoltage{V: 2, Rs: 10}
-	s := &ScaledVoltage{Source: c, Gain: 3}
-	if s.Voltage(0) != 6 {
-		t.Error("gain not applied to voltage")
-	}
-	if s.SeriesResistance() != 90 {
-		t.Error("impedance should scale by gain²")
-	}
-}
-
-func TestScaledAndSumPower(t *testing.T) {
-	a := &ConstantPower{P: 2}
-	b := &ConstantPower{P: 3}
-	if (&ScaledPower{Source: a, Gain: 0.5}).Power(0) != 1 {
-		t.Error("scaled power wrong")
-	}
-	sum := &SumPower{Sources: []PowerSource{a, b}}
-	if sum.Power(0) != 5 {
-		t.Error("sum power wrong")
-	}
-	if (&SumPower{}).Power(0) != 0 {
-		t.Error("empty sum should be 0")
-	}
-}
-
 func TestGatedVoltage(t *testing.T) {
 	c := &ConstantVoltage{V: 3, Rs: 1}
 	g := &GatedVoltage{Source: c, Windows: [][2]float64{{0, 1}, {2, 3}}}

@@ -10,9 +10,8 @@ import (
 // against the other (TestSamplersMatchRegistry) cannot catch a fast
 // path that is wrong in both. The references below are the plain
 // formulas, written out here independently of the implementation: the
-// square wave reduces its phase with math.Mod, the PV cell always runs
-// math.Mod and the flicker sines, and the looped trace always wraps
-// with math.Mod.
+// square wave reduces its phase with math.Mod, and the PV cell always
+// runs math.Mod and the flicker sines.
 
 func refSquare(high, on, off, t float64) float64 {
 	period := on + off
@@ -42,18 +41,6 @@ func refPVCurrent(p *Photovoltaic, t float64) float64 {
 		i *= 1 + p.Flicker*r*day
 	}
 	return i
-}
-
-// refLoopTime is the looped TraceSource's wrap of t into the recorded
-// span.
-func refLoopTime(ts *TraceSource, t float64) float64 {
-	n := len(ts.Times)
-	span := ts.Times[n-1] - ts.Times[0]
-	t = ts.Times[0] + math.Mod(t-ts.Times[0], span)
-	if t < ts.Times[0] {
-		t += span
-	}
-	return t
 }
 
 // sameBits is bit equality, with every NaN equal to every other.
@@ -221,36 +208,4 @@ func FuzzPhotovoltaic(f *testing.F) {
 		p.DawnHour, p.DuskHour, p.EdgeHours = dawn, dusk, edge
 		assertPVMatchesRef(t, p, []float64{tt})
 	})
-}
-
-// TestTraceSourceLoopMatchesReference checks the looped trace's
-// first-pass shortcut against the math.Mod wrap on both sides of every
-// sample and span boundary.
-func TestTraceSourceLoopMatchesReference(t *testing.T) {
-	for _, times := range [][]float64{
-		{0, 1, 2},
-		{0.3, 0.7, 1.9},
-		{-2, -0.5, 0.1},
-		{1e-3, 1e-3, 5e-3},
-	} {
-		values := []float64{0.5, 10, 2}
-		ts := &TraceSource{Times: times, Values: values, Loop: true}
-		ref := &TraceSource{Times: times, Values: values}
-		span := times[len(times)-1] - times[0]
-		probes := specialTimes()
-		for k := -3.0; k <= 3; k++ {
-			for _, x := range times {
-				probes = ulpProbes(probes, x+k*span)
-			}
-		}
-		for tt := -10.0; tt <= 10; tt += 0.013 {
-			probes = append(probes, tt)
-		}
-		for _, tt := range probes {
-			want := ref.sample(refLoopTime(ts, tt))
-			if got := ts.Voltage(tt); !sameBits(got, want) {
-				t.Fatalf("times %v: looped Voltage(%v) = %v, reference %v", times, tt, got, want)
-			}
-		}
-	}
 }

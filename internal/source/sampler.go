@@ -107,10 +107,6 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 			}
 			return v
 		}
-	case *ScaledVoltage:
-		inner := VoltageFn(s.Source)
-		gain := s.Gain
-		return func(t float64) float64 { return gain * inner(t) }
 	case *GatedVoltage:
 		inner := VoltageFn(s.Source)
 		x, invert := newGateIndex(s.Windows), s.Invert
@@ -123,8 +119,6 @@ func VoltageFn(vs VoltageSource) func(t float64) float64 {
 	case *WindTurbine:
 		// Envelope branches on gust phase; binding the method skips only
 		// the itab dispatch, which is all there is to save here.
-		return s.Voltage
-	case *TraceSource:
 		return s.Voltage
 	default:
 		return vs.Voltage
@@ -172,31 +166,7 @@ func PowerFn(ps PowerSource) func(t float64) float64 {
 	case *ConstantPower:
 		p := s.P
 		return func(float64) float64 { return p }
-	case *ScaledPower:
-		inner := PowerFn(s.Source)
-		gain := s.Gain
-		return func(t float64) float64 { return gain * inner(t) }
-	case *SumPower:
-		inners := make([]func(float64) float64, len(s.Sources))
-		for i, src := range s.Sources {
-			inners[i] = PowerFn(src)
-		}
-		return func(t float64) float64 {
-			var p float64
-			for _, fn := range inners {
-				p += fn(t)
-			}
-			return p
-		}
 	case *Photovoltaic:
-		return s.Power
-	case *Kinetic:
-		return s.Power
-	case *MarkovSource:
-		// Stateful (memoised Markov chain): the bound method shares the
-		// memo with every other caller, exactly like interface dispatch.
-		return s.Power
-	case *TraceSource:
 		return s.Power
 	default:
 		return ps.Power

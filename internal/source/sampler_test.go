@@ -40,27 +40,14 @@ func TestSamplersMatchCombinators(t *testing.T) {
 	gen := &SignalGenerator{Amplitude: 3.3, Frequency: 17, Offset: 0.2, Phase: 0.6, Rs: 120}
 	dc := &SignalGenerator{Amplitude: 2.0, Rs: 50} // Frequency 0: DC path
 	for name, vs := range map[string]VoltageSource{
-		"halfwave":      HalfWave(gen, 0.2),
-		"scaled":        &ScaledVoltage{Source: gen, Gain: 0.7},
-		"scaled-dc":     &ScaledVoltage{Source: dc, Gain: 1.3},
-		"gated":         &GatedVoltage{Source: gen, Windows: [][2]float64{{0.5, 1.5}, {3, 4}}},
-		"gated-invert":  &GatedVoltage{Source: gen, Windows: [][2]float64{{1, 2}}, Invert: true},
-		"square-degen":  &SquareWaveVoltage{High: 2.5}, // zero period: constant
-		"nested":        HalfWave(&ScaledVoltage{Source: gen, Gain: 0.9}, 0.25),
-		"trace-voltage": &TraceSource{Times: []float64{0, 1, 2}, Values: []float64{0, 3, 1}, Loop: true, Rs: 10},
+		"halfwave":     HalfWave(gen, 0.2),
+		"dc":           dc,
+		"gated":        &GatedVoltage{Source: gen, Windows: [][2]float64{{0.5, 1.5}, {3, 4}}},
+		"gated-invert": &GatedVoltage{Source: gen, Windows: [][2]float64{{1, 2}}, Invert: true},
+		"square-degen": &SquareWaveVoltage{High: 2.5}, // zero period: constant
+		"nested":       HalfWave(&GatedVoltage{Source: gen, Windows: [][2]float64{{0.5, 1.5}}}, 0.25),
 	} {
 		assertVoltageFn(t, name, vs)
-	}
-	for name, ps := range map[string]PowerSource{
-		"scaled-power": &ScaledPower{Source: &ConstantPower{P: 5e-3}, Gain: 0.8},
-		"sum-power": &SumPower{Sources: []PowerSource{
-			&ConstantPower{P: 1e-3},
-			&Kinetic{EventEnergy: 2e-3, EventPeriod: 0.5, Decay: 0.02, Seed: 7},
-		}},
-		"kinetic":     &Kinetic{EventEnergy: 1e-3, EventPeriod: 0.7, Decay: 0.05, Seed: 42},
-		"trace-power": &TraceSource{Times: []float64{0, 1}, Values: []float64{1e-3, 2e-3}},
-	} {
-		assertPowerFn(t, name, ps)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package source models the energy-harvesting supplies the paper's systems
-// operate from: micro wind turbines, indoor photovoltaic cells, RF and
-// kinetic harvesters, and the laboratory signal generator used to validate
-// hibernus (DC–20 Hz). Sources are pure functions of simulated time so that
+// operate from: micro wind turbines, indoor photovoltaic cells, RF bursts
+// and the laboratory signal generator used to validate hibernus
+// (DC–20 Hz). Sources are pure functions of simulated time so that
 // experiments are deterministic and replayable.
 //
 // Two source abstractions are provided, mirroring how real harvesters are
@@ -15,14 +15,10 @@
 //     harvester behind an MPPT converter (the indoor PV cell of Fig. 1(b)
 //     is characterised this way in the paper).
 //
-// The Rectified and Scaled combinators compose sources, and TraceSource
-// replays recorded data.
+// The Rectified and GatedVoltage combinators compose sources.
 package source
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // VoltageSource is a supply characterised by its open-circuit voltage over
 // time and a constant series resistance.
@@ -248,160 +244,3 @@ func smoothStep(x, center, width float64) float64 {
 		return 0.5 - 0.5*math.Cos(math.Pi*u)
 	}
 }
-
-// hashUnit maps an integer deterministically to [-0.5, 0.5).
-func hashUnit(n int64) float64 {
-	x := uint64(n)*0x9e3779b97f4a7c15 + 0xbf58476d1ce4e5b9
-	x ^= x >> 31
-	x *= 0x94d049bb133111eb
-	x ^= x >> 29
-	return float64(x%1000000)/1000000 - 0.5
-}
-
-// Kinetic models a motion/vibration harvester as a train of decaying
-// impulses (e.g. heel strikes): each event injects a burst of power that
-// decays exponentially.
-type Kinetic struct {
-	EventEnergy float64 // energy per event in joules
-	EventPeriod float64 // mean seconds between events
-	Decay       float64 // exponential decay time constant in seconds
-	Seed        int64   // deterministic jitter seed
-	jitter      []float64
-}
-
-// eventTime returns the time of the n-th event with deterministic jitter.
-func (k *Kinetic) eventTime(n int) float64 {
-	base := float64(n) * k.EventPeriod
-	return base + 0.2*k.EventPeriod*hashUnit(int64(n)+k.Seed)
-}
-
-// Power implements PowerSource: the superposition of the most recent few
-// impulse decays (earlier ones have decayed to irrelevance).
-func (k *Kinetic) Power(t float64) float64 {
-	if k.EventPeriod <= 0 || k.Decay <= 0 {
-		return 0
-	}
-	peak := k.EventEnergy / k.Decay // so that ∫ P dt = EventEnergy
-	n := int(t / k.EventPeriod)
-	var p float64
-	for i := n - 3; i <= n+1; i++ {
-		if i < 0 {
-			continue
-		}
-		et := k.eventTime(i)
-		if et <= t {
-			p += peak * math.Exp(-(t-et)/k.Decay)
-		}
-	}
-	return p
-}
-
-// MarkovSource is a two-state (on/off) power source driven by a seeded
-// Markov chain sampled on a fixed slot width — a simple model of bursty
-// ambient energy (intermittent machinery, foot traffic).
-type MarkovSource struct {
-	OnPower  float64 // watts while in the on state
-	OffPower float64 // watts while in the off state
-	SlotLen  float64 // seconds per state slot
-	POnToOff float64 // transition probability per slot
-	POffToOn float64
-	Seed     int64
-
-	states []bool // memoised state per slot index
-	rng    *rand.Rand
-}
-
-// state returns the chain state for slot i, extending the memo as needed.
-func (m *MarkovSource) state(i int) bool {
-	if i < 0 {
-		return false
-	}
-	if m.rng == nil {
-		m.rng = rand.New(rand.NewSource(m.Seed))
-		m.states = append(m.states, true) // start on
-	}
-	for len(m.states) <= i {
-		prev := m.states[len(m.states)-1]
-		r := m.rng.Float64()
-		next := prev
-		if prev && r < m.POnToOff {
-			next = false
-		} else if !prev && r < m.POffToOn {
-			next = true
-		}
-		m.states = append(m.states, next)
-	}
-	return m.states[i]
-}
-
-// Power implements PowerSource.
-func (m *MarkovSource) Power(t float64) float64 {
-	if m.SlotLen <= 0 {
-		return m.OffPower
-	}
-	if m.state(int(t / m.SlotLen)) {
-		return m.OnPower
-	}
-	return m.OffPower
-}
-
-// TraceSource replays a recorded waveform with linear interpolation,
-// optionally looping. It can serve as either a VoltageSource or a
-// PowerSource depending on what the samples represent.
-type TraceSource struct {
-	Times  []float64
-	Values []float64
-	Loop   bool
-	Rs     float64
-}
-
-// sample interpolates the trace at time t.
-func (ts *TraceSource) sample(t float64) float64 {
-	n := len(ts.Times)
-	if n == 0 {
-		return 0
-	}
-	if ts.Loop && ts.Times[n-1] > ts.Times[0] {
-		span := ts.Times[n-1] - ts.Times[0]
-		// math.Mod(d, span) is d itself on [0, span): only times past
-		// the first pass pay for the software remainder.
-		d := t - ts.Times[0]
-		if !(d >= 0 && d < span) {
-			d = math.Mod(d, span)
-		}
-		t = ts.Times[0] + d
-		if t < ts.Times[0] {
-			t += span
-		}
-	}
-	if t <= ts.Times[0] {
-		return ts.Values[0]
-	}
-	if t >= ts.Times[n-1] {
-		return ts.Values[n-1]
-	}
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if ts.Times[mid] <= t {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	t0, t1 := ts.Times[lo], ts.Times[hi]
-	v0, v1 := ts.Values[lo], ts.Values[hi]
-	if t1 == t0 {
-		return v1
-	}
-	return v0 + (v1-v0)*(t-t0)/(t1-t0)
-}
-
-// Voltage implements VoltageSource.
-func (ts *TraceSource) Voltage(t float64) float64 { return ts.sample(t) }
-
-// SeriesResistance implements VoltageSource.
-func (ts *TraceSource) SeriesResistance() float64 { return ts.Rs }
-
-// Power implements PowerSource.
-func (ts *TraceSource) Power(t float64) float64 { return ts.sample(t) }

@@ -2,7 +2,6 @@ package source
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -142,210 +141,5 @@ func TestSmoothStep(t *testing.T) {
 	// Degenerate width behaves as a hard step.
 	if smoothStep(4.9, 5, 0) != 0 || smoothStep(5, 5, 0) != 1 {
 		t.Error("zero-width smoothStep should be a step")
-	}
-}
-
-func TestKineticEnergyPerEvent(t *testing.T) {
-	// Integral of power over one isolated event ≈ EventEnergy.
-	k := &Kinetic{EventEnergy: 1e-3, EventPeriod: 10, Decay: 0.05}
-	var e float64
-	dt := 1e-4
-	for tt := 0.0; tt < 9.0; tt += dt {
-		e += k.Power(tt) * dt
-	}
-	if math.Abs(e-1e-3)/1e-3 > 0.05 {
-		t.Errorf("event energy = %g, want ≈1e-3", e)
-	}
-	// Degenerate config returns zero.
-	if (&Kinetic{}).Power(1) != 0 {
-		t.Error("unconfigured kinetic source should output 0")
-	}
-}
-
-func TestMarkovSourceDeterminism(t *testing.T) {
-	mk := func() *MarkovSource {
-		return &MarkovSource{OnPower: 1, OffPower: 0, SlotLen: 0.1,
-			POnToOff: 0.3, POffToOn: 0.3, Seed: 42}
-	}
-	a, b := mk(), mk()
-	for tt := 0.0; tt < 20; tt += 0.05 {
-		if a.Power(tt) != b.Power(tt) {
-			t.Fatalf("same seed diverged at t=%g", tt)
-		}
-	}
-	// Both states visited over a long run.
-	sawOn, sawOff := false, false
-	for tt := 0.0; tt < 50; tt += 0.1 {
-		if a.Power(tt) == 1 {
-			sawOn = true
-		} else {
-			sawOff = true
-		}
-	}
-	if !sawOn || !sawOff {
-		t.Error("Markov chain never switched state")
-	}
-	if (&MarkovSource{OffPower: 7}).Power(1) != 7 {
-		t.Error("zero slot length should return OffPower")
-	}
-}
-
-func TestTraceSource(t *testing.T) {
-	ts := &TraceSource{Times: []float64{0, 1, 2}, Values: []float64{0, 10, 0}}
-	if got := ts.Voltage(0.5); math.Abs(got-5) > 1e-12 {
-		t.Errorf("interp = %g, want 5", got)
-	}
-	if got := ts.Voltage(-1); got != 0 {
-		t.Errorf("before start = %g, want 0 (clamp)", got)
-	}
-	if got := ts.Voltage(5); got != 0 {
-		t.Errorf("after end = %g, want 0 (clamp)", got)
-	}
-	if (&TraceSource{}).Power(1) != 0 {
-		t.Error("empty trace should be 0")
-	}
-}
-
-func TestTraceSourceLoop(t *testing.T) {
-	ts := &TraceSource{Times: []float64{0, 1, 2}, Values: []float64{0, 10, 0}, Loop: true}
-	if got := ts.Voltage(2.5); math.Abs(got-5) > 1e-12 {
-		t.Errorf("looped interp = %g, want 5", got)
-	}
-	if got := ts.Voltage(4.5); math.Abs(got-5) > 1e-12 {
-		t.Errorf("second loop = %g, want 5", got)
-	}
-}
-
-func TestHashUnitRange(t *testing.T) {
-	f := func(n int64) bool {
-		u := hashUnit(n)
-		return u >= -0.5 && u < 0.5
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLoadTraceCSV(t *testing.T) {
-	csvData := "t,vout(V)\n0,0\n1,10\n2,0\n"
-	ts, err := LoadTraceCSV(strings.NewReader(csvData), 1, false, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ts.Voltage(0.5); math.Abs(got-5) > 1e-12 {
-		t.Errorf("loaded trace interp = %g, want 5", got)
-	}
-	if ts.SeriesResistance() != 50 {
-		t.Error("Rs not carried through")
-	}
-	// Headerless numeric data also loads.
-	ts2, err := LoadTraceCSV(strings.NewReader("0,1\n1,2\n"), 1, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts2.Voltage(1.5) != 1.5 { // loops back to interp of 0..1
-		t.Errorf("looped headerless trace = %g", ts2.Voltage(1.5))
-	}
-}
-
-func TestLoadTraceCSVErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-		col  int
-	}{
-		{"bad column", "t,v\n0,1\n", 0},
-		{"short row", "t,v\n0\n", 1},
-		{"bad time", "t,v\nxx,1\n", 1},
-		{"bad value", "t,v\n0,yy\n", 1},
-		{"time backwards", "t,v\n1,1\n0,2\n", 1},
-		{"nan time", "t,v\n0,1\nNaN,2\n1,3\n", 1},
-		{"infinite time", "t,v\n0,1\n+Inf,2\n", 1},
-		{"empty", "t,v\n", 1},
-	}
-	for _, tt := range cases {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := LoadTraceCSV(strings.NewReader(tt.data), tt.col, false, 0); err == nil {
-				t.Error("expected error")
-			}
-		})
-	}
-}
-
-// Edge cases the trace-driven models lean on: header detection, ragged
-// rows, degenerate sample counts, and loop wraparound.
-func TestLoadTraceCSVEdgeCases(t *testing.T) {
-	t.Run("numeric-looking header is data", func(t *testing.T) {
-		// A header whose first cell parses as a number is indistinguishable
-		// from data, so the loader reads it as data — and the non-numeric
-		// value cell fails, naming line 1.
-		_, err := LoadTraceCSV(strings.NewReader("0,vcc(V)\n1,2\n"), 1, false, 0)
-		if err == nil || !strings.Contains(err.Error(), "line 1") {
-			t.Errorf("numeric-first-cell header: got %v, want a line 1 error", err)
-		}
-	})
-	t.Run("trailing blank fields", func(t *testing.T) {
-		ts, err := LoadTraceCSV(strings.NewReader("t,v\n0,1,\n1,3,\n"), 1, false, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ts.Times) != 2 || ts.Values[1] != 3 {
-			t.Errorf("rows with trailing blank fields: got %d samples %v", len(ts.Times), ts.Values)
-		}
-	})
-	t.Run("single sample", func(t *testing.T) {
-		ts, err := LoadTraceCSV(strings.NewReader("t,v\n2,5\n"), 1, false, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, at := range []float64{-1, 0, 2, 100} {
-			if got := ts.Voltage(at); got != 5 {
-				t.Errorf("single-sample trace at t=%g = %g, want 5", at, got)
-			}
-		}
-		// Looping a single sample must not divide by the zero span.
-		lts, err := LoadTraceCSV(strings.NewReader("2,5\n"), 1, true, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := lts.Power(7); got != 5 {
-			t.Errorf("looped single-sample trace = %g, want 5", got)
-		}
-	})
-	t.Run("loop wraparound", func(t *testing.T) {
-		ts, err := LoadTraceCSV(strings.NewReader("t,v\n0,0\n1,10\n2,0\n"), 1, true, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Span is 2 s: t=2.5 wraps to 0.5 (interp 5), t=-0.5 wraps to 1.5
-		// (interp 5), t=4 wraps to 0 exactly.
-		for _, tc := range []struct{ at, want float64 }{
-			{2.5, 5}, {-0.5, 5}, {4, 0}, {0.5, 5},
-		} {
-			if got := ts.Voltage(tc.at); math.Abs(got-tc.want) > 1e-12 {
-				t.Errorf("looped trace at t=%g = %g, want %g", tc.at, got, tc.want)
-			}
-		}
-	})
-}
-
-// Regression: errors used to number records, not file lines, so a CSV
-// with blank lines (which encoding/csv silently skips) pointed the user
-// at the wrong row of their dataset.
-func TestLoadTraceCSVErrorNamesFileLine(t *testing.T) {
-	// The bad value sits on file line 5; record counting would call it
-	// row 2 (header) or 3 (with it counted).
-	data := "t,v\n\n\n0,1\n1,oops\n"
-	_, err := LoadTraceCSV(strings.NewReader(data), 1, false, 0)
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if !strings.Contains(err.Error(), "line 5") {
-		t.Errorf("error %q should name file line 5", err)
-	}
-	// Same for the backwards-time check.
-	_, err = LoadTraceCSV(strings.NewReader("t,v\n1,1\n\n0,2\n"), 1, false, 0)
-	if err == nil || !strings.Contains(err.Error(), "line 4") {
-		t.Errorf("backwards-time error %v should name file line 4", err)
 	}
 }

@@ -203,7 +203,6 @@ func TestSampleTableOnlyForPVAndSine(t *testing.T) {
 		"wind":             walkVoltage(t, HalfWave(DefaultWindTurbine(), 0.2), 1e-3, 0, 100, true),
 		"sine at 0 Hz":     walkVoltage(t, dcGen, 1e-3, 0, 100, true),
 		"rectified dc":     walkVoltage(t, HalfWave(dcGen, 0.2), 1e-3, 0, 100, true),
-		"scaled sine":      walkVoltage(t, &ScaledVoltage{Source: gen, Gain: 2}, 1e-3, 0, 100, true),
 		"gated sine":       walkVoltage(t, &GatedVoltage{Source: gen, Windows: [][2]float64{{0, 1}}}, 1e-3, 0, 100, true),
 		"hidden rectified": walkVoltage(t, struct{ VoltageSource }{HalfWave(gen, 0.2)}, 1e-3, 0, 100, true),
 	}

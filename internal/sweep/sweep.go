@@ -47,16 +47,8 @@ type Case struct {
 	Seed  int64  // per-case deterministic seed, derived from Runner.BaseSeed and Index
 
 	// Values holds the grid coordinates when the case was expanded from a
-	// Grid (nil for plain Map cases). Use Float to read a float64
-	// value, or index the map directly.
+	// Grid (nil for plain Map cases).
 	Values map[string]any
-}
-
-// Float returns the named grid value as a float64 (0 if absent or not a
-// float64).
-func (c Case) Float(name string) float64 {
-	v, _ := c.Values[name].(float64)
-	return v
 }
 
 // Runner is a worker pool configuration for sweeps. The zero value (and a

@@ -203,7 +203,7 @@ func TestGridCrossProduct(t *testing.T) {
 		{100e-6, "hibernus"}, {100e-6, "quickrecall"},
 	}
 	for i, w := range want {
-		if cases[i].Float("c") != w.c || cases[i].Values["runtime"] != w.rt {
+		if cases[i].Values["c"] != w.c || cases[i].Values["runtime"] != w.rt {
 			t.Errorf("case %d = %v, want c=%g runtime=%s", i, cases[i].Values, w.c, w.rt)
 		}
 		if cases[i].Index != i {
@@ -233,10 +233,6 @@ func TestGridLabelsAndAccessors(t *testing.T) {
 	}
 	if first.Values["policy"].(string) != "hillclimb" {
 		t.Errorf("policy value = %v", first.Values["policy"])
-	}
-	// Missing / mistyped lookups degrade to zero values.
-	if first.Float("nope") != 0 || first.Float("policy") != 0 {
-		t.Error("Float should zero-value on miss")
 	}
 }
 

@@ -101,20 +101,6 @@ func (s *Series) Last() Point {
 	return Point{T: s.ts[n-1], V: s.vs[n-1]}
 }
 
-// Values returns a copy of the sample values.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.vs))
-	copy(vs, s.vs)
-	return vs
-}
-
-// Times returns a copy of the sample timestamps.
-func (s *Series) Times() []float64 {
-	ts := make([]float64, len(s.ts))
-	copy(ts, s.ts)
-	return ts
-}
-
 // Stats summarises a series.
 type Stats struct {
 	N               int

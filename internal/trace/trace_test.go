@@ -32,11 +32,8 @@ func TestSeriesAppendAndAccessors(t *testing.T) {
 	if s.At(1).V != 2.5 || s.Last().T != 1 {
 		t.Error("accessors returned wrong sample")
 	}
-	if got := s.Values(); len(got) != 2 || got[0] != 1.5 {
-		t.Errorf("Values = %v", got)
-	}
-	if got := s.Times(); len(got) != 2 || got[1] != 1 {
-		t.Errorf("Times = %v", got)
+	if s.V(0) != 1.5 || s.T(1) != 1 {
+		t.Errorf("V(0), T(1) = %v, %v", s.V(0), s.T(1))
 	}
 }
 

@@ -388,11 +388,14 @@ func (r *runner) runBisect() (*Crossover, error) {
 
 // ---- refine strategy ----
 
-// refineState is one refinement run's search box.
+// refineState is one refinement run's search box. The box is kept in
+// units of the first round's grid step from the axis's lo: every later
+// round's step is that unit over a power of two, so grid indices stay
+// exact and a point that two rounds share maps to one bit-identical
+// value — one memo key, one simulation.
 type refineState struct {
 	axes             []RefineAxis
-	lo, hi           []float64 // current box
-	origLo, origHi   []float64 // original bounds (the box never leaves them)
+	lo, span         []float64 // current box, in first-round steps
 	points           []int
 	perRound, rounds int
 }
@@ -408,10 +411,8 @@ func (r *runner) runRefine() error {
 	rs := &refineState{rounds: st.rounds(), perRound: 1}
 	for _, ax := range st.Refine {
 		rs.axes = append(rs.axes, ax)
-		rs.lo = append(rs.lo, float64(ax.Lo))
-		rs.hi = append(rs.hi, float64(ax.Hi))
-		rs.origLo = append(rs.origLo, float64(ax.Lo))
-		rs.origHi = append(rs.origHi, float64(ax.Hi))
+		rs.lo = append(rs.lo, 0)
+		rs.span = append(rs.span, float64(ax.points()-1))
 		rs.points = append(rs.points, ax.points())
 		rs.perRound *= ax.points()
 	}
@@ -419,7 +420,7 @@ func (r *runner) runRefine() error {
 
 	memo := map[string]Eval{}
 	var incumbent *Eval
-	var incCoord []float64
+	var incIdx []float64
 	goalMax := st.Goal == "max"
 	better := func(a Eval, b *Eval) bool {
 		av, ok := a.Metrics[st.Objective]
@@ -443,7 +444,11 @@ func (r *runner) runRefine() error {
 		if r.canceled() {
 			return sweep.ErrCanceled
 		}
-		coords := rs.roundCoords()
+		idxs := rs.roundCoords()
+		coords := make([][]float64, len(idxs))
+		for i, idx := range idxs {
+			coords[i] = rs.values(idx)
+		}
 		// Partition this round's grid into memo hits and fresh probes,
 		// preserving coordinate order for aggregation.
 		var fresh []probe
@@ -471,32 +476,35 @@ func (r *runner) runRefine() error {
 		// Re-center on the best point of the full round grid (memoized
 		// points included — an earlier round's point can stay the
 		// incumbent).
-		for _, coord := range coords {
+		for i, coord := range coords {
 			e := memo[coordKey(coord)]
 			if better(e, incumbent) {
 				cp := e
-				incumbent, incCoord = &cp, append([]float64(nil), coord...)
+				incumbent, incIdx = &cp, idxs[i]
 			}
 		}
 		if incumbent == nil {
 			return r.spec.errf("refinement round %d: objective %q undefined at every probed point",
 				round+1, st.Objective)
 		}
-		rs.shrink(incCoord)
+		rs.shrink(incIdx)
 	}
 	r.incumbent = incumbent
 	return nil
 }
 
-// roundCoords enumerates the current box's grid row-major (first axis
-// slowest), matching the sweep engine's declared-order convention.
+// roundCoords enumerates the current box's grid indices row-major
+// (first axis slowest), matching the sweep engine's declared-order
+// convention.
 func (rs *refineState) roundCoords() [][]float64 {
 	coords := [][]float64{{}}
 	for a := range rs.axes {
-		vals := linspace(rs.lo[a], rs.hi[a], rs.points[a])
-		next := make([][]float64, 0, len(coords)*len(vals))
+		n := rs.points[a]
+		next := make([][]float64, 0, len(coords)*n)
 		for _, c := range coords {
-			for _, v := range vals {
+			for i := 0; i < n; i++ {
+				// span/(n-1) is a power of two: the sum is exact.
+				v := rs.lo[a] + float64(i)*rs.span[a]/float64(n-1)
 				next = append(next, append(append([]float64(nil), c...), v))
 			}
 		}
@@ -505,19 +513,32 @@ func (rs *refineState) roundCoords() [][]float64 {
 	return coords
 }
 
-// shrink halves every axis span and re-centers it on the incumbent,
-// clamped inside the original bounds.
+// values maps grid indices to axis values: lo + idx·step, with the top
+// index pinned to hi. A value is a function of its index alone, and
+// the first round's are exactly lo + i·(hi−lo)/(n−1).
+func (rs *refineState) values(idx []float64) []float64 {
+	out := make([]float64, len(idx))
+	for a, ax := range rs.axes {
+		lo, hi, top := float64(ax.Lo), float64(ax.Hi), float64(rs.points[a]-1)
+		if idx[a] == top {
+			out[a] = hi
+		} else {
+			out[a] = lo + idx[a]*((hi-lo)/top)
+		}
+	}
+	return out
+}
+
+// shrink halves every axis span and re-centers it on the incumbent's
+// indices, clamped inside the original box.
 func (rs *refineState) shrink(center []float64) {
 	for a := range rs.axes {
-		span := (rs.hi[a] - rs.lo[a]) / 2
-		lo := center[a] - span/2
-		if lo < rs.origLo[a] {
-			lo = rs.origLo[a]
+		span := rs.span[a] / 2
+		lo := max(center[a]-span/2, 0)
+		if top := float64(rs.points[a] - 1); lo+span > top {
+			lo = top - span
 		}
-		if lo+span > rs.origHi[a] {
-			lo = rs.origHi[a] - span
-		}
-		rs.lo[a], rs.hi[a] = lo, lo+span
+		rs.lo[a], rs.span[a] = lo, span
 	}
 }
 
@@ -540,20 +561,6 @@ func (r *runner) refineSpec(rs *refineState, coord []float64) (*scenario.Spec, s
 		return nil, "", r.spec.errf("refinement point %s: %w", name.String(), err)
 	}
 	return sp, name.String(), nil
-}
-
-// linspace returns n evenly spaced values over [lo, hi], endpoints
-// included. Computed as lo + i*step (not accumulated), so the values —
-// and through them the memo keys and report bytes — are exactly
-// reproducible.
-func linspace(lo, hi float64, n int) []float64 {
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
 }
 
 // coordKey renders a refinement coordinate for memoization; %.17g

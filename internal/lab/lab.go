@@ -9,7 +9,6 @@
 package lab
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -52,13 +51,6 @@ type Setup struct {
 	// OnTick, if non-nil, runs after every simulation step — governors
 	// (power-neutral DFS) hook in here.
 	OnTick func(t float64, d *mcu.Device, rail *circuit.Rail)
-
-	// Abort, if non-nil, stops the run early: once the channel is
-	// closed, Run returns ErrAborted at the next step boundary and the
-	// partial results are discarded. The check is a non-blocking channel
-	// read per step, paid only when Abort is set; leave it nil (the
-	// default) everywhere determinism benchmarks matter.
-	Abort <-chan struct{}
 
 	// FastForward lets the stepping loop advance analytically instead of
 	// integrating at Dt wherever the rail has a closed form:
@@ -116,9 +108,6 @@ func assemble(w *programs.Workload) (*isa.Program, error) {
 	return actual.(*isa.Program), nil
 }
 
-// ErrAborted reports a run stopped early through Setup.Abort.
-var ErrAborted = errors.New("lab: run aborted")
-
 // Result summarises a run.
 type Result struct {
 	Completions     int       // correct workload iterations finished
@@ -163,21 +152,49 @@ func (r Result) EnergyPerCompletion() float64 {
 	return r.ConsumedJ / float64(r.Completions)
 }
 
-// Run executes the experiment.
+// Sim is one lab run in progress: Start builds the device, runtime and
+// rail from a Setup, Step advances the stepping loop a bounded number of
+// steps at a time, and Result summarises the run once Done. Stepping a
+// run in chunks of any size gives the same bits as stepping it whole.
+type Sim struct {
+	s     Setup
+	d     *mcu.Device
+	rail  *circuit.Rail
+	bank  *periph.Bank
+	obs   *observer
+	plat  func(t float64) (v, until float64, ok bool)
+	ff    bool
+	i     int // steps covered so far
+	steps int
+	res   Result
+}
+
+// Run executes the experiment in one Step.
 func Run(s Setup) (Result, error) {
+	m, err := Start(s)
+	if err != nil {
+		return Result{}, err
+	}
+	m.Step(m.steps)
+	return m.Result(), nil
+}
+
+// Start builds the experiment's device, runtime and rail, ready to Step.
+func Start(s Setup) (*Sim, error) {
 	if s.Workload == nil {
-		return Result{}, fmt.Errorf("lab: no workload")
+		return nil, fmt.Errorf("lab: no workload")
 	}
 	if s.Dt <= 0 {
 		s.Dt = 5e-6
 	}
 	prog, err := assemble(s.Workload)
 	if err != nil {
-		return Result{}, fmt.Errorf("lab: assemble %s: %w", s.Workload.Name, err)
+		return nil, fmt.Errorf("lab: assemble %s: %w", s.Workload.Name, err)
 	}
 	d := mcu.New(s.Params, prog)
 
-	var res Result
+	m := &Sim{s: s, d: d}
+	res := &m.res
 	res.FirstCompletion = -1
 	expected := s.Workload.Expected
 	d.SysHandler = func(code uint16, c *isa.Core) {
@@ -198,11 +215,10 @@ func Run(s Setup) (Result, error) {
 	// The bank goes on before the runtime is built: a runtime whose
 	// snapshots cover it sizes its eq. (4) threshold with the bank's
 	// bytes included.
-	var bank *periph.Bank
 	if s.Workload.MMIO {
-		bank = periph.NewBank()
-		d.Bus.MMIOBase, d.Bus.MMIOLen, d.Bus.Periph = mcu.DefaultMMIOBase, mcu.DefaultMMIOLen, bank
-		d.Aux = bank
+		m.bank = periph.NewBank()
+		d.Bus.MMIOBase, d.Bus.MMIOLen, d.Bus.Periph = mcu.DefaultMMIOBase, mcu.DefaultMMIOLen, m.bank
+		d.Aux = m.bank
 	}
 	if s.MakeRuntime != nil {
 		if rt := s.MakeRuntime(d); rt != nil {
@@ -212,48 +228,53 @@ func Run(s Setup) (Result, error) {
 
 	cap := circuit.NewCapacitor(s.C, s.V0)
 	cap.LeakR = s.LeakR
-	rail := circuit.NewRail(cap)
-	rail.VSource = s.VSource
-	rail.PSource = s.PSource
-	rail.AddLoad(d)
+	m.rail = circuit.NewRail(cap)
+	m.rail.VSource = s.VSource
+	m.rail.PSource = s.PSource
+	m.rail.AddLoad(d)
 
 	if s.Recorder != nil && s.RecordInterval > 0 {
 		s.Recorder.SetInterval(s.RecordInterval)
 	}
 
-	steps := stepCount(s.Duration, s.Dt)
-	dt := s.Dt
-	obs := s.newObserver()
+	m.steps = stepCount(s.Duration, s.Dt)
+	m.obs = s.newObserver()
 	// Power sources charge unconditionally with a rail-voltage-dependent
 	// conversion, which no affine closed form covers, so a run with one
 	// never hops and fast-forward has nothing to do.
-	ff := s.FastForward && s.PSource == nil
-	var plat func(t float64) (v, until float64, ok bool)
-	if ff {
-		plat = source.PlateauFn(s.VSource)
+	m.ff = s.FastForward && s.PSource == nil
+	if m.ff {
+		m.plat = source.PlateauFn(s.VSource)
 	} else {
 		// A stepwise run samples every step, so a cold run's recording
 		// is sized once; a hop would end it early.
-		rail.ExpectSteps(steps)
+		m.rail.ExpectSteps(m.steps)
 	}
-	if obs == nil && s.Abort == nil && !ff {
-		// Hot path: nothing to observe, nothing to poll — the loop is
-		// exactly one rail integration and one device tick per step, with
-		// every per-step feature check hoisted to this single branch.
-		for i := 0; i < steps; i++ {
+	return m, nil
+}
+
+// Step advances the run by up to maxSteps Dt-sized steps. A
+// fast-forward hop is bounded by the whole run's remaining steps, not
+// the chunk's, so it may carry the run past the chunk's end: the hop
+// sequence, and so every result bit, does not depend on the chunking.
+func (m *Sim) Step(maxSteps int) {
+	// The loops keep their state in locals: no per-step field load.
+	d, rail, dt, obs, ff, plat, steps := m.d, m.rail, m.s.Dt, m.obs, m.ff, m.plat, m.steps
+	i, end := m.i, steps
+	if maxSteps < end-i {
+		end = i + maxSteps
+	}
+	if obs == nil && !ff {
+		// Hot path: nothing to observe — the loop is exactly one rail
+		// integration and one device tick per step, with every per-step
+		// feature check hoisted to this single branch.
+		for ; i < end; i++ {
 			d.Tick(rail.Step(dt), dt)
 		}
 	} else {
-		for i := 0; i < steps; {
-			if s.Abort != nil {
-				select {
-				case <-s.Abort:
-					return Result{}, ErrAborted
-				default:
-				}
-			}
+		for i < end {
 			if ff {
-				if n := s.tryFastForward(d, rail, obs, plat, steps-i); n > 0 {
+				if n := m.s.tryFastForward(d, rail, obs, plat, steps-i); n > 0 {
 					i += n
 					continue
 				}
@@ -264,18 +285,28 @@ func Run(s Setup) (Result, error) {
 			i++
 		}
 	}
-
-	rail.Finish()
-	res.Steps = steps
-	res.Stats = d.Stats
-	res.HarvestedJ = rail.HarvestedJ
-	res.ConsumedJ = rail.ConsumedJ
-	res.FinalV = cap.V
-	res.RuntimeErr = d.Err
-	if bank != nil {
-		res.Bank, res.TxDelivered, res.TxDropped = true, bank.TxDelivered, bank.TxDropped
+	m.i = i
+	if i >= steps {
+		rail.Finish()
 	}
-	return res, nil
+}
+
+// Done reports whether the run has covered its duration.
+func (m *Sim) Done() bool { return m.i >= m.steps }
+
+// Result summarises the run. Call it once Done.
+func (m *Sim) Result() Result {
+	res := m.res
+	res.Steps = m.steps
+	res.Stats = m.d.Stats
+	res.HarvestedJ = m.rail.HarvestedJ
+	res.ConsumedJ = m.rail.ConsumedJ
+	res.FinalV = m.rail.Cap.V
+	res.RuntimeErr = m.d.Err
+	if m.bank != nil {
+		res.Bank, res.TxDelivered, res.TxDropped = true, m.bank.TxDelivered, m.bank.TxDropped
+	}
+	return res
 }
 
 // crossedTh reports whether a monotone move from v0 to v reached or

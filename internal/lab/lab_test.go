@@ -118,6 +118,37 @@ func TestOnTickInvoked(t *testing.T) {
 	}
 }
 
+func TestStepStopsAtChunkEnd(t *testing.T) {
+	// Step(n) runs exactly n steps and returns, so a caller that stops
+	// between Steps stops the run on the step it asked for.
+	ticks := 0
+	s := Setup{
+		Workload: programs.Fib(24, programs.DefaultLayout()),
+		Params:   mcu.DefaultParams(),
+		VSource:  &source.ConstantVoltage{V: 3.3, Rs: 50},
+		C:        10e-6,
+		Duration: 0.05,
+		OnTick:   func(float64, *mcu.Device, *circuit.Rail) { ticks++ },
+	}
+	m, err := Start(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int{100, 107, 9999} {
+		m.Step(want - ticks)
+		if ticks != want || m.Done() {
+			t.Fatalf("after stepping to %d: %d ticks, done=%v", want, ticks, m.Done())
+		}
+	}
+	m.Step(1 << 30)
+	if ticks != 10000 || !m.Done() {
+		t.Errorf("a Step past the end: %d ticks, done=%v; want 10000, done", ticks, m.Done())
+	}
+	if res := m.Result(); res.Steps != 10000 || res.Completions == 0 {
+		t.Errorf("result: %d steps, %d completions", res.Steps, res.Completions)
+	}
+}
+
 func TestResultHelpers(t *testing.T) {
 	r := Result{Completions: 4, ConsumedJ: 8e-6}
 	if got := r.Throughput(2); got != 2 {

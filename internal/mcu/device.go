@@ -143,7 +143,6 @@ type AuxState interface {
 // snapshots through the device's Begin* methods. Implementations live in
 // package transient.
 type Runtime interface {
-	Name() string
 	// OnPowerOn runs after a power-on reset, before any instruction
 	// executes. Typical actions: BeginRestore, or Sleep until a restore
 	// threshold.

@@ -383,7 +383,6 @@ type recordingRuntime struct {
 	powerOns, ticks, traps int
 }
 
-func (r *recordingRuntime) Name() string { return "recording" }
 func (r *recordingRuntime) OnPowerOn(d *Device) {
 	r.powerOns++
 	d.ColdStart()

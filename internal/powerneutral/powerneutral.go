@@ -131,9 +131,6 @@ func NewHibernusPN(d *mcu.Device, c, margin, vrHeadroom, vTarget float64) *Hiber
 	return &HibernusPN{Hibernus: *h, Gov: NewGovernor(vTarget)}
 }
 
-// Name implements mcu.Runtime.
-func (p *HibernusPN) Name() string { return "hibernus-pn" }
-
 // OnTick implements mcu.Runtime: govern first (so consumption tracks the
 // supply), then let hibernus handle thresholds.
 func (p *HibernusPN) OnTick(d *mcu.Device, v float64) {

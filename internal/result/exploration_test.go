@@ -125,3 +125,39 @@ func TestEq5BisectionConvergence(t *testing.T) {
 			rep.Evaluations, dense)
 	}
 }
+
+// TestRefineSharesNonDyadicGridPoints runs eq4-margin-refine on a box
+// whose grid step (0.1) is not a dyadic rational: a point that two
+// rounds share must still be one memo key, simulated and printed once.
+func TestRefineSharesNonDyadicGridPoints(t *testing.T) {
+	es, err := explore.Load(filepath.Join(explorationDir, "eq4-margin-refine.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	es.Strategy.Refine[0].Lo = 0.85
+	es.Aggregators[0].K = 15 // print every evaluated point
+	if err := es.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunExploration(es, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Evaluations != 9 || rep.Memoized != 6 {
+		t.Errorf("evaluations/memoized = %d/%d, want 9/6", rep.Evaluations, rep.Memoized)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(rep.Text, "\n") {
+		f := strings.Fields(line) // a topk row: rank, case, value
+		if len(f) != 3 || !strings.HasPrefix(f[1], "runtime.margin=") {
+			continue
+		}
+		if seen[f[1]] {
+			t.Errorf("label %s printed twice:\n%s", f[1], rep.Text)
+		}
+		seen[f[1]] = true
+	}
+	if len(seen) == 0 {
+		t.Fatalf("no case labels in the report:\n%s", rep.Text)
+	}
+}

@@ -11,88 +11,92 @@ import (
 )
 
 // analyticModel is a closed-form scenario model — eneutral, taskburst,
-// mpsoc. It supplies only what differs per model; analyticEngine owns
+// mpsoc. It supplies only what differs per model; singleEngine owns
 // the stepping, the checkpoint state and the trace rule they share, and
-// tableSweepEngine runs every sweep case on that same engine.
+// tableSweepEngine runs every sweep case on that same stepping.
 type analyticModel interface {
 	Model
 
-	// newRun builds one sweep-free case from the spec.
-	newRun(sp *Spec) (analyticRun, error)
+	// newRun builds one sweep-free case from the spec, recording into
+	// rec when it is non-nil.
+	newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error)
 
 	// sweepHeader titles the sweep table's columns, in cells() order.
 	sweepHeader() []string
 }
 
-// analyticRun is one sweep-free case of an analytic model: its
-// resumable simulation (Step/Done, from the model package's Sim) plus
-// the model's checkpoint layout, trace channels and renderings.
-type analyticRun interface {
+// modelRun is one sweep-free case of any model: its resumable
+// simulation (Step/Done, from the model package's Sim) plus the model's
+// checkpoint layout and renderings. Its constructor wires the trace
+// channels, before any restore, so observers continue from the
+// restored state.
+type modelRun interface {
 	// Step advances up to maxSteps integration steps.
 	Step(maxSteps int)
 	// Done reports whether the run covered its duration.
 	Done() bool
 
-	// state returns the value the checkpoint stores under "sim".
+	// state returns the value the checkpoint stores under "sim"; nil
+	// marks a run whose state is not serialised (the lab's cycle-level
+	// MCU), which checkpoints as a restart marker.
 	state() any
 	// restore rewinds the run to a decoded state() value.
 	restore(sim []byte) error
-	// record wires the model's trace channels into rec; called after
-	// any restore, so observers continue from the restored state.
-	record(rec *trace.Recorder)
 
 	// report renders the single-run report text (after Done).
 	report() string
+	// outcome returns the case's structured results, unnamed (after
+	// Done).
+	outcome() ModelCase
+}
+
+// analyticRun is a modelRun that can also render a sweep-table row.
+type analyticRun interface {
+	modelRun
 	// cells renders the case's sweep-table row (after Done).
 	cells() []string
-	// metrics returns the case's structured objectives (after Done).
-	metrics() map[string]float64
 }
 
 // analyticEngineFor builds the engine for an analytic model's spec: a
-// table sweep with sweep axes, a single analyticEngine without.
+// table sweep with sweep axes, a single singleEngine without.
 func analyticEngineFor(m analyticModel, sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
 	if sp.HasSweep() {
 		return newTableSweepEngine(m, sp, opts, checkpoint)
 	}
-	return newAnalyticEngine(m, sp, opts, checkpoint)
+	return newSingleEngine(sp, opts, checkpoint, func(sp *Spec, rec *trace.Recorder) (modelRun, error) {
+		return m.newRun(sp, rec)
+	})
 }
 
-// analyticEngine steps one sweep-free analytic run in analyticChunk-sized
+// singleEngine steps one sweep-free run of any model in stepChunk-sized
 // slices of its integration loop.
-type analyticEngine struct {
+type singleEngine struct {
 	sp   *Spec
 	opts RunOptions
-	run  analyticRun
+	run  modelRun
 	rec  *trace.Recorder
 }
 
-// analyticState is the serialised checkpoint of an analyticEngine. A
-// missing (or null) Sim — an empty restart marker — resumes as a fresh
-// run.
-type analyticState struct {
+// singleState is the serialised checkpoint of a singleEngine. A missing
+// (or null) Sim — an empty restart marker — resumes as a fresh run.
+type singleState struct {
 	Sim   json.RawMessage `json:"sim,omitempty"`
 	Trace []byte          `json:"trace,omitempty"`
 }
 
-// newAnalyticEngine builds the run, restoring its state and trace when
-// checkpoint is non-nil.
-func newAnalyticEngine(m analyticModel, sp *Spec, opts RunOptions, checkpoint []byte) (*analyticEngine, error) {
-	run, err := m.newRun(sp)
-	if err != nil {
-		return nil, err
-	}
-	e := &analyticEngine{sp: sp, opts: opts, run: run}
-	var st analyticState
+// newSingleEngine builds the run with newRun, restoring its state and
+// trace when checkpoint is non-nil.
+func newSingleEngine(sp *Spec, opts RunOptions, checkpoint []byte, newRun func(*Spec, *trace.Recorder) (modelRun, error)) (*singleEngine, error) {
+	var st singleState
 	if checkpoint != nil {
 		if err := json.Unmarshal(checkpoint, &st); err != nil {
 			return nil, sp.errf("checkpoint: %w", err)
 		}
 	}
-	if len(st.Sim) > 0 && string(st.Sim) != "null" {
-		if err := run.restore(st.Sim); err != nil {
-			return nil, sp.errf("checkpoint: %w", err)
-		}
+	resume := len(st.Sim) > 0 && string(st.Sim) != "null"
+	e := &singleEngine{sp: sp, opts: opts}
+	var err error
+	if resume {
 		// A resumed run records iff the checkpoint carried a trace — the
 		// checkpoint, not the resume options, decides, so the reassembled
 		// trace is byte-identical to an uninterrupted run's.
@@ -105,8 +109,13 @@ func newAnalyticEngine(m analyticModel, sp *Spec, opts RunOptions, checkpoint []
 		e.rec = trace.NewRecorder()
 		e.rec.SetInterval(opts.interval())
 	}
-	if e.rec != nil {
-		run.record(e.rec)
+	if e.run, err = newRun(sp, e.rec); err != nil {
+		return nil, err
+	}
+	if resume {
+		if err := e.run.restore(st.Sim); err != nil {
+			return nil, sp.errf("checkpoint: %w", err)
+		}
 	}
 	return e, nil
 }
@@ -122,32 +131,39 @@ func restoreJSON[S any](sim []byte, apply func(S)) error {
 }
 
 // Step implements Engine.
-func (e *analyticEngine) Step() error { e.run.Step(analyticChunk); return nil }
+func (e *singleEngine) Step() error { e.run.Step(stepChunk); return nil }
 
 // Done implements Engine.
-func (e *analyticEngine) Done() bool { return e.run.Done() }
+func (e *singleEngine) Done() bool { return e.run.Done() }
 
-// Checkpoint implements Engine.
-func (e *analyticEngine) Checkpoint() ([]byte, error) {
-	sim, err := json.Marshal(e.run.state())
-	if err != nil {
-		return nil, err
-	}
-	st := analyticState{Sim: sim}
-	if e.rec != nil {
-		st.Trace = trace.EncodeRecorder(e.rec)
+// Checkpoint implements Engine. A run without serialised state
+// checkpoints as an empty restart marker, without its partial trace:
+// the resumed run starts over and is still byte-identical.
+func (e *singleEngine) Checkpoint() ([]byte, error) {
+	var st singleState
+	if s := e.run.state(); s != nil {
+		sim, err := json.Marshal(s)
+		if err != nil {
+			return nil, err
+		}
+		st.Sim = sim
+		if e.rec != nil {
+			st.Trace = trace.EncodeRecorder(e.rec)
+		}
 	}
 	return json.Marshal(st)
 }
 
 // Report implements Engine.
-func (e *analyticEngine) Report() (*ModelReport, error) {
+func (e *singleEngine) Report() (*ModelReport, error) {
 	if e.opts.Progress != nil {
 		e.opts.Progress(1, 1)
 	}
+	mc := e.run.outcome()
+	mc.Name = e.sp.Name
 	return &ModelReport{
 		Text:       e.run.report(),
-		Cases:      []ModelCase{{Name: e.sp.Name, Metrics: e.run.metrics()}},
+		Cases:      []ModelCase{mc},
 		SimSeconds: float64(e.sp.Duration),
 		Trace:      e.rec,
 	}, nil
@@ -156,8 +172,8 @@ func (e *analyticEngine) Report() (*ModelReport, error) {
 // tableSweepEngine is the sweep engine for the analytic models: expand
 // the grid, run the cases sequentially (the analytic engines are orders
 // of magnitude cheaper than the lab's cycle-level stepping, so parallel
-// fan-out would be all overhead) on an untraced analyticEngine, one
-// analyticChunk per Step, and render a comparison table with the
+// fan-out would be all overhead) as untraced runs, one stepChunk per
+// Step, and render a comparison table with the
 // model's columns. Its checkpoint is the completed prefix — the cursor,
 // the rendered cells, and the accumulated metrics; a case interrupted
 // mid-run is dropped and, being deterministic, re-run on resume.
@@ -168,7 +184,8 @@ type tableSweepEngine struct {
 
 	cases      []sweep.Case
 	next       int
-	cur        *analyticEngine // the case in flight; nil between cases
+	cur        analyticRun // the case in flight; nil between cases
+	curSeconds float64     // its simulated duration
 	rows       [][]string
 	names      []string
 	mcases     []ModelCase
@@ -221,20 +238,20 @@ func (e *tableSweepEngine) Step() error {
 		if err != nil {
 			return err
 		}
-		if e.cur, err = newAnalyticEngine(e.m, cs, RunOptions{}, nil); err != nil {
+		if e.cur, err = e.m.newRun(cs, nil); err != nil {
 			return err
 		}
+		e.curSeconds = float64(cs.Duration)
 	}
-	if err := e.cur.Step(); err != nil {
-		return err
-	}
+	e.cur.Step(stepChunk)
 	if !e.cur.Done() {
 		return nil
 	}
-	run := e.cur.run
-	e.rows[e.next], e.names[e.next] = run.cells(), c.Name
-	e.simSeconds += float64(e.cur.sp.Duration)
-	e.mcases = append(e.mcases, ModelCase{Name: c.Name, Metrics: run.metrics()})
+	mc := e.cur.outcome()
+	mc.Name = c.Name
+	e.rows[e.next], e.names[e.next] = e.cur.cells(), c.Name
+	e.simSeconds += e.curSeconds
+	e.mcases = append(e.mcases, mc)
 	e.cur = nil
 	e.next++
 	if e.opts.Progress != nil {

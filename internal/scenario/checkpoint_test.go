@@ -3,10 +3,13 @@ package scenario
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -20,7 +23,7 @@ import (
 // mid-run engine stepping.
 
 // ckptSpecs are single-run specs sized so the analytic engines need
-// several Steps (> analyticChunk integration steps), making a mid-run
+// several Steps (> stepChunk integration steps), making a mid-run
 // checkpoint capture genuinely partial state. The PV-powered runs read
 // the shared harvest table, so a resumed run must find its place in it:
 // eneutral-pv resumes in daylight (t = 16384·4 s ≈ 18.2 h), taskburst-pv
@@ -216,23 +219,163 @@ func TestCheckpointEnvelopeRejectsMismatches(t *testing.T) {
 	if _, err := ResumeModel(sp, []byte("not json"), RunOptions{}); err == nil {
 		t.Error("resume accepted a non-envelope blob")
 	}
+	// Damaged state must be rejected, not resumed to another report.
+	var ce checkpointEnvelope
+	if err := json.Unmarshal(env, &ce); err != nil {
+		t.Fatal(err)
+	}
+	ce.Data = bytes.Replace(ce.Data, []byte(`"T":0`), []byte(`"T":9`), 1)
+	damaged, err := json.Marshal(ce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(damaged, env) {
+		t.Fatal("the damage did not change the envelope")
+	}
+	if _, err := ResumeModel(sp, damaged, RunOptions{}); err == nil || !strings.Contains(err.Error(), "damaged") {
+		t.Errorf("resume of a damaged checkpoint: got %v, want a damaged-state error", err)
+	}
+}
+
+func TestCheckpointRejectsVersion1(t *testing.T) {
+	// Version 1 envelopes carried the eneutral and mpsoc results' dead
+	// "Aborted" key and no checksum; they are rejected, never guessed at.
+	sp := mustParse(t, ckptSpecs["eneutral"])
+	var ce checkpointEnvelope
+	if err := json.Unmarshal(interruptRun(t, sp, RunOptions{}), &ce); err != nil {
+		t.Fatal(err)
+	}
+	ce.V = 1
+	v1, err := json.Marshal(ce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ResumeModel(sp, v1, RunOptions{})
+	if err == nil || !strings.Contains(err.Error(), "checkpoint version 1 (want 2)") {
+		t.Errorf("resume of a v1 envelope: got %v, want a version error", err)
+	}
+}
+
+func TestLabSingleCheckpointIsRestartMarker(t *testing.T) {
+	// A lab single run steps stepChunk steps at a time like every other
+	// run, so a long one is still running after one Step. Its MCU state
+	// is not serialised: it checkpoints as an empty restart marker.
+	m, err := LookupModel("lab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := mustParse(t, `{"name":"x","workload":"fib24","storage":{"c":"10u"},"source":{"name":"dc"},"duration":600}`)
+	eng, err := m.Engine(long, RunOptions{Trace: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Done() {
+		t.Fatal("a 600 s lab run finished in one Step")
+	}
+	state, err := eng.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(state) != "{}" {
+		t.Errorf("lab checkpoint = %s, want the empty restart marker", state)
+	}
+
+	// A run resumed from its marker starts over, byte-identical in text
+	// and trace.
+	short := mustParse(t, `{"name":"x","workload":"fib24","storage":{"c":"10u"},"source":{"name":"square"},"runtime":{"name":"hibernus"},"duration":0.2}`)
+	want, err := RunModel(short, RunOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng, err = m.Engine(short, RunOptions{Trace: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Done() {
+		t.Fatal("spec completed in one step — grow it so the checkpoint is mid-run")
+	}
+	if state, err = eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	env, err := encodeCheckpoint(short, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ResumeModel(short, env, RunOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Text != want.Text {
+		t.Errorf("resumed text differs:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want.Text, got.Text)
+	}
+	if !tracesEqual(got.Trace, want.Trace) {
+		t.Error("resumed trace differs from uninterrupted trace")
+	}
+	if !reflect.DeepEqual(got.Cases, want.Cases) {
+		t.Errorf("resumed cases differ:\n got %+v\nwant %+v", got.Cases, want.Cases)
+	}
+}
+
+func TestLabSweepCancel(t *testing.T) {
+	// The lab sweep's workers check the driver's channels between
+	// chunks, so closing either one stops a wave of long cases
+	// promptly; a checkpoint keeps only the completed prefix.
+	src := `{"name":"x","workload":"fib24","storage":{"c":"10u"},"source":{"name":"dc"},"duration":600,
+		"sweep":[{"param":"c","values":["10u","22u","47u"]}]}`
+	sp := mustParse(t, src)
+	interrupt := func(opts RunOptions, ch chan struct{}) error {
+		timer := time.AfterFunc(20*time.Millisecond, func() { close(ch) })
+		defer timer.Stop()
+		start := time.Now()
+		_, err := RunModel(sp, opts)
+		if d := time.Since(start); d > 30*time.Second {
+			t.Errorf("interrupt took %v", d)
+		}
+		return err
+	}
+	cancel := make(chan struct{})
+	if err := interrupt(RunOptions{Workers: 2, Cancel: cancel}, cancel); !errors.Is(err, sweep.ErrCanceled) {
+		t.Fatalf("cancel: got %v, want sweep.ErrCanceled", err)
+	}
+	ckpt := make(chan struct{})
+	err := interrupt(RunOptions{Workers: 2, Checkpoint: ckpt}, ckpt)
+	var ce *CheckpointError
+	if !errors.As(err, &ce) {
+		t.Fatalf("checkpoint: got %v, want *CheckpointError", err)
+	}
+	data, err := decodeCheckpoint(sp, ce.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st labSweepState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Done != 0 || len(st.Results) != 0 {
+		t.Errorf("checkpoint holds %d completed cases, want 0", st.Done)
+	}
 }
 
 func TestAnalyticCheckpointBytesPinned(t *testing.T) {
 	// The analytic engines' checkpoint layout is a persisted format:
-	// .ckpt files written by an earlier build must resume on a later
-	// one. Pin the model-private bytes after one Step, with the trace on
-	// and off, so a layout change cannot slip in unnoticed.
+	// .ckpt files written by an earlier build of the same
+	// checkpointVersion must resume on a later one. Pin the
+	// model-private bytes after one Step, with the trace on and off, so
+	// a layout change cannot slip in without a version bump.
 	want := map[string]string{
-		"eneutral":        "713ae2a01637fcf4a53d0d17a3bd1699ebe019a7f4dd617e2343f1b13eafebb6",
-		"eneutral/trace":  "8781739cbb02382df0e829f01be66da76c82a280d424f01e05962bfbfc3d6a1f",
-		"taskburst":       "52c4cf2c2cb1d88bc6879242258b968f1e9d05371258926340f449a412e30191",
-		"taskburst/trace": "e9dde2ba59018bb57dc9d332d1110c989c8d1ccb36b7f45cc783059f8cf5a41b",
-		"mpsoc":           "4ab2b8275347c56482f2f1d437a21980863685aeb27dd84507d6c708fa2db4be",
-		"mpsoc/trace":     "d5fcc5af68c7349fed53de48396a055f66b07b3308f8d1bcabf95e807d6e2d80",
-		// The PV pins were taken before the harvest table existed.
-		"eneutral-pv":        "44bb754e32089d7a835d65a111c046cd9c41281da9f3cc7cda234ac1192cada4",
-		"eneutral-pv/trace":  "71cf54379517032d78f68cbb7ce4b9001fa3ec495223269001b2cfc80d45efd6",
+		"eneutral":           "a81b5904fd51735d6021c167c6081219b98c8497bf1cefebfcda6928950ba241",
+		"eneutral/trace":     "b0922e016eb0f00c47d47631dee2460f2a109521a8f3828823755c805eb7f9d5",
+		"taskburst":          "52c4cf2c2cb1d88bc6879242258b968f1e9d05371258926340f449a412e30191",
+		"taskburst/trace":    "e9dde2ba59018bb57dc9d332d1110c989c8d1ccb36b7f45cc783059f8cf5a41b",
+		"mpsoc":              "97c61fc413306b9c27572a323f0971ad9f95742ce1adb73d5a3a857197073988",
+		"mpsoc/trace":        "3a9bce5d25dc208b502951cf3876811629141918af03ce3e1ed68522af14d245",
+		"eneutral-pv":        "c7458e98f703bf1680339a203e3fad4d8e5850e3981c75f248d3dc44c822a732",
+		"eneutral-pv/trace":  "c43973d59734f80af3025eadfdf808c22463c9367acbf2e56e3ca1d98b025475",
 		"taskburst-pv":       "6151deb923b174979665494b6b856354d42dcffa17f1f8aaf620b3052fe0f0e8",
 		"taskburst-pv/trace": "32ddb8f969a01de1de175864a6752ad68cce0331f7f5ee5e8a7a436d8c627ee5",
 	}
@@ -268,7 +411,7 @@ func TestAnalyticCheckpointBytesPinned(t *testing.T) {
 }
 
 // ckptSweepSpecs are three-case sweeps over the ckptSpecs runs: every
-// case needs more than one analyticChunk, so an interruption can land
+// case needs more than one stepChunk, so an interruption can land
 // inside a case as well as between cases.
 var ckptSweepSpecs = map[string]string{
 	"eneutral": `{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":30000,

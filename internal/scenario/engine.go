@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 
@@ -16,10 +17,9 @@ import (
 // checkpointing a tight latency without the models hand-rolling their
 // own Observe/Abort/progress plumbing.
 type Engine interface {
-	// Step runs one bounded chunk of work. A cancellation observed
-	// inside a blocking step returns sweep.ErrCanceled; a checkpoint
-	// request observed inside a blocking step returns nil without
-	// advancing, so the driver re-checks and captures state.
+	// Step runs one bounded chunk of work. A step whose parallel
+	// workers saw Cancel or Checkpoint closed returns nil without
+	// advancing, so the driver re-checks its channels and acts.
 	Step() error
 
 	// Done reports whether the run is complete and Report may be called.
@@ -35,12 +35,11 @@ type Engine interface {
 	Report() (*ModelReport, error)
 }
 
-// analyticChunk bounds one Step of the analytic (non-lab) engines, for
-// single runs and sweep cases alike: enough integration steps to
-// amortise the driver's between-step channel checks to noise, few
-// enough that cancellation and checkpoint latency stay in the
-// milliseconds.
-const analyticChunk = 16384
+// stepChunk bounds one Step of a run, for single runs and sweep cases
+// of every model alike: enough integration steps to amortise the
+// between-step channel checks to noise, few enough that cancellation
+// and checkpoint latency stay in the milliseconds.
+const stepChunk = 16384
 
 // CheckpointError is returned by RunModel/ResumeModel when the options'
 // Checkpoint channel interrupted the run: State is the complete
@@ -55,16 +54,24 @@ func (e *CheckpointError) Error() string { return "scenario: run checkpointed" }
 
 // checkpointVersion versions the envelope layout; bump on incompatible
 // change so stale blobs are rejected instead of misinterpreted.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // checkpointEnvelope binds a model's private checkpoint state to the
 // spec that produced it, so a resume against a different (or edited)
-// spec fails loudly instead of silently diverging.
+// spec fails loudly instead of silently diverging. Sum is the sha256 of
+// Data: a damaged state fails loudly too, rather than resuming to a
+// different report.
 type checkpointEnvelope struct {
 	V     int    `json:"v"`
 	Model string `json:"model"`
 	Hash  string `json:"hash"`
 	Data  []byte `json:"data,omitempty"`
+	Sum   string `json:"sum"`
+}
+
+// checkpointSum is the envelope's checksum of the model-private state.
+func checkpointSum(data []byte) string {
+	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
 // encodeCheckpoint wraps model-private state in the spec-bound envelope.
@@ -78,6 +85,7 @@ func encodeCheckpoint(sp *Spec, state []byte) ([]byte, error) {
 		Model: sp.ModelName(),
 		Hash:  hash,
 		Data:  state,
+		Sum:   checkpointSum(state),
 	})
 }
 
@@ -101,6 +109,9 @@ func decodeCheckpoint(sp *Spec, blob []byte) ([]byte, error) {
 	if env.Hash != hash {
 		return nil, fmt.Errorf("scenario: checkpoint spec hash %s does not match %s", env.Hash, hash)
 	}
+	if env.Sum != checkpointSum(env.Data) {
+		return nil, fmt.Errorf("scenario: checkpoint state is damaged (sha256 mismatch)")
+	}
 	return env.Data, nil
 }
 
@@ -122,12 +133,6 @@ func ResumeModel(sp *Spec, checkpoint []byte, opts RunOptions) (*ModelReport, er
 	if err != nil {
 		return nil, err
 	}
-	if data == nil {
-		// An envelope with no model state (e.g. a restart-from-zero
-		// marker stripped by an older encoder) still resumes — as a
-		// fresh run — so make the "resume" intent explicit downstream.
-		data = []byte("{}")
-	}
 	return drive(sp, opts, data)
 }
 
@@ -139,13 +144,6 @@ func drive(sp *Spec, opts RunOptions, checkpoint []byte) (*ModelReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// stop merges Cancel and Checkpoint into the single abort signal
-	// wired into engines that block inside one Step (the lab's
-	// cycle-level runs); released when the driver returns.
-	driveDone := make(chan struct{})
-	defer close(driveDone)
-	opts.stop = mergeStop(opts.Cancel, opts.Checkpoint, driveDone)
-
 	eng, err := m.Engine(sp, opts, checkpoint)
 	if err != nil {
 		return nil, err
@@ -170,33 +168,4 @@ func drive(sp *Spec, opts RunOptions, checkpoint []byte) (*ModelReport, error) {
 		}
 	}
 	return eng.Report()
-}
-
-// mergeStop folds the cancel and checkpoint channels into one abort
-// signal. With one of them nil the other is returned directly; with
-// both set, a goroutine (released via done) closes the merged channel
-// on whichever fires first.
-func mergeStop(cancel, ckpt, done <-chan struct{}) <-chan struct{} {
-	if ckpt == nil {
-		return cancel
-	}
-	if cancel == nil {
-		return ckpt
-	}
-	merged := make(chan struct{})
-	go func() {
-		defer close(merged)
-		select {
-		case <-cancel:
-		case <-ckpt:
-		case <-done:
-		}
-	}()
-	return merged
-}
-
-// checkpointRequested reports whether an in-step abort was caused by a
-// checkpoint request rather than a cancellation (Cancel wins ties).
-func checkpointRequested(opts RunOptions) bool {
-	return canceled(opts.Checkpoint) && !canceled(opts.Cancel)
 }

@@ -3,8 +3,10 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -79,4 +81,102 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("hash changed across canonical round-trip: %s -> %s (err %v)", hash, hash2, err)
 		}
 	})
+}
+
+// resumeSpecs are tiny specs, one per engine: a lab single run, a lab
+// sweep, each analytic model's single run and an analytic sweep.
+var resumeSpecs = []string{
+	`{"name":"x","workload":"fib24","storage":{"c":"10u"},"source":{"name":"dc"},"duration":0.002}`,
+	`{"name":"x","workload":"fib24","storage":{"c":"10u"},"source":{"name":"dc"},"duration":0.002,
+		"sweep":[{"param":"c","values":["10u","22u"]}]}`,
+	`{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":100}`,
+	`{"name":"x","model":"taskburst","storage":{"c":"6m"},"source":{"name":"const-power","params":{"p":"2m"}},"duration":0.1}`,
+	`{"name":"x","model":"mpsoc","source":{"name":"const-power","params":{"p":2}},"duration":100,"dt":1}`,
+	`{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":100,
+		"sweep":[{"param":"model.batteryj","values":[100,200]}]}`,
+}
+
+// FuzzResumeModel feeds arbitrary checkpoint envelopes to ResumeModel
+// against a tiny spec of every engine, pinning three properties:
+//
+//  1. ResumeModel never panics, whatever the bytes (the daemon reads
+//     checkpoints back from disk).
+//  2. Allocation is bounded by the input: a resume allocates no more
+//     than a fresh run of the spec plus a multiple of the blob's size.
+//  3. An accepted checkpoint resumes to the fresh run's report text
+//     exactly; anything else is an error.
+func FuzzResumeModel(f *testing.F) {
+	specs := make([]*Spec, len(resumeSpecs))
+	want := make([]string, len(resumeSpecs))
+	freshAlloc := make([]uint64, len(resumeSpecs))
+	for i, src := range resumeSpecs {
+		sp, err := Parse([]byte(src))
+		if err != nil {
+			f.Fatal(err)
+		}
+		rep, err := RunModel(sp, RunOptions{Workers: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		specs[i], want[i] = sp, rep.Text
+		freshAlloc[i] = allocated(func() { _, _ = RunModel(sp, RunOptions{Workers: 1}) })
+
+		// Seeds, as checkpoint_test.go takes them: an interruption
+		// before the first Step, and the state after one Step.
+		ckpt := make(chan struct{})
+		close(ckpt)
+		var ce *CheckpointError
+		if _, err := RunModel(sp, RunOptions{Workers: 1, Checkpoint: ckpt}); !errors.As(err, &ce) {
+			f.Fatalf("%s: got %v, want *CheckpointError", src, err)
+		}
+		f.Add(uint8(i), ce.State)
+		m, err := LookupModel(sp.ModelName())
+		if err != nil {
+			f.Fatal(err)
+		}
+		eng, err := m.Engine(sp, RunOptions{Workers: 1}, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := eng.Step(); err != nil {
+			f.Fatal(err)
+		}
+		state, err := eng.Checkpoint()
+		if err != nil {
+			f.Fatal(err)
+		}
+		env, err := encodeCheckpoint(sp, state)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), env)
+	}
+	f.Add(uint8(0), []byte(`{"v":1,"model":"lab","hash":"","data":"e30="}`))
+	f.Add(uint8(2), []byte(`{"v":2,"model":"eneutral","data":"eyJzaW0iOnt9fQ==","sum":""}`))
+	f.Add(uint8(1), []byte(`not json`))
+
+	f.Fuzz(func(t *testing.T, which uint8, blob []byte) {
+		i := int(which) % len(specs)
+		var rep *ModelReport
+		var err error
+		n := allocated(func() { rep, err = ResumeModel(specs[i], blob, RunOptions{Workers: 1}) })
+		if limit := 2*freshAlloc[i] + 64*uint64(len(blob)) + 1<<20; n > limit {
+			t.Errorf("resume allocated %d bytes for a %d-byte checkpoint (limit %d)", n, len(blob), limit)
+		}
+		if err != nil {
+			return
+		}
+		if rep.Text != want[i] {
+			t.Fatalf("accepted checkpoint resumed to another report:\n--- fresh ---\n%s--- resumed ---\n%s", want[i], rep.Text)
+		}
+	})
+}
+
+// allocated returns the heap bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/lab"
 	"repro/internal/source"
 	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // pvTableSpecs are PV-powered analytic sweeps over dt and a node
@@ -35,8 +36,8 @@ type plainPower struct{ source.PowerSource }
 // step: the reference the table-reading runs must match bit for bit.
 type untabled struct{ analyticModel }
 
-func (u untabled) newRun(sp *Spec) (analyticRun, error) {
-	run, err := u.analyticModel.newRun(sp)
+func (u untabled) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
+	run, err := u.analyticModel.newRun(sp, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func analyticModelOf(t *testing.T, sp *Spec) analyticModel {
 // state, which holds every accumulator at full precision.
 func runState(t *testing.T, m analyticModel, sp *Spec) []byte {
 	t.Helper()
-	run, err := m.newRun(sp)
+	run, err := m.newRun(sp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,11 +71,6 @@ type RunOptions struct {
 	// captures the engine's state and returns *CheckpointError carrying
 	// a ResumeModel-ready envelope. Cancel wins when both have fired.
 	Checkpoint <-chan struct{}
-
-	// stop is the merged Cancel∪Checkpoint signal the driver wires
-	// before constructing the engine — the abort channel for work that
-	// blocks inside a single Step (the lab's cycle-level runs).
-	stop <-chan struct{}
 }
 
 // interval resolves the effective trace sampling interval.

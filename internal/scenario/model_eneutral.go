@@ -130,7 +130,7 @@ func (eneutralModel) sweepHeader() []string {
 	return []string{"harvested", "consumed", "worst-win", "deaths", "final-soc", "mean-duty"}
 }
 
-func (m eneutralModel) newRun(sp *Spec) (analyticRun, error) {
+func (m eneutralModel) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)
@@ -153,10 +153,14 @@ func (m eneutralModel) newRun(sp *Spec) (analyticRun, error) {
 	if dt <= 0 {
 		dt = eneutralDefaultDt
 	}
-	return &eneutralRun{
+	r := &eneutralRun{
 		Sim: eneutral.NewSim(node, float64(sp.Duration), dt, p["window"]),
 		sp:  sp, p: p, node: node,
-	}, nil
+	}
+	if rec != nil {
+		r.record(rec)
+	}
+	return r, nil
 }
 
 // eneutralRun is one sweep-free energy-neutral case.
@@ -167,37 +171,7 @@ type eneutralRun struct {
 	node *eneutral.Node
 }
 
-// eneutralCkpt is the checkpoint layout of an eneutral.SimState. The
-// result once carried an abort flag; its key is still written, always
-// false, so checkpoints stay byte-identical to those of earlier builds.
-// It must list every SimState field: one it drops is lost on resume,
-// which TestMidRunCheckpointResumeIdentical reports.
-type eneutralCkpt struct {
-	T                float64
-	WinH, WinC, WinT float64
-	CtlH, CtlT       float64
-	NextCtrl         float64
-	Res              struct {
-		eneutral.Result
-		Aborted bool
-	}
-	SoC         float64
-	ThroughputJ float64
-	Duty        float64
-	Dead        bool
-	Kansal      *float64
-}
-
-func (r *eneutralRun) state() any {
-	st := r.State()
-	c := eneutralCkpt{
-		T: st.T, WinH: st.WinH, WinC: st.WinC, WinT: st.WinT,
-		CtlH: st.CtlH, CtlT: st.CtlT, NextCtrl: st.NextCtrl,
-		SoC: st.SoC, ThroughputJ: st.ThroughputJ, Duty: st.Duty, Dead: st.Dead, Kansal: st.Kansal,
-	}
-	c.Res.Result = st.Res
-	return c
-}
+func (r *eneutralRun) state() any { return r.State() }
 
 func (r *eneutralRun) restore(sim []byte) error { return restoreJSON(sim, r.Restore) }
 
@@ -251,7 +225,9 @@ func (r *eneutralRun) cells() []string {
 	}
 }
 
-func (r *eneutralRun) metrics() map[string]float64 { return eneutralMetrics(r.Result(), r.p["duty0"]) }
+func (r *eneutralRun) outcome() ModelCase {
+	return ModelCase{Metrics: eneutralMetrics(r.Result(), r.p["duty0"])}
+}
 
 // meanDuty averages the controller's duty decisions (the fallback —
 // the initial duty — when no epoch completed).

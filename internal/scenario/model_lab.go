@@ -129,92 +129,55 @@ func (labModel) Validate(s *Spec) error {
 	return nil
 }
 
-// Engine implements Model: a blocking single-run engine without sweep
-// axes, a wave-stepped sweep engine with them. The rendered bytes (and
-// the golden corpus pinning them) are unchanged from the historical
-// Run path.
+// Engine implements Model: a single run stepped like every other
+// model's without sweep axes, a wave-stepped sweep engine with them. The
+// rendered bytes (and the golden corpus pinning them) are unchanged
+// from the historical Run path.
 func (labModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
-	if !sp.HasSweep() {
-		// A cycle-level single run has no cheap interior checkpoint: its
-		// restart marker resumes from zero, so any prior state is
-		// (correctly) ignored.
-		return &labSingleEngine{sp: sp, opts: opts}, nil
+	if sp.HasSweep() {
+		return newLabSweepEngine(sp, opts, checkpoint)
 	}
-	return newLabSweepEngine(sp, opts, checkpoint)
+	return newSingleEngine(sp, opts, checkpoint, newLabRun)
 }
 
-// labSingleEngine runs one cycle-level lab experiment in a single
-// (blocking) Step. The merged stop channel is wired into the lab's
-// abort hook, so cancellation and checkpoint requests both interrupt
-// the run; a checkpoint suspends with a restart-from-zero marker —
-// trading the partial work for the guarantee that the resumed run is
-// byte-identical to an uninterrupted one.
-type labSingleEngine struct {
-	sp   *Spec
-	opts RunOptions
-
-	res  lab.Result
-	rec  *trace.Recorder
-	done bool
+// labRun is one sweep-free cycle-level lab experiment. Its MCU state is
+// not serialised, so it checkpoints as a restart marker — trading the
+// partial work for the guarantee that the resumed run is byte-identical
+// to an uninterrupted one.
+type labRun struct {
+	*lab.Sim
+	sp *Spec
 }
 
-// labSingleState is the (empty) restart marker a single lab run
-// checkpoints to.
-type labSingleState struct {
-	Restart bool `json:"restart"`
-}
-
-// Step implements Engine: run the whole experiment.
-func (e *labSingleEngine) Step() error {
-	s, err := e.sp.Setup()
+func newLabRun(sp *Spec, rec *trace.Recorder) (modelRun, error) {
+	s, err := sp.Setup()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.Abort = e.opts.stop
-	var rec *trace.Recorder
-	if e.opts.Trace {
-		rec = trace.NewRecorder()
-		s.Recorder = rec
-		s.RecordInterval = e.opts.interval()
-	}
-	res, err := lab.Run(s)
-	if errors.Is(err, lab.ErrAborted) {
-		if checkpointRequested(e.opts) {
-			// The driver re-checks its channels before the next Step
-			// and captures the restart marker.
-			return nil
-		}
-		return sweep.ErrCanceled
-	}
+	s.Recorder = rec
+	sim, err := lab.Start(s)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	e.res, e.rec, e.done = res, rec, true
-	if e.opts.Progress != nil {
-		e.opts.Progress(1, 1)
-	}
-	return nil
+	return &labRun{Sim: sim, sp: sp}, nil
 }
 
-// Done implements Engine.
-func (e *labSingleEngine) Done() bool { return e.done }
+func (r *labRun) state() any { return nil }
 
-// Checkpoint implements Engine: a restart-from-zero marker.
-func (e *labSingleEngine) Checkpoint() ([]byte, error) {
-	return json.Marshal(labSingleState{Restart: true})
+func (r *labRun) restore([]byte) error {
+	return errors.New("a lab run restarts from zero; its checkpoint carries no state")
 }
 
-// Report implements Engine.
-func (e *labSingleEngine) Report() (*ModelReport, error) {
+func (r *labRun) report() string {
 	var buf bytes.Buffer
-	fmt.Fprintln(&buf, SingleTitle(e.sp))
-	writeSummary(&buf, e.res, float64(e.sp.Duration))
-	return &ModelReport{
-		Cases:      []ModelCase{{Name: e.sp.Name, Lab: e.res, Metrics: labMetrics(e.res, float64(e.sp.Duration))}},
-		SimSeconds: float64(e.sp.Duration),
-		Trace:      e.rec,
-		Text:       buf.String(),
-	}, nil
+	fmt.Fprintln(&buf, SingleTitle(r.sp))
+	writeSummary(&buf, r.Result(), float64(r.sp.Duration))
+	return buf.String()
+}
+
+func (r *labRun) outcome() ModelCase {
+	res := r.Result()
+	return ModelCase{Lab: res, Metrics: labMetrics(res, float64(r.sp.Duration))}
 }
 
 // labSweepEngine fans grid cases out over the worker pool one wave at a
@@ -355,7 +318,7 @@ func (e *labSweepEngine) Step() error {
 	// orders the worker's writes before the read below.
 	var rec *trace.Recorder
 	base, total := e.next, len(e.cases)
-	r := &sweep.Runner{Workers: e.opts.Workers, Cancel: e.opts.stop}
+	r := &sweep.Runner{Workers: e.opts.Workers}
 	if e.opts.Progress != nil {
 		r.OnProgress = func(done, _ int) { e.opts.Progress(base+done, total) }
 	}
@@ -364,25 +327,31 @@ func (e *labSweepEngine) Step() error {
 		if err != nil {
 			return lab.Result{}, err
 		}
-		s.Abort = e.opts.stop
 		if e.opts.Trace && c.Index == 0 {
 			rec = trace.NewRecorder()
 			s.Recorder = rec
 			s.RecordInterval = e.opts.interval()
 		}
-		return lab.Run(s)
-	})
-	if err != nil {
-		// A case interrupted mid-run by the stop channel surfaces as its
-		// abort error; fold it into the uniform signals. A checkpoint
-		// request discards the interrupted wave — cases[:next] stay
-		// complete, and re-running the wave is deterministic.
-		if errors.Is(err, lab.ErrAborted) || errors.Is(err, sweep.ErrCanceled) {
-			if checkpointRequested(e.opts) {
-				return nil
-			}
-			return sweep.ErrCanceled
+		sim, err := lab.Start(s)
+		if err != nil {
+			return lab.Result{}, err
 		}
+		for !sim.Done() {
+			if canceled(e.opts.Cancel) || canceled(e.opts.Checkpoint) {
+				return lab.Result{}, sweep.ErrCanceled
+			}
+			sim.Step(stepChunk)
+		}
+		return sim.Result(), nil
+	})
+	if errors.Is(err, sweep.ErrCanceled) {
+		// A worker saw the driver's Cancel or Checkpoint channel closed:
+		// the driver re-checks them and acts. The interrupted wave is
+		// discarded — cases[:next] stay complete, and re-running the
+		// wave is deterministic.
+		return nil
+	}
+	if err != nil {
 		return err
 	}
 	copy(e.results[e.next:end], out)

@@ -103,7 +103,7 @@ func (mpsocModel) sweepHeader() []string {
 	return []string{"frames", "mean-fps", "used-W", "util", "switches", "starved"}
 }
 
-func (m mpsocModel) newRun(sp *Spec) (analyticRun, error) {
+func (m mpsocModel) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)
@@ -122,7 +122,11 @@ func (m mpsocModel) newRun(sp *Spec) (analyticRun, error) {
 	if dt <= 0 {
 		dt = mpsocDefaultDt
 	}
-	return &mpsocRun{Sim: mpsoc.NewSim(sel, budget, float64(sp.Duration), dt), sp: sp, sel: sel, tab: tab}, nil
+	r := &mpsocRun{Sim: mpsoc.NewSim(sel, budget, float64(sp.Duration), dt), sp: sp, sel: sel, tab: tab}
+	if rec != nil {
+		r.record(rec)
+	}
+	return r, nil
 }
 
 // mpsocRun is one sweep-free power-neutral MPSoC case.
@@ -133,24 +137,7 @@ type mpsocRun struct {
 	tab *mpsoc.Table
 }
 
-// mpsocCkpt is the checkpoint layout of an mpsoc.SimState. The result
-// once carried an abort flag; its key is still written, always false,
-// so checkpoints stay byte-identical to those of earlier builds. Res
-// shadows the embedded state's field of the same name, and JSON orders
-// it last, where SimState has it too.
-type mpsocCkpt struct {
-	mpsoc.SimState
-	Res struct {
-		mpsoc.SimResult
-		Aborted bool
-	}
-}
-
-func (r *mpsocRun) state() any {
-	c := mpsocCkpt{SimState: r.State()}
-	c.Res.SimResult = c.SimState.Res
-	return c
-}
+func (r *mpsocRun) state() any { return r.State() }
 
 func (r *mpsocRun) restore(sim []byte) error { return restoreJSON(sim, r.Restore) }
 
@@ -197,4 +184,4 @@ func (r *mpsocRun) cells() []string {
 	}
 }
 
-func (r *mpsocRun) metrics() map[string]float64 { return mpsocMetrics(r.Result(), r.tab) }
+func (r *mpsocRun) outcome() ModelCase { return ModelCase{Metrics: mpsocMetrics(r.Result(), r.tab)} }

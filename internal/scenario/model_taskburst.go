@@ -130,7 +130,7 @@ func (taskburstModel) sweepHeader() []string {
 	return []string{"events", "rate", "v-fire", "first-fire"}
 }
 
-func (m taskburstModel) newRun(sp *Spec) (analyticRun, error) {
+func (m taskburstModel) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)
@@ -143,7 +143,11 @@ func (m taskburstModel) newRun(sp *Spec) (analyticRun, error) {
 	if dt <= 0 {
 		dt = taskburstDefaultDt
 	}
-	return &taskburstRun{Sim: taskburst.NewSim(n, float64(sp.Duration), dt), sp: sp, p: p, n: n}, nil
+	r := &taskburstRun{Sim: taskburst.NewSim(n, float64(sp.Duration), dt), sp: sp, p: p, n: n}
+	if rec != nil {
+		r.record(rec)
+	}
+	return r, nil
 }
 
 // taskburstRun is one sweep-free charge-and-fire case.
@@ -161,18 +165,14 @@ func (r *taskburstRun) restore(sim []byte) error { return restoreJSON(sim, r.Res
 func (r *taskburstRun) record(rec *trace.Recorder) {
 	vcapCh := rec.Channel("vcap", "V")
 	eventsCh := rec.Channel("events", "")
-	// The cumulative-fires counter continues from a restored firing
-	// log, so the events channel resumes its count seamlessly.
-	fires := len(r.n.Events)
-	r.n.Observe = func(t, v float64, fired bool) {
-		if fired {
-			fires++
-		}
+	// The firing log is appended before Observe runs and is restored
+	// with the run, so its length is the cumulative count on resume too.
+	r.n.Observe = func(t, v float64, _ bool) {
 		if !vcapCh.Due(t) {
 			return
 		}
 		vcapCh.Record(t, v)
-		eventsCh.Record(t, float64(fires))
+		eventsCh.Record(t, float64(len(r.n.Events)))
 	}
 }
 
@@ -205,8 +205,8 @@ func (r *taskburstRun) cells() []string {
 	}
 }
 
-func (r *taskburstRun) metrics() map[string]float64 {
-	return taskburstMetrics(r.n, r.p, float64(r.sp.Duration))
+func (r *taskburstRun) outcome() ModelCase {
+	return ModelCase{Metrics: taskburstMetrics(r.n, r.p, float64(r.sp.Duration))}
 }
 
 // firstFireLabel renders the first firing time ("never" when the node

@@ -193,7 +193,7 @@ func TestMpsocRunsShareXU4Table(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := mpsocModel{}.newRun(sp)
+		run, err := mpsocModel{}.newRun(sp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -950,10 +950,10 @@ func (s *Server) Result(id string) (*result.Report, JobStatus, bool) {
 }
 
 // Cancel requests a job's cancellation. Queued jobs cancel immediately;
-// running jobs stop promptly — no new sweep case starts and the case
-// currently stepping aborts at its next step boundary (lab.Setup.Abort).
-// A run that has already finished its last case may still complete as
-// "done". Finished jobs are unaffected.
+// running jobs stop promptly — the scenario driver, and a lab sweep's
+// workers, check the cancel channel between chunks of a few thousand
+// steps. A run that has already finished its last chunk may still
+// complete as "done". Finished jobs are unaffected.
 func (s *Server) Cancel(id string) (JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -731,6 +731,40 @@ func TestCancelRunningSingleRunAbortsPromptly(t *testing.T) {
 	}
 }
 
+func TestCancelRunningLabSweepAbortsPromptly(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	// Each case would take minutes of wall-clock; the test passes only
+	// because the sweep's workers see the cancel between chunks.
+	spec := `{
+		"name": "svc-cancel-running-sweep",
+		"workload": "fib24",
+		"storage": {"c": "10u"},
+		"source": {"name": "dc"},
+		"duration": 600,
+		"sweep": [{"param": "c", "values": ["10u", "22u", "47u"]}]
+	}`
+	st, _ := submit(t, ts, spec)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		got, _ := pollJob(t, ts, st.ID)
+		if got.State == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job never started running: %+v", got)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if fin := await(t, ts, st.ID); fin.State != JobCanceled {
+		t.Errorf("final state = %s, want canceled", fin.State)
+	}
+}
+
 // pollJob fetches a job status (helper for polling loops that need the
 // raw state).
 func pollJob(t *testing.T, ts *httptest.Server, id string) (JobStatus, bool) {

@@ -18,8 +18,9 @@
 //
 // The engine is generic over the per-case result type and knows nothing
 // of the lab: callers close over whatever they run — most often a
-// scenario spec compiled per case with Spec.SetupAt and handed to
-// lab.Run.
+// scenario spec compiled per case with Spec.SetupAt and stepped as a
+// lab.Sim. It has no cancellation of its own: a case that stops early
+// returns an error, and the pool claims no new case after one fails.
 //
 // Determinism contract: fn is called once per case, cases may run in any
 // order and concurrently, but results[i] always holds case i's output, and
@@ -36,8 +37,8 @@ import (
 	"sync/atomic"
 )
 
-// ErrCanceled is returned by the mapping functions when the runner's
-// Cancel channel stopped the sweep before every case could run.
+// ErrCanceled reports a sweep, or any run, stopped by its caller before
+// it finished.
 var ErrCanceled = errors.New("sweep: canceled")
 
 // Case identifies one unit of work in a sweep.
@@ -68,27 +69,6 @@ type Runner struct {
 	// strictly increasing, but the order in which specific cases finish is
 	// scheduling-dependent — use it for progress bars, not bookkeeping.
 	OnProgress func(done, total int)
-
-	// Cancel, if non-nil, makes the sweep abortable: once the channel is
-	// closed no new case starts — in-flight cases run to completion — and
-	// the mapping function returns ErrCanceled. Cancellation that arrives
-	// after every case has been claimed is too late to prevent any work,
-	// so the sweep completes normally. Case errors take precedence over
-	// cancellation in the returned error.
-	Cancel <-chan struct{}
-}
-
-// canceled reports whether the runner's Cancel channel has been closed.
-func (r *Runner) canceled() bool {
-	if r == nil || r.Cancel == nil {
-		return false
-	}
-	select {
-	case <-r.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // workers resolves the pool size.
@@ -170,13 +150,12 @@ func mapCases[T any](r *Runner, cases []Case, fn func(c Case) (T, error)) ([]T, 
 	errs := make([]error, n)
 
 	var (
-		next     atomic.Int64 // next unclaimed case index
-		failed   atomic.Bool  // set on first failure: stop claiming new cases
-		canceled atomic.Bool  // set when Cancel stopped a claim
-		mu       sync.Mutex   // serialises OnProgress
-		done     int
-		wg       sync.WaitGroup
-		workers  = r.workers(n)
+		next    atomic.Int64 // next unclaimed case index
+		failed  atomic.Bool  // set on first failure: stop claiming new cases
+		mu      sync.Mutex   // serialises OnProgress
+		done    int
+		wg      sync.WaitGroup
+		workers = r.workers(n)
 	)
 	report := func() {
 		if r == nil || r.OnProgress == nil {
@@ -196,10 +175,6 @@ func mapCases[T any](r *Runner, cases []Case, fn func(c Case) (T, error)) ([]T, 
 				if i >= n || failed.Load() {
 					return
 				}
-				if r.canceled() {
-					canceled.Store(true)
-					return
-				}
 				out, err := fn(cases[i])
 				if err != nil {
 					errs[i] = err
@@ -217,9 +192,6 @@ func mapCases[T any](r *Runner, cases []Case, fn func(c Case) (T, error)) ([]T, 
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %s: %w", cases[i].Name, err)
 		}
-	}
-	if canceled.Load() {
-		return nil, ErrCanceled
 	}
 	return results, nil
 }

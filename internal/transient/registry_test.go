@@ -51,10 +51,6 @@ func TestRuntimeRegistryConstructsEveryName(t *testing.T) {
 		rt := mk(probeDevice(t, e.UnifiedNV))
 		if rt == nil {
 			t.Errorf("factory %q built a nil runtime", name)
-			continue
-		}
-		if rt.Name() == "" {
-			t.Errorf("runtime %q reports an empty Name()", name)
 		}
 	}
 }

@@ -56,9 +56,6 @@ func NewHibernus(d *mcu.Device, c, margin, vrHeadroom float64) *Hibernus {
 	return &Hibernus{VH: vh, VR: vh + vrHeadroom, Kind: kind}
 }
 
-// Name implements mcu.Runtime.
-func (h *Hibernus) Name() string { return "hibernus" }
-
 // OnPowerOn implements mcu.Runtime: wait (asleep) until V_CC reaches V_R,
 // then restore the snapshot if one exists, else start the application.
 func (h *Hibernus) OnPowerOn(d *mcu.Device) {
@@ -149,9 +146,6 @@ func NewQuickRecall(d *mcu.Device, c, margin, vrHeadroom float64) *QuickRecall {
 	return &QuickRecall{Hibernus{VH: vh, VR: vh + vrHeadroom, Kind: mcu.SnapRegs}}
 }
 
-// Name implements mcu.Runtime.
-func (q *QuickRecall) Name() string { return "quickrecall" }
-
 // NVP models a non-volatile-processor architecture [10]: every flip-flop
 // has a parallel NV shadow cell, so backup is a near-instant hardware
 // broadcast rather than a software copy loop. It behaves like an
@@ -169,9 +163,6 @@ func NewNVP(d *mcu.Device, c, margin, vrHeadroom float64) *NVP {
 	vh := units.HibernateThreshold(es, c, d.P.VOff) * margin
 	return &NVP{Hibernus{VH: vh, VR: vh + vrHeadroom, Kind: mcu.SnapRegs}}
 }
-
-// Name implements mcu.Runtime.
-func (n *NVP) Name() string { return "nvp" }
 
 // Mementos [7] places checkpoints at compile time (loop latches and
 // function boundaries — the CHK sites in the guest programs) and, at each
@@ -196,9 +187,6 @@ type Mementos struct {
 func NewMementos(d *mcu.Device, vCheck float64) *Mementos {
 	return &Mementos{VCheck: vCheck, Kind: d.DefaultSnapshotKind()}
 }
-
-// Name implements mcu.Runtime.
-func (m *Mementos) Name() string { return "mementos" }
 
 // OnPowerOn implements mcu.Runtime: restore immediately if possible
 // (Mementos has no source-aware restore gating), else restart from main.
@@ -289,9 +277,6 @@ func NewHibernusPP(d *mcu.Device) *HibernusPP {
 		RaiseStep:  0.15,
 	}
 }
-
-// Name implements mcu.Runtime.
-func (h *HibernusPP) Name() string { return "hibernus++" }
 
 // OnPowerOn implements mcu.Runtime. An aborted save observed here is the
 // failure-feedback half of calibration: the previous V_H did not leave

@@ -2,6 +2,7 @@ package transient
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -283,6 +284,7 @@ func TestCrossoverFrequencyEq5(t *testing.T) {
 	}
 }
 
+// TestRuntimeNames: each registry name builds its own runtime type.
 func TestRuntimeNames(t *testing.T) {
 	d := deviceForCalibration(t)
 	checks := map[string]mcu.Runtime{
@@ -292,9 +294,13 @@ func TestRuntimeNames(t *testing.T) {
 		"quickrecall": NewQuickRecall(d, 10e-6, 1.1, 0.3),
 		"nvp":         NewNVP(d, 10e-6, 1.1, 0.3),
 	}
-	for want, rt := range checks {
-		if rt.Name() != want {
-			t.Errorf("Name() = %q, want %q", rt.Name(), want)
+	for name, want := range checks {
+		mk, _, err := RuntimeFactory(name, 10e-6, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mk(d); reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("runtime %q builds a %T, want %T", name, got, want)
 		}
 	}
 }

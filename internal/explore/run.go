@@ -1,12 +1,10 @@
 package explore
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -148,9 +146,6 @@ type runner struct {
 	memoized int     // refinement memo hits
 	sim      float64 // simulated seconds across evaluations
 	total    int     // progress upper bound
-
-	progressDone atomic.Int64
-	progressMu   sync.Mutex
 }
 
 // probe is one derived case awaiting evaluation.
@@ -171,72 +166,37 @@ func (r *runner) canceled() bool {
 	}
 }
 
-// reportProgress is called from evaluation workers; the mutex
-// serialises the callback like sweep.mapCases does.
-func (r *runner) reportProgress() {
-	if r.opts.Progress == nil {
-		return
-	}
-	done := int(r.progressDone.Add(1))
-	r.progressMu.Lock()
-	r.opts.Progress(done, max(done, r.total))
-	r.progressMu.Unlock()
-}
-
-// evalBatch evaluates one probe batch across the worker pool and
+// evalBatch evaluates one probe batch on the sweep worker pool and
 // returns the evaluations in probe order, sequence numbers assigned in
 // that same order — so downstream aggregation is worker-count
-// independent. The lowest-index error wins, matching sweep.Map.
+// independent. The lowest-index error wins, as in sweep.MapCases, and
+// progress counts on from the batches before.
 func (r *runner) evalBatch(probes []probe) ([]Eval, error) {
-	n := len(probes)
-	outs := make([]Outcome, n)
-	errs := make([]error, n)
-	workers := r.opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	cases := make([]sweep.Case, len(probes))
+	for i, p := range probes {
+		cases[i] = sweep.Case{Index: i, Name: p.name}
 	}
-	workers = min(workers, n)
-
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		canceled atomic.Bool
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if r.canceled() {
-					canceled.Store(true)
-					return
-				}
-				out, err := r.opts.Evaluate(probes[i].sp)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				outs[i] = out
-				r.reportProgress()
-			}
-		}()
+	pool := &sweep.Runner{Workers: r.opts.Workers}
+	if r.opts.Progress != nil {
+		base := r.evals
+		pool.OnProgress = func(done, _ int) { r.opts.Progress(base+done, max(base+done, r.total)) }
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("exploration %q: case %q: %w", r.spec.Name, probes[i].name, err)
+	outs, err := sweep.MapCases(pool, cases, func(c sweep.Case) (Outcome, error) {
+		if r.canceled() {
+			return Outcome{}, sweep.ErrCanceled
 		}
+		out, err := r.opts.Evaluate(probes[c.Index].sp)
+		if err != nil {
+			return Outcome{}, fmt.Errorf("exploration %q: case %q: %w", r.spec.Name, c.Name, err)
+		}
+		return out, nil
+	})
+	if err != nil {
+		// MapCases prefixes the failing case's name; the error above
+		// already names it.
+		return nil, errors.Unwrap(err)
 	}
-	if canceled.Load() {
-		return nil, sweep.ErrCanceled
-	}
-	evals := make([]Eval, n)
+	evals := make([]Eval, len(probes))
 	for i := range probes {
 		evals[i] = Eval{Seq: r.seq, Case: probes[i].name, Metrics: outs[i].Metrics}
 		r.seq++

@@ -35,7 +35,8 @@ func FuzzDecodeReport(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if _, err := DecodeReport(blob); err != nil || rep.Trace == nil {
+		// Single runs carry their trace; sweeps record none.
+		if _, err := DecodeReport(blob); err != nil || (rep.Trace != nil) == sp.HasSweep() {
 			f.Fatalf("seed %s: decode error %v, traced %v", sp.Name, err, rep.Trace != nil)
 		}
 		f.Add(blob)

@@ -62,10 +62,11 @@ func TestGoldenReports(t *testing.T) {
 
 // TestGoldenTrace byte-compares pinned trace captures — recording must
 // not perturb the simulation, and the serialised CSV (spec-hash header
-// included) must be stable. The set covers the three run shapes: a
-// single lab case (fig7), a lab sweep where the first grid case is the
-// one traced (fram-vs-sram), and a duty-cycle model run (eneutral), so
-// interpolated-sample cadence is byte-pinned on all of them.
+// included) must be stable. The set covers a lab run on a sine supply
+// (fig7), one on a square-wave supply (the first grid case of
+// fram-vs-sram, run as a single spec, since sweeps record no trace) and
+// a duty-cycle model run (eneutral), so interpolated-sample cadence is
+// byte-pinned on all of them.
 func TestGoldenTrace(t *testing.T) {
 	for _, name := range []string{
 		"fig7-rectified-sine-hibernus",
@@ -76,6 +77,11 @@ func TestGoldenTrace(t *testing.T) {
 			sp, err := scenario.Load(filepath.Join(scenarioDir, name+".json"))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sp.HasSweep() {
+				if sp, err = sp.At(sp.Grid().CaseAt(0)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			rep, err := RunSpec(sp, Options{Workers: 1, Trace: true})
 			if err != nil {

@@ -40,11 +40,10 @@ type Options struct {
 	// Workers is the sweep parallelism (0 = one per core).
 	Workers int
 
-	// Trace captures a trace during the run. Single-run specs trace the
-	// run itself; lab sweeps trace their first grid case
-	// (sweep.Case.Index 0), a deterministic representative; analytic
-	// (mpsoc, taskburst, eneutral) sweeps carry no trace. Recording does
-	// not perturb the simulation — the recorder is a pure observer. What
+	// Trace captures a trace of a single-run spec; a sweep, of any
+	// model, records none (to trace one of its cases, run that case as
+	// a single spec: Spec.At). Recording does not perturb the
+	// simulation — the recorder is a pure observer. What
 	// the trace carries is model-defined: V_CC/freq/mode for lab runs,
 	// budget/used/fps for mpsoc, vcap/events for taskburst,
 	// soc/duty/harvest for eneutral.
@@ -103,9 +102,8 @@ type Report struct {
 	// service's work-done metric.
 	SimSeconds float64
 
-	// Trace is the captured trace (Options.Trace; on lab sweeps, the
-	// first grid case's) as its columnar store; nil when the run
-	// captured no trace. The CSV is rendered from it on demand by
+	// Trace is the captured trace (Options.Trace, single runs) as its
+	// columnar store; nil when the run captured no trace. The CSV is rendered from it on demand by
 	// WriteTrace, and windowed queries run against it (trace.Window).
 	Trace *trace.Recorder
 }

@@ -115,7 +115,7 @@ func TestMidRunCheckpointResumeIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := m.Engine(sp, RunOptions{Trace: true}, nil)
+			eng, err := newEngine(m, sp, RunOptions{Trace: true}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,57 +147,6 @@ func TestMidRunCheckpointResumeIdentical(t *testing.T) {
 				t.Error("resumed trace differs from uninterrupted trace")
 			}
 		})
-	}
-}
-
-func TestLabSweepCheckpointResumeAcrossWorkers(t *testing.T) {
-	// Lab sweep: interrupt after one completed wave, resume at both ends
-	// of the parallelism range. Worker count must never reach the bytes
-	// (the determinism contract), interrupted or not.
-	src := `{"name":"x","workload":"fib24","storage":{"c":"10u"},
-		"source":{"name":"dc"},"duration":0.002,
-		"sweep":[{"param":"c","values":["10u","22u","47u"]}]}`
-	sp := mustParse(t, src)
-	want, err := RunModel(sp, RunOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m, err := LookupModel(sp.ModelName())
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := m.Engine(sp, RunOptions{Workers: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Step(); err != nil { // one wave of one case
-		t.Fatal(err)
-	}
-	if e := eng.(*labSweepEngine); e.next != 1 || len(e.cases) != 3 {
-		t.Fatalf("after one single-worker wave: %d of %d cases done, want 1 of 3", e.next, len(e.cases))
-	}
-	state, err := eng.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env, err := encodeCheckpoint(sp, state)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 8} {
-		got, err := ResumeModel(sp, env, RunOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Text != want.Text {
-			t.Errorf("workers=%d: resumed text differs:\n--- uninterrupted ---\n%s--- resumed ---\n%s",
-				workers, want.Text, got.Text)
-		}
-		if len(got.Cases) != len(want.Cases) {
-			t.Fatalf("workers=%d: %d cases, want %d", workers, len(got.Cases), len(want.Cases))
-		}
 	}
 }
 
@@ -239,20 +188,24 @@ func TestCheckpointEnvelopeRejectsMismatches(t *testing.T) {
 
 func TestCheckpointRejectsVersion1(t *testing.T) {
 	// Version 1 envelopes carried the eneutral and mpsoc results' dead
-	// "Aborted" key and no checksum; they are rejected, never guessed at.
+	// "Aborted" key and no checksum; version 2 sweep checkpoints had a
+	// lab layout of their own and each case's lab result. Both are
+	// rejected, never guessed at.
 	sp := mustParse(t, ckptSpecs["eneutral"])
 	var ce checkpointEnvelope
 	if err := json.Unmarshal(interruptRun(t, sp, RunOptions{}), &ce); err != nil {
 		t.Fatal(err)
 	}
-	ce.V = 1
-	v1, err := json.Marshal(ce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = ResumeModel(sp, v1, RunOptions{})
-	if err == nil || !strings.Contains(err.Error(), "checkpoint version 1 (want 2)") {
-		t.Errorf("resume of a v1 envelope: got %v, want a version error", err)
+	for _, v := range []int{1, 2} {
+		ce.V = v
+		old, err := json.Marshal(ce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ResumeModel(sp, old, RunOptions{})
+		if want := fmt.Sprintf("checkpoint version %d (want 3)", v); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("resume of a v%d envelope: got %v, want a version error", v, err)
+		}
 	}
 }
 
@@ -265,7 +218,7 @@ func TestLabSingleCheckpointIsRestartMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := mustParse(t, `{"name":"x","workload":"fib24","storage":{"c":"10u"},"source":{"name":"dc"},"duration":600}`)
-	eng, err := m.Engine(long, RunOptions{Trace: true}, nil)
+	eng, err := newEngine(m, long, RunOptions{Trace: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +243,7 @@ func TestLabSingleCheckpointIsRestartMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng, err = m.Engine(short, RunOptions{Trace: true}, nil); err != nil {
+	if eng, err = newEngine(m, short, RunOptions{Trace: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Step(); err != nil {
@@ -352,12 +305,12 @@ func TestLabSweepCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st labSweepState
+	var st sweepState
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Done != 0 || len(st.Results) != 0 {
-		t.Errorf("checkpoint holds %d completed cases, want 0", st.Done)
+	if st.Next != 0 || len(st.Cases) != 0 {
+		t.Errorf("checkpoint holds %d completed cases, want 0", st.Next)
 	}
 }
 
@@ -391,7 +344,7 @@ func TestAnalyticCheckpointBytesPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng, err := m.Engine(sp, RunOptions{Trace: traced}, nil)
+				eng, err := newEngine(m, sp, RunOptions{Trace: traced}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -410,10 +363,13 @@ func TestAnalyticCheckpointBytesPinned(t *testing.T) {
 	}
 }
 
-// ckptSweepSpecs are three-case sweeps over the ckptSpecs runs: every
-// case needs more than one stepChunk, so an interruption can land
-// inside a case as well as between cases.
+// ckptSweepSpecs are three-case sweeps of every model, over the
+// ckptSpecs runs for the analytic ones: every case needs more than one
+// stepChunk, so an interruption can land inside a case as well as
+// between cases.
 var ckptSweepSpecs = map[string]string{
+	"lab": `{"name":"x","workload":"fib24","storage":{"c":"10u"},"source":{"name":"square"},"runtime":{"name":"hibernus"},"duration":0.2,
+		"sweep":[{"param":"c","values":["10u","22u","47u"]}]}`,
 	"eneutral": `{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":30000,
 		"sweep":[{"param":"model.batteryj","values":[100,200,400]}]}`,
 	"taskburst": `{"name":"x","model":"taskburst","storage":{"c":"6m"},"source":{"name":"const-power","params":{"p":"2m"}},"duration":2,
@@ -422,11 +378,16 @@ var ckptSweepSpecs = map[string]string{
 		"sweep":[{"param":"model.scale","values":[0.5,1,2]}]}`,
 }
 
-func TestAnalyticSweepCheckpointResumeIdentical(t *testing.T) {
+func TestSweepCheckpointResumeIdentical(t *testing.T) {
+	// Every model's sweep, interrupted before the first case, after it,
+	// and after one engine Step, resumes at both ends of the parallelism
+	// range to the uninterrupted text and per-case metrics. The
+	// interrupted runs use one worker, so their waves are one case and
+	// the completed prefix is non-empty.
 	for name, src := range ckptSweepSpecs {
 		t.Run(name, func(t *testing.T) {
 			sp := mustParse(t, src)
-			want, err := RunModel(sp, RunOptions{})
+			want, err := RunModel(sp, RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,27 +396,36 @@ func TestAnalyticSweepCheckpointResumeIdentical(t *testing.T) {
 			}
 			resume := func(t *testing.T, env []byte) {
 				t.Helper()
-				got, err := ResumeModel(sp, env, RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Text != want.Text {
-					t.Errorf("resumed text differs:\n--- uninterrupted ---\n%s--- resumed ---\n%s", want.Text, got.Text)
-				}
-				if !reflect.DeepEqual(got.Cases, want.Cases) {
-					t.Errorf("resumed cases differ:\n got %+v\nwant %+v", got.Cases, want.Cases)
-				}
-				if got.SimSeconds != want.SimSeconds {
-					t.Errorf("resumed SimSeconds = %g, want %g", got.SimSeconds, want.SimSeconds)
+				for _, workers := range []int{1, 8} {
+					got, err := ResumeModel(sp, env, RunOptions{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Text != want.Text {
+						t.Errorf("workers=%d: resumed text differs:\n--- uninterrupted ---\n%s--- resumed ---\n%s",
+							workers, want.Text, got.Text)
+					}
+					if len(got.Cases) != len(want.Cases) {
+						t.Fatalf("workers=%d: %d cases, want %d", workers, len(got.Cases), len(want.Cases))
+					}
+					for i, mc := range got.Cases {
+						if w := want.Cases[i]; mc.Name != w.Name || !reflect.DeepEqual(mc.Metrics, w.Metrics) {
+							t.Errorf("workers=%d: case %d = %s %v, want %s %v", workers, i, mc.Name, mc.Metrics, w.Name, w.Metrics)
+						}
+					}
+					if got.SimSeconds != want.SimSeconds {
+						t.Errorf("workers=%d: resumed SimSeconds = %g, want %g", workers, got.SimSeconds, want.SimSeconds)
+					}
 				}
 			}
 
 			t.Run("before-first-case", func(t *testing.T) {
-				resume(t, interruptRun(t, sp, RunOptions{}))
+				resume(t, interruptRun(t, sp, RunOptions{Workers: 1}))
 			})
 			t.Run("after-first-case", func(t *testing.T) {
 				ckpt := make(chan struct{})
 				_, err := RunModel(sp, RunOptions{
+					Workers:    1,
 					Checkpoint: ckpt,
 					Progress: func(done, _ int) {
 						if done == 1 {
@@ -474,12 +444,15 @@ func TestAnalyticSweepCheckpointResumeIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng, err := m.Engine(sp, RunOptions{}, nil)
+				eng, err := newEngine(m, sp, RunOptions{Workers: 1}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := eng.Step(); err != nil {
 					t.Fatal(err)
+				}
+				if e := eng.(*sweepEngine); e.done.Next != 1 {
+					t.Fatalf("after one single-worker wave: %d of 3 cases done, want 1", e.done.Next)
 				}
 				state, err := eng.Checkpoint()
 				if err != nil {
@@ -495,13 +468,53 @@ func TestAnalyticSweepCheckpointResumeIdentical(t *testing.T) {
 	}
 }
 
+func TestSweepTextAcrossWorkers(t *testing.T) {
+	// Every model's sweep runs its cases in parallel waves, and prints
+	// the same text and metrics at one worker and eight. The PV sweep's
+	// cases record and read the shared harvest table concurrently (a
+	// flicker no other test uses, so its first wave records it), which
+	// -race checks.
+	specs := map[string]string{
+		"eneutral-pv": `{"name":"x","model":"eneutral","source":{"name":"pv","params":{"flicker":0.0331}},"duration":172800,
+			"sweep":[{"param":"model.duty0","values":[0.1,0.2,0.3,0.4,0.5]}]}`,
+	}
+	for k, v := range ckptSweepSpecs {
+		specs[k] = v
+	}
+	for name, src := range specs {
+		t.Run(name, func(t *testing.T) {
+			sp := mustParse(t, src)
+			one, err := RunModel(sp, RunOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eight, err := RunModel(sp, RunOptions{Workers: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eight.Text != one.Text {
+				t.Errorf("text differs:\n--- workers=1 ---\n%s--- workers=8 ---\n%s", one.Text, eight.Text)
+			}
+			if !reflect.DeepEqual(eight.Cases, one.Cases) {
+				t.Errorf("cases differ:\n workers=8 %+v\n workers=1 %+v", eight.Cases, one.Cases)
+			}
+		})
+	}
+}
+
 func TestAnalyticSweepCancel(t *testing.T) {
+	// One worker, so the case whose completion closes Cancel is the
+	// whole wave and the driver sees Cancel before the next one.
 	for name, src := range ckptSweepSpecs {
+		if name == "lab" {
+			continue // TestLabSweepCancel
+		}
 		t.Run(name, func(t *testing.T) {
 			sp := mustParse(t, src)
 			cancel := make(chan struct{})
 			_, err := RunModel(sp, RunOptions{
-				Cancel: cancel,
+				Workers: 1,
+				Cancel:  cancel,
 				Progress: func(done, _ int) {
 					if done == 1 {
 						close(cancel)
@@ -515,7 +528,8 @@ func TestAnalyticSweepCancel(t *testing.T) {
 	}
 }
 
-func TestAnalyticSweepCarriesNoTrace(t *testing.T) {
+func TestSweepCarriesNoTrace(t *testing.T) {
+	// Trace applies to single runs: no model's sweep records one.
 	for name, src := range ckptSweepSpecs {
 		t.Run(name, func(t *testing.T) {
 			rep, err := RunModel(mustParse(t, src), RunOptions{Trace: true})
@@ -523,7 +537,7 @@ func TestAnalyticSweepCarriesNoTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			if rep.Trace != nil {
-				t.Error("analytic sweep returned a trace")
+				t.Error("sweep returned a trace")
 			}
 		})
 	}

@@ -8,14 +8,15 @@ import (
 	"repro/internal/sweep"
 )
 
-// Engine is the single execution contract every scenario model compiles
-// its spec into: a resumable stepper the package driver (RunModel /
-// ResumeModel) advances chunk by chunk, checking cancellation and
-// checkpoint requests between steps. One Step is a bounded slice of work
-// — a wave of sweep cases, a few thousand integration steps — small
-// enough that the driver's checks between steps give cancellation and
-// checkpointing a tight latency without the models hand-rolling their
-// own Observe/Abort/progress plumbing.
+// Engine is the single execution contract every spec runs under: a
+// resumable stepper the package driver (RunModel / ResumeModel) builds
+// with newEngine and advances chunk by chunk, checking cancellation and
+// checkpoint requests between steps. There are two, shared by every
+// model: a single run, whose Step is stepChunk integration steps, and a
+// sweep, whose Step is one wave of cases whose workers check the same
+// channels between their chunks. So cancellation and checkpointing keep
+// a tight latency without the models hand-rolling their own
+// Observe/Abort/progress plumbing.
 type Engine interface {
 	// Step runs one bounded chunk of work. A step whose parallel
 	// workers saw Cancel or Checkpoint closed returns nil without
@@ -54,7 +55,7 @@ func (e *CheckpointError) Error() string { return "scenario: run checkpointed" }
 
 // checkpointVersion versions the envelope layout; bump on incompatible
 // change so stale blobs are rejected instead of misinterpreted.
-const checkpointVersion = 2
+const checkpointVersion = 3
 
 // checkpointEnvelope binds a model's private checkpoint state to the
 // spec that produced it, so a resume against a different (or edited)
@@ -144,7 +145,7 @@ func drive(sp *Spec, opts RunOptions, checkpoint []byte) (*ModelReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := m.Engine(sp, opts, checkpoint)
+	eng, err := newEngine(m, sp, opts, checkpoint)
 	if err != nil {
 		return nil, err
 	}
@@ -168,4 +169,15 @@ func drive(sp *Spec, opts RunOptions, checkpoint []byte) (*ModelReport, error) {
 		}
 	}
 	return eng.Report()
+}
+
+// newEngine builds the model's engine for the spec: a single run
+// without sweep axes, a sweep of such runs with them. checkpoint is nil
+// for a fresh run, or the engine state a previous Checkpoint produced
+// (envelope already verified).
+func newEngine(m Model, sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
+	if sp.HasSweep() {
+		return newSweepEngine(m, sp, opts, checkpoint)
+	}
+	return newSingleEngine(m, sp, opts, checkpoint)
 }

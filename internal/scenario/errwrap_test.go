@@ -28,7 +28,7 @@ func TestErrfPreservesCauseChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Engine(sp, RunOptions{}, []byte("{corrupt"))
+	_, err = newEngine(m, sp, RunOptions{}, []byte("{corrupt"))
 	if err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}

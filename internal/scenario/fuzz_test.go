@@ -134,7 +134,7 @@ func FuzzResumeModel(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		eng, err := m.Engine(sp, RunOptions{Workers: 1}, nil)
+		eng, err := newEngine(m, sp, RunOptions{Workers: 1}, nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func FuzzResumeModel(f *testing.F) {
 		f.Add(uint8(i), env)
 	}
 	f.Add(uint8(0), []byte(`{"v":1,"model":"lab","hash":"","data":"e30="}`))
-	f.Add(uint8(2), []byte(`{"v":2,"model":"eneutral","data":"eyJzaW0iOnt9fQ==","sum":""}`))
+	f.Add(uint8(2), []byte(`{"v":3,"model":"eneutral","data":"eyJzaW0iOnt9fQ==","sum":""}`))
 	f.Add(uint8(1), []byte(`not json`))
 
 	f.Fuzz(func(t *testing.T, which uint8, blob []byte) {

@@ -34,10 +34,10 @@ type plainPower struct{ source.PowerSource }
 
 // untabled wraps an analytic model so that its runs call Power on every
 // step: the reference the table-reading runs must match bit for bit.
-type untabled struct{ analyticModel }
+type untabled struct{ Model }
 
-func (u untabled) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
-	run, err := u.analyticModel.newRun(sp, rec)
+func (u untabled) newRun(sp *Spec, rec *trace.Recorder) (modelRun, error) {
+	run, err := u.Model.newRun(sp, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -52,18 +52,18 @@ func (u untabled) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
 	return run, nil
 }
 
-func analyticModelOf(t *testing.T, sp *Spec) analyticModel {
+func modelOf(t *testing.T, sp *Spec) Model {
 	t.Helper()
 	m, err := LookupModel(sp.ModelName())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.(analyticModel)
+	return m
 }
 
 // runState steps one case of m to the end and returns its checkpoint
 // state, which holds every accumulator at full precision.
-func runState(t *testing.T, m analyticModel, sp *Spec) []byte {
+func runState(t *testing.T, m Model, sp *Spec) []byte {
 	t.Helper()
 	run, err := m.newRun(sp, nil)
 	if err != nil {
@@ -85,7 +85,7 @@ func TestHarvestTableRunsMatchUntabled(t *testing.T) {
 	for name, src := range pvTableSpecs {
 		t.Run(name, func(t *testing.T) {
 			sp := mustParse(t, src)
-			m := analyticModelOf(t, sp)
+			m := modelOf(t, sp)
 			for _, c := range sp.Grid().Cases() {
 				cs, err := sp.At(c)
 				if err != nil {
@@ -114,7 +114,7 @@ func TestHarvestTableSweepConcurrent(t *testing.T) {
 			if err := sp.Apply("source.flicker", 0.0321); err != nil {
 				t.Fatal(err)
 			}
-			eng, err := analyticEngineFor(untabled{analyticModelOf(t, sp)}, sp, RunOptions{}, nil)
+			eng, err := newEngine(untabled{modelOf(t, sp)}, sp, RunOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,15 +23,17 @@ func TestMetricsMatchRenderedCells(t *testing.T) {
 	}{
 		{
 			model: "lab",
+			// sense64 drives a peripheral bank and fib24 does not, so the
+			// table has packet columns and fib24's rows fill them with "-".
 			spec: `{"name":"x","workload":"fib24","storage":{"c":"10u"},
 				"source":{"name":"dc"},"duration":0.002,
-				"sweep":[{"param":"c","values":["10u","47u"]}]}`,
+				"sweep":[{"param":"workload","names":["fib24","sense64"]},{"param":"c","values":["10u","47u"]}]}`,
 			cells: func(t *testing.T, m map[string]float64) []string {
 				eop := "∞"
 				if v, ok := m["energy_per_op"]; ok {
 					eop = units.Format(v, "J")
 				}
-				return []string{
+				cells := []string{
 					fmt.Sprintf("%d", int(m["completions"])),
 					fmt.Sprintf("%d", int(m["wrong"])),
 					fmt.Sprintf("%d", int(m["snapshots"])),
@@ -39,6 +41,12 @@ func TestMetricsMatchRenderedCells(t *testing.T) {
 					eop,
 					units.Format(m["harvested"], "J"),
 				}
+				if _, ok := m["tx_delivered"]; ok {
+					cells = append(cells,
+						fmt.Sprintf("%d", int(m["tx_delivered"])),
+						fmt.Sprintf("%d", int(m["tx_dropped"])))
+				}
+				return cells
 			},
 		},
 		{
@@ -107,7 +115,7 @@ func TestMetricsMatchRenderedCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := tableRows(t, rep.Text)
+			header, rows := tableRows(t, rep.Text)
 			if len(rows) != len(rep.Cases) {
 				t.Fatalf("report has %d table rows but %d cases:\n%s", len(rows), len(rep.Cases), rep.Text)
 			}
@@ -122,6 +130,9 @@ func TestMetricsMatchRenderedCells(t *testing.T) {
 					}
 				}
 				want := tc.cells(t, mc.Metrics)
+				for len(want) < len(header)-1 {
+					want = append(want, "-")
+				}
 				if got := rows[i][1:]; !equalCells(got, want) {
 					t.Errorf("case %q: rendered cells %v != cells from metrics %v", mc.Name, got, want)
 				}
@@ -174,20 +185,19 @@ func metricKeySet(m Model) map[string]bool {
 	return set
 }
 
-// tableRows splits a sweep report's text into per-case rows of
-// whitespace-separated fields (field 0 is the case name). The first two
-// lines are the title and the header.
-func tableRows(t *testing.T, text string) [][]string {
+// tableRows splits a sweep report's text into its header and per-case
+// rows of whitespace-separated fields (field 0 is the case name). The
+// first two lines are the title and the header.
+func tableRows(t *testing.T, text string) (header []string, rows [][]string) {
 	t.Helper()
 	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
 	if len(lines) < 3 {
 		t.Fatalf("report too short for a sweep table:\n%s", text)
 	}
-	rows := make([][]string, 0, len(lines)-2)
 	for _, l := range lines[2:] {
 		rows = append(rows, strings.Fields(l))
 	}
-	return rows
+	return strings.Fields(lines[1]), rows
 }
 
 func equalCells(got, want []string) bool {

@@ -19,13 +19,14 @@
 //     distinct cache keys even though they run identically;
 //   - Validate must resolve every name and reject every spec field the
 //     model does not consume, so a typo fails loudly at parse time;
-//   - Engine must honour RunOptions: report progress, capture a trace
-//     when asked (single runs), and bound each Step so the driver's
-//     Cancel/Checkpoint checks between steps stay responsive. The
-//     driver (RunModel/ResumeModel in engine.go) owns the control
-//     flow: cancellation returns sweep.ErrCanceled, a checkpoint
-//     request suspends the run with *CheckpointError, and a resumed
-//     run is byte-identical to an uninterrupted one.
+//   - newRun builds one sweep-free case as a resumable stepper, and
+//     sweepHeader titles its sweep-table row. The driver
+//     (RunModel/ResumeModel in engine.go) runs every model on the same
+//     two engines — a single run, or a sweep of such runs — and owns
+//     the control flow: progress, the trace (single runs),
+//     cancellation (sweep.ErrCanceled), checkpoints
+//     (*CheckpointError), and the guarantee that a resumed run is
+//     byte-identical to an uninterrupted one.
 package scenario
 
 import (
@@ -45,14 +46,13 @@ const DefaultTraceInterval = 1e-3
 // RunOptions tunes one model execution (the scenario-level mirror of
 // result.Options).
 type RunOptions struct {
-	// Workers is the sweep parallelism (0 = one per core). Only the lab
-	// model fans sweep cases out in parallel; the analytic models run
-	// their (cheap) cases sequentially.
+	// Workers is the sweep parallelism (0 = one per core): a sweep runs
+	// its cases, of any model, in waves of Workers at a time. It never
+	// reaches the report.
 	Workers int
 
-	// Trace asks the model to capture its run as a trace.Recorder: a
-	// single run traces itself, a lab sweep its first grid case, and an
-	// analytic sweep nothing. Recording must not perturb the simulation.
+	// Trace asks a single run to capture itself as a trace.Recorder;
+	// sweeps record nothing. Recording must not perturb the simulation.
 	Trace bool
 
 	// TraceInterval overrides the trace sampling interval (simulated
@@ -85,8 +85,10 @@ func (o RunOptions) interval() float64 {
 type ModelCase struct {
 	Name string
 	// Lab holds the structured result for lab-model cases; other models
-	// report through their rendered text and leave it zero.
-	Lab lab.Result
+	// report through their rendered text and leave it zero. A sweep
+	// checkpoint does not persist it (every number worth keeping is in
+	// Metrics), so a resumed sweep's restored cases carry it zero.
+	Lab lab.Result `json:"-"`
 
 	// Metrics holds the case's structured objectives — every number the
 	// rendered report derives its cells from, keyed by the names the
@@ -154,11 +156,12 @@ type Model interface {
 	// bounds) run before dispatch in Spec.Validate.
 	Validate(sp *Spec) error
 
-	// Engine compiles the spec into a resumable stepper — a single run
-	// without sweep axes, a grid sweep with them. checkpoint is nil
-	// for a fresh run, or the model-private state a previous engine's
-	// Checkpoint produced (envelope already verified by the driver).
-	Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error)
+	// newRun builds one sweep-free case from the spec, recording into
+	// rec when it is non-nil.
+	newRun(sp *Spec, rec *trace.Recorder) (modelRun, error)
+
+	// sweepHeader titles the sweep table's columns, in cells() order.
+	sweepHeader() []column
 }
 
 var models = registry.New[Model]("model")
@@ -259,8 +262,8 @@ func (s *Spec) buildPowerSource() (source.PowerSource, error) {
 }
 
 // At returns a sweep-free copy of the spec with the case's coordinates
-// applied — the expansion step behind SetupAt, the analytic models' sweep
-// loops and callers (internal/explore) that stream Grid().CaseAt(i) cases
+// applied — the expansion step behind SetupAt, the sweep engine and
+// callers (internal/explore) that stream Grid().CaseAt(i) cases
 // themselves.
 func (s *Spec) At(c sweep.Case) (*Spec, error) {
 	cs := s.Clone()

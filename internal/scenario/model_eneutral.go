@@ -121,16 +121,11 @@ func (m eneutralModel) Validate(s *Spec) error {
 	return nil
 }
 
-// Engine implements Model.
-func (m eneutralModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
-	return analyticEngineFor(m, sp, opts, checkpoint)
+func (eneutralModel) sweepHeader() []column {
+	return columns(12, "harvested", "consumed", "worst-win", "deaths", "final-soc", "mean-duty")
 }
 
-func (eneutralModel) sweepHeader() []string {
-	return []string{"harvested", "consumed", "worst-win", "deaths", "final-soc", "mean-duty"}
-}
-
-func (m eneutralModel) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
+func (m eneutralModel) newRun(sp *Spec, rec *trace.Recorder) (modelRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)

@@ -94,16 +94,11 @@ func (m mpsocModel) Validate(s *Spec) error {
 	return nil
 }
 
-// Engine implements Model.
-func (m mpsocModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
-	return analyticEngineFor(m, sp, opts, checkpoint)
+func (mpsocModel) sweepHeader() []column {
+	return columns(12, "frames", "mean-fps", "used-W", "util", "switches", "starved")
 }
 
-func (mpsocModel) sweepHeader() []string {
-	return []string{"frames", "mean-fps", "used-W", "util", "switches", "starved"}
-}
-
-func (m mpsocModel) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
+func (m mpsocModel) newRun(sp *Spec, rec *trace.Recorder) (modelRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)

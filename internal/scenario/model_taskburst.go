@@ -121,16 +121,11 @@ func (taskburstModel) node(s *Spec, p registry.Params) (*taskburst.Node, error) 
 	return n, nil
 }
 
-// Engine implements Model.
-func (m taskburstModel) Engine(sp *Spec, opts RunOptions, checkpoint []byte) (Engine, error) {
-	return analyticEngineFor(m, sp, opts, checkpoint)
+func (taskburstModel) sweepHeader() []column {
+	return columns(12, "events", "rate", "v-fire", "first-fire")
 }
 
-func (taskburstModel) sweepHeader() []string {
-	return []string{"events", "rate", "v-fire", "first-fire"}
-}
-
-func (m taskburstModel) newRun(sp *Spec, rec *trace.Recorder) (analyticRun, error) {
+func (m taskburstModel) newRun(sp *Spec, rec *trace.Recorder) (modelRun, error) {
 	p, err := sp.modelParams(m)
 	if err != nil {
 		return nil, sp.errf("%w", err)

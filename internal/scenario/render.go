@@ -70,36 +70,30 @@ func caseWidth(names []string) int {
 	return width
 }
 
-// writeSweepTable renders the lab sweep comparison table: a header row,
-// then one row per case. When any case drove a peripheral bank, the
-// table gains delivered and dropped packet columns ("-" for a case
-// without a bank).
-func writeSweepTable(w io.Writer, names []string, results []lab.Result) {
-	bank := false
-	for _, res := range results {
-		bank = bank || res.Bank
+// writeCellTable renders a sweep table: a header row, then one row of
+// pre-formatted cells per case, each cell padded to its column's width.
+// The header stops at the widest row, and a shorter row prints "-" in
+// its missing cells (the lab's packet columns, for a case without a
+// peripheral bank).
+func writeCellTable(w io.Writer, header []column, names []string, rows [][]string) {
+	n := 0
+	for _, cells := range rows {
+		n = max(n, len(cells))
 	}
 	width := caseWidth(names)
-	fmt.Fprintf(w, "%-*s %-12s %-8s %-10s %-10s %-12s %-12s",
-		width, "case", "completions", "wrong", "snapshots", "brownouts", "energy/op", "harvested")
-	if bank {
-		fmt.Fprintf(w, " %-10s %-10s", "delivered", "dropped")
+	fmt.Fprintf(w, "%-*s", width, "case")
+	for _, col := range header[:n] {
+		fmt.Fprintf(w, " %-*s", col.width, col.title)
 	}
 	fmt.Fprintln(w)
-	for i, res := range results {
-		eop := "∞"
-		if res.Completions > 0 {
-			eop = units.Format(res.EnergyPerCompletion(), "J")
-		}
-		fmt.Fprintf(w, "%-*s %-12d %-8d %-10d %-10d %-12s %-12s",
-			width, names[i], res.Completions, res.WrongResults,
-			res.Stats.SavesStarted, res.Stats.BrownOuts, eop,
-			units.Format(res.HarvestedJ, "J"))
-		switch {
-		case res.Bank:
-			fmt.Fprintf(w, " %-10d %-10d", res.TxDelivered, res.TxDropped)
-		case bank:
-			fmt.Fprintf(w, " %-10s %-10s", "-", "-")
+	for i, cells := range rows {
+		fmt.Fprintf(w, "%-*s", width, names[i])
+		for j, col := range header[:n] {
+			c := "-"
+			if j < len(cells) {
+				c = cells[j]
+			}
+			fmt.Fprintf(w, " %-*s", col.width, c)
 		}
 		fmt.Fprintln(w)
 	}

@@ -35,8 +35,8 @@ func assertColumnsAligned(t *testing.T, text string) {
 }
 
 // TestSweepTableLongCaseNames: a case name longer than 32 characters
-// widens the case column instead of pushing its row out of line, in the
-// lab sweep table and in the analytic one.
+// widens the case column instead of pushing its row out of line, in a
+// lab sweep and in a bare cell table.
 func TestSweepTableLongCaseNames(t *testing.T) {
 	sp := mustParse(t, `{"name":"long-names","workload":"sieve3000","storage":{"c":"10u"},
 		"source":{"name":"square"},"runtime":{"name":"hibernus"},"duration":0.02,
@@ -52,6 +52,6 @@ func TestSweepTableLongCaseNames(t *testing.T) {
 
 	var buf bytes.Buffer
 	names := []string{"short", strings.Repeat("µ", 40)}
-	writeCellTable(&buf, []string{"a", "b"}, names, [][]string{{"1", "2"}, {"3", "4"}})
+	writeCellTable(&buf, columns(12, "a", "b"), names, [][]string{{"1", "2"}, {"3", "4"}})
 	assertColumnsAligned(t, buf.String())
 }

@@ -950,7 +950,7 @@ func (s *Server) Result(id string) (*result.Report, JobStatus, bool) {
 }
 
 // Cancel requests a job's cancellation. Queued jobs cancel immediately;
-// running jobs stop promptly — the scenario driver, and a lab sweep's
+// running jobs stop promptly — the scenario driver, and a sweep's
 // workers, check the cancel channel between chunks of a few thousand
 // steps. A run that has already finished its last chunk may still
 // complete as "done". Finished jobs are unaffected.

@@ -96,20 +96,24 @@ func (g *Grid) SizeChecked() (int, error) {
 	return n, nil
 }
 
-// Cases expands the cross product into cases (seeds derived from base 0).
-// MapGrid does this internally; Cases is exported for callers that want to
-// inspect or schedule the expansion themselves.
-func (g *Grid) Cases() []Case { return g.cases(0) }
+// Cases expands the cross product into cases. MapGrid does this
+// internally; Cases is exported for callers that want to inspect or
+// schedule the expansion themselves.
+func (g *Grid) Cases() []Case {
+	n := g.Size()
+	out := make([]Case, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, g.CaseAt(i))
+	}
+	return out
+}
 
 // CaseAt returns case i of the cross product without materialising the
 // other cases: the row-major decode is O(axes), so a caller can stream a
 // huge grid one case at a time in bounded memory. It is equivalent to
-// Cases()[i] (same name, seed, and values) and panics when i is outside
+// Cases()[i] (same name and values) and panics when i is outside
 // [0, Size()).
-func (g *Grid) CaseAt(i int) Case { return g.caseAt(0, i) }
-
-// caseAt builds case i with a per-case seed derived from base.
-func (g *Grid) caseAt(base int64, i int) Case {
+func (g *Grid) CaseAt(i int) Case {
 	n := g.Size()
 	if i < 0 || i >= n {
 		panic(fmt.Sprintf("sweep: CaseAt(%d) out of range for a grid of %d cases", i, n))
@@ -132,15 +136,5 @@ func (g *Grid) caseAt(base int64, i int) Case {
 		}
 		fmt.Fprintf(&name, "%s=%s", ax.name, ax.labels[idx[a]])
 	}
-	return Case{Index: i, Name: name.String(), Seed: caseSeed(base, i), Values: vals}
-}
-
-// cases expands the grid with per-case seeds derived from base.
-func (g *Grid) cases(base int64) []Case {
-	n := g.Size()
-	out := make([]Case, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, g.caseAt(base, i))
-	}
-	return out
+	return Case{Index: i, Name: name.String(), Values: vals}
 }

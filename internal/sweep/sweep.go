@@ -9,8 +9,8 @@
 // simulation, so the whole experiment suite is embarrassingly parallel.
 // The engine has three pieces:
 //
-//   - Case: one unit of work, carrying its index, a human-readable name,
-//     a derived per-case seed, and (for grid sweeps) its parameter values.
+//   - Case: one unit of work, carrying its index, a human-readable name
+//     and (for grid sweeps) its parameter values.
 //   - Grid: a declarative cross product over named parameter axes that
 //     expands into cases in a fixed row-major order.
 //   - Runner: the worker pool. Map, MapGrid and MapCases drive a Runner
@@ -18,8 +18,8 @@
 //
 // The engine is generic over the per-case result type and knows nothing
 // of the lab: callers close over whatever they run — most often a
-// scenario spec compiled per case with Spec.SetupAt and stepped as a
-// lab.Sim. It has no cancellation of its own: a case that stops early
+// scenario spec's case, built with Spec.At and stepped as its model's
+// run. It has no cancellation of its own: a case that stops early
 // returns an error, and the pool claims no new case after one fails.
 //
 // Determinism contract: fn is called once per case, cases may run in any
@@ -45,7 +45,6 @@ var ErrCanceled = errors.New("sweep: canceled")
 type Case struct {
 	Index int    // position in the sweep, 0-based; results[Index] is this case's slot
 	Name  string // human-readable label, e.g. "C=47µF/margin=1.10"
-	Seed  int64  // per-case deterministic seed, derived from Runner.BaseSeed and Index
 
 	// Values holds the grid coordinates when the case was expanded from a
 	// Grid (nil for plain Map cases).
@@ -53,16 +52,10 @@ type Case struct {
 }
 
 // Runner is a worker pool configuration for sweeps. The zero value (and a
-// nil *Runner) is ready to use: one worker per CPU, no progress reporting,
-// base seed 0.
+// nil *Runner) is ready to use: one worker per CPU, no progress reporting.
 type Runner struct {
 	// Workers is the pool size; ≤0 means GOMAXPROCS.
 	Workers int
-
-	// BaseSeed parameterises the per-case seeds: each case receives a
-	// seed mixed from BaseSeed and its index, so two sweeps with the same
-	// BaseSeed see identical per-case seeds regardless of worker count.
-	BaseSeed int64
 
 	// OnProgress, if non-nil, is called after each case completes with the
 	// number done so far and the total. Calls are serialised and done is
@@ -89,33 +82,18 @@ func (r *Runner) workers(n int) int {
 	return w
 }
 
-// caseSeed derives a per-case seed from the base seed and case index with
-// a splitmix64-style mix, so neighbouring indices get uncorrelated seeds.
-func caseSeed(base int64, index int) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(index+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
-}
-
 // Map runs fn over n cases on the runner's worker pool and returns the
 // results in case-index order. r may be nil for defaults.
 //
 // If any case fails, Map waits for in-flight cases, skips cases not yet
 // started, and returns a nil slice and the error of the lowest-indexed
 // failing case (which is deterministic: cases are claimed in index order,
-// so the lowest-indexed failure always runs to completion).
+// so the lowest-indexed failure always runs to completion), prefixed
+// with the case's name; errors.Unwrap returns fn's error itself.
 func Map[T any](r *Runner, n int, fn func(c Case) (T, error)) ([]T, error) {
 	cases := make([]Case, n)
-	base := int64(0)
-	if r != nil {
-		base = r.BaseSeed
-	}
 	for i := range cases {
-		cases[i] = Case{Index: i, Name: fmt.Sprintf("case %d", i), Seed: caseSeed(base, i)}
+		cases[i] = Case{Index: i, Name: fmt.Sprintf("case %d", i)}
 	}
 	return mapCases(r, cases, fn)
 }
@@ -123,18 +101,14 @@ func Map[T any](r *Runner, n int, fn func(c Case) (T, error)) ([]T, error) {
 // MapGrid expands the grid into its cross-product cases and runs fn over
 // them; results are ordered row-major (first axis slowest, last fastest).
 func MapGrid[T any](r *Runner, g *Grid, fn func(c Case) (T, error)) ([]T, error) {
-	base := int64(0)
-	if r != nil {
-		base = r.BaseSeed
-	}
-	return mapCases(r, g.cases(base), fn)
+	return mapCases(r, g.Cases(), fn)
 }
 
 // MapCases runs fn over an explicit case slice — cases that were already
 // expanded (and possibly partitioned) by the caller, e.g. a checkpointing
 // driver resuming a sweep from the first incomplete wave. results[i]
-// corresponds to cases[i]; the cases keep their original names and seeds,
-// so error attribution and per-case determinism are unchanged.
+// corresponds to cases[i]; the cases keep their original names, so error
+// attribution is unchanged.
 func MapCases[T any](r *Runner, cases []Case, fn func(c Case) (T, error)) ([]T, error) {
 	return mapCases(r, cases, fn)
 }

@@ -77,42 +77,6 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestSeedsDeterministicAndDistinct(t *testing.T) {
-	collect := func(workers int) []int64 {
-		seeds := make([]int64, 32)
-		_, err := Map(&Runner{Workers: workers, BaseSeed: 42}, 32, func(c Case) (int, error) {
-			seeds[c.Index] = c.Seed
-			return 0, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return seeds
-	}
-	a, b := collect(1), collect(8)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("per-case seeds depend on worker count")
-	}
-	seen := map[int64]bool{}
-	for _, s := range a {
-		if seen[s] {
-			t.Errorf("duplicate seed %d", s)
-		}
-		seen[s] = true
-	}
-	// A different base seed must give different per-case seeds.
-	other := make([]int64, 32)
-	if _, err := Map(&Runner{BaseSeed: 43}, 32, func(c Case) (int, error) {
-		other[c.Index] = c.Seed
-		return 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a, other) {
-		t.Error("base seed has no effect on case seeds")
-	}
-}
-
 func TestErrorPropagatesLowestIndex(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {

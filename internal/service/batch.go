@@ -3,8 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"strconv"
 )
@@ -43,14 +41,8 @@ type batchItem struct {
 // failures — invalid spec, failed job — become per-line errors; the
 // stream itself stays 200 once headers are out.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "reading batch: %v", err)
-		} else {
-			writeError(w, http.StatusBadRequest, "reading batch: %v", err)
-		}
+	body, ok := readBody(w, r, maxBatchBytes, "batch")
+	if !ok {
 		return
 	}
 	var req batchRequest

@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -64,9 +63,8 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // leader; the push is acknowledged and dropped.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReportBytes))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading pushed report: %v", err)
+	body, ok := readBody(w, r, maxReportBytes, "pushed report")
+	if !ok {
 		return
 	}
 	if want := r.Header.Get("X-Body-Sum"); want != "" {

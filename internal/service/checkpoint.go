@@ -89,10 +89,14 @@ func (s *CheckpointStore) Get(key string) (CheckpointRecord, bool) {
 	return rec, true
 }
 
-// Delete removes the record for key, if present.
+// Delete removes the record for key, if present. A nil store holds
+// nothing, so deleting from it does nothing.
 //
 //lint:allow mutexio the store mutex exists to serialise this directory, not the server
 func (s *CheckpointStore) Delete(key string) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	os.Remove(s.path(key))

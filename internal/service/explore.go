@@ -33,30 +33,8 @@ func (s *Server) SubmitExploration(specJSON []byte) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return JobStatus{}, ErrDraining
-	}
-	if len(s.pending) >= s.cfg.queueDepth() {
-		return JobStatus{}, ErrQueueFull
-	}
-	s.nextID++
-	j := &job{
-		id:       fmt.Sprintf("job-%06d", s.nextID),
-		expl:     es,
-		hash:     hash,
-		state:    JobQueued,
-		cancel:   make(chan struct{}),
-		finished: make(chan struct{}),
-	}
-	s.pending = append(s.pending, j)
-	s.cond.Signal()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.pruneJobsLocked()
-	return j.status(), nil
+	j := &job{expl: es, hash: hash}
+	return s.register(j, func() error { return s.enqueueLocked(j) })
 }
 
 // runExploration executes one exploration job on a queue worker. The
@@ -65,14 +43,6 @@ func (s *Server) SubmitExploration(specJSON []byte) (JobStatus, error) {
 // for the same spec; only the evaluator differs, and it differs only in
 // where metrics come from (the tiered cache), never in what they are.
 func (s *Server) runExploration(j *job) {
-	s.mu.Lock()
-	if j.state != JobQueued {
-		s.mu.Unlock() // canceled while queued
-		return
-	}
-	j.state = JobRunning
-	s.mu.Unlock()
-
 	rep, err := explore.Run(j.expl, explore.Options{
 		Workers: s.cfg.SweepWorkers,
 		Cancel:  j.cancel,
@@ -90,36 +60,34 @@ func (s *Server) runExploration(j *job) {
 	defer s.mu.Unlock()
 	switch {
 	case errors.Is(err, sweep.ErrCanceled):
-		j.state = JobCanceled
-		s.jobsCanceled++
+		s.endLocked(j, JobCanceled, "")
 	case err != nil:
-		j.state = JobFailed
-		j.errText = err.Error()
-		s.jobsFailed++
+		s.endLocked(j, JobFailed, err.Error())
 	default:
 		j.state = JobDone
 		j.source = SourceCompute
 		// The exploration's report rides the scenario report type so the
 		// /result endpoint (and job-record memory bounds) need no second
 		// code path. SimSeconds counts only work actually computed here —
-		// evaluateProbe already fed s.simSeconds per computed probe.
+		// lead already fed the server's sim seconds per computed probe.
 		j.report = &result.Report{Text: rep.Text, SimSeconds: rep.SimSeconds}
 		if j.total > 0 {
 			j.done = j.total
 		}
-		s.jobsDone++
-		s.explorationsDone++
+		s.counts.JobsDone++
+		s.counts.ExplorationsDone++
+		s.markFinishedLocked(j)
 	}
-	s.markFinishedLocked(j)
 }
 
 // evaluateProbe resolves one derived case for an exploration through
 // the full cache hierarchy: memory (including riding another job's or
-// exploration's in-flight computation), then disk CAS, then the owning
-// peer, then local compute. Probes are computed exactly as single-run
-// jobs are — trace captured, same sampling interval — so a cache entry
-// is indistinguishable whether a job or an exploration put it there,
-// and either consumer can serve from it.
+// exploration's in-flight computation), then — through lead, as jobs
+// do — disk CAS, the owning peer, and local compute. Probes are
+// computed exactly as single-run jobs are — trace captured, same
+// sampling interval — so a cache entry is indistinguishable whether a
+// job or an exploration put it there, and either consumer can serve
+// from it.
 func (s *Server) evaluateProbe(j *job, sp *scenario.Spec) (explore.Outcome, error) {
 	hash, err := sp.Hash()
 	if err != nil {
@@ -134,8 +102,7 @@ func (s *Server) evaluateProbe(j *job, sp *scenario.Spec) (explore.Outcome, erro
 		s.mu.Lock()
 		entry, claim := s.cache.Begin(key)
 		if claim == Done {
-			s.exploreProbes++
-			s.exploreHits++
+			s.countProbeLocked(true)
 		}
 		s.mu.Unlock()
 
@@ -153,60 +120,48 @@ func (s *Server) evaluateProbe(j *job, sp *scenario.Spec) (explore.Outcome, erro
 			leadErr := entry.Err
 			s.cache.Release(entry)
 			if leadErr == nil {
-				s.addPeerCounts(func() { s.exploreProbes++; s.exploreHits++ })
+				s.mu.Lock()
+				s.countProbeLocked(true)
+				s.mu.Unlock()
 				return probeOutcome(entry.Report)
 			}
 			if errors.Is(leadErr, sweep.ErrCanceled) {
 				continue // the leader we rode was canceled, not us: reclaim
 			}
 			return explore.Outcome{}, leadErr
-
-		case Lead:
 		}
 
-		// Leading: cold tiers, then compute — all off s.mu.
-		if rep, _ := s.fetchCold(key, hash, j.cancel); rep != nil {
-			s.mu.Lock()
-			s.exploreProbes++
-			s.exploreHits++
-			s.cache.Complete(key, rep)
-			s.mu.Unlock()
-			return probeOutcome(rep)
-		}
-
-		rep, err := result.RunSpec(sp, result.Options{
-			Workers:       s.cfg.SweepWorkers,
-			Trace:         true,
-			TraceInterval: traceInterval(float64(sp.Duration)),
-			Cancel:        j.cancel,
+		rep, src, err := s.lead(key, hash, j.cancel, func() (*result.Report, error) {
+			return result.RunSpec(sp, result.Options{
+				Workers:       s.cfg.SweepWorkers,
+				Trace:         true,
+				TraceInterval: traceInterval(float64(sp.Duration)),
+				Cancel:        j.cancel,
+			})
+		}, func(_ *result.Report, src string, err error) {
+			if err == nil {
+				s.countProbeLocked(src != SourceCompute)
+			}
 		})
 		if err != nil {
-			s.mu.Lock()
-			s.cache.Abort(key, err)
-			s.mu.Unlock()
 			return explore.Outcome{}, err
 		}
-
-		// Write-through to disk before publishing, mirroring runJob: once
-		// the entry is visible, a crash must not lose the only copy.
-		if s.cfg.CAS != nil {
-			if data, encErr := result.EncodeReport(rep); encErr == nil {
-				s.cfg.CAS.Put(key, data)
-			}
-		}
-		s.mu.Lock()
-		s.exploreProbes++
-		s.exploreMisses++
-		s.simSeconds += rep.SimSeconds
-		s.cache.Complete(key, rep)
-		s.mu.Unlock()
-		s.pushToOwner(hash, rep)
-
 		out, err := probeOutcome(rep)
-		if err == nil {
+		if err == nil && src == SourceCompute {
 			out.SimSeconds = rep.SimSeconds
 		}
 		return out, err
+	}
+}
+
+// countProbeLocked counts one resolved probe: a hit if a cache tier
+// served it, a miss if it was computed here. Callers hold s.mu.
+func (s *Server) countProbeLocked(hit bool) {
+	s.counts.ExploreProbes++
+	if hit {
+		s.counts.ExploreCacheHits++
+	} else {
+		s.counts.ExploreCacheMisses++
 	}
 }
 

@@ -79,17 +79,18 @@ func (s *Server) retrySeconds() string {
 	return strconv.Itoa(secs)
 }
 
-// readSpecBody reads a bounded spec body, writing the error response
-// itself on failure.
-func readSpecBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+// readBody reads a request body of at most limit bytes. On failure it
+// writes the response itself — 413 past the limit, 400 otherwise, noun
+// naming the body — and reports false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, noun string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
+		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "reading spec: %v", err)
-		} else {
-			writeError(w, http.StatusBadRequest, "reading spec: %v", err)
+			code = http.StatusRequestEntityTooLarge
 		}
+		writeError(w, code, "reading %s: %v", noun, err)
 		return nil, false
 	}
 	return body, true
@@ -114,7 +115,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) bool {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := readSpecBody(w, r)
+	body, ok := readBody(w, r, maxSpecBytes, "spec")
 	if !ok {
 		return
 	}
@@ -135,7 +136,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // always a run to wait for. Poll, cancel, and fetch the report through
 // the job endpoints.
 func (s *Server) handleSubmitExploration(w http.ResponseWriter, r *http.Request) {
-	body, ok := readSpecBody(w, r)
+	body, ok := readBody(w, r, maxSpecBytes, "spec")
 	if !ok {
 		return
 	}

@@ -179,7 +179,7 @@ const (
 
 // job is the server-side record. All fields are guarded by Server.mu
 // except cancel (closed at most once, guarded by the canceled flag under
-// mu) and the immutable identity fields.
+// mu) and the identity fields, fixed once register has recorded the job.
 type job struct {
 	id   string
 	spec *scenario.Spec // nil for exploration jobs
@@ -188,8 +188,7 @@ type job struct {
 	key  string         // cache key: hash + engine version (unused by explorations)
 
 	state    JobState
-	cached   bool   // served without computing (any cache tier)
-	source   string // result provenance, set on completion
+	source   string // result provenance: set on completion, or at submission for a follower
 	lead     bool   // owns the cache computation for key
 	done     int    // progress: cases finished
 	total    int    // progress: cases overall (0 until known)
@@ -222,7 +221,7 @@ func (j *job) status() JobStatus {
 		ID:     j.id,
 		State:  j.state,
 		Hash:   j.hash,
-		Cached: j.cached,
+		Cached: j.source != "" && j.source != SourceCompute, // served by a cache tier
 		Source: j.source,
 		Done:   j.done,
 		Total:  j.total,
@@ -310,27 +309,9 @@ type Server struct {
 	pending  []*job // FIFO of leader jobs awaiting a worker
 	draining bool
 
-	jobsDone     int64
-	jobsFailed   int64
-	jobsCanceled int64
-	cacheHits    int64
-	cacheMisses  int64
-	simSeconds   float64
-
-	diskHits   int64
-	diskMisses int64
-	peerHits   int64
-	peerMisses int64
-	peerErrors int64
-	peerPushes int64
-
-	explorationsDone int64
-	exploreProbes    int64
-	exploreHits      int64
-	exploreMisses    int64
-
-	checkpointsSaved   int64
-	checkpointsResumed int64
+	// counts holds every counter Metrics reports; its gauge fields stay
+	// zero here and are filled in by Metrics.
+	counts Metrics
 
 	// ckptReq is closed by Drain when a checkpoint store is configured —
 	// the server-wide "suspend now" signal every running job's engine
@@ -415,74 +396,83 @@ func (s *Server) Submit(specJSON []byte) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return JobStatus{}, ErrDraining
-	}
 	// scenario.Validate bounds the sweep (MaxSweepPoints, MaxGridCases),
 	// so the expansion size here is small and safe to compute.
 	total := 1
 	if sp.HasSweep() {
 		total = sp.Grid().Size()
 	}
-	s.nextID++
-	j := &job{
-		id:       fmt.Sprintf("job-%06d", s.nextID),
-		spec:     sp,
-		hash:     hash,
-		key:      CacheKey(hash),
-		state:    JobQueued,
-		total:    total,
-		cancel:   make(chan struct{}),
-		finished: make(chan struct{}),
-	}
+	j := &job{spec: sp, hash: hash, key: CacheKey(hash), total: total}
+	return s.register(j, func() error {
+		// All cache.Begin calls happen under s.mu, so a Lead claim aborted
+		// before this function returns can have no waiters yet.
+		entry, claim := s.cache.Begin(j.key)
+		j.entry = entry
+		switch claim {
+		case Done:
+			s.counts.CacheHits++
+			s.doneLocked(j, entry.Report, SourceCache)
+		case Wait:
+			// Followers ride the in-flight computation instead of the queue,
+			// so an identical spec is accepted even when the queue is full —
+			// but a retry storm must not grow follower goroutines without
+			// limit, so they get their own bound, independent of how
+			// saturated the queue and workers are.
+			if s.followersLocked() >= s.cfg.queueDepth() {
+				s.cache.Release(entry) // undo the ride Begin registered
+				return ErrQueueFull
+			}
+			// CacheHits is counted in follow() once the ride succeeds — a
+			// canceled or failed leader must not register phantom hits.
+			j.source = SourceCache
+			s.followWG.Add(1)
+			go s.follow(j, entry)
+		case Lead:
+			j.lead = true
+			if err := s.enqueueLocked(j); err != nil {
+				s.cache.Abort(j.key, err)
+				return err
+			}
+			s.counts.CacheMisses++
+		}
+		return nil
+	})
+}
 
-	// All cache.Begin calls happen under s.mu, so a Lead claim aborted
-	// before this function returns can have no waiters yet.
-	entry, claim := s.cache.Begin(j.key)
-	j.entry = entry
-	switch claim {
-	case Done:
-		s.cacheHits++
-		s.jobsDone++
-		j.cached = true
-		j.source = SourceCache
-		j.state = JobDone
-		j.report = entry.Report
-		j.done, j.total = len(entry.Report.Cases), len(entry.Report.Cases)
-		s.markFinishedLocked(j)
-	case Wait:
-		// Followers ride the in-flight computation instead of the queue,
-		// so an identical spec is accepted even when the queue is full —
-		// but a retry storm must not grow follower goroutines without
-		// limit, so they get their own bound, independent of how
-		// saturated the queue and workers are.
-		if s.followersLocked() >= s.cfg.queueDepth() {
-			s.cache.Release(entry) // undo the ride Begin registered
-			return JobStatus{}, ErrQueueFull
-		}
-		// cacheHits is counted in follow() once the ride succeeds — a
-		// canceled or failed leader must not register phantom hits.
-		j.cached = true
-		j.source = SourceCache
-		s.followWG.Add(1)
-		go s.follow(j, entry)
-	case Lead:
-		j.lead = true
-		if len(s.pending) >= s.cfg.queueDepth() {
-			s.cache.Abort(j.key, ErrQueueFull)
-			return JobStatus{}, ErrQueueFull
-		}
-		s.pending = append(s.pending, j)
-		s.cacheMisses++
-		s.cond.Signal()
+// register admits a new job: it refuses while draining, lets admit
+// place the job (a cache claim, a queue slot) or refuse it, and then
+// gives the job its id and records it for polling. admit runs under
+// s.mu.
+func (s *Server) register(j *job, admit func() error) (JobStatus, error) {
+	j.state = JobQueued
+	j.cancel = make(chan struct{})
+	j.finished = make(chan struct{})
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining {
+		return JobStatus{}, ErrDraining
 	}
+	if err := admit(); err != nil {
+		return JobStatus{}, err
+	}
+	s.nextID++
+	j.id = fmt.Sprintf("job-%06d", s.nextID)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.pruneJobsLocked()
 	return j.status(), nil
+}
+
+// enqueueLocked gives j a slot in the bounded queue and wakes a worker,
+// or reports ErrQueueFull. Callers hold s.mu.
+func (s *Server) enqueueLocked(j *job) error {
+	if len(s.pending) >= s.cfg.queueDepth() {
+		return ErrQueueFull
+	}
+	s.pending = append(s.pending, j)
+	s.cond.Signal()
+	return nil
 }
 
 // SubmitWait behaves like Submit but, instead of failing fast on a full
@@ -533,11 +523,34 @@ func (s *Server) markFinishedLocked(j *job) {
 	}
 }
 
+// doneLocked publishes rep as j's result, served from src. Callers hold
+// s.mu.
+func (s *Server) doneLocked(j *job, rep *result.Report, src string) {
+	j.state = JobDone
+	j.source = src
+	j.report = rep
+	j.done, j.total = len(rep.Cases), len(rep.Cases)
+	s.counts.JobsDone++
+	s.markFinishedLocked(j)
+}
+
+// endLocked moves j to a terminal state other than done, with an
+// optional reason, and counts it. Callers hold s.mu.
+func (s *Server) endLocked(j *job, state JobState, reason string) {
+	j.state = state
+	j.errText = reason
+	switch state {
+	case JobCanceled:
+		s.counts.JobsCanceled++
+	case JobFailed:
+		s.counts.JobsFailed++
+	}
+	s.markFinishedLocked(j)
+}
+
 // followersLocked counts single-flight followers: non-leader jobs still
-// waiting on their leader's computation. (A leader popped from pending
-// but not yet marked running is lead, so it never miscounts here;
-// exploration jobs hold queue slots themselves and are never
-// followers.) Callers hold s.mu.
+// waiting on their leader's computation. (Exploration jobs hold queue
+// slots themselves and are never followers.) Callers hold s.mu.
 func (s *Server) followersLocked() int {
 	n := 0
 	for _, j := range s.jobs {
@@ -597,28 +610,21 @@ func (s *Server) follow(j *job, e *Entry) {
 	}
 	switch {
 	case e.Err == nil:
-		j.state = JobDone
-		j.report = e.Report
-		j.done, j.total = len(e.Report.Cases), len(e.Report.Cases)
-		s.jobsDone++
-		s.cacheHits++
+		s.counts.CacheHits++
+		s.doneLocked(j, e.Report, SourceCache)
 	case errors.Is(e.Err, errCheckpointed):
-		j.state = JobCheckpointed
-		j.errText = "deduplicated onto a job that checkpointed for shutdown; resubmit after restart"
+		s.endLocked(j, JobCheckpointed, "deduplicated onto a job that checkpointed for shutdown; resubmit after restart")
 	case errors.Is(e.Err, sweep.ErrCanceled):
-		j.state = JobCanceled
-		j.errText = "deduplicated onto a job that was canceled; resubmit to recompute"
-		s.jobsCanceled++
+		s.endLocked(j, JobCanceled, "deduplicated onto a job that was canceled; resubmit to recompute")
 	default:
-		j.state = JobFailed
-		j.errText = e.Err.Error()
-		s.jobsFailed++
+		s.endLocked(j, JobFailed, e.Err.Error())
 	}
-	s.markFinishedLocked(j)
 }
 
 // worker pops pending jobs until the queue is empty and Drain has been
-// requested.
+// requested. A job is marked running as it is popped, under the same
+// lock: Cancel removes a queued job from the queue, so every popped job
+// is still queued and none can be canceled in between.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for {
@@ -632,6 +638,7 @@ func (s *Server) worker() {
 		}
 		j := s.pending[0]
 		s.pending = s.pending[1:]
+		j.state = JobRunning
 		s.mu.Unlock()
 		if j.expl != nil {
 			s.runExploration(j)
@@ -641,114 +648,94 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one leader job and publishes its outcome to the job
-// record and the cache: first the colder cache tiers (disk, then the
-// owning peer), then actual computation.
-func (s *Server) runJob(j *job) {
-	s.mu.Lock()
-	if j.state != JobQueued {
-		s.mu.Unlock() // canceled while queued; cache entry already aborted
-		return
+// lead resolves a cache key its caller leads — the one tier walk jobs
+// and exploration probes share. It tries the cold tiers (disk, then the
+// owning peer) and otherwise runs compute; a report that did not come
+// from this node's disk is written through to it before anyone can see
+// it, so a crash cannot lose the only copy. Then, in one critical
+// section, it completes or aborts the entry, counts computed sim
+// seconds, and calls publish so the caller's own record appears
+// together with the entry; publish runs under s.mu, so it only updates
+// records and counters. Last, a computed report is pushed to its owning
+// peer. It returns what publish saw; src is SourceCompute whenever
+// compute ran. Callers must not hold s.mu: the tiers and compute run
+// off it.
+func (s *Server) lead(key, hash string, cancel <-chan struct{}, compute func() (*result.Report, error),
+	publish func(rep *result.Report, src string, err error)) (*result.Report, string, error) {
+	rep, src, err := s.fetchCold(key, hash, cancel)
+	if rep == nil && err == nil {
+		src = SourceCompute
+		rep, err = compute()
 	}
-	j.state = JobRunning
-	s.mu.Unlock()
-
-	// Cold tiers — outside s.mu: disk and network I/O must not stall
-	// submissions or polling.
-	if rep, src := s.fetchCold(j.key, j.hash, j.cancel); rep != nil {
-		// A cached result supersedes any partial checkpoint for the key.
-		if s.cfg.Checkpoints != nil {
-			s.cfg.Checkpoints.Delete(j.key)
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if j.state != JobRunning {
-			// Canceled mid-lookup: the Cancel path closed j.cancel but the
-			// state flip is ours. Honor the cancellation; the entry must
-			// not be completed by a job already written off.
-			j.state = JobCanceled
-			s.jobsCanceled++
-			s.cache.Abort(j.key, sweep.ErrCanceled)
-			s.markFinishedLocked(j)
-			return
-		}
-		j.state = JobDone
-		j.cached = true
-		j.source = src
-		j.report = rep
-		j.done, j.total = len(rep.Cases), len(rep.Cases)
-		s.jobsDone++
-		s.cache.Complete(j.key, rep)
-		s.markFinishedLocked(j)
-		return
-	}
-
-	rep, resumed, err := s.execute(j)
-
-	// A checkpoint interruption persists the engine state before the job
-	// is published as checkpointed (still off s.mu — disk I/O): once
-	// visible, the state must actually be on disk for the next boot. A
-	// persist failure degrades to a job failure.
-	var ckptErr *scenario.CheckpointError
-	checkpointed := errors.As(err, &ckptErr)
-	if checkpointed {
-		if perr := s.saveCheckpoint(j, ckptErr.State); perr != nil {
-			checkpointed, err = false, perr
-		}
-	}
-
-	// Write-through to disk before publishing (still off s.mu): once the
-	// job is visible as done, a crash must not lose the only copy.
-	if err == nil && s.cfg.CAS != nil {
+	if err == nil && src != SourceDisk && s.cfg.CAS != nil {
 		if data, encErr := result.EncodeReport(rep); encErr == nil {
-			s.cfg.CAS.Put(j.key, data) // failures are counted in the store's stats
+			s.cfg.CAS.Put(key, data) // failures are counted in the store's stats
 		}
-	}
-	// A run that finished (or definitively failed or was canceled) has
-	// consumed any checkpoint it resumed from.
-	if !checkpointed && s.cfg.Checkpoints != nil {
-		s.cfg.Checkpoints.Delete(j.key)
 	}
 
 	s.mu.Lock()
-	switch {
-	case checkpointed:
-		j.state = JobCheckpointed
-		j.errText = "checkpointed for shutdown; resumes on next boot"
-		s.checkpointsSaved++
-		s.cache.Abort(j.key, errCheckpointed)
-		s.markFinishedLocked(j)
-	case errors.Is(err, sweep.ErrCanceled):
-		j.state = JobCanceled
-		s.jobsCanceled++
-		s.cache.Abort(j.key, err)
-		s.markFinishedLocked(j)
-	case err != nil:
-		j.state = JobFailed
-		j.errText = err.Error()
-		s.jobsFailed++
-		s.cache.Abort(j.key, err)
-		s.markFinishedLocked(j)
-	default:
-		if resumed {
-			s.checkpointsResumed++
+	if err != nil {
+		s.cache.Abort(key, err)
+	} else {
+		s.cache.Complete(key, rep)
+		if src == SourceCompute {
+			s.counts.SimSeconds += rep.SimSeconds
 		}
-		j.state = JobDone
-		j.source = SourceCompute
-		j.report = rep
-		j.done, j.total = len(rep.Cases), len(rep.Cases)
-		s.jobsDone++
-		s.simSeconds += rep.SimSeconds
-		s.cache.Complete(j.key, rep)
-		s.markFinishedLocked(j)
 	}
+	publish(rep, src, err)
 	s.mu.Unlock()
 
 	// Replicate to the owning peer (best-effort, bounded by the peer
 	// timeout) so the ring converges: the next lookup for this hash on
 	// any node finds it at its owner.
-	if err == nil {
-		s.pushToOwner(j.hash, rep)
+	if err == nil && src == SourceCompute {
+		s.pushToOwner(hash, rep)
+	}
+	return rep, src, err
+}
+
+// runJob executes one leader job through lead and publishes its outcome
+// to the job record.
+func (s *Server) runJob(j *job) {
+	var resumed bool
+	compute := func() (*result.Report, error) {
+		rep, res, err := s.execute(j)
+		resumed = res
+		// A checkpoint interruption persists the engine state before the
+		// job is published as checkpointed (still off s.mu — disk I/O):
+		// once visible, the state must actually be on disk for the next
+		// boot. A persist failure degrades to a job failure.
+		var ckptErr *scenario.CheckpointError
+		if errors.As(err, &ckptErr) {
+			if err = s.saveCheckpoint(j, ckptErr.State); err == nil {
+				return nil, errCheckpointed
+			}
+		}
+		// A run that finished (or definitively failed or was canceled) has
+		// consumed any checkpoint it resumed from.
+		s.cfg.Checkpoints.Delete(j.key)
+		return rep, err
+	}
+	_, src, _ := s.lead(j.key, j.hash, j.cancel, compute, func(rep *result.Report, src string, err error) {
+		switch {
+		case errors.Is(err, errCheckpointed):
+			s.counts.CheckpointsSaved++
+			s.endLocked(j, JobCheckpointed, "checkpointed for shutdown; resumes on next boot")
+		case errors.Is(err, sweep.ErrCanceled):
+			s.endLocked(j, JobCanceled, "")
+		case err != nil:
+			s.endLocked(j, JobFailed, err.Error())
+		default:
+			if resumed {
+				s.counts.CheckpointsResumed++
+			}
+			s.doneLocked(j, rep, src)
+		}
+	})
+	if src != SourceCompute {
+		// A served result supersedes any partial checkpoint for the key,
+		// and a cancel that cut the lookup short ends the job for good.
+		s.cfg.Checkpoints.Delete(j.key)
 	}
 }
 
@@ -833,60 +820,60 @@ func (s *Server) pushToOwner(hash string, rep *result.Report) {
 		return
 	}
 	if owner := s.peers.owner(hash); owner != s.peers.self {
-		if pushErr := s.peers.push(owner, hash, rep); pushErr == nil {
-			s.addPeerCounts(func() { s.peerPushes++ })
+		if s.peers.push(owner, hash, rep) == nil {
+			s.count(&s.counts.PeerPushes)
 		} else {
-			s.addPeerCounts(func() { s.peerErrors++ })
+			s.count(&s.counts.PeerErrors)
 		}
 	}
 }
 
-// fetchCold consults the cold cache tiers for a leader's key: the disk
-// CAS, then the owning peer. It returns a decoded report and its
-// provenance, or nil to compute locally. Callers must not hold s.mu.
-func (s *Server) fetchCold(key, hash string, cancel chan struct{}) (*result.Report, string) {
+// fetchCold consults the cold cache tiers for a led key: the disk CAS,
+// then the owning peer. It returns a decoded report and its provenance,
+// or a nil report to compute locally. A peer lookup cut short by the
+// caller's own cancel is no peer fault: it counts nothing and returns
+// sweep.ErrCanceled. Callers must not hold s.mu.
+func (s *Server) fetchCold(key, hash string, cancel <-chan struct{}) (*result.Report, string, error) {
 	if s.cfg.CAS != nil {
 		if data, ok := s.cfg.CAS.Get(key); ok {
 			if rep, err := result.DecodeReport(data); err == nil {
-				s.addPeerCounts(func() { s.diskHits++ })
-				return rep, SourceDisk
-			}
-			// Undecodable despite a clean checksum (stale codec): miss.
-			s.addPeerCounts(func() { s.diskMisses++ })
-		} else {
-			s.addPeerCounts(func() { s.diskMisses++ })
-		}
-	}
-	if s.peers != nil {
-		if owner := s.peers.owner(hash); owner != s.peers.self {
-			rep, err := s.peers.lookup(owner, hash, cancel)
-			switch {
-			case rep != nil:
-				s.addPeerCounts(func() { s.peerHits++ })
-				// Write through to disk: a peer hit should survive our own
-				// restarts too.
-				if s.cfg.CAS != nil {
-					if data, encErr := result.EncodeReport(rep); encErr == nil {
-						s.cfg.CAS.Put(key, data)
-					}
-				}
-				return rep, SourcePeer
-			case err == nil:
-				s.addPeerCounts(func() { s.peerMisses++ })
-			default:
-				s.addPeerCounts(func() { s.peerErrors++ })
+				s.count(&s.counts.DiskHits)
+				return rep, SourceDisk, nil
 			}
 		}
+		// Absent, or undecodable despite a clean checksum (stale codec).
+		s.count(&s.counts.DiskMisses)
 	}
-	return nil, ""
+	if s.peers == nil {
+		return nil, "", nil
+	}
+	owner := s.peers.owner(hash)
+	if owner == s.peers.self {
+		return nil, "", nil
+	}
+	rep, err := s.peers.lookup(owner, hash, cancel)
+	switch {
+	case rep != nil:
+		s.count(&s.counts.PeerHits)
+		return rep, SourcePeer, nil
+	case err == nil:
+		s.count(&s.counts.PeerMisses)
+	default:
+		select {
+		case <-cancel:
+			return nil, "", sweep.ErrCanceled
+		default:
+			s.count(&s.counts.PeerErrors)
+		}
+	}
+	return nil, "", nil
 }
 
-// addPeerCounts runs a counter mutation under s.mu — tiny helper so the
-// cold path's counting stays race-free without holding the lock across
-// I/O.
-func (s *Server) addPeerCounts(fn func()) {
+// count adds one to a counter in s.counts under s.mu, for the tier code
+// that runs off it.
+func (s *Server) count(c *int64) {
 	s.mu.Lock()
-	fn()
+	*c++
 	s.mu.Unlock()
 }
 
@@ -963,8 +950,6 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 	}
 	switch j.state {
 	case JobQueued:
-		j.state = JobCanceled
-		s.jobsCanceled++
 		s.removePendingLocked(j) // free the queue slot immediately
 		if j.lead {
 			// Release any single-flight waiters and free the key so a
@@ -972,17 +957,15 @@ func (s *Server) Cancel(id string) (JobStatus, bool) {
 			s.cache.Abort(j.key, sweep.ErrCanceled)
 		}
 		s.closeCancelLocked(j)
-		s.markFinishedLocked(j)
+		s.endLocked(j, JobCanceled, "")
 	case JobRunning:
-		s.closeCancelLocked(j) // state flips when the worker observes it
+		s.closeCancelLocked(j) // the worker publishes the outcome
 	}
 	return j.status(), true
 }
 
-// removePendingLocked removes j from the pending queue, if present —
-// canceled jobs must not hold queue slots (a job already popped by a
-// worker is simply absent; runJob's state check skips it). Callers hold
-// s.mu.
+// removePendingLocked removes j from the pending queue, if present (a
+// follower never holds a queue slot). Callers hold s.mu.
 func (s *Server) removePendingLocked(j *job) {
 	for i, p := range s.pending {
 		if p == j {
@@ -1000,35 +983,11 @@ func (s *Server) closeCancelLocked(j *job) {
 	}
 }
 
-// Metrics snapshots the server counters.
+// Metrics snapshots the server counters and fills in the gauges.
 func (s *Server) Metrics() Metrics {
 	s.mu.Lock()
-	m := Metrics{
-		JobsDone:      s.jobsDone,
-		JobsFailed:    s.jobsFailed,
-		JobsCanceled:  s.jobsCanceled,
-		CacheHits:     s.cacheHits,
-		CacheMisses:   s.cacheMisses,
-		CacheEntries:  s.cache.Len(),
-		SimSeconds:    s.simSeconds,
-		QueueDepth:    len(s.pending),
-		QueueBound:    s.cfg.queueDepth(),
-		QueueCapacity: s.cfg.queueDepth() - len(s.pending),
-		DiskHits:      s.diskHits,
-		DiskMisses:    s.diskMisses,
-		PeerHits:      s.peerHits,
-		PeerMisses:    s.peerMisses,
-		PeerErrors:    s.peerErrors,
-		PeerPushes:    s.peerPushes,
-
-		ExplorationsDone:   s.explorationsDone,
-		ExploreProbes:      s.exploreProbes,
-		ExploreCacheHits:   s.exploreHits,
-		ExploreCacheMisses: s.exploreMisses,
-
-		CheckpointsSaved:   s.checkpointsSaved,
-		CheckpointsResumed: s.checkpointsResumed,
-	}
+	m := s.counts
+	m.CacheEntries = s.cache.Len()
 	for _, j := range s.jobs {
 		if j.state == JobRunning {
 			m.JobsRunning++
@@ -1038,6 +997,9 @@ func (s *Server) Metrics() Metrics {
 	// separately so the queue gauges stay mutually consistent.
 	m.JobsQueued = len(s.pending)
 	m.JobsWaiting = s.followersLocked()
+	m.QueueDepth = len(s.pending)
+	m.QueueBound = s.cfg.queueDepth()
+	m.QueueCapacity = m.QueueBound - m.QueueDepth
 	s.mu.Unlock()
 
 	// The CAS keeps its own counters; snapshot them outside s.mu (the

@@ -81,7 +81,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			go drainItems(items, len(req.Specs)-n-1)
 			return
 		}
-		if flusher != nil {
+		// The handler's return sends the last line; every other line
+		// goes out as its spec finishes.
+		if flusher != nil && n < len(req.Specs)-1 {
 			flusher.Flush()
 		}
 	}

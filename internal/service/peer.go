@@ -129,13 +129,10 @@ func (p *peerSet) lookup(owner, specHash string, cancel <-chan struct{}) (*resul
 	return rep, nil
 }
 
-// push replicates a computed report to its owning peer (PUT, best
-// effort). The peer validates and adopts it into its own cache tiers.
-func (p *peerSet) push(owner, specHash string, rep *result.Report) error {
-	data, err := result.EncodeReport(rep)
-	if err != nil {
-		return err
-	}
+// push replicates a computed report, encoded as data, to its owning
+// peer (PUT, best effort). The peer validates and adopts it into its
+// own cache tiers.
+func (p *peerSet) push(owner, specHash string, data []byte) error {
 	req, err := http.NewRequest(http.MethodPut, owner+"/v1/cache/"+specHash, bytes.NewReader(data))
 	if err != nil {
 		return err

@@ -299,7 +299,8 @@ func (m Metrics) HitRatio() float64 {
 type Server struct {
 	cfg   Config
 	cache *Cache
-	peers *peerSet // nil when no peers are configured
+	specs *specMemo // parsed submissions, keyed by their bytes (specmemo.go)
+	peers *peerSet  // nil when no peers are configured
 
 	mu       sync.Mutex
 	cond     *sync.Cond // wakes workers; tied to mu
@@ -329,6 +330,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   NewCache(cfg.cacheEntries()),
+		specs:   newSpecMemo(cfg.jobHistory()),
 		jobs:    make(map[string]*job),
 		ckptReq: make(chan struct{}),
 	}
@@ -383,16 +385,13 @@ func (s *Server) Drain() {
 // RetryAfter is the backoff hint for backpressure responses.
 func (s *Server) RetryAfter() time.Duration { return s.cfg.retryAfter() }
 
-// Submit parses, validates, and accepts one scenario spec. The returned
-// status is the job's initial state: "done" immediately on a memory
-// cache hit, "queued" otherwise. Submission errors: spec errors (reject
-// with 400), ErrQueueFull (429), ErrDraining (503).
+// Submit parses, validates, and accepts one scenario spec; bytes it has
+// parsed before are not parsed again (specMemo). The returned status is
+// the job's initial state: "done" immediately on a memory cache hit,
+// "queued" otherwise. Submission errors: spec errors (reject with 400),
+// ErrQueueFull (429), ErrDraining (503).
 func (s *Server) Submit(specJSON []byte) (JobStatus, error) {
-	sp, err := scenario.Parse(specJSON)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	hash, err := sp.Hash()
+	sp, hash, err := s.specs.parse(specJSON)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -568,7 +567,8 @@ func (s *Server) followersLocked() int {
 // already be finished (cache hit), and the id it is about to return
 // must stay pollable — and finished jobs whose cache entry still has
 // active riders: a follower resolving against that entry must find the
-// leader's world intact, not a vanished record. Callers hold s.mu.
+// leader's world intact, not a vanished record. The scan stops at the
+// last record it needs to drop. Callers hold s.mu.
 func (s *Server) pruneJobsLocked() {
 	excess := len(s.order) - s.cfg.jobHistory()
 	if excess <= 0 {
@@ -576,9 +576,11 @@ func (s *Server) pruneJobsLocked() {
 	}
 	last := len(s.order) - 1
 	keep := s.order[:0]
-	for i, id := range s.order {
+	i := 0
+	for ; i < len(s.order) && excess > 0; i++ {
+		id := s.order[i]
 		j := s.jobs[id]
-		if excess > 0 && i != last &&
+		if i != last &&
 			(j.state == JobDone || j.state == JobFailed || j.state == JobCanceled) &&
 			(j.entry == nil || s.cache.Riders(j.entry) == 0) {
 			delete(s.jobs, id)
@@ -587,7 +589,7 @@ func (s *Server) pruneJobsLocked() {
 		}
 		keep = append(keep, id)
 	}
-	s.order = keep
+	s.order = append(keep, s.order[i:]...)
 }
 
 // follow resolves a deduplicated job once its leader's computation
@@ -657,9 +659,10 @@ func (s *Server) worker() {
 // seconds, and calls publish so the caller's own record appears
 // together with the entry; publish runs under s.mu, so it only updates
 // records and counters. Last, a computed report is pushed to its owning
-// peer. It returns what publish saw; src is SourceCompute whenever
-// compute ran. Callers must not hold s.mu: the tiers and compute run
-// off it.
+// peer. The report is encoded once, for the write-through and the push
+// alike, and only if one of them needs it. It returns what publish saw;
+// src is SourceCompute whenever compute ran. Callers must not hold
+// s.mu: the tiers and compute run off it.
 func (s *Server) lead(key, hash string, cancel <-chan struct{}, compute func() (*result.Report, error),
 	publish func(rep *result.Report, src string, err error)) (*result.Report, string, error) {
 	rep, src, err := s.fetchCold(key, hash, cancel)
@@ -667,8 +670,10 @@ func (s *Server) lead(key, hash string, cancel <-chan struct{}, compute func() (
 		src = SourceCompute
 		rep, err = compute()
 	}
+	var data []byte // rep's encoding, kept for the push
 	if err == nil && src != SourceDisk && s.cfg.CAS != nil {
-		if data, encErr := result.EncodeReport(rep); encErr == nil {
+		var encErr error
+		if data, encErr = result.EncodeReport(rep); encErr == nil {
 			s.cfg.CAS.Put(key, data) // failures are counted in the store's stats
 		}
 	}
@@ -689,7 +694,7 @@ func (s *Server) lead(key, hash string, cancel <-chan struct{}, compute func() (
 	// timeout) so the ring converges: the next lookup for this hash on
 	// any node finds it at its owner.
 	if err == nil && src == SourceCompute {
-		s.pushToOwner(hash, rep)
+		s.pushToOwner(hash, rep, data)
 	}
 	return rep, src, err
 }
@@ -813,18 +818,28 @@ func (s *Server) ResumeCheckpoints(ctx context.Context) int {
 }
 
 // pushToOwner replicates a computed report to the hash's owning peer,
-// if that peer is not this node. Best-effort, bounded by the peer
-// timeout; callers must not hold s.mu.
-func (s *Server) pushToOwner(hash string, rep *result.Report) {
+// if that peer is not this node. data is the report's encoding if the
+// CAS write-through made one, else nil and the report is encoded here.
+// Best-effort, bounded by the peer timeout; callers must not hold s.mu.
+func (s *Server) pushToOwner(hash string, rep *result.Report, data []byte) {
 	if s.peers == nil {
 		return
 	}
-	if owner := s.peers.owner(hash); owner != s.peers.self {
-		if s.peers.push(owner, hash, rep) == nil {
-			s.count(&s.counts.PeerPushes)
-		} else {
-			s.count(&s.counts.PeerErrors)
-		}
+	owner := s.peers.owner(hash)
+	if owner == s.peers.self {
+		return
+	}
+	var err error
+	if data == nil {
+		data, err = result.EncodeReport(rep)
+	}
+	if err == nil {
+		err = s.peers.push(owner, hash, data)
+	}
+	if err == nil {
+		s.count(&s.counts.PeerPushes)
+	} else {
+		s.count(&s.counts.PeerErrors)
 	}
 }
 

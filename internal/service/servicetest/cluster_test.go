@@ -119,6 +119,34 @@ func TestFederationConvergesToOwner(t *testing.T) {
 	}
 }
 
+// A report computed for a key a peer owns is encoded once: the body
+// pushed to the owner, which the owner writes to its disk tier as
+// received, is byte for byte the blob the computing node wrote through
+// to its own.
+func TestPushedBodyEqualsLocalCASBlob(t *testing.T) {
+	c := NewCluster(t, 2)
+	a, b := c.Nodes[0], c.Nodes[1]
+	spec, hash := c.OwnedSpec(0, "push-blob")
+	if fin, _ := b.Run(spec); fin.Source != service.SourceCompute {
+		t.Fatalf("run on B: source %q, want compute", fin.Source)
+	}
+	waitFor(t, "replication push", func() bool {
+		return b.Server().Metrics().PeerPushes >= 1
+	})
+	key := service.CacheKey(hash)
+	local, ok := b.Store().Get(key)
+	if !ok {
+		t.Fatal("computing node's CAS is missing its write-through")
+	}
+	pushed, ok := a.Store().Get(key)
+	if !ok {
+		t.Fatal("owner's CAS is missing the pushed report")
+	}
+	if string(pushed) != string(local) {
+		t.Errorf("pushed body (%d bytes) differs from the local CAS blob (%d bytes)", len(pushed), len(local))
+	}
+}
+
 // A spec owned by a peer that already has it is fetched, not
 // recomputed: source "peer", byte-identical, written through to the
 // fetching node's own disk tier.

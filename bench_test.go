@@ -17,18 +17,15 @@ import (
 	"repro/examples"
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/eneutral"
 	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/lab"
 	"repro/internal/mcu"
 	"repro/internal/mpsoc"
-	"repro/internal/powerneutral"
 	"repro/internal/programs"
 	"repro/internal/scenario"
 	"repro/internal/source"
 	"repro/internal/taskburst"
-	"repro/internal/units"
 )
 
 // runExperiment drives a registered experiment once per bench iteration.
@@ -110,37 +107,33 @@ func BenchmarkFig8HibernusPN(b *testing.B) {
 	runExperiment(b, "fig8")
 }
 
-// BenchmarkEq1EnergyNeutralWSN runs the adaptive-vs-fixed WSN comparison
-// (eqs. 1–2).
+// BenchmarkEq1EnergyNeutralWSN runs the eq1 experiment's adaptive node
+// (eqs. 1–2): the curated eq1-eneutral-four-days spec.
 func BenchmarkEq1EnergyNeutralWSN(b *testing.B) {
-	var worst float64
+	sp, err := examples.Scenario("eq1-eneutral-four-days")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var m map[string]float64
 	for i := 0; i < b.N; i++ {
-		n := eneutral.NewNode(20, 0.6, source.DefaultPhotovoltaic())
-		n.PActive = 3e-3
-		n.PSleep = 3e-6
-		n.Controller = eneutral.NewKansal()
-		sim := eneutral.NewSim(n, 4*units.Day, 10, units.Day)
-		sim.Step(0)
-		res := sim.Result()
-		if res.Violations != 0 {
+		if m = runCase(b, sp).Metrics; m["violations"] != 0 {
 			b.Fatal("adaptive node violated eq. (2)")
 		}
-		worst = res.WorstWindow()
 	}
-	b.ReportMetric(worst*100, "worst-imbalance-%")
+	b.ReportMetric(m["worst_window"]*100, "worst-imbalance-%")
 }
 
 // BenchmarkEq3PowerNeutralTracking measures how tightly the governed MCU
 // satisfies eq. (3) at the minimal-storage end of the sweep.
 func BenchmarkEq3PowerNeutralTracking(b *testing.B) {
 	sp := governedFFT(b, 47e-6)
-	var r trackedRun
+	var r scenario.ModelCase
 	for i := 0; i < b.N; i++ {
-		if r = runTracked(b, sp); r.Stats.BrownOuts != 0 {
+		if r = runCase(b, sp); r.Lab.Stats.BrownOuts != 0 {
 			b.Fatal("governed run browned out")
 		}
 	}
-	b.ReportMetric(r.eq3.RelativeError(), "eq3-rel-err")
+	b.ReportMetric(r.Metrics["track_err"], "eq3-rel-err")
 }
 
 // BenchmarkEq4ThresholdBoundary sweeps the eq. (4) margin and reports the
@@ -211,42 +204,22 @@ func storageSweep(b *testing.B) *scenario.Spec {
 		scenario.Axis{Param: "c", Values: []scenario.Value{4.7e-6, 10e-6, 47e-6, 470e-6}})
 }
 
-// runLab runs one sweep-free lab spec through scenario.RunModel.
-func runLab(b *testing.B, sp *scenario.Spec) lab.Result {
+// runCase runs one sweep-free spec through scenario.RunModel. A governed
+// lab spec's case carries its eq. (3) tracking in the track_err and
+// vcc_range metrics.
+func runCase(b *testing.B, sp *scenario.Spec) scenario.ModelCase {
 	b.Helper()
 	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rep.Cases[0].Lab
+	return rep.Cases[0]
 }
 
-// trackedRun is a governed run's result with its eq. (3) tracking stats.
-type trackedRun struct {
-	lab.Result
-	eq3 powerneutral.TrackingStats
-}
-
-// runTracked compiles one sweep-free governed spec and runs it with the
-// eq. (3) tracker wrapped around the governor's OnTick, as the eq3
-// experiment does.
-func runTracked(b *testing.B, sp *scenario.Spec) trackedRun {
+// runLab runs one sweep-free lab spec through scenario.RunModel.
+func runLab(b *testing.B, sp *scenario.Spec) lab.Result {
 	b.Helper()
-	s, err := sp.Setup()
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := powerneutral.NewTracker()
-	govern, dt := s.OnTick, s.Dt
-	s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
-		govern(t, d, rail)
-		tr.Observe(rail, rail.V(), dt)
-	}
-	res, err := lab.Run(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return trackedRun{res, tr.Stats()}
+	return runCase(b, sp).Lab
 }
 
 // benchCases runs each case of the spec's sweep grid as a sub-benchmark
@@ -296,9 +269,9 @@ func BenchmarkAblationMementosThreshold(b *testing.B) {
 func BenchmarkAblationGovernorPolicy(b *testing.B) {
 	sp := governedFFT(b, 470e-6,
 		scenario.Axis{Param: "governor", Names: []string{"hillclimb", "proportional"}})
-	benchCases(b, sp, runTracked, func(b *testing.B, r trackedRun) {
-		b.ReportMetric(r.eq3.RelativeError(), "eq3-rel-err")
-		b.ReportMetric(float64(r.Completions), "completions")
+	benchCases(b, sp, runCase, func(b *testing.B, r scenario.ModelCase) {
+		b.ReportMetric(r.Metrics["track_err"], "eq3-rel-err")
+		b.ReportMetric(float64(r.Lab.Completions), "completions")
 	})
 }
 

@@ -5,16 +5,8 @@ import (
 	"math"
 
 	"repro/examples"
-	"repro/internal/circuit"
-	"repro/internal/eneutral"
-	"repro/internal/lab"
-	"repro/internal/mcu"
-	"repro/internal/powerneutral"
-	"repro/internal/programs"
 	"repro/internal/scenario"
-	"repro/internal/source"
 	"repro/internal/sweep"
-	"repro/internal/transient"
 	"repro/internal/units"
 )
 
@@ -47,40 +39,39 @@ func init() {
 }
 
 // runEq1 pits the Kansal-adaptive node against fixed-duty baselines over
-// four solar days.
+// four solar days. The testbed is the curated eq1-eneutral-four-days
+// spec; each fixed-duty variant also starts at its duty.
 func runEq1() (*Output, error) {
-	variants := []struct {
-		ctl  func() eneutral.Controller
-		duty float64
-	}{
-		{func() eneutral.Controller { return eneutral.NewKansal() }, 0.2},
-		{func() eneutral.Controller { return &eneutral.FixedController{Value: 0.8} }, 0.8},
-		{func() eneutral.Controller { return &eneutral.FixedController{Value: 0.02} }, 0.02},
+	sp, err := examples.Scenario("eq1-eneutral-four-days")
+	if err != nil {
+		return nil, err
 	}
-	results, err := sweep.Map(nil, len(variants), func(c sweep.Case) (eneutral.Result, error) {
-		v := variants[c.Index]
-		n := eneutral.NewNode(20, 0.6, source.DefaultPhotovoltaic())
-		n.PActive = 3e-3
-		n.PSleep = 3e-6
-		n.Duty = v.duty
-		n.Controller = v.ctl()
-		sim := eneutral.NewSim(n, 4*units.Day, 10, units.Day)
-		sim.Step(0)
-		return sim.Result(), nil
+	duties := []float64{0, 0.8, 0.02} // 0 keeps the spec's adaptive controller
+	reps, err := sweep.Map(nil, len(duties), func(c sweep.Case) (*scenario.ModelReport, error) {
+		cs := sp.Clone()
+		if d := duties[c.Index]; d > 0 {
+			if err := cs.Apply("model.fixedduty", d); err != nil {
+				return nil, err
+			}
+			if err := cs.Apply("model.duty0", d); err != nil {
+				return nil, err
+			}
+		}
+		return scenario.RunModel(cs, scenario.RunOptions{})
 	})
 	if err != nil {
 		return nil, err
 	}
-	adaptive, greedy, timid := results[0], results[1], results[2]
+	adaptive, greedy, timid := reps[0].Cases[0].Metrics, reps[1].Cases[0].Metrics, reps[2].Cases[0].Metrics
 
-	row := func(name string, r eneutral.Result) []string {
+	row := func(name string, m map[string]float64) []string {
 		return []string{
 			name,
-			fmt.Sprintf("%.1f%%", r.WorstWindow()*100),
-			fmt.Sprintf("%d", r.Violations),
-			fmt.Sprintf("%.1f h", r.DowntimeSec/3600),
-			fmt.Sprintf("%.1f h", r.ActiveSec/3600),
-			fmt.Sprintf("%.2f", r.FinalSoC),
+			fmt.Sprintf("%.1f%%", m["worst_window"]*100),
+			fmt.Sprintf("%d", int(m["violations"])),
+			fmt.Sprintf("%.1f h", m["downtime"]/3600),
+			fmt.Sprintf("%.1f h", m["active_sec"]/3600),
+			fmt.Sprintf("%.2f", m["final_soc"]),
 		}
 	}
 	tbl := Table{
@@ -99,9 +90,9 @@ func runEq1() (*Output, error) {
 		Tables:      []Table{tbl},
 	}
 	out.Note("adaptive: worst imbalance %.1f%%, %d violations; greedy fixed duty dies (%d violations); timid duty wastes %.0f%% of the adaptive node's productive time",
-		adaptive.WorstWindow()*100, adaptive.Violations, greedy.Violations,
-		100*(1-timid.ActiveSec/math.Max(adaptive.ActiveSec, 1)))
-	if adaptive.Violations != 0 {
+		adaptive["worst_window"]*100, int(adaptive["violations"]), int(greedy["violations"]),
+		100*(1-timid["active_sec"]/math.Max(adaptive["active_sec"], 1)))
+	if adaptive["violations"] != 0 {
 		return nil, fmt.Errorf("eq1: adaptive controller violated eq. (2)")
 	}
 	return out, nil
@@ -125,39 +116,19 @@ func runEq3() (*Output, error) {
 		Title:   "Governed MCU on a 20 Hz rectified supply, V target 3.0 V",
 		Columns: []string{"C", "windowed eq.(3) error", "V_CC excursion", "brown-outs", "completions"},
 	}
-	type eq3Out struct {
-		res lab.Result
-		st  powerneutral.TrackingStats
-	}
-	outs, err := sweep.MapGrid(nil, sp.Grid(), func(c sweep.Case) (eq3Out, error) {
-		s, err := sp.SetupAt(c)
-		if err != nil {
-			return eq3Out{}, err
-		}
-		tr := powerneutral.NewTracker()
-		govern, dt := s.OnTick, s.Dt
-		s.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
-			govern(t, d, rail)
-			tr.Observe(rail, rail.V(), dt)
-		}
-		res, err := lab.Run(s)
-		if err != nil {
-			return eq3Out{}, err
-		}
-		return eq3Out{res: res, st: tr.Stats()}, nil
-	})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
 	var errs []float64
-	for i, o := range outs {
-		errs = append(errs, o.st.RelativeError())
+	for i, c := range rep.Cases {
+		errs = append(errs, c.Metrics["track_err"])
 		tbl.Rows = append(tbl.Rows, []string{
 			units.Format(float64(caps[i]), "F"),
-			fmt.Sprintf("%.3f", o.st.RelativeError()),
-			fmt.Sprintf("%.2f V", o.st.VRange()),
-			fmt.Sprintf("%d", o.res.Stats.BrownOuts),
-			fmt.Sprintf("%d", o.res.Completions),
+			fmt.Sprintf("%.3f", c.Metrics["track_err"]),
+			fmt.Sprintf("%.2f V", c.Metrics["vcc_range"]),
+			fmt.Sprintf("%d", c.Lab.Stats.BrownOuts),
+			fmt.Sprintf("%d", c.Lab.Completions),
 		})
 	}
 	out := &Output{
@@ -173,8 +144,7 @@ func runEq3() (*Output, error) {
 // runEq4 sweeps the guard margin on the eq. (4) threshold. Below 1.0 the
 // snapshot energy budget is violated and saves are cut off; at and above
 // 1.0 every save survives. Cases come from the curated eq4-margin-sweep
-// spec's sweep axis; the harness wraps each compiled Setup only to
-// capture the calibrated V_H.
+// spec's sweep axis; V_H is each case's v_h metric.
 func runEq4() (*Output, error) {
 	sp, err := examples.Scenario("eq4-margin-sweep")
 	if err != nil {
@@ -185,32 +155,16 @@ func runEq4() (*Output, error) {
 		Title:   "hibernus V_H margin sweep (10 µF rail, square-wave outages)",
 		Columns: []string{"margin on eq.(4) V_H", "V_H", "saves started", "saves aborted", "completions"},
 	}
-	type eq4Out struct {
-		res lab.Result
-		vh  float64
-	}
-	outs, err := sweep.MapGrid(nil, sp.Grid(), func(c sweep.Case) (eq4Out, error) {
-		s, err := sp.SetupAt(c)
-		if err != nil {
-			return eq4Out{}, err
-		}
-		var h *transient.Hibernus
-		captureHibernus(&s, &h)
-		res, err := lab.Run(s)
-		if err != nil {
-			return eq4Out{}, err
-		}
-		return eq4Out{res: res, vh: h.VH}, nil
-	})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 	if err != nil {
 		return nil, err
 	}
 	var failBelow, okAbove bool
-	for i, o := range outs {
-		m, res := margins[i], o.res
+	for i, c := range rep.Cases {
+		m, res := margins[i], c.Lab
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.2f", m),
-			fmt.Sprintf("%.2f V", o.vh),
+			fmt.Sprintf("%.2f V", c.Metrics["v_h"]),
 			fmt.Sprintf("%d", res.Stats.SavesStarted),
 			fmt.Sprintf("%d", res.Stats.SavesAborted),
 			fmt.Sprintf("%d", res.Completions),
@@ -295,24 +249,20 @@ func runEq5() (*Output, error) {
 			break
 		}
 	}
-	// Analytic eq. (5) from the device parameters at 8 MHz / 3 V.
-	p := mcu.DefaultParams()
-	pSRAM := (p.IActiveBase + p.IActivePerMHz*8) * 3.0
-	pFRAM := pSRAM + p.IFRAMExtra*3.0
-	// Per-outage snapshot(+restore) energies from the device model.
-	probe, err := probeDevice(false)
+	// Analytic eq. (5) from the two cases' device parameters at 3 V.
+	cases := sp.Grid().Cases()
+	hib, err := sp.At(cases[0])
 	if err != nil {
 		return nil, err
 	}
-	eHib := probe.EstimateSnapshotEnergy(3.0, mcu.SnapFull) +
-		probe.EstimateRestoreEnergy(3.0, mcu.SnapFull)
-	probeU, err := probeDevice(true)
+	qr, err := sp.At(cases[1])
 	if err != nil {
 		return nil, err
 	}
-	eQR := probeU.EstimateSnapshotEnergy(3.0, mcu.SnapRegs) +
-		probeU.EstimateRestoreEnergy(3.0, mcu.SnapRegs)
-	analytic := transient.CrossoverFrequency(pFRAM, pSRAM, eHib, eQR)
+	analytic, err := scenario.Eq5Crossover(hib, qr, 3.0)
+	if err != nil {
+		return nil, err
+	}
 
 	out := &Output{
 		ID:          "eq5",
@@ -322,22 +272,6 @@ func runEq5() (*Output, error) {
 	out.Note("analytic eq. (5) crossover: %.1f Hz; measured crossover band: ≥%.0f Hz", analytic, measured)
 	out.Note("shape: hibernus wins at low outage rates (FRAM quiescent power dominates); quickrecall wins at high rates (snapshot energy dominates)")
 	return out, nil
-}
-
-// probeDevice builds a throwaway device for parameter queries.
-func probeDevice(unified bool) (*mcu.Device, error) {
-	layout := programs.DefaultLayout()
-	params := mcu.DefaultParams()
-	if unified {
-		layout = programs.UnifiedNVLayout()
-		params = mcu.UnifiedNVParams()
-	}
-	w := programs.Fib(5, layout)
-	prog, err := asmProgram(w)
-	if err != nil {
-		return nil, err
-	}
-	return mcu.New(params, prog), nil
 }
 
 // runRuntimes compares all five protection strategies on the standard

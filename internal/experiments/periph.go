@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/examples"
-	"repro/internal/lab"
 	"repro/internal/scenario"
 )
 
@@ -33,7 +32,8 @@ func runPeriph() (*Output, error) {
 	}
 	naive, aware := rep.Cases[0].Lab, rep.Cases[1].Lab
 
-	row := func(name string, res lab.Result) []string {
+	row := func(name string, c scenario.ModelCase) []string {
+		res := c.Lab
 		return []string{
 			name,
 			fmt.Sprintf("%d", res.Completions),
@@ -48,8 +48,8 @@ func runPeriph() (*Output, error) {
 		Columns: []string{"runtime", "correct results", "wrong results",
 			"packets delivered", "packets dropped", "brown-outs"},
 		Rows: [][]string{
-			row("hibernus (CPU+RAM only)", naive),
-			row("hibernus + peripheral state", aware),
+			row("hibernus (CPU+RAM only)", rep.Cases[0]),
+			row("hibernus + peripheral state", rep.Cases[1]),
 		},
 	}
 	out := &Output{

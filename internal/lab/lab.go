@@ -40,7 +40,7 @@ type Setup struct {
 	C     float64 // rail storage capacitance, farads
 	V0    float64 // initial rail voltage
 	LeakR float64 // parallel leakage resistance on the rail; 0 = none
-	Dt    float64 // simulation step; default 5 µs
+	Dt    float64 // simulation step; DefaultDt when ≤ 0
 
 	Duration float64 // simulated seconds
 
@@ -81,6 +81,9 @@ type Setup struct {
 	// matters.
 	FastForward bool
 }
+
+// DefaultDt is the simulation step of a Setup that leaves Dt unset.
+const DefaultDt = 5e-6
 
 // ffChunk is the fast-forward skip granularity in steps: the longest
 // stretch skipped between source probes. 100 steps at the default 5 µs
@@ -133,6 +136,12 @@ type Result struct {
 	// bank radio's delivered and dropped packet counts.
 	Bank                   bool
 	TxDelivered, TxDropped int
+
+	// Hibernates reports that the runtime is of the hibernus family
+	// (mcu.HibernateThresholds); VH and VR are then its hibernate and
+	// restore thresholds at the end of the run.
+	Hibernates bool
+	VH, VR     float64
 }
 
 // Throughput returns completions per simulated second.
@@ -185,7 +194,7 @@ func Start(s Setup) (*Sim, error) {
 		return nil, fmt.Errorf("lab: no workload")
 	}
 	if s.Dt <= 0 {
-		s.Dt = 5e-6
+		s.Dt = DefaultDt
 	}
 	prog, err := assemble(s.Workload)
 	if err != nil {
@@ -298,13 +307,17 @@ func (m *Sim) Done() bool { return m.i >= m.steps }
 func (m *Sim) Result() Result {
 	res := m.res
 	res.Steps = m.steps
-	res.Stats = m.d.Stats
+	res.Stats = m.d.FinalStats()
 	res.HarvestedJ = m.rail.HarvestedJ
 	res.ConsumedJ = m.rail.ConsumedJ
 	res.FinalV = m.rail.Cap.V
 	res.RuntimeErr = m.d.Err
 	if m.bank != nil {
 		res.Bank, res.TxDelivered, res.TxDropped = true, m.bank.TxDelivered, m.bank.TxDropped
+	}
+	if h, ok := m.d.Runtime().(mcu.HibernateThresholds); ok {
+		res.Hibernates = true
+		res.VH, res.VR = h.HibernateThresholds()
 	}
 	return res
 }

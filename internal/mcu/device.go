@@ -35,6 +35,9 @@ func (m Mode) String() string {
 	return "?"
 }
 
+// executing reports whether the mode belongs to an on-stretch.
+func (m Mode) executing() bool { return m != ModeOff && m != ModeSleep }
+
 // Params is the device's electrical and architectural configuration. The
 // defaults are MSP430FR-flavoured: a low-power 16-bit MCU with DFS levels
 // from 1–24 MHz, microamp sleep currents, and FRAM wait states above 8 MHz.
@@ -115,6 +118,10 @@ type Stats struct {
 	RestoreSec float64
 	OffSec     float64
 
+	// LongestOnSec is the longest stretch in active, saving or restoring
+	// mode; a brown-out or a sleep ends one (Fig. 8's uninterrupted run).
+	LongestOnSec float64
+
 	CyclesRun uint64
 }
 
@@ -136,6 +143,13 @@ type AuxState interface {
 	Restore(data []byte) error
 	// Reset returns the state to its power-on defaults.
 	Reset()
+}
+
+// HibernateThresholds is optionally implemented by the hibernus family:
+// runtimes that hibernate at V_H and resume at V_R. Reports read both at
+// the end of a run, where a self-calibrating runtime has settled.
+type HibernateThresholds interface {
+	HibernateThresholds() (vh, vr float64)
 }
 
 // Runtime is a transient-computing runtime attached to the device: it
@@ -201,9 +215,10 @@ type Device struct {
 	entry uint16
 	rt    Runtime
 
-	mode  Mode
-	now   float64
-	lastV float64
+	mode    Mode
+	now     float64
+	lastV   float64
+	onSince float64 // when the open on-stretch began (see setMode)
 
 	freq           float64
 	cycleRemainder float64
@@ -310,12 +325,21 @@ func (d *Device) setFreq(i int) {
 }
 
 // activeCurrent returns the execution-mode current at the present clock.
-func (d *Device) activeCurrent() float64 {
-	i := d.P.IActiveBase + d.P.IActivePerMHz*(d.freq/1e6)
-	if d.P.UnifiedNV {
-		i += d.P.IFRAMExtra
+func (d *Device) activeCurrent() float64 { return d.P.activeCurrent(d.freq) }
+
+// activeCurrent returns the execution-mode current at clock f.
+func (p *Params) activeCurrent(f float64) float64 {
+	i := p.IActiveBase + p.IActivePerMHz*(f/1e6)
+	if p.UnifiedNV {
+		i += p.IFRAMExtra
 	}
 	return i
+}
+
+// ActivePower returns the draw of a device built with p executing at DFS
+// level p.FreqIndex on a rail at v volts.
+func (p Params) ActivePower(v float64) float64 {
+	return p.activeCurrent(p.FreqLevels[p.FreqIndex]) * v
 }
 
 // Current implements circuit.Load: the mode-dependent supply draw.
@@ -495,7 +519,7 @@ func (d *Device) brownOut() {
 	if d.Aux != nil {
 		d.Aux.Reset() // peripheral registers are just as volatile
 	}
-	d.mode = ModeOff
+	d.setMode(ModeOff)
 	d.busyCyclesLeft = 0
 	d.onBusyDone = nil
 	d.cycleRemainder = 0
@@ -505,7 +529,7 @@ func (d *Device) brownOut() {
 func (d *Device) powerOn() {
 	d.Stats.PowerOns++
 	d.Core.Reset(d.entry)
-	d.mode = ModeActive
+	d.setMode(ModeActive)
 	d.cycleRemainder = 0
 	if d.rt != nil {
 		d.rt.OnPowerOn(d)
@@ -518,7 +542,7 @@ func (d *Device) powerOn() {
 // state. Runtimes call this when no valid snapshot exists.
 func (d *Device) ColdStart() {
 	d.Core.Reset(d.entry)
-	d.mode = ModeActive
+	d.setMode(ModeActive)
 	d.cycleRemainder = 0
 	d.Stats.ColdStarts++
 }
@@ -526,7 +550,7 @@ func (d *Device) ColdStart() {
 // Sleep puts the device into retention sleep (state held, ~µA draw).
 func (d *Device) Sleep() {
 	if d.mode == ModeActive || d.mode == ModeSleep {
-		d.mode = ModeSleep
+		d.setMode(ModeSleep)
 	}
 }
 
@@ -534,7 +558,33 @@ func (d *Device) Sleep() {
 // hibernus fast path when the supply recovered before a brown-out.
 func (d *Device) Wake() {
 	if d.mode == ModeSleep {
-		d.mode = ModeActive
+		d.setMode(ModeActive)
 		d.Stats.WakeNoRestore++
 	}
+}
+
+// setMode switches the device's mode, opening or closing an on-stretch
+// (Mode.executing) when the switch crosses one: LongestOnSec is booked
+// at transitions, never per step. Transitions happen inside a tick after
+// the clock advanced, so a stretch runs from the tick that began it to
+// the tick that ended it.
+func (d *Device) setMode(m Mode) {
+	if on := m.executing(); on != d.mode.executing() {
+		if on {
+			d.onSince = d.now
+		} else {
+			d.Stats.LongestOnSec = max(d.Stats.LongestOnSec, d.now-d.onSince)
+		}
+	}
+	d.mode = m
+}
+
+// FinalStats returns the stats with an on-stretch still open closed at
+// the present instant, so LongestOnSec counts it.
+func (d *Device) FinalStats() Stats {
+	st := d.Stats
+	if d.mode.executing() {
+		st.LongestOnSec = max(st.LongestOnSec, d.now-d.onSince)
+	}
+	return st
 }

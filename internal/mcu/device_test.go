@@ -247,6 +247,37 @@ func TestSleepWakePath(t *testing.T) {
 	}
 }
 
+// TestLongestOnStretch checks the on-stretch booking at mode
+// transitions: a brown-out and a sleep each end a stretch, power-on and
+// wake each start one, and FinalStats closes a stretch still open. The
+// step is a power of two, so every expected length is exact.
+func TestLongestOnStretch(t *testing.T) {
+	d, _ := buildDevice(t, programs.Fib(5, programs.DefaultLayout()), DefaultParams())
+	const dt = 1.0 / 1024
+	ticks := func(n int, v float64) {
+		for i := 0; i < n; i++ {
+			d.Tick(v, dt)
+		}
+	}
+	ticks(10, 3.0) // powers on at the first tick: on from 1·dt
+	ticks(6, 1.0)  // browns out at 11·dt, then stays off
+	ticks(4, 3.0)  // powers on at 17·dt
+	d.Sleep()      // at 20·dt
+	ticks(2, 3.0)
+	d.Wake() // at 22·dt
+	ticks(3, 3.0)
+	if got := d.FinalStats().LongestOnSec; got != 10*dt {
+		t.Errorf("longest on-stretch %g s, want the 10-step stretch before the brown-out (%g s)", got, 10*dt)
+	}
+	ticks(20, 3.0)
+	if got := d.Stats.LongestOnSec; got != 10*dt {
+		t.Errorf("booked on-stretch %g s, want %g s: an open stretch is booked only when it ends", got, 10*dt)
+	}
+	if got := d.FinalStats().LongestOnSec; got != 23*dt {
+		t.Errorf("final longest on-stretch %g s, want the open stretch since the wake (%g s)", got, 23*dt)
+	}
+}
+
 func TestCurrentModel(t *testing.T) {
 	d, _ := buildDevice(t, programs.Fib(5, programs.DefaultLayout()), DefaultParams())
 	// Off.
@@ -338,12 +369,17 @@ func TestSnapshotSizesAndEstimates(t *testing.T) {
 	if eFull <= eRegs || eRegs <= 0 {
 		t.Errorf("snapshot energies: full=%g regs=%g", eFull, eRegs)
 	}
-	// Durations likewise.
-	if d.SaveDuration(SnapFull) <= d.SaveDuration(SnapRegs) {
-		t.Error("full save must take longer")
+	// An outage adds the restore to the snapshot. On the default map
+	// without peripheral state, the device-free price starts from the
+	// device's own snapshot estimate.
+	p := DefaultParams()
+	for _, kind := range []SnapshotKind{SnapFull, SnapRegs} {
+		if out, save := p.OutageEnergy(3.0, kind), d.EstimateSnapshotEnergy(3.0, kind); !(out > save) {
+			t.Errorf("kind %d: outage energy %g must exceed the snapshot alone (%g)", kind, out, save)
+		}
 	}
-	if d.RestoreDuration(SnapFull) <= 0 || d.EstimateRestoreEnergy(3.0, SnapFull) <= 0 {
-		t.Error("restore cost must be positive")
+	if p.OutageEnergy(3.0, SnapFull) <= p.OutageEnergy(3.0, SnapRegs) {
+		t.Error("a full outage must cost more than a registers-only one")
 	}
 }
 

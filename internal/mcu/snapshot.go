@@ -263,10 +263,16 @@ func (d *Device) SnapshotBytes(kind SnapshotKind) int {
 			aux = maxAuxBytes
 		}
 	}
+	return snapshotBytes(kind, len(d.Bus.SRAM), aux)
+}
+
+// snapshotBytes sizes a snapshot of kind over sram bytes of SRAM and aux
+// bytes of peripheral state.
+func snapshotBytes(kind SnapshotKind, sram, aux int) int {
 	if kind == SnapRegs {
 		return headerLen + regBytes + aux + trailerLen
 	}
-	return headerLen + regBytes + len(d.Bus.SRAM) + aux + trailerLen
+	return headerLen + regBytes + sram + aux + trailerLen
 }
 
 // DefaultSnapshotKind returns the snapshot kind natural to the device
@@ -278,30 +284,28 @@ func (d *Device) DefaultSnapshotKind() SnapshotKind {
 	return SnapFull
 }
 
-// SaveDuration returns the wall-clock time a snapshot of kind takes at the
-// present clock frequency.
-func (d *Device) SaveDuration(kind SnapshotKind) float64 {
-	return float64(d.SnapshotBytes(kind)) * d.P.SaveCyclesPerByte / d.freq
-}
-
-// RestoreDuration returns the wall-clock time a restore of kind takes.
-func (d *Device) RestoreDuration(kind SnapshotKind) float64 {
-	return float64(d.SnapshotBytes(kind)) * d.P.RestoreCyclesPerByte / d.freq
-}
-
 // EstimateSnapshotEnergy returns E_s of the paper's eq. (4): the energy
 // needed to complete one snapshot of the given kind at nominal rail
 // voltage v.
 func (d *Device) EstimateSnapshotEnergy(v float64, kind SnapshotKind) float64 {
-	i := d.activeCurrent() + d.P.ISaveExtra
-	return i * v * d.SaveDuration(kind)
+	return d.P.busyEnergy(v, d.freq, d.SnapshotBytes(kind), d.P.ISaveExtra, d.P.SaveCyclesPerByte)
 }
 
-// EstimateRestoreEnergy returns the energy one restore consumes at rail
-// voltage v.
-func (d *Device) EstimateRestoreEnergy(v float64, kind SnapshotKind) float64 {
-	i := d.activeCurrent() + d.P.IRestoreExtra
-	return i * v * d.RestoreDuration(kind)
+// OutageEnergy returns what one outage costs a device built with p, at
+// DFS level p.FreqIndex and rail voltage v: a snapshot of kind (eq. (4)'s
+// E_s) and its restore, sized by the default memory map without
+// peripheral state. No device is built; eq. (5) compares two of these.
+func (p Params) OutageEnergy(v float64, kind SnapshotKind) float64 {
+	f, n := p.FreqLevels[p.FreqIndex], snapshotBytes(kind, DefaultSRAMSize, 0)
+	return p.busyEnergy(v, f, n, p.ISaveExtra, p.SaveCyclesPerByte) +
+		p.busyEnergy(v, f, n, p.IRestoreExtra, p.RestoreCyclesPerByte)
+}
+
+// busyEnergy is the energy a snapshot DMA of n bytes draws at clock f
+// and rail voltage v, with the transfer's extra current and cycle cost.
+func (p *Params) busyEnergy(v, f float64, n int, extra, cyclesPerByte float64) float64 {
+	i := p.activeCurrent(f) + extra
+	return i * v * (float64(n) * cyclesPerByte / f)
 }
 
 // HasSnapshot reports whether a valid committed snapshot exists.
@@ -324,12 +328,12 @@ func (d *Device) BeginSave(kind SnapshotKind, onDone func()) bool {
 	d.snaps.invalidate(slot)
 	payload := d.capture(kind)
 	d.Stats.SavesStarted++
-	d.mode = ModeSaving
+	d.setMode(ModeSaving)
 	d.busyCyclesLeft = float64(len(payload)+trailerLen) * d.P.SaveCyclesPerByte
 	d.onBusyDone = func() {
 		d.snaps.write(slot, payload)
 		d.Stats.SavesDone++
-		d.mode = ModeActive
+		d.setMode(ModeActive)
 		if onDone != nil {
 			onDone()
 		}
@@ -350,12 +354,12 @@ func (d *Device) BeginRestore(onDone func()) bool {
 	if payload == nil {
 		return false
 	}
-	d.mode = ModeRestoring
+	d.setMode(ModeRestoring)
 	d.busyCyclesLeft = float64(len(payload)+trailerLen) * d.P.RestoreCyclesPerByte
 	d.onBusyDone = func() {
 		d.applySnapshot(payload)
 		d.Stats.Restores++
-		d.mode = ModeActive
+		d.setMode(ModeActive)
 		if onDone != nil {
 			onDone()
 		}

@@ -29,7 +29,7 @@ import (
 // bump it whenever lab semantics, registry defaults, model behaviour,
 // or report text change in a way that should invalidate previously
 // computed results.
-const EngineVersion = "1"
+const EngineVersion = "2"
 
 // TraceInterval is the sampling interval (simulated seconds) used for
 // captured traces, matching the CLI's -trace behaviour.

@@ -21,40 +21,31 @@ import (
 // governor state, so the returned Setup is safe to run once; call Setup
 // again for another run.
 func (s *Spec) Setup() (lab.Setup, error) {
+	st, _, err := s.compile()
+	return st, err
+}
+
+// compile is Setup plus the eq. (3) tracker a governed run's OnTick
+// feeds after each governor action, over each step. It is nil without a
+// governor, and under fast-forward, where OnTick sees hop boundaries only.
+func (s *Spec) compile() (lab.Setup, *powerneutral.Tracker, error) {
 	if err := s.Validate(); err != nil {
-		return lab.Setup{}, err
+		return lab.Setup{}, nil, err
 	}
 	if s.ModelName() != "lab" {
-		return lab.Setup{}, s.errf("Setup compiles lab-model specs only (this spec uses model %q)", s.ModelName())
+		return lab.Setup{}, nil, s.errf("Setup compiles lab-model specs only (this spec uses model %q)", s.ModelName())
 	}
-
-	mk, entry, err := transient.RuntimeFactory(s.runtimeName(), float64(s.Storage.C), toParams(s.Runtime.Params))
+	mk, layout, params, err := s.device()
 	if err != nil {
-		return lab.Setup{}, s.errf("%w", err)
+		return lab.Setup{}, nil, err
 	}
-
-	unified := entry.UnifiedNV
-	switch s.Device.Profile {
-	case "default":
-		unified = false
-	case "unified-nv":
-		unified = true
-	}
-	layout, params := programs.DefaultLayout(), mcu.DefaultParams()
-	if unified {
-		layout, params = programs.UnifiedNVLayout(), mcu.UnifiedNVParams()
-	}
-	if s.Device.FreqIndex != nil {
-		params.FreqIndex = *s.Device.FreqIndex
-	}
-
 	w, err := programs.Build(s.Workload, layout)
 	if err != nil {
-		return lab.Setup{}, s.errf("%w", err)
+		return lab.Setup{}, nil, s.errf("%w", err)
 	}
 	built, err := source.Build(s.Source.Name, toParams(s.Source.Params))
 	if err != nil {
-		return lab.Setup{}, s.errf("%w", err)
+		return lab.Setup{}, nil, s.errf("%w", err)
 	}
 
 	st := lab.Setup{
@@ -70,16 +61,71 @@ func (s *Spec) Setup() (lab.Setup, error) {
 		Duration:    float64(s.Duration),
 		FastForward: s.FastForward,
 	}
-	if s.Governor != nil {
-		gov, err := powerneutral.BuildGovernor(s.Governor.Policy, toParams(s.Governor.Params))
-		if err != nil {
-			return lab.Setup{}, s.errf("%w", err)
-		}
-		st.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
-			gov.Act(t, d, rail.V())
+	if s.Governor == nil {
+		return st, nil, nil
+	}
+	gov, err := powerneutral.BuildGovernor(s.Governor.Policy, toParams(s.Governor.Params))
+	if err != nil {
+		return lab.Setup{}, nil, s.errf("%w", err)
+	}
+	var tr *powerneutral.Tracker
+	if !s.FastForward {
+		tr = powerneutral.NewTracker()
+	}
+	dt := st.Dt
+	if dt <= 0 {
+		dt = lab.DefaultDt
+	}
+	st.OnTick = func(t float64, d *mcu.Device, rail *circuit.Rail) {
+		gov.Act(t, d, rail.V())
+		if tr != nil {
+			tr.Observe(rail, rail.V(), dt)
 		}
 	}
-	return st, nil
+	return st, tr, nil
+}
+
+// device resolves the runtime factory, memory layout and device params
+// the spec compiles to: the profile, else the runtime, picks the memory
+// system, and device.freqindex the DFS level.
+func (s *Spec) device() (func(*mcu.Device) mcu.Runtime, programs.Layout, mcu.Params, error) {
+	mk, entry, err := transient.RuntimeFactory(s.runtimeName(), float64(s.Storage.C), toParams(s.Runtime.Params))
+	if err != nil {
+		return nil, programs.Layout{}, mcu.Params{}, s.errf("%w", err)
+	}
+	unified := entry.UnifiedNV
+	switch s.Device.Profile {
+	case "default":
+		unified = false
+	case "unified-nv":
+		unified = true
+	}
+	layout, params := programs.DefaultLayout(), mcu.DefaultParams()
+	if unified {
+		layout, params = programs.UnifiedNVLayout(), mcu.UnifiedNVParams()
+	}
+	if s.Device.FreqIndex != nil {
+		params.FreqIndex = *s.Device.FreqIndex
+	}
+	return mk, layout, params, nil
+}
+
+// Eq5Crossover evaluates eq. (5) at rail voltage v between the devices
+// a split-SRAM hibernus spec and a unified-FRAM QuickRecall spec compile
+// to: active powers and per-outage energies (a full snapshot and restore
+// against a registers-only one) come from their mcu.Params alone, so no
+// device is built.
+func Eq5Crossover(split, unified *Spec, v float64) (float64, error) {
+	_, _, ps, err := split.device()
+	if err != nil {
+		return 0, err
+	}
+	_, _, pu, err := unified.device()
+	if err != nil {
+		return 0, err
+	}
+	return transient.CrossoverFrequency(pu.ActivePower(v), ps.ActivePower(v),
+		ps.OutageEnergy(v, mcu.SnapFull), pu.OutageEnergy(v, mcu.SnapRegs)), nil
 }
 
 // Grid expands the spec's sweep axes into a sweep.Grid, axes in
@@ -127,7 +173,7 @@ func AxisLabel(param string, v float64) string {
 // the per-case half of a grid run:
 //
 //	grid := sp.Grid()
-//	results, err := sweep.MapGrid(r, grid, func(c sweep.Case) (lab.Result, error) {
+//	results, err := sweep.MapCases(r, grid.Cases(), func(c sweep.Case) (lab.Result, error) {
 //	    st, err := sp.SetupAt(c)
 //	    ...
 //	})

@@ -60,8 +60,10 @@ func nameIndex(f *testing.F, names []string, name string) uint8 {
 // full integration would use. Each input runs one registry-built spec
 // with fast-forward off and on and requires identical completions,
 // wrong results and completion times, an identical mcu.Stats — event
-// counts, per-mode seconds and cycles run — and identical radio packet
-// counts for a workload that drives the peripheral bank.
+// counts, per-mode seconds, the longest on-stretch and cycles run —
+// identical radio packet counts for a workload that drives the
+// peripheral bank, and identical end-of-run V_H and V_R for a
+// hibernus-family runtime.
 func FuzzFastForwardMatchesStepwise(f *testing.F) {
 	// Seeds by registry name, so they keep their meaning as the
 	// registries grow.
@@ -102,6 +104,8 @@ type ffOutcome struct {
 	CompletionTimes           []float64
 	Stats                     mcu.Stats
 	TxDelivered, TxDropped    int
+	Hibernates                bool
+	VH, VR                    float64
 }
 
 // runFF runs the spec through RunModel with fast-forward set as given.
@@ -114,7 +118,8 @@ func runFF(t *testing.T, sp *Spec, ff bool) ffOutcome {
 		t.Fatalf("fastforward=%v: %v", ff, err)
 	}
 	res := rep.Cases[0].Lab
-	return ffOutcome{res.Completions, res.WrongResults, res.CompletionTimes, res.Stats, res.TxDelivered, res.TxDropped}
+	return ffOutcome{res.Completions, res.WrongResults, res.CompletionTimes, res.Stats,
+		res.TxDelivered, res.TxDropped, res.Hibernates, res.VH, res.VR}
 }
 
 // TestFastForwardPowerSourceMatchesStepwise: a power source never hops

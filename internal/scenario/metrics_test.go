@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/lab"
 	"repro/internal/units"
 )
 
@@ -210,4 +211,103 @@ func equalCells(got, want []string) bool {
 		}
 	}
 	return true
+}
+
+// TestLabThresholdAndStretchMetrics pins the v_h, v_r, longest_on,
+// track_err and vcc_range metrics on the curated testbeds of fig7, fig8
+// and eq3 to what those figures print, to more digits (fig8's static
+// baseline is plain hibernus at DFS level 4), and checks that each is
+// absent where it is undefined.
+func TestLabThresholdAndStretchMetrics(t *testing.T) {
+	metrics := func(t *testing.T, sp *Spec) map[string]float64 {
+		t.Helper()
+		rep, err := RunModel(sp, RunOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Cases[0].Metrics
+	}
+	pin := func(t *testing.T, m map[string]float64, key, format, want string) {
+		t.Helper()
+		v, ok := m[key]
+		if !ok {
+			t.Fatalf("metric %s is absent", key)
+		}
+		if got := fmt.Sprintf(format, v); got != want {
+			t.Errorf("%s = %s, want %s", key, got, want)
+		}
+	}
+	t.Run("fig7 thresholds", func(t *testing.T) {
+		m := metrics(t, gateSpec(t, "fig7-rectified-sine-hibernus", "", false))
+		pin(t, m, "v_h", "%.12f", "3.009967441684")
+		pin(t, m, "v_r", "%.12f", "3.309967441684")
+	})
+	t.Run("fig8 stretches", func(t *testing.T) {
+		pn := gateSpec(t, "powerneutral-wind-gust", "", false)
+		pin(t, metrics(t, pn), "longest_on", "%.9f", "3.335000000")
+		plain := pn.Clone()
+		if err := plain.Apply("runtime", "hibernus"); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Apply("freqindex", 4.0); err != nil {
+			t.Fatal(err)
+		}
+		pin(t, metrics(t, plain), "longest_on", "%.9f", "0.736185000")
+	})
+	t.Run("eq3 tracking", func(t *testing.T) {
+		sw := gateSpec(t, "powerneutral-storage-sweep", "", false)
+		sp, err := sw.At(sw.Grid().Cases()[0]) // 47 µF
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := metrics(t, sp)
+		pin(t, m, "track_err", "%.12f", "0.008976450518")
+		pin(t, m, "vcc_range", "%.12f", "1.485347125556")
+	})
+	t.Run("absent when undefined", func(t *testing.T) {
+		// A bare device browning out 50 times: no thresholds, no tracker.
+		m := metrics(t, gateSpec(t, "eneutral-duty-cycle", "", false))
+		for _, key := range []string{"v_h", "v_r", "track_err", "vcc_range"} {
+			if v, ok := m[key]; ok {
+				t.Errorf("ungoverned bare-device run reports %s = %g", key, v)
+			}
+		}
+		pin(t, m, "longest_on", "%.9f", "0.008795000")
+		// Under fast-forward a governor observes hop boundaries only.
+		ff := gateSpec(t, "powerneutral-storage-sweep", "0.2", true)
+		ff.Sweep = nil
+		m = metrics(t, ff)
+		for _, key := range []string{"track_err", "vcc_range"} {
+			if v, ok := m[key]; ok {
+				t.Errorf("fast-forwarded governed run reports %s = %g", key, v)
+			}
+		}
+	})
+}
+
+// TestTrackingUsesTheLabStep: a governed spec that leaves dt unset runs
+// at the lab's default step, and its eq. (3) tracker must integrate over
+// that step, so it reports exactly what the same spec with that step
+// written out reports.
+func TestTrackingUsesTheLabStep(t *testing.T) {
+	unset := gateSpec(t, "powerneutral-storage-sweep", "0.2", false)
+	unset.Sweep, unset.Dt = nil, 0
+	explicit := unset.Clone()
+	explicit.Dt = Value(lab.DefaultDt)
+	var got [2]map[string]float64
+	for i, sp := range []*Spec{unset, explicit} {
+		rep, err := RunModel(sp, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = rep.Cases[0].Metrics
+	}
+	if _, ok := got[1]["track_err"]; !ok {
+		t.Fatal("the governed run reports no track_err; the comparison would be vacuous")
+	}
+	for _, key := range []string{"track_err", "vcc_range"} {
+		if got[0][key] != got[1][key] {
+			t.Errorf("%s: dt unset %g, dt %g s %g", key, got[0][key], lab.DefaultDt, got[1][key])
+		}
+	}
 }

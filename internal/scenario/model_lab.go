@@ -47,16 +47,24 @@ func (labModel) Metrics() []MetricDoc {
 		{Key: "consumed", Unit: "J", Desc: "energy consumed by the node"},
 		{Key: "tx_delivered", Unit: "count", Desc: "radio packets the peripheral bank delivered (absent without a bank)"},
 		{Key: "tx_dropped", Unit: "count", Desc: "radio packets the unconfigured radio dropped (absent without a bank)"},
+		{Key: "v_h", Unit: "V", Desc: "hibernate threshold V_H at the end of the run (absent unless the runtime is of the hibernus family)"},
+		{Key: "v_r", Unit: "V", Desc: "restore threshold V_R at the end of the run (absent unless the runtime is of the hibernus family)"},
+		{Key: "longest_on", Unit: "s", Desc: "longest uninterrupted stretch executing, saving or restoring"},
+		{Key: "track_err", Unit: "ratio", Desc: "windowed eq. 3 error, mean |E_h − E_c| over mean E_h per 50 ms window (absent without a governor, under fast_forward, or before a window completes)"},
+		{Key: "vcc_range", Unit: "V", Desc: "V_CC excursion, max − min over the run (absent without a governor or under fast_forward)"},
 	}
 }
 
 // labMetrics extracts the lab engine's structured objectives from one
-// case result. Undefined values (energy/op and first-completion with
-// zero completions, packet counts without a peripheral bank) are
+// case result and, for a governed run, its eq. (3) tracker (nil
+// otherwise). Undefined values (energy/op and first-completion with
+// zero completions, packet counts without a peripheral bank, thresholds
+// without a hibernus-family runtime, tracking without a tracker) are
 // omitted, per the ModelCase.Metrics contract. A valid supply near
 // 1e200 V overflows the rail's energy sums, so a non-finite harvested,
-// consumed or energy/op is omitted too.
-func labMetrics(res lab.Result, duration float64) map[string]float64 {
+// consumed or energy/op is omitted too, as is a tracking error before
+// the first window closes.
+func labMetrics(res lab.Result, duration float64, tr *powerneutral.Tracker) map[string]float64 {
 	st := res.Stats
 	m := map[string]float64{
 		"completions": float64(res.Completions),
@@ -65,6 +73,7 @@ func labMetrics(res lab.Result, duration float64) map[string]float64 {
 		"snapshots":   float64(st.SavesStarted),
 		"restores":    float64(st.Restores),
 		"brownouts":   float64(st.BrownOuts),
+		"longest_on":  st.LongestOnSec,
 	}
 	finite := func(key string, v float64) {
 		if !math.IsNaN(v) && !math.IsInf(v, 0) {
@@ -80,6 +89,14 @@ func labMetrics(res lab.Result, duration float64) map[string]float64 {
 	if res.Bank {
 		m["tx_delivered"] = float64(res.TxDelivered)
 		m["tx_dropped"] = float64(res.TxDropped)
+	}
+	if res.Hibernates {
+		m["v_h"], m["v_r"] = res.VH, res.VR
+	}
+	if tr != nil {
+		ts := tr.Stats()
+		finite("track_err", ts.RelativeError())
+		finite("vcc_range", ts.VRange())
 	}
 	return m
 }
@@ -144,10 +161,11 @@ func (labModel) sweepHeader() []column {
 type labRun struct {
 	*lab.Sim
 	sp *Spec
+	tr *powerneutral.Tracker // a governed run's eq. (3) tracker, else nil
 }
 
 func (labModel) newRun(sp *Spec, rec *trace.Recorder) (modelRun, error) {
-	s, err := sp.Setup()
+	s, tr, err := sp.compile()
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +174,7 @@ func (labModel) newRun(sp *Spec, rec *trace.Recorder) (modelRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &labRun{Sim: sim, sp: sp}, nil
+	return &labRun{Sim: sim, sp: sp, tr: tr}, nil
 }
 
 func (r *labRun) state() any { return nil }
@@ -174,7 +192,7 @@ func (r *labRun) report() string {
 
 func (r *labRun) outcome() ModelCase {
 	res := r.Result()
-	return ModelCase{Lab: res, Metrics: labMetrics(res, float64(r.sp.Duration))}
+	return ModelCase{Lab: res, Metrics: labMetrics(res, float64(r.sp.Duration), r.tr)}
 }
 
 func (r *labRun) cells() []string {

@@ -330,7 +330,7 @@ func TestSweepAxisOverRuntimeParam(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := s.Grid()
-	results, err := sweep.MapGrid(nil, grid, func(c sweep.Case) (lab.Result, error) {
+	results, err := sweep.MapCases(nil, grid.Cases(), func(c sweep.Case) (lab.Result, error) {
 		st, err := s.SetupAt(c)
 		if err != nil {
 			return lab.Result{}, err

@@ -152,7 +152,10 @@ func (c *Cache) AdoptCompleted(key string, rep *result.Report) bool {
 }
 
 // evictLocked enforces the completed-entry cap, oldest first, skipping
-// entries that still have riders. Callers hold c.mu.
+// entries that still have riders. It stops at the last eviction it
+// needs and keeps the rest of the order as it is, so a completion past
+// the cap costs a walk to the oldest riderless entry, not the whole
+// history. Callers hold c.mu.
 func (c *Cache) evictLocked() {
 	if c.cap <= 0 {
 		return
@@ -161,10 +164,13 @@ func (c *Cache) evictLocked() {
 	if over <= 0 {
 		return
 	}
+	last := len(c.doneOrder) - 1
 	keep := c.doneOrder[:0]
-	for i, key := range c.doneOrder {
-		e, ok := c.entries[key]
-		if over > 0 && i != len(c.doneOrder)-1 {
+	i := 0
+	for ; i < len(c.doneOrder) && over > 0; i++ {
+		key := c.doneOrder[i]
+		if i != last {
+			e, ok := c.entries[key]
 			if !ok {
 				over-- // stale order slot (key already replaced); drop it
 				continue
@@ -177,7 +183,7 @@ func (c *Cache) evictLocked() {
 		}
 		keep = append(keep, key)
 	}
-	c.doneOrder = keep
+	c.doneOrder = append(keep, c.doneOrder[i:]...)
 }
 
 // Abort evicts the in-flight key and releases its waiters with err.

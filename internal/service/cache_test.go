@@ -177,6 +177,51 @@ func TestCacheCapEvictionSkipsEntriesWithRiders(t *testing.T) {
 	}
 }
 
+// Eviction stops at the last entry it needs to drop. What it has not
+// scanned must stay in the completion order: a tail forgotten there is
+// never evicted later, and the cache outgrows its cap.
+func TestCacheEvictionKeepsTheUnscannedTail(t *testing.T) {
+	c := NewCache(3)
+	rep := &result.Report{Text: "r"}
+	c.Begin("k0")
+	e, claim := c.Begin("k0")
+	if claim != Wait {
+		t.Fatalf("claim = %v, want Wait", claim)
+	}
+	c.Complete("k0", rep)
+	complete := func(keys ...string) {
+		for _, k := range keys {
+			c.Begin(k)
+			c.Complete(k, rep)
+		}
+	}
+	resident := func(want ...string) {
+		t.Helper()
+		in := make(map[string]bool)
+		for _, k := range want {
+			in[k] = true
+		}
+		for i := 0; i <= 6; i++ {
+			k := fmt.Sprintf("k%d", i)
+			if _, ok := c.Probe(k); ok != in[k] {
+				t.Errorf("%s resident = %v, want %v", k, ok, in[k])
+			}
+		}
+		if c.Len() != len(want) {
+			t.Errorf("cache holds %d entries, want %d", c.Len(), len(want))
+		}
+	}
+
+	// The ridden k0 is the oldest; each completion past the cap takes
+	// the oldest riderless entry instead.
+	complete("k1", "k2", "k3", "k4", "k5")
+	resident("k0", "k4", "k5")
+	// Released, k0 is the oldest riderless entry and goes next.
+	c.Release(e)
+	complete("k6")
+	resident("k4", "k5", "k6")
+}
+
 // A follower that claimed Wait must observe the completed entry even if
 // a burst of completions would otherwise evict it first — the vanished-
 // entry regression this cache's rider accounting exists to prevent.

@@ -96,9 +96,8 @@ func (g *Grid) SizeChecked() (int, error) {
 	return n, nil
 }
 
-// Cases expands the cross product into cases. MapGrid does this
-// internally; Cases is exported for callers that want to inspect or
-// schedule the expansion themselves.
+// Cases expands the cross product into cases, in the row-major order
+// MapCases runs and returns them in.
 func (g *Grid) Cases() []Case {
 	n := g.Size()
 	out := make([]Case, 0, n)

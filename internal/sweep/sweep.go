@@ -13,7 +13,7 @@
 //     and (for grid sweeps) its parameter values.
 //   - Grid: a declarative cross product over named parameter axes that
 //     expands into cases in a fixed row-major order.
-//   - Runner: the worker pool. Map, MapGrid and MapCases drive a Runner
+//   - Runner: the worker pool. Map and MapCases drive a Runner
 //     over cases and return results indexed exactly like the input.
 //
 // The engine is generic over the per-case result type and knows nothing
@@ -96,12 +96,6 @@ func Map[T any](r *Runner, n int, fn func(c Case) (T, error)) ([]T, error) {
 		cases[i] = Case{Index: i, Name: fmt.Sprintf("case %d", i)}
 	}
 	return mapCases(r, cases, fn)
-}
-
-// MapGrid expands the grid into its cross-product cases and runs fn over
-// them; results are ordered row-major (first axis slowest, last fastest).
-func MapGrid[T any](r *Runner, g *Grid, fn func(c Case) (T, error)) ([]T, error) {
-	return mapCases(r, g.Cases(), fn)
 }
 
 // MapCases runs fn over an explicit case slice — cases that were already

@@ -200,9 +200,9 @@ func TestGridLabelsAndAccessors(t *testing.T) {
 	}
 }
 
-func TestMapGridRunsEveryCell(t *testing.T) {
+func TestMapCasesRunsEveryGridCell(t *testing.T) {
 	g := NewGrid().Axis("a", 0, 1, 2).Axis("b", 0, 1)
-	out, err := MapGrid(&Runner{Workers: 3}, g, func(c Case) (string, error) {
+	out, err := MapCases(&Runner{Workers: 3}, g.Cases(), func(c Case) (string, error) {
 		return fmt.Sprintf("%v%v", c.Values["a"], c.Values["b"]), nil
 	})
 	if err != nil {

@@ -36,11 +36,6 @@ type Hibernus struct {
 	VH, VR float64
 	Kind   mcu.SnapshotKind
 
-	// Telemetry beyond the device's own stats.
-	SnapshotsTriggered int
-	Wakes              int
-	RestoresRequested  int
-
 	wasAboveVH     bool
 	pendingRestore bool
 	pendingStart   bool
@@ -76,7 +71,6 @@ func (h *Hibernus) OnTick(d *mcu.Device, v float64) {
 			// Falling V_H crossing: hibernate. Exactly one snapshot per
 			// supply failure.
 			h.wasAboveVH = false
-			h.SnapshotsTriggered++
 			d.BeginSave(h.Kind, func() { d.Sleep() })
 			return
 		}
@@ -90,7 +84,6 @@ func (h *Hibernus) OnTick(d *mcu.Device, v float64) {
 		switch {
 		case h.pendingRestore:
 			h.pendingRestore = false
-			h.RestoresRequested++
 			if !d.BeginRestore(nil) {
 				d.ColdStart()
 			}
@@ -101,7 +94,6 @@ func (h *Hibernus) OnTick(d *mcu.Device, v float64) {
 			// Slept through a dip without losing power: resume directly,
 			// skipping the restore entirely — hibernus' efficiency win
 			// over reboot-based schemes.
-			h.Wakes++
 			d.Wake()
 		}
 	}
@@ -110,6 +102,9 @@ func (h *Hibernus) OnTick(d *mcu.Device, v float64) {
 // OnCheckpointTrap implements mcu.Runtime: hibernus ignores compile-time
 // checkpoint sites.
 func (h *Hibernus) OnCheckpointTrap(*mcu.Device) {}
+
+// HibernateThresholds implements mcu.HibernateThresholds.
+func (h *Hibernus) HibernateThresholds() (vh, vr float64) { return h.VH, h.VR }
 
 // WakeThreshold implements mcu.SleepWaker: below V_R a sleeping hibernus
 // only waits, so idle decay can be fast-forwarded.
@@ -177,9 +172,6 @@ func NewNVP(d *mcu.Device, c, margin, vrHeadroom float64) *NVP {
 type Mementos struct {
 	VCheck float64 // snapshot when V_CC < VCheck at a checkpoint site
 	Kind   mcu.SnapshotKind
-
-	SnapshotsTriggered int
-	RestoresRequested  int
 }
 
 // NewMementos returns a Mementos runtime with the given voltage-check
@@ -192,7 +184,6 @@ func NewMementos(d *mcu.Device, vCheck float64) *Mementos {
 // (Mementos has no source-aware restore gating), else restart from main.
 func (m *Mementos) OnPowerOn(d *mcu.Device) {
 	if d.HasSnapshot() {
-		m.RestoresRequested++
 		if d.BeginRestore(nil) {
 			return
 		}
@@ -214,7 +205,6 @@ func (m *Mementos) OnCheckpointTrap(d *mcu.Device) {
 		return
 	}
 	if d.LastV() < m.VCheck {
-		m.SnapshotsTriggered++
 		d.BeginSave(m.Kind, nil) // continues executing after the save
 	}
 }
@@ -248,10 +238,7 @@ type HibernusPP struct {
 	DescendCap float64 // max V_H decrease per successful calibration
 	RaiseStep  float64 // V_H increase after an aborted save
 
-	SnapshotsTriggered int
-	Wakes              int
-	RestoresRequested  int
-	Calibrations       int
+	Calibrations int
 
 	wasAboveVH     bool
 	pendingRestore bool
@@ -346,7 +333,6 @@ func (h *HibernusPP) OnTick(d *mcu.Device, v float64) {
 			// V_H stays in force until a genuine falling-supply save.
 			h.calibrated = true
 			vStart := v
-			h.SnapshotsTriggered++
 			d.BeginSave(h.Kind, func() {
 				h.recalibrate(vStart - d.LastV())
 			})
@@ -354,7 +340,6 @@ func (h *HibernusPP) OnTick(d *mcu.Device, v float64) {
 		}
 		if h.wasAboveVH && v <= h.VH {
 			h.wasAboveVH = false
-			h.SnapshotsTriggered++
 			h.adaptVR(d)
 			vStart := v
 			d.BeginSave(h.Kind, func() {
@@ -373,7 +358,6 @@ func (h *HibernusPP) OnTick(d *mcu.Device, v float64) {
 		switch {
 		case h.pendingRestore:
 			h.pendingRestore = false
-			h.RestoresRequested++
 			h.lastResumeT = d.Now()
 			if !d.BeginRestore(nil) {
 				d.ColdStart()
@@ -383,7 +367,6 @@ func (h *HibernusPP) OnTick(d *mcu.Device, v float64) {
 			h.lastResumeT = d.Now()
 			d.ColdStart()
 		default:
-			h.Wakes++
 			h.lastResumeT = d.Now()
 			d.Wake()
 		}
@@ -392,6 +375,9 @@ func (h *HibernusPP) OnTick(d *mcu.Device, v float64) {
 
 // OnCheckpointTrap implements mcu.Runtime.
 func (h *HibernusPP) OnCheckpointTrap(*mcu.Device) {}
+
+// HibernateThresholds implements mcu.HibernateThresholds.
+func (h *HibernusPP) HibernateThresholds() (vh, vr float64) { return h.VH, h.VR }
 
 // WakeThreshold implements mcu.SleepWaker: like hibernus, a sleeping
 // hibernus++ only waits for V_CC ≥ V_R. V_R moves between stints, but

@@ -230,7 +230,7 @@ func TestHibernusWakesWithoutRestoreOnShallowDip(t *testing.T) {
 	if res.Stats.BrownOuts != 0 {
 		t.Fatalf("rail browned out %d times; dip was meant to be shallow", res.Stats.BrownOuts)
 	}
-	if h.Wakes == 0 {
+	if res.Stats.WakeNoRestore == 0 {
 		t.Error("hibernus never took the wake-without-restore fast path")
 	}
 	if res.Stats.Restores != 0 {

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/units"
 )
 
 func TestCapacitorChargeDischarge(t *testing.T) {
@@ -111,7 +109,7 @@ func TestDrawEnergyConservation(t *testing.T) {
 		req := math.Mod(math.Abs(eRaw), before)
 		got := c.DrawEnergy(req, 0.5)
 		after := c.Energy()
-		return units.ApproxEqual(before-after, got, 1e-6)
+		return approxEqual(before-after, got, 1e-6)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -169,4 +167,15 @@ func TestBatteryEdgeCases(t *testing.T) {
 	if zero.Charge(5) != 0 || zero.Discharge(5) != 0 {
 		t.Error("zero-capacity battery should be a no-op")
 	}
+}
+
+// approxEqual reports whether a and b agree within relative tolerance rel
+// (falling back to absolute tolerance rel for values near zero).
+func approxEqual(a, b, rel float64) bool {
+	diff := math.Abs(a - b)
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	if scale < 1 {
+		return diff <= rel
+	}
+	return diff <= rel*scale
 }

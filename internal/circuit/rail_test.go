@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/source"
-	"repro/internal/units"
 )
 
 // run steps r until time end, calling observe (if non-nil) after every
@@ -86,7 +85,7 @@ func TestRailEnergyAccounting(t *testing.T) {
 	// HarvestedJ counts energy into the node (after the source resistance
 	// loss), so it must equal stored + consumed.
 	balance := cap.Energy() + r.ConsumedJ
-	if !units.ApproxEqual(r.HarvestedJ, balance, 0.01) {
+	if !approxEqual(r.HarvestedJ, balance, 0.01) {
 		t.Errorf("energy imbalance: harvested %g vs stored+consumed %g",
 			r.HarvestedJ, balance)
 	}

@@ -62,7 +62,14 @@ func runEq1() (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	adaptive, greedy, timid := reps[0].Cases[0].Metrics, reps[1].Cases[0].Metrics, reps[2].Cases[0].Metrics
+	ms := make([]map[string]float64, len(reps))
+	for i, rep := range reps {
+		ms[i], err = reported(rep.Cases[0].Metrics, "worst_window", "violations", "downtime", "active_sec", "final_soc")
+		if err != nil {
+			return nil, fmt.Errorf("eq1: %w", err)
+		}
+	}
+	adaptive, greedy, timid := ms[0], ms[1], ms[2]
 
 	row := func(name string, m map[string]float64) []string {
 		return []string{
@@ -122,11 +129,15 @@ func runEq3() (*Output, error) {
 	}
 	var errs []float64
 	for i, c := range rep.Cases {
-		errs = append(errs, c.Metrics["track_err"])
+		m, err := reported(c.Metrics, "track_err", "vcc_range")
+		if err != nil {
+			return nil, fmt.Errorf("eq3: %s: %w", c.Name, err)
+		}
+		errs = append(errs, m["track_err"])
 		tbl.Rows = append(tbl.Rows, []string{
 			units.Format(float64(caps[i]), "F"),
-			fmt.Sprintf("%.3f", c.Metrics["track_err"]),
-			fmt.Sprintf("%.2f V", c.Metrics["vcc_range"]),
+			fmt.Sprintf("%.3f", m["track_err"]),
+			fmt.Sprintf("%.2f V", m["vcc_range"]),
 			fmt.Sprintf("%d", c.Lab.Stats.BrownOuts),
 			fmt.Sprintf("%d", c.Lab.Completions),
 		})
@@ -162,9 +173,13 @@ func runEq4() (*Output, error) {
 	var failBelow, okAbove bool
 	for i, c := range rep.Cases {
 		m, res := margins[i], c.Lab
+		mt, err := reported(c.Metrics, "v_h")
+		if err != nil {
+			return nil, fmt.Errorf("eq4: %s: %w", c.Name, err)
+		}
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.2f", m),
-			fmt.Sprintf("%.2f V", c.Metrics["v_h"]),
+			fmt.Sprintf("%.2f V", mt["v_h"]),
 			fmt.Sprintf("%d", res.Stats.SavesStarted),
 			fmt.Sprintf("%d", res.Stats.SavesAborted),
 			fmt.Sprintf("%d", res.Completions),

@@ -92,6 +92,20 @@ func (o *Output) Render() string {
 	return b.String()
 }
 
+// reported returns a case's metrics once every named key is present, or
+// an error naming the first key the case does not report. A metric can
+// be absent by contract (track_err before a tracking window closes, v_h
+// under a runtime with no hibernate threshold), and a plain map index
+// would print it as 0.
+func reported(m map[string]float64, keys ...string) (map[string]float64, error) {
+	for _, k := range keys {
+		if _, ok := m[k]; !ok {
+			return nil, fmt.Errorf("metric %q not reported", k)
+		}
+	}
+	return m, nil
+}
+
 // Experiment is a registered reproduction target.
 type Experiment struct {
 	ID    string // e.g. "fig7", "eq5"

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 func TestAllExperimentsRegistered(t *testing.T) {
@@ -276,5 +278,31 @@ func TestTableRender(t *testing.T) {
 	r := tbl.Render()
 	if !strings.Contains(r, "xxx") || !strings.Contains(r, "---") {
 		t.Errorf("render = %q", r)
+	}
+}
+
+// A metric a case does not report fails the harness with its key named,
+// where a plain map index would print it as 0.
+func TestReportedNamesMissingMetric(t *testing.T) {
+	m := map[string]float64{"v_h": 3.1, "longest_on": 0}
+	if got, err := reported(m, "v_h", "longest_on"); err != nil || got["v_h"] != 3.1 {
+		t.Fatalf("reported(v_h, longest_on) = %v, %v; want the map and no error", got, err)
+	}
+	if _, err := reported(m, "v_h", "track_err", "v_r"); err == nil || !strings.Contains(err.Error(), `"track_err"`) {
+		t.Fatalf("reported with track_err absent: err = %v, want one naming track_err", err)
+	}
+
+	// A runtime with no hibernate threshold reports no v_h.
+	sp, err := scenario.Parse([]byte(`{"name":"x","workload":"fib24","storage":{"c":"10u"},
+		"source":{"name":"dc"},"runtime":{"name":"mementos"},"duration":0.002}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reported(rep.Cases[0].Metrics, "v_h"); err == nil || !strings.Contains(err.Error(), `"v_h"`) {
+		t.Fatalf("mementos case: err = %v, want one naming v_h", err)
 	}
 }

@@ -39,9 +39,10 @@ func init() {
 func runFig1a() (*Output, error) {
 	w := source.DefaultWindTurbine()
 	rec := trace.NewRecorder()
+	vout, envelope := rec.Channel("vout", "V"), rec.Channel("envelope", "")
 	for t := 0.0; t <= 8.0; t += 1e-3 {
-		rec.Record("vout", "V", t, w.Voltage(t))
-		rec.Record("envelope", "", t, w.Envelope(t))
+		vout.Record(t, w.Voltage(t))
+		envelope.Record(t, w.Envelope(t))
 	}
 	s := rec.Series("vout")
 	st := s.Summarize()
@@ -71,8 +72,9 @@ func runFig1a() (*Output, error) {
 func runFig1b() (*Output, error) {
 	p := source.DefaultPhotovoltaic()
 	rec := trace.NewRecorder()
+	iharvest := rec.Channel("iharvest", "µA")
 	for t := 0.0; t <= 2*units.Day; t += 60 {
-		rec.Record("iharvest", "µA", t, p.Current(t)*1e6)
+		iharvest.Record(t, p.Current(t)*1e6)
 	}
 	s := rec.Series("iharvest")
 	st := s.Summarize()

@@ -37,6 +37,10 @@ func runFig7() (*Output, error) {
 	}
 	c := rep.Cases[0]
 	res := c.Lab
+	m, err := reported(c.Metrics, "v_h", "v_r")
+	if err != nil {
+		return nil, fmt.Errorf("fig7: %w", err)
+	}
 
 	supplyHz := float64(sp.Source.Params["freq"])
 	period := 1.0 / supplyHz
@@ -54,8 +58,8 @@ func runFig7() (*Output, error) {
 		Columns: []string{"metric", "value"},
 		Rows: [][]string{
 			{"supply", fmt.Sprintf("%.1f Hz half-wave rectified sine, %.1f V peak", supplyHz, float64(sp.Source.Params["amplitude"]))},
-			{"V_H (eq. 4)", fmt.Sprintf("%.2f V", c.Metrics["v_h"])},
-			{"V_R", fmt.Sprintf("%.2f V", c.Metrics["v_r"])},
+			{"V_H (eq. 4)", fmt.Sprintf("%.2f V", m["v_h"])},
+			{"V_R", fmt.Sprintf("%.2f V", m["v_r"])},
 			{"snapshots", fmt.Sprintf("%d", res.Stats.SavesDone)},
 			{"restores", fmt.Sprintf("%d", res.Stats.Restores)},
 			{"wakes without restore", fmt.Sprintf("%d", res.Stats.WakeNoRestore)},
@@ -106,7 +110,15 @@ func runFig8() (*Output, error) {
 	}
 	pnCase, plainCase := reps[0].Cases[0], reps[1].Cases[0]
 	pn, plain := pnCase.Lab, plainCase.Lab
-	pnOn, plainOn := pnCase.Metrics["longest_on"], plainCase.Metrics["longest_on"]
+	pnM, err := reported(pnCase.Metrics, "longest_on")
+	if err != nil {
+		return nil, fmt.Errorf("fig8: hibernus-pn: %w", err)
+	}
+	plainM, err := reported(plainCase.Metrics, "longest_on")
+	if err != nil {
+		return nil, fmt.Errorf("fig8: hibernus: %w", err)
+	}
+	pnOn, plainOn := pnM["longest_on"], plainM["longest_on"]
 
 	out := &Output{
 		ID:          "fig8",

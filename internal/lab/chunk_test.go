@@ -57,7 +57,7 @@ func TestChunkedStepMatchesRun(t *testing.T) {
 						}
 						if traced {
 							s.Recorder = trace.NewRecorder()
-							s.RecordInterval = scenario.DefaultTraceInterval
+							s.Recorder.SetInterval(scenario.DefaultTraceInterval)
 						}
 						return s, s.Recorder
 					}

@@ -181,8 +181,7 @@ func TestFastForwardTraceKeepsCadence(t *testing.T) {
 	run := func(ff bool) *trace.Recorder {
 		s := intermittentSetup(ff)
 		s.Duration = 1.0
-		s.Recorder = trace.NewRecorder()
-		s.RecordInterval = 1e-3
+		s.Recorder = recorderEvery(1e-3)
 		if _, err := Run(s); err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +198,8 @@ func TestFastForwardTraceKeepsCadence(t *testing.T) {
 	}
 	// No recording gap may exceed the cadence by more than a step chunk.
 	for i := 1; i < ffd.Len(); i++ {
-		if gap := ffd.At(i).T - ffd.At(i-1).T; gap > 2e-3 {
-			t.Fatalf("recording gap %.4fs at t=%.4fs exceeds cadence", gap, ffd.At(i).T)
+		if gap := ffd.T(i) - ffd.T(i-1); gap > 2e-3 {
+			t.Fatalf("recording gap %.4fs at t=%.4fs exceeds cadence", gap, ffd.T(i))
 		}
 	}
 	// Values: sample the skipped trace at the stepwise timestamps and
@@ -211,13 +210,12 @@ func TestFastForwardTraceKeepsCadence(t *testing.T) {
 	// stretches — the part the closed form is responsible for — must
 	// match tightly.
 	for i := 1; i < full.Len()-1; i++ {
-		p := full.At(i)
-		if math.Abs(full.At(i+1).V-full.At(i-1).V) > 0.05 {
+		if math.Abs(full.V(i+1)-full.V(i-1)) > 0.05 {
 			continue // steep edge: timing offset dominates
 		}
-		got := ffd.Sample(p.T)
-		if math.Abs(got-p.V) > 0.02 {
-			t.Fatalf("V_CC diverged at t=%.4fs: ff=%.4f full=%.4f", p.T, got, p.V)
+		tm, want := full.T(i), full.V(i)
+		if got := ffd.Sample(tm); math.Abs(got-want) > 0.02 {
+			t.Fatalf("V_CC diverged at t=%.4fs: ff=%.4f full=%.4f", tm, got, want)
 		}
 	}
 }
@@ -452,14 +450,13 @@ func TestFastForwardThresholdCrossingInsideChunk(t *testing.T) {
 func TestFastForwardActiveCadence(t *testing.T) {
 	run := func(ff bool) *trace.Recorder {
 		s := Setup{
-			Workload:       programs.Fib(24, programs.DefaultLayout()),
-			Params:         mcu.DefaultParams(),
-			VSource:        &source.ConstantVoltage{V: 3.3, Rs: 50},
-			C:              10e-6,
-			Duration:       0.05,
-			FastForward:    ff,
-			Recorder:       trace.NewRecorder(),
-			RecordInterval: 1e-3,
+			Workload:    programs.Fib(24, programs.DefaultLayout()),
+			Params:      mcu.DefaultParams(),
+			VSource:     &source.ConstantVoltage{V: 3.3, Rs: 50},
+			C:           10e-6,
+			Duration:    0.05,
+			FastForward: ff,
+			Recorder:    recorderEvery(1e-3),
 		}
 		if _, err := Run(s); err != nil {
 			t.Fatal(err)
@@ -477,12 +474,11 @@ func TestFastForwardActiveCadence(t *testing.T) {
 		n = ffd.Len()
 	}
 	for i := 0; i < n; i++ {
-		pf, pd := full.At(i), ffd.At(i)
-		if math.Abs(pf.T-pd.T) > 1e-9 {
-			t.Fatalf("sample %d timestamp diverged: ff %.12g full %.12g", i, pd.T, pf.T)
+		if tf, td := full.T(i), ffd.T(i); math.Abs(tf-td) > 1e-9 {
+			t.Fatalf("sample %d timestamp diverged: ff %.12g full %.12g", i, td, tf)
 		}
-		if math.Abs(pf.V-pd.V) > 1e-9 {
-			t.Fatalf("sample %d V_CC diverged: ff %.12g full %.12g at t=%.4fs", i, pd.V, pf.V, pf.T)
+		if vf, vd := full.V(i), ffd.V(i); math.Abs(vf-vd) > 1e-9 {
+			t.Fatalf("sample %d V_CC diverged: ff %.12g full %.12g at t=%.4fs", i, vd, vf, full.T(i))
 		}
 	}
 }

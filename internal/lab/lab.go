@@ -44,9 +44,9 @@ type Setup struct {
 
 	Duration float64 // simulated seconds
 
-	// Tracing (optional).
-	Recorder       *trace.Recorder
-	RecordInterval float64 // min spacing between recorded samples
+	// Recorder, if non-nil, records the run's V_CC, frequency and mode;
+	// its interval (trace.Recorder.SetInterval) sets the sampling cadence.
+	Recorder *trace.Recorder
 
 	// OnTick, if non-nil, runs after every simulation step — governors
 	// (power-neutral DFS) hook in here.
@@ -74,7 +74,7 @@ type Setup struct {
 	// on exactly the boundary full integration would use — discrete event
 	// counts and orderings are preserved exactly. Continuous telemetry
 	// (energies, voltages) agrees to closed-form evaluation of the series,
-	// not bit-exactly. A Recorder with a positive RecordInterval keeps its
+	// not bit-exactly. A Recorder with a positive interval keeps its
 	// full sampling cadence through skips via interpolated closed-form
 	// samples. OnTick and interval-less recorders observe chunk boundaries
 	// only. Leave it false (the default) where byte-identical output
@@ -241,10 +241,6 @@ func Start(s Setup) (*Sim, error) {
 	m.rail.VSource = s.VSource
 	m.rail.PSource = s.PSource
 	m.rail.AddLoad(d)
-
-	if s.Recorder != nil && s.RecordInterval > 0 {
-		s.Recorder.SetInterval(s.RecordInterval)
-	}
 
 	m.steps = stepCount(s.Duration, s.Dt)
 	m.obs = s.newObserver()

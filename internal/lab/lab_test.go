@@ -68,20 +68,27 @@ func TestRunDefaultDt(t *testing.T) {
 	}
 }
 
+// recorderEvery returns a recorder that stores at most one sample per
+// iv seconds of simulated time on each channel.
+func recorderEvery(iv float64) *trace.Recorder {
+	r := trace.NewRecorder()
+	r.SetInterval(iv)
+	return r
+}
+
 func TestRunRecordsSeries(t *testing.T) {
-	rec := trace.NewRecorder()
 	s := Setup{
-		Workload:       programs.Fib(24, programs.DefaultLayout()),
-		Params:         mcu.DefaultParams(),
-		VSource:        &source.ConstantVoltage{V: 3.3, Rs: 50},
-		C:              10e-6,
-		Duration:       0.01,
-		Recorder:       rec,
-		RecordInterval: 1e-4,
+		Workload: programs.Fib(24, programs.DefaultLayout()),
+		Params:   mcu.DefaultParams(),
+		VSource:  &source.ConstantVoltage{V: 3.3, Rs: 50},
+		C:        10e-6,
+		Duration: 0.01,
+		Recorder: recorderEvery(1e-4),
 	}
 	if _, err := Run(s); err != nil {
 		t.Fatal(err)
 	}
+	rec := s.Recorder
 	for _, name := range []string{"vcc", "freq", "mode"} {
 		sr := rec.Series(name)
 		if sr == nil || sr.Len() == 0 {

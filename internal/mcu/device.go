@@ -18,23 +18,6 @@ const (
 	ModeRestoring             // snapshot DMA from NVM in progress
 )
 
-// String returns a short mode name.
-func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeActive:
-		return "active"
-	case ModeSleep:
-		return "sleep"
-	case ModeSaving:
-		return "saving"
-	case ModeRestoring:
-		return "restoring"
-	}
-	return "?"
-}
-
 // executing reports whether the mode belongs to an on-stretch.
 func (m Mode) executing() bool { return m != ModeOff && m != ModeSleep }
 

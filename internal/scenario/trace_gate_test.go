@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -57,10 +58,10 @@ const everyStep = 1e-12
 // replayGate feeds every sample of full through per-channel Record on a
 // fresh recorder gated at iv — what an observer recording each channel
 // through its own gate would have stored.
-func replayGate(full *trace.Recorder, iv float64) *trace.Recorder {
+func replayGate(t *testing.T, full *trace.Recorder, iv float64) *trace.Recorder {
 	out := trace.NewRecorder()
 	out.SetInterval(iv)
-	for _, name := range full.Names() {
+	for _, name := range seriesNames(t, full) {
 		s := full.Series(name)
 		ch := out.Channel(name, s.Unit)
 		for i := 0; i < s.Len(); i++ {
@@ -68,6 +69,22 @@ func replayGate(full *trace.Recorder, iv float64) *trace.Recorder {
 		}
 	}
 	return out
+}
+
+// seriesNames lists a recorder's series in column order, read from
+// its CSV header ("t,name(unit),...").
+func seriesNames(t *testing.T, r *trace.Recorder) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(b.String(), "\n")
+	cols := strings.Split(header, ",")[1:]
+	for i, c := range cols {
+		cols[i], _, _ = strings.Cut(c, "(")
+	}
+	return cols
 }
 
 func recorderSum(r *trace.Recorder) string {
@@ -114,11 +131,11 @@ func TestTraceGateMatchesPerChannelRecord(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := replayGate(full.Trace, DefaultTraceInterval)
+			want := replayGate(t, full.Trace, DefaultTraceInterval)
 			if !bytes.Equal(trace.EncodeRecorder(gated.Trace), trace.EncodeRecorder(want)) {
+				first := seriesNames(t, want)[0]
 				t.Errorf("gated trace differs from the per-channel replay (%d vs %d samples in %s)",
-					gated.Trace.Series(gated.Trace.Names()[0]).Len(),
-					want.Series(want.Names()[0]).Len(), want.Names()[0])
+					gated.Trace.Series(first).Len(), want.Series(first).Len(), first)
 			}
 			if got := recorderSum(gated.Trace); got != tc.sum {
 				t.Errorf("trace sha256 = %s, pinned %s", got, tc.sum)

@@ -1,14 +1,19 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
+	"repro/internal/result"
 	"repro/internal/scenario"
 )
 
@@ -108,4 +113,102 @@ func postFuzzBatch(t *testing.T, s *Server, body string) []batchItem {
 		}
 	}
 	return lines
+}
+
+// ckptFuzzSpec is a short analytic run: a resume or a fresh run of it
+// costs about a millisecond.
+const ckptFuzzSpec = `{"name":"x","model":"eneutral","source":{"name":"const-power","params":{"p":"50m"}},"duration":100}`
+
+// FuzzCheckpointStore writes arbitrary bytes as the one .ckpt file of a
+// checkpoint directory and reads it back the two ways the daemon does:
+// Get under the spec's cache key (a job about to run) and List (a boot
+// resubmitting suspended jobs). Neither may panic, and together they
+// may allocate no more than a constant factor of the file's size. A
+// record Get accepts must resume, through result.ResumeSpec, to exactly
+// the spec's RunSpec text, or be rejected with an error. List lists at
+// most that one file, and a record it lists under the spec's key is the
+// one Get served; under any other key the daemon drops it at boot and
+// never resumes it.
+func FuzzCheckpointStore(f *testing.F) {
+	sp, err := scenario.Parse([]byte(ckptFuzzSpec))
+	if err != nil {
+		f.Fatal(err)
+	}
+	hash, err := sp.Hash()
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := CacheKey(hash)
+	canon, err := sp.Canonical()
+	if err != nil {
+		f.Fatal(err)
+	}
+	opts := result.Options{Workers: 1, Trace: true, TraceInterval: traceInterval(float64(sp.Duration))}
+	fresh, err := result.RunSpec(sp, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	ckOpts := opts
+	ckOpts.Checkpoint = stop
+	var ce *scenario.CheckpointError
+	if _, err := result.RunSpec(sp, ckOpts); !errors.As(err, &ce) {
+		f.Fatalf("checkpoint request: got %v, want *scenario.CheckpointError", err)
+	}
+	if rep, err := result.ResumeSpec(sp, ce.State, opts); err != nil || rep.Text != fresh.Text {
+		f.Fatalf("the seed checkpoint does not resume to the fresh report (%v)", err)
+	}
+	seed := func(rec CheckpointRecord) {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	seed(CheckpointRecord{Key: key, Spec: canon, State: ce.State})
+	seed(CheckpointRecord{Key: key, Spec: []byte(ckptFuzzSpec), State: ce.State})
+	seed(CheckpointRecord{Key: key, Spec: canon, State: []byte(`{"v":3,"model":"eneutral","data":"e30=","sum":""}`)})
+	seed(CheckpointRecord{Key: CacheKey("stale"), Spec: canon, State: ce.State})
+	seed(CheckpointRecord{Key: key, Spec: []byte(`{"name":"x"}`), State: []byte(`null`)})
+	f.Add([]byte(`{"key":"","spec":null}`))
+	f.Add([]byte(`not json`))
+	f.Add([]byte{})
+
+	store, err := OpenCheckpointStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(store.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(allocs)
+		before := allocs[0].Value.Uint64()
+		got, ok := store.Get(key)
+		listed := store.List()
+		metrics.Read(allocs)
+		if alloc, limit := allocs[0].Value.Uint64()-before, uint64(64*len(data)+1<<20); alloc > limit {
+			t.Fatalf("reading a %d-byte record allocated %d bytes (limit %d)", len(data), alloc, limit)
+		}
+
+		if ok {
+			if got.Key != key {
+				t.Fatalf("Get(%q) served a record keyed %q", key, got.Key)
+			}
+			rep, err := result.ResumeSpec(sp, got.State, opts)
+			if err == nil && rep.Text != fresh.Text {
+				t.Fatalf("accepted checkpoint resumed to another report:\n--- fresh ---\n%s--- resumed ---\n%s", fresh.Text, rep.Text)
+			}
+		}
+		if len(listed) > 1 {
+			t.Fatalf("one file listed as %d records", len(listed))
+		}
+		for _, rec := range listed {
+			if rec.Key == key && (!ok || !bytes.Equal(rec.Spec, got.Spec) || !bytes.Equal(rec.State, got.State)) {
+				t.Fatalf("List serves a record under %q that Get does not", key)
+			}
+		}
+	})
 }

@@ -207,9 +207,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // Windowed-trace query bounds: points defaults to defaultTracePoints
-// buckets and is clamped to maxTracePoints — the endpoint's cost is
-// O(points), independent of the underlying series length, so the bound
-// is about response size, not compute.
+// buckets and is clamped to maxTracePoints. The response is O(points)
+// rows whatever the series length (computing it is one pass over the
+// window's samples, at most maxTraceSamples), so the bound is about
+// response size, not compute.
 const (
 	defaultTracePoints = 256
 	maxTracePoints     = 10_000
@@ -259,7 +260,7 @@ func traceQueryFloat(q url.Values, name string, fallback float64) (float64, erro
 
 // serveTraceWindow answers a windowed trace query: server-side min/max
 // decimation of [from, to] into at most `points` buckets per series,
-// O(points) regardless of how many samples the trace holds. Defaults:
+// O(points) rows regardless of how many samples the trace holds. Defaults:
 // the trace's full time range and defaultTracePoints buckets.
 func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *result.Report, q url.Values) {
 	lo, hi, _ := rep.Trace.TimeRange()

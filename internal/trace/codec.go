@@ -49,7 +49,7 @@ func EncodeRecorder(r *Recorder) []byte {
 }
 
 // DecodeRecorder reconstructs a recorder encoded by EncodeRecorder,
-// including block summaries and interval gate state. A blob that
+// including its interval gate state. A blob that
 // EncodeRecorder cannot have produced is an error: truncated or
 // trailing bytes, a sample count the remaining bytes cannot hold, a
 // series name that appears twice, or a NaN or decreasing timestamp
@@ -98,8 +98,6 @@ func DecodeRecorder(data []byte) (*Recorder, error) {
 		for j := range s.vs {
 			s.vs[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
 		}
-		s.blocks = make([]blockSummary, (n+blockSize-1)/blockSize)
-		rebuildBlocks(s)
 		s.lastT = lastT
 	}
 	if d.err != nil {
@@ -109,27 +107,6 @@ func DecodeRecorder(data []byte) (*Recorder, error) {
 		return nil, fmt.Errorf("trace: %d trailing bytes after decode", len(d.buf)-d.off)
 	}
 	return r, nil
-}
-
-// rebuildBlocks recomputes every block summary from the value column.
-func rebuildBlocks(s *Series) {
-	for b := range s.blocks {
-		i := b * blockSize
-		j := i + blockSize
-		if j > len(s.vs) {
-			j = len(s.vs)
-		}
-		sum := blockSummary{min: s.vs[i], max: s.vs[i], first: s.vs[i], last: s.vs[j-1]}
-		for _, v := range s.vs[i+1 : j] {
-			if v < sum.min {
-				sum.min = v
-			}
-			if v > sum.max {
-				sum.max = v
-			}
-		}
-		s.blocks[b] = sum
-	}
 }
 
 func appendString(buf []byte, s string) []byte {

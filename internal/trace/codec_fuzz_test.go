@@ -10,8 +10,10 @@ import (
 // decoder, which reads blobs from disk and from peers. It must never
 // panic; it may allocate no more than a constant factor of the bytes the
 // blob actually holds, whatever sample counts it claims; and a blob it
-// accepts must re-encode to the same bytes and render the same CSV
-// through WriteCSV/WriteWindowCSV as through the reference renderer.
+// accepts must re-encode to the same bytes, render the same CSV through
+// WriteCSV/WriteWindowCSV as through the reference renderer, and window
+// every series (NaN values included) exactly as the brute-force
+// refWindow does.
 func FuzzDecodeRecorder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
@@ -56,6 +58,12 @@ func FuzzDecodeRecorder(f *testing.F) {
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("WriteWindowCSV differs from reference\n--- want\n%s\n--- got\n%s", want.Bytes(), got.Bytes())
+		}
+		for _, name := range rec.order {
+			s := rec.series[name]
+			if w, ref := s.Window(from, to, 16), refWindow(s, from, to, 16); !sameBuckets(w, ref) {
+				t.Fatalf("series %q: Window differs from refWindow\n got %+v\nwant %+v", name, w, ref)
+			}
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // Regression: the rounded stride walk in Decimate could emit the same
 // source index twice when n is close to len, duplicating timestamps in
@@ -20,16 +17,16 @@ func TestDecimateIndicesStrictlyIncreasing(t *testing.T) {
 			if d.Len() != n {
 				t.Fatalf("len=%d n=%d: got %d points", ln, n, d.Len())
 			}
-			if d.At(0).T != 0 {
-				t.Fatalf("len=%d n=%d: first sample %v, want t=0", ln, n, d.At(0))
+			if d.T(0) != 0 {
+				t.Fatalf("len=%d n=%d: first sample at t=%g, want t=0", ln, n, d.T(0))
 			}
-			if d.Last().T != float64(ln-1) {
-				t.Fatalf("len=%d n=%d: last sample %v, want t=%d", ln, n, d.Last(), ln-1)
+			if last := d.T(d.Len() - 1); last != float64(ln-1) {
+				t.Fatalf("len=%d n=%d: last sample at t=%g, want t=%d", ln, n, last, ln-1)
 			}
 			for i := 1; i < d.Len(); i++ {
-				if d.At(i).T <= d.At(i-1).T {
-					t.Fatalf("len=%d n=%d: duplicate/regressing timestamp at %d: %v then %v",
-						ln, n, i, d.At(i-1), d.At(i))
+				if d.T(i) <= d.T(i-1) {
+					t.Fatalf("len=%d n=%d: duplicate/regressing timestamp at %d: %g then %g",
+						ln, n, i, d.T(i-1), d.T(i))
 				}
 			}
 		}
@@ -47,8 +44,8 @@ func TestDecimateEdgeCounts(t *testing.T) {
 	if d := s.Decimate(-3); d.Len() != 0 {
 		t.Fatalf("n<0: got %d points", d.Len())
 	}
-	if d := s.Decimate(1); d.Len() != 1 || d.At(0).T != 9 {
-		t.Fatalf("n=1: got %v, want the last sample", d.At(0))
+	if d := s.Decimate(1); d.Len() != 1 || d.T(0) != 9 {
+		t.Fatalf("n=1: got %d points, want the last sample", d.Len())
 	}
 	if d := s.Decimate(25); d.Len() != 10 {
 		t.Fatalf("n>len: got %d points, want exact copy", d.Len())
@@ -93,29 +90,6 @@ func TestSampleSinglePointAndEmpty(t *testing.T) {
 	for _, q := range []float64{6, 7, 8} {
 		if got := one.Sample(q); got != 42 {
 			t.Fatalf("single-point Sample(%g) = %g, want 42", q, got)
-		}
-	}
-}
-
-// Block summaries must stay consistent with the columns across block
-// boundaries (the incremental Append path).
-func TestBlockSummariesMatchColumns(t *testing.T) {
-	s := NewSeries("s", "")
-	n := 3*blockSize + 17
-	for i := 0; i < n; i++ {
-		s.Append(float64(i), math.Cos(float64(i)))
-	}
-	for i := 0; i < n; i += 13 {
-		for j := i + 1; j <= n; j += 97 {
-			lo, hi := s.rangeMinMax(i, j)
-			wlo, whi := math.Inf(1), math.Inf(-1)
-			for k := i; k < j; k++ {
-				wlo = math.Min(wlo, s.V(k))
-				whi = math.Max(whi, s.V(k))
-			}
-			if lo != wlo || hi != whi {
-				t.Fatalf("rangeMinMax(%d,%d) = %g,%g want %g,%g", i, j, lo, hi, wlo, whi)
-			}
 		}
 	}
 }

@@ -6,12 +6,8 @@
 // so that downstream plotting tools can regenerate the published artwork.
 //
 // Storage is columnar: a Series keeps its timestamps and values in two
-// parallel []float64 arrays, summarised in fixed-size blocks
-// (min/max/first/last per blockSize samples). The column layout keeps the
-// append path allocation-cheap, and the block summaries let windowed
-// decimation (Window, the service's /trace?from=&to=&points= path) answer
-// bucket min/max queries by touching O(points + samples/blockSize) data
-// instead of rescanning every stored sample.
+// parallel []float64 arrays, so appending a sample is two slice appends,
+// and a binary blob (EncodeRecorder) is the two columns verbatim.
 package trace
 
 import (
@@ -22,37 +18,19 @@ import (
 	"strconv"
 )
 
-// Point is a single (time, value) sample.
-type Point struct {
-	T float64 // seconds
-	V float64
-}
-
-// blockSize is the block-summary granularity in samples. A power of two
-// keeps the index arithmetic to shifts; 256 samples per summary bounds a
-// windowed query's partial-block scans at two blocks per bucket edge
-// while keeping the summary overhead below 2% of the column storage.
-const blockSize = 256
-
-// blockSummary aggregates one blockSize run of samples.
-type blockSummary struct {
-	min, max    float64
-	first, last float64
-}
-
 // Series is an append-only time series with a name and unit annotation.
-// Samples live in parallel time/value columns with per-block summaries;
-// timestamps must be appended in non-decreasing order (every producer in
-// the simulator samples a forward-moving clock).
+// Samples live in parallel time/value columns; timestamps must be
+// appended in non-decreasing order (every producer in the simulator
+// samples a forward-moving clock).
 type Series struct {
 	Name string
 	Unit string
 
 	ts, vs []float64
-	blocks []blockSummary
 
 	// lastT is the timestamp of the last sample stored through a
-	// Recorder, the state behind its minimum-interval decimation.
+	// Channel, the state behind the recorder's minimum-interval
+	// decimation.
 	lastT float64
 }
 
@@ -61,30 +39,14 @@ func NewSeries(name, unit string) *Series {
 	return &Series{Name: name, Unit: unit, lastT: math.Inf(-1)}
 }
 
-// Append adds a sample at time t, maintaining the block summaries.
+// Append adds a sample at time t.
 func (s *Series) Append(t, v float64) {
-	i := len(s.vs)
 	s.ts = append(s.ts, t)
 	s.vs = append(s.vs, v)
-	if i%blockSize == 0 {
-		s.blocks = append(s.blocks, blockSummary{min: v, max: v, first: v, last: v})
-		return
-	}
-	b := &s.blocks[i/blockSize]
-	if v < b.min {
-		b.min = v
-	}
-	if v > b.max {
-		b.max = v
-	}
-	b.last = v
 }
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.vs) }
-
-// At returns the i-th sample.
-func (s *Series) At(i int) Point { return Point{T: s.ts[i], V: s.vs[i]} }
 
 // T returns the i-th sample's timestamp.
 func (s *Series) T(i int) float64 { return s.ts[i] }
@@ -92,60 +54,27 @@ func (s *Series) T(i int) float64 { return s.ts[i] }
 // V returns the i-th sample's value.
 func (s *Series) V(i int) float64 { return s.vs[i] }
 
-// Last returns the most recent sample, or a zero Point if empty.
-func (s *Series) Last() Point {
+// Stats summarises a series: the extreme values and the time range
+// they were drawn from.
+type Stats struct {
+	Min, Max   float64
+	TMin, TMax float64 // time range covered
+}
+
+// Summarize computes the series' extrema and time range; an empty
+// series summarises to zeros.
+func (s *Series) Summarize() Stats {
 	n := len(s.vs)
 	if n == 0 {
-		return Point{}
+		return Stats{}
 	}
-	return Point{T: s.ts[n-1], V: s.vs[n-1]}
-}
-
-// Stats summarises a series.
-type Stats struct {
-	N               int
-	Min, Max        float64
-	Mean, RMS       float64
-	First, Last     float64
-	TMin, TMax      float64 // time range covered
-	MinAt, MaxAt    float64 // timestamps of extrema
-	Integral        float64 // trapezoidal ∫v dt over the series
-	CrossingsRising int     // rising crossings of the mean
-}
-
-// Summarize computes summary statistics. Integral uses the trapezoid rule,
-// so it is exact for piecewise-linear signals.
-func (s *Series) Summarize() Stats {
-	st := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-	st.N = len(s.vs)
-	if st.N == 0 {
-		st.Min, st.Max = 0, 0
-		return st
-	}
-	var sum, sumSq float64
-	for i, v := range s.vs {
-		t := s.ts[i]
+	st := Stats{Min: math.Inf(1), Max: math.Inf(-1), TMin: s.ts[0], TMax: s.ts[n-1]}
+	for _, v := range s.vs {
 		if v < st.Min {
-			st.Min, st.MinAt = v, t
+			st.Min = v
 		}
 		if v > st.Max {
-			st.Max, st.MaxAt = v, t
-		}
-		sum += v
-		sumSq += v * v
-		if i > 0 {
-			st.Integral += 0.5 * (v + s.vs[i-1]) * (t - s.ts[i-1])
-		}
-	}
-	st.Mean = sum / float64(st.N)
-	st.RMS = math.Sqrt(sumSq / float64(st.N))
-	st.First = s.vs[0]
-	st.Last = s.vs[st.N-1]
-	st.TMin = s.ts[0]
-	st.TMax = s.ts[st.N-1]
-	for i := 1; i < st.N; i++ {
-		if s.vs[i-1] < st.Mean && s.vs[i] >= st.Mean {
-			st.CrossingsRising++
+			st.Max = v
 		}
 	}
 	return st
@@ -225,47 +154,6 @@ func (s *Series) Decimate(n int) *Series {
 	return out
 }
 
-// searchT returns the smallest index whose timestamp is ≥ t (len if none).
-func (s *Series) searchT(t float64) int {
-	return sort.SearchFloat64s(s.ts, t)
-}
-
-// rangeMinMax returns the min and max value over the index range [i, j).
-// Interior full blocks are answered from their summaries, so the scan
-// touches at most 2·blockSize samples plus (j−i)/blockSize summaries.
-// The range must be non-empty.
-func (s *Series) rangeMinMax(i, j int) (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	scan := func(a, b int) {
-		for k := a; k < b; k++ {
-			v := s.vs[k]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	firstFull := (i + blockSize - 1) / blockSize // first block fully inside
-	lastFull := j / blockSize                    // first block past the full run
-	if firstFull >= lastFull {
-		scan(i, j)
-		return lo, hi
-	}
-	scan(i, firstFull*blockSize)
-	for b := firstFull; b < lastFull; b++ {
-		if s.blocks[b].min < lo {
-			lo = s.blocks[b].min
-		}
-		if s.blocks[b].max > hi {
-			hi = s.blocks[b].max
-		}
-	}
-	scan(lastFull*blockSize, j)
-	return lo, hi
-}
-
 // Recorder collects multiple named series sampled on a shared clock, with a
 // configurable minimum interval between stored samples to bound memory.
 type Recorder struct {
@@ -288,15 +176,6 @@ func (r *Recorder) SetInterval(dt float64) { r.interval = dt }
 // all).
 func (r *Recorder) Interval() float64 { return r.interval }
 
-// Record appends a sample to the named series, creating it on first use.
-func (r *Recorder) Record(name, unit string, t, v float64) {
-	s, ok := r.series[name]
-	if !ok {
-		s = r.create(name, unit)
-	}
-	r.record(s, t, v)
-}
-
 // create registers a new series under the recorder.
 func (r *Recorder) create(name, unit string) *Series {
 	s := NewSeries(name, unit)
@@ -305,27 +184,9 @@ func (r *Recorder) create(name, unit string) *Series {
 	return s
 }
 
-// due is the interval gate: whether a sample at time t may be stored
-// in s — always when no interval is set or s is empty, otherwise once
-// at least the interval has passed since the last stored sample.
-func (r *Recorder) due(s *Series, t float64) bool {
-	return !(r.interval > 0 && t-s.lastT < r.interval && len(s.vs) > 0)
-}
-
-// record applies the interval gate and appends.
-func (r *Recorder) record(s *Series, t, v float64) {
-	if !r.due(s, t) {
-		return
-	}
-	s.lastT = t
-	s.Append(t, v)
-}
-
-// Channel is a pre-resolved append handle for one named series: Record
-// without the per-sample map lookup, with the recorder's interval gate
-// still applied. Hot loops that sample the same few series every step
-// (the lab's trace triple) resolve their channels once and record
-// through them.
+// Channel is the append handle for one named series, resolved once so
+// that recording costs no per-sample map lookup; the recorder's
+// interval gate applies to every sample.
 type Channel struct {
 	r *Recorder
 	s *Series
@@ -341,25 +202,27 @@ func (r *Recorder) Channel(name, unit string) *Channel {
 	return &Channel{r: r, s: s}
 }
 
-// Record appends a sample, subject to the recorder's interval gate —
-// exactly equivalent to Recorder.Record on the channel's series.
-func (c *Channel) Record(t, v float64) { c.r.record(c.s, t, v) }
+// Record appends a sample, subject to the recorder's interval gate.
+func (c *Channel) Record(t, v float64) {
+	if c.Due(t) {
+		c.s.lastT = t
+		c.s.Append(t, v)
+	}
+}
 
-// Due reports whether Record(t, ·) would store a sample — exactly the
-// interval gate Record applies. Observers that record several channels
-// in lockstep ask the first one once per instant, and skip computing
-// the values at all when it is not due.
-func (c *Channel) Due(t float64) bool { return c.r.due(c.s, t) }
+// Due reports whether Record(t, ·) would store a sample: the interval
+// gate passes always when no interval is set or the series is empty,
+// and otherwise once at least the interval has passed since the last
+// stored sample. Observers that record several channels in lockstep ask
+// the first one once per instant, and skip computing the values at all
+// when it is not due.
+func (c *Channel) Due(t float64) bool {
+	iv := c.r.interval
+	return !(iv > 0 && t-c.s.lastT < iv && len(c.s.vs) > 0)
+}
 
 // Series returns the named series, or nil if it was never recorded.
 func (r *Recorder) Series(name string) *Series { return r.series[name] }
-
-// Names returns series names in first-recorded order.
-func (r *Recorder) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
-	return out
-}
 
 // WriteCSV writes all series as aligned CSV columns (time, then one column
 // per series, values linearly interpolated onto the union of timestamps of

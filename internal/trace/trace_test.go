@@ -21,62 +21,29 @@ func TestSeriesAppendAndAccessors(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatal("new series should be empty")
 	}
-	if (s.Last() != Point{}) {
-		t.Fatal("empty Last should be zero Point")
-	}
 	s.Append(0, 1.5)
 	s.Append(1, 2.5)
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
-	if s.At(1).V != 2.5 || s.Last().T != 1 {
-		t.Error("accessors returned wrong sample")
-	}
-	if s.V(0) != 1.5 || s.T(1) != 1 {
-		t.Errorf("V(0), T(1) = %v, %v", s.V(0), s.T(1))
+	if s.V(0) != 1.5 || s.T(1) != 1 || s.V(1) != 2.5 {
+		t.Errorf("V(0), T(1), V(1) = %v, %v, %v", s.V(0), s.T(1), s.V(1))
 	}
 }
 
 func TestSummarize(t *testing.T) {
 	s := NewSeries("x", "")
 	for i, v := range []float64{1, 3, 2, 5, 4} {
-		s.Append(float64(i), v)
+		s.Append(float64(i+2), v)
 	}
-	st := s.Summarize()
-	if st.Min != 1 || st.Max != 5 {
-		t.Errorf("min/max = %g/%g", st.Min, st.Max)
-	}
-	if st.Mean != 3 {
-		t.Errorf("mean = %g, want 3", st.Mean)
-	}
-	if st.MaxAt != 3 {
-		t.Errorf("MaxAt = %g, want 3", st.MaxAt)
-	}
-	if st.First != 1 || st.Last != 4 {
-		t.Errorf("first/last = %g/%g", st.First, st.Last)
-	}
-	// Trapezoid integral of the polyline (1,3,2,5,4) with dt=1:
-	// (1+3)/2 + (3+2)/2 + (2+5)/2 + (5+4)/2 = 2+2.5+3.5+4.5 = 12.5
-	if math.Abs(st.Integral-12.5) > 1e-12 {
-		t.Errorf("integral = %g, want 12.5", st.Integral)
+	if st, want := s.Summarize(), (Stats{Min: 1, Max: 5, TMin: 2, TMax: 6}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	st := NewSeries("e", "").Summarize()
-	if st.N != 0 || st.Min != 0 || st.Max != 0 {
+	if st := NewSeries("e", "").Summarize(); st != (Stats{}) {
 		t.Errorf("empty stats = %+v", st)
-	}
-}
-
-func TestSummarizeIntegralConstant(t *testing.T) {
-	// Integral of a constant 2.0 over [0, 10] must be 20.
-	s := NewSeries("c", "")
-	for i := 0; i <= 10; i++ {
-		s.Append(float64(i), 2)
-	}
-	if got := s.Summarize().Integral; math.Abs(got-20) > 1e-12 {
-		t.Errorf("integral = %g, want 20", got)
 	}
 }
 
@@ -116,7 +83,7 @@ func TestDecimate(t *testing.T) {
 	if d.Len() != 10 {
 		t.Fatalf("decimated length = %d, want 10", d.Len())
 	}
-	if d.At(0).T != 0 || d.Last().T != 999 {
+	if d.T(0) != 0 || d.T(d.Len()-1) != 999 {
 		t.Error("decimation must preserve endpoints")
 	}
 	// Short series copy exactly.
@@ -138,25 +105,37 @@ func TestDecimateToOnePoint(t *testing.T) {
 	if d.Len() != 1 {
 		t.Fatalf("Decimate(1) length = %d, want 1", d.Len())
 	}
-	if got := d.At(0); got != s.Last() {
-		t.Errorf("Decimate(1) kept %+v, want the last sample %+v", got, s.Last())
+	if d.T(0) != 2 || d.V(0) != 2 {
+		t.Errorf("Decimate(1) kept (%g, %g), want the last sample (2, 2)", d.T(0), d.V(0))
 	}
 	if got := ramp(3).Decimate(-2); got.Len() != 0 {
 		t.Errorf("Decimate(-2) length = %d, want 0", got.Len())
 	}
 	// A one-point series decimated to one point is an exact copy.
-	if got := ramp(1).Decimate(1); got.Len() != 1 || got.At(0) != ramp(1).At(0) {
+	if got := ramp(1).Decimate(1); got.Len() != 1 || got.T(0) != 0 || got.V(0) != 0 {
 		t.Error("Decimate(1) of a single-point series must copy it")
 	}
 }
 
+// csvHeader renders the recorder and returns its CSV header line.
+func csvHeader(t *testing.T, r *Recorder) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := strings.Cut(b.String(), "\n")
+	return header
+}
+
 func TestRecorderBasics(t *testing.T) {
 	r := NewRecorder()
-	r.Record("vcc", "V", 0, 3.3)
-	r.Record("vcc", "V", 1, 3.2)
-	r.Record("i", "A", 0, 0.001)
-	if got := r.Names(); len(got) != 2 || got[0] != "vcc" || got[1] != "i" {
-		t.Errorf("Names = %v", got)
+	vcc := r.Channel("vcc", "V")
+	vcc.Record(0, 3.3)
+	vcc.Record(1, 3.2)
+	r.Channel("i", "A").Record(0, 0.001)
+	if got := csvHeader(t, r); got != "t,vcc(V),i(A)" {
+		t.Errorf("header = %q", got)
 	}
 	if r.Series("vcc").Len() != 2 {
 		t.Error("vcc should have 2 samples")
@@ -169,22 +148,34 @@ func TestRecorderBasics(t *testing.T) {
 func TestRecorderInterval(t *testing.T) {
 	r := NewRecorder()
 	r.SetInterval(0.5)
+	ch := r.Channel("x", "")
 	for i := 0; i < 100; i++ {
-		r.Record("x", "", float64(i)*0.1, float64(i))
+		ch.Record(float64(i)*0.1, float64(i))
 	}
-	n := r.Series("x").Len()
+	s := r.Series("x")
 	// 100 samples over 9.9 s at >=0.5 s spacing: about 20.
-	if n < 15 || n > 25 {
+	if n := s.Len(); n < 15 || n > 25 {
 		t.Errorf("interval-limited sample count = %d, want ~20", n)
+	}
+	for i := 1; i < s.Len(); i++ {
+		if gap := s.T(i) - s.T(i-1); gap < 0.5-1e-12 {
+			t.Fatalf("samples %d and %d are %g apart, under the 0.5 interval", i-1, i, gap)
+		}
+	}
+	// Due is Record's gate, measured from the last stored sample.
+	last := s.T(s.Len() - 1)
+	if ch.Due(last+0.49) || !ch.Due(last+0.6) {
+		t.Fatalf("Due disagrees with the 0.5 interval after the last stored sample at %g", last)
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
-	r.Record("vcc", "V", 0, 3.0)
-	r.Record("vcc", "V", 1, 2.5)
-	r.Record("freq", "Hz", 0, 8e6)
-	r.Record("freq", "Hz", 1, 4e6)
+	vcc, freq := r.Channel("vcc", "V"), r.Channel("freq", "Hz")
+	vcc.Record(0, 3.0)
+	vcc.Record(1, 2.5)
+	freq.Record(0, 8e6)
+	freq.Record(1, 4e6)
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -237,35 +228,6 @@ func TestScatter(t *testing.T) {
 	}
 }
 
-func TestChannelMatchesRecord(t *testing.T) {
-	// Two recorders fed the same samples — one through Record, one
-	// through pre-resolved channels — must store identical series.
-	a := NewRecorder()
-	b := NewRecorder()
-	a.SetInterval(0.5)
-	b.SetInterval(0.5)
-	ch := b.Channel("x", "V")
-	for i := 0; i < 100; i++ {
-		ts := float64(i) * 0.13
-		a.Record("x", "V", ts, float64(i))
-		ch.Record(ts, float64(i))
-	}
-	sa, sb := a.Series("x"), b.Series("x")
-	if sa.Len() != sb.Len() {
-		t.Fatalf("lengths differ: %d vs %d", sa.Len(), sb.Len())
-	}
-	for i := 0; i < sa.Len(); i++ {
-		if sa.At(i) != sb.At(i) {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, sa.At(i), sb.At(i))
-		}
-	}
-	// Due is Record's gate, measured from the last stored sample.
-	last := sb.At(sb.Len() - 1).T
-	if ch.Due(last+0.49) || !ch.Due(last+0.6) {
-		t.Fatalf("Due disagrees with the 0.5 interval after the last stored sample at %g", last)
-	}
-}
-
 // Due must predict Record's decision exactly, including the first
 // sample, signed zeros, infinities, NaN times and a NaN interval.
 func TestChannelDueMatchesRecord(t *testing.T) {
@@ -288,17 +250,18 @@ func TestChannelDueMatchesRecord(t *testing.T) {
 func TestChannelCreatesSeriesInOrder(t *testing.T) {
 	r := NewRecorder()
 	r.Channel("b", "")
-	r.Record("a", "", 0, 1)
-	got := r.Names()
-	if len(got) != 2 || got[0] != "b" || got[1] != "a" {
-		t.Fatalf("order %v, want [b a]", got)
+	a := r.Channel("a", "")
+	a.Record(0, 1)
+	if got := csvHeader(t, r); got != "t,b,a" {
+		t.Fatalf("header %q, want t,b,a", got)
 	}
-	// Mixing Channel and Record on one series shares the interval gate.
+	// Two channels on one series share its interval gate.
 	r.SetInterval(1)
-	ch := r.Channel("a", "")
-	r.Record("a", "", 0.5, 2) // gated: 0.5 - 0 < 1
-	ch.Record(0.7, 3)         // gated too
-	ch.Record(1.2, 4)         // stored
+	again := r.Channel("a", "")
+	a.Record(0.5, 2)     // gated: 0.5 - 0 < 1
+	again.Record(0.7, 3) // gated too
+	again.Record(1.2, 4) // stored
+	a.Record(1.9, 5)     // gated by the sample again stored
 	if n := r.Series("a").Len(); n != 2 {
 		t.Fatalf("series a has %d samples, want 2", n)
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"math"
+	"sort"
 )
 
 // Bucket is one aggregation interval of a windowed query: the samples
@@ -18,20 +19,18 @@ type Bucket struct {
 }
 
 // Window reduces the series over [from, to] to at most points buckets of
-// equal width, each carrying the min/max of the samples inside it. The
-// interior of each bucket is answered from the block summaries, so the
-// cost is O(points + samples/blockSize) rather than O(samples): each
-// bucket scans at most two partial blocks at its edges, and consecutive
-// buckets share those edges. Points < 1 or to ≤ from yields nil; an
-// empty series yields buckets with N == 0 and zero values.
+// equal width, each carrying the min/max of the samples inside it. It is
+// one forward pass over the samples in the window: O(points + samples).
+// Points < 1 or to ≤ from yields nil; an empty series yields buckets with
+// N == 0 and zero values.
 func (s *Series) Window(from, to float64, points int) []Bucket {
 	if points < 1 || !(to > from) {
 		return nil
 	}
 	width := (to - from) / float64(points)
 	out := make([]Bucket, points)
-	lo := s.searchT(from)
-	for b := 0; b < points; b++ {
+	i := sort.SearchFloat64s(s.ts, from)
+	for b := range out {
 		start := from + float64(b)*width
 		end := from + float64(b+1)*width
 		if b == points-1 {
@@ -39,28 +38,22 @@ func (s *Series) Window(from, to float64, points int) []Bucket {
 			// exactly t == to is not dropped by the half-open walk.
 			end = math.Nextafter(to, math.Inf(1))
 		}
-		hi := lo
-		for hi < len(s.ts) && s.ts[hi] < end {
-			// Advance in blockSize hops when the whole block stays
-			// inside the bucket, falling back to a linear walk at the
-			// edges; combined with rangeMinMax this keeps the per-query
-			// cost proportional to buckets plus blocks, not samples.
-			if next := hi + blockSize; next <= len(s.ts) && s.ts[next-1] < end {
-				hi = next
-				continue
+		bk := Bucket{T: start, Min: math.Inf(1), Max: math.Inf(-1)}
+		for ; i < len(s.ts) && s.ts[i] < end; i++ {
+			v := s.vs[i]
+			if v < bk.Min {
+				bk.Min = v
 			}
-			hi++
+			if v > bk.Max {
+				bk.Max = v
+			}
+			bk.N++
 		}
-		bk := Bucket{T: start}
-		if hi > lo {
-			bk.Min, bk.Max = s.rangeMinMax(lo, hi)
-			bk.N = hi - lo
-		} else if s.Len() > 0 {
+		if bk.N == 0 {
 			v := s.Sample(start)
 			bk.Min, bk.Max = v, v
 		}
 		out[b] = bk
-		lo = hi
 	}
 	return out
 }
@@ -110,13 +103,14 @@ func (r *Recorder) TimeRange() (from, to float64, ok bool) {
 	from, to = math.Inf(1), math.Inf(-1)
 	for _, name := range r.order {
 		s := r.series[name]
-		if s.Len() == 0 {
+		n := s.Len()
+		if n == 0 {
 			continue
 		}
-		if s.ts[0] < from {
-			from = s.ts[0]
+		if first := s.T(0); first < from {
+			from = first
 		}
-		if last := s.ts[s.Len()-1]; last > to {
+		if last := s.T(n - 1); last > to {
 			to = last
 		}
 		ok = true

@@ -87,17 +87,6 @@ func Clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// ApproxEqual reports whether a and b agree within relative tolerance rel
-// (falling back to absolute tolerance rel for values near zero).
-func ApproxEqual(a, b, rel float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	if scale < 1 {
-		return diff <= rel
-	}
-	return diff <= rel*scale
-}
-
 // prefix describes one SI formatting band.
 type prefix struct {
 	mult   float64

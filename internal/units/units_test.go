@@ -20,7 +20,7 @@ func TestCapacitorEnergy(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := CapacitorEnergy(tt.c, tt.v); !ApproxEqual(got, tt.want, 1e-12) {
+			if got := CapacitorEnergy(tt.c, tt.v); !approxEqual(got, tt.want, 1e-12) {
 				t.Errorf("CapacitorEnergy(%g, %g) = %g, want %g", tt.c, tt.v, got, tt.want)
 			}
 		})
@@ -36,7 +36,7 @@ func TestCapacitorVoltageInvertsEnergy(t *testing.T) {
 		v := math.Mod(math.Abs(vRaw), 100)
 		e := CapacitorEnergy(c, v)
 		back := CapacitorVoltage(c, e)
-		return ApproxEqual(back, v, 1e-9) || v == 0
+		return approxEqual(back, v, 1e-9) || v == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -58,7 +58,7 @@ func TestCapacitorVoltageEdgeCases(t *testing.T) {
 func TestEnergyBetween(t *testing.T) {
 	// 10 µF from 3 V to 2 V releases C(9-4)/2 = 25 µJ.
 	got := EnergyBetween(10e-6, 3, 2)
-	if !ApproxEqual(got, 25e-6, 1e-12) {
+	if !approxEqual(got, 25e-6, 1e-12) {
 		t.Errorf("EnergyBetween = %g, want 25e-6", got)
 	}
 	// Charging direction is negative.
@@ -79,7 +79,7 @@ func TestHibernateThresholdSatisfiesEq4(t *testing.T) {
 			return false
 		}
 		budget := (vh*vh - vMin*vMin) * c / 2
-		return ApproxEqual(budget, eSave, 1e-9)
+		return approxEqual(budget, eSave, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -89,7 +89,7 @@ func TestHibernateThresholdSatisfiesEq4(t *testing.T) {
 func TestHibernateThresholdKnownValue(t *testing.T) {
 	// E_s = 25 µJ, C = 10 µF, V_min = 2 V: V_H = sqrt(2*25e-6/10e-6 + 4) = 3.
 	got := HibernateThreshold(25e-6, 10e-6, 2)
-	if !ApproxEqual(got, 3.0, 1e-12) {
+	if !approxEqual(got, 3.0, 1e-12) {
 		t.Errorf("HibernateThreshold = %g, want 3", got)
 	}
 	if !math.IsInf(HibernateThreshold(1e-6, 0, 2), 1) {
@@ -167,13 +167,13 @@ func TestFormatSeconds(t *testing.T) {
 }
 
 func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual(100, 100.0001, 1e-5) {
+	if !approxEqual(100, 100.0001, 1e-5) {
 		t.Error("values within relative tolerance should be equal")
 	}
-	if ApproxEqual(100, 101, 1e-5) {
+	if approxEqual(100, 101, 1e-5) {
 		t.Error("values outside relative tolerance should differ")
 	}
-	if !ApproxEqual(0, 1e-9, 1e-6) {
+	if !approxEqual(0, 1e-9, 1e-6) {
 		t.Error("near-zero absolute fallback failed")
 	}
 }
@@ -202,7 +202,7 @@ func TestParseSI(t *testing.T) {
 			t.Errorf("ParseSI(%q): %v", tt.in, err)
 			continue
 		}
-		if !ApproxEqual(got, tt.want, 1e-12) {
+		if !approxEqual(got, tt.want, 1e-12) {
 			t.Errorf("ParseSI(%q) = %g, want %g", tt.in, got, tt.want)
 		}
 	}
@@ -222,4 +222,15 @@ func TestParseSIRejectsNonFinite(t *testing.T) {
 			t.Errorf("ParseSI(%q) = %g, want error", in, v)
 		}
 	}
+}
+
+// approxEqual reports whether a and b agree within relative tolerance rel
+// (falling back to absolute tolerance rel for values near zero).
+func approxEqual(a, b, rel float64) bool {
+	diff := math.Abs(a - b)
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	if scale < 1 {
+		return diff <= rel
+	}
+	return diff <= rel*scale
 }

@@ -38,6 +38,8 @@ for f in examples/scenarios/*.json; do
 done
 "$bin/ehsim" -scenario examples/scenarios/fig7-rectified-sine-hibernus.json \
   -trace "$run/fig7.csv" > /dev/null
+"$bin/ehsim" -scenario examples/scenarios/fig7-rectified-sine-hibernus.json \
+  -ff -trace "$run/fig7-ff.csv" > /dev/null
 "$bin/ehsim" -workload sieve3000 -supply square -runtime hibernus \
   -c 10u,47u -dur 0.5 > /dev/null
 "$bin/ehsim" -list > "$run/list.txt"
@@ -170,6 +172,9 @@ for f in examples/scenarios/*.json; do
   submit "$b" /v1/jobs "$f"; await_state "$b" done; fetch "$b" "$f"
 done
 submit "$a" /v1/jobs "$fig7"; await_state "$a" done # memory hit
+# fig7 traces about 500 samples, so 1000 buckets leave some empty, and
+# those are filled by interpolation.
+curl -sf "http://$a/v1/jobs/$id/trace?points=1000" > /dev/null
 submit "$a" /v1/explorations examples/explorations/eq4-capacitor-topk.json
 await_state "$a" done
 curl -sf "http://$a/v1/jobs/$id/result" > /dev/null

@@ -46,10 +46,6 @@ type Rail struct {
 	Cap     *Capacitor
 	Loads   []Load
 
-	// MaxSourceI limits the current a power source can push at very low
-	// rail voltage (models converter current limits); 0 = 1 A default.
-	MaxSourceI float64
-
 	// Telemetry (cumulative, joules / coulombs).
 	HarvestedJ float64 // energy delivered into the node by the source
 	ConsumedJ  float64 // energy drawn by loads
@@ -82,9 +78,13 @@ type Rail struct {
 	expect  int                 // steps a run plans, from ExpectSteps
 }
 
+// maxSourceI limits the current a power source can push at very low rail
+// voltage: the converter's current limit.
+const maxSourceI = 1.0
+
 // NewRail returns a rail over the given storage capacitor.
 func NewRail(cap *Capacitor) *Rail {
-	return &Rail{Cap: cap, MaxSourceI: 1}
+	return &Rail{Cap: cap}
 }
 
 // AddLoad attaches a load to the rail.
@@ -115,17 +115,11 @@ func (r *Rail) bind() {
 	}
 }
 
-// ExpectSteps tells the rail, before its first Step, that its run takes
-// n Steps. It only sizes the recording of samples the shared table
-// lacks, which a cold run then allocates once; without it the recording
-// grows as it goes, which is what a fast-forward run wants, since a hop
-// past the table ends its recording early.
+// ExpectSteps tells the rail, before its first clock move, that its run
+// takes n steps. The voltage source's shared sample table is then built
+// to cover them if it is shorter; a rail that expects no length reads
+// the table as it finds it and builds none.
 func (r *Rail) ExpectSteps(n int) { r.expect = n }
-
-// Finish publishes the voltage samples the rail recorded to the shared
-// sample table. Call it once a run has covered its duration; a run that
-// stops early never calls it, and publishes nothing.
-func (r *Rail) Finish() { r.samples.Finish() }
 
 // regrid runs at a clock move by dt ≠ gridDt: the first move keys the
 // sample table on dt, a later one leaves it for good.
@@ -173,12 +167,8 @@ func (r *Rail) sourceCurrent(v, t float64) float64 {
 		if p > 0 {
 			// Current-limited constant-power injection; at very low rail
 			// voltage the converter runs at its current limit.
-			limit := r.MaxSourceI
-			if limit <= 0 {
-				limit = 1
-			}
 			vEff := max(v, 0.1)
-			i += min(p/vEff, limit)
+			i += min(p/vEff, maxSourceI)
 		}
 	}
 	return i

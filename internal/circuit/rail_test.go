@@ -52,9 +52,8 @@ func TestRailPowerSourceCurrentLimit(t *testing.T) {
 	cap := NewCapacitor(100e-6, 0)
 	r := NewRail(cap)
 	r.PSource = &source.ConstantPower{P: 10} // would be 100 A at 0.1 V
-	r.MaxSourceI = 0.01
-	v := r.Step(1e-3)
-	// ΔV = I·dt/C = 0.01·1e-3/100e-6 = 0.1 V exactly at the limit.
+	v := r.Step(1e-5)
+	// ΔV = I·dt/C = 1·1e-5/100e-6 = 0.1 V at the converter's 1 A limit.
 	if math.Abs(v-0.1) > 1e-9 {
 		t.Errorf("current-limited step V = %g, want 0.1", v)
 	}
@@ -136,7 +135,7 @@ func TestRailHalfWaveRectifiedSineShape(t *testing.T) {
 
 // TestRailSampleTable: a rail on a rectified sine reads the shared sample
 // table bit-identically to sampling the source: a stepwise run that
-// records the table, then runs that read it across a closed-form hop and
+// builds the table, then runs that read it across a closed-form hop and
 // a change of step, which leaves the table for good. The reference hides
 // the source's type, so it never reaches a table.
 func TestRailSampleTable(t *testing.T) {
@@ -160,12 +159,11 @@ func TestRailSampleTable(t *testing.T) {
 			r.Step(dt)
 		}
 	}
-	// stepwise runs 10,000 steps: the first run records the table.
+	// stepwise runs 10,000 steps: the first run builds the table.
 	stepwise := func(src source.VoltageSource) state {
 		r := newRail(src)
 		r.ExpectSteps(10000)
 		steps(r, 10000, dt)
-		r.Finish()
 		return stateOf(r)
 	}
 	// hopping steps, hops 200 steps in closed form, steps on, then
@@ -179,7 +177,6 @@ func TestRailSampleTable(t *testing.T) {
 		steps(r, 400, dt)
 		steps(r, 300, 2*dt)
 		steps(r, 500, dt)
-		r.Finish()
 		return stateOf(r)
 	}
 	hidden := struct{ source.VoltageSource }{vs}

@@ -202,9 +202,6 @@ func (s *Sim) Step(maxSteps int) {
 		}
 		s.t += dt
 	}
-	if s.Done() {
-		s.harvest.Finish()
-	}
 }
 
 // Result finalises and returns the run summary. Call after Done.

@@ -250,11 +250,8 @@ func Start(s Setup) (*Sim, error) {
 	m.ff = s.FastForward && s.PSource == nil
 	if m.ff {
 		m.plat = source.PlateauFn(s.VSource)
-	} else {
-		// A stepwise run samples every step, so a cold run's recording
-		// is sized once; a hop would end it early.
-		m.rail.ExpectSteps(m.steps)
 	}
+	m.rail.ExpectSteps(m.steps)
 	return m, nil
 }
 
@@ -291,9 +288,6 @@ func (m *Sim) Step(maxSteps int) {
 		}
 	}
 	m.i = i
-	if i >= steps {
-		rail.Finish()
-	}
 }
 
 // Done reports whether the run has covered its duration.

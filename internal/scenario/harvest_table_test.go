@@ -80,7 +80,7 @@ func runState(t *testing.T, m Model, sp *Spec) []byte {
 // TestHarvestTableRunsMatchUntabled: every case of the PV sweeps, run on
 // its own, ends in the same full-precision state whether it samples the
 // source on every step or reads the shared table — the first run on a
-// key records the table, the second reads it.
+// key builds the table, the second reads it.
 func TestHarvestTableRunsMatchUntabled(t *testing.T) {
 	for name, src := range pvTableSpecs {
 		t.Run(name, func(t *testing.T) {
@@ -104,7 +104,7 @@ func TestHarvestTableRunsMatchUntabled(t *testing.T) {
 
 // TestHarvestTableSweepConcurrent: the PV sweeps run concurrently, at
 // workers 1 and 8, render byte-identical reports and identical metrics
-// to a run with no table, while the runs publish and read the shared
+// to a run with no table, while the runs build and read the shared
 // tables under one another (run it with -race).
 func TestHarvestTableSweepConcurrent(t *testing.T) {
 	for name, src := range pvTableSpecs {
@@ -163,9 +163,10 @@ func TestHarvestTableSweepConcurrent(t *testing.T) {
 // reflect.DeepEqual to a run whose source type is hidden from the table:
 // energies, FinalV and completion times included. Each spec runs on two
 // series resistances no other test uses, so the first run on each finds
-// no table: on one the stepwise run records it, and warm stepwise and
-// fast-forward runs read it; on the other a fast-forward run records it,
-// ending at its first hop, and a later run extends it.
+// no table: on one a stepwise run builds it, and warm stepwise and
+// fast-forward runs read it; on the other a fast-forward run builds it
+// for its whole duration, though it samples only the steps it does not
+// hop, and warm fast-forward and stepwise runs read it.
 func TestSampleTableLabRunsMatchUntabled(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -70,14 +70,9 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// retrySeconds renders the Retry-After hint (whole seconds, min 1).
-func (s *Server) retrySeconds() string {
-	secs := int(s.RetryAfter().Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
+// retryAfter is the Retry-After hint, in whole seconds, that comes with
+// a backpressure response.
+const retryAfter = "1"
 
 // readBody reads a request body of at most limit bytes. On failure it
 // writes the response itself — 413 past the limit, 400 otherwise, noun
@@ -103,10 +98,10 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) bool {
 	case err == nil:
 		return false
 	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", s.retrySeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrDraining):
-		w.Header().Set("Retry-After", s.retrySeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -180,11 +175,11 @@ func (s *Server) notReady(w http.ResponseWriter, st JobStatus) bool {
 	case JobCanceled:
 		writeError(w, http.StatusGone, "job %s was canceled", st.ID)
 	case JobCheckpointed:
-		w.Header().Set("Retry-After", s.retrySeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusServiceUnavailable,
 			"job %s was checkpointed for shutdown; resubmit the spec after the daemon restarts", st.ID)
 	default: // queued, running
-		w.Header().Set("Retry-After", s.retrySeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		writeJSON(w, http.StatusConflict, st)
 	}
 	return true

@@ -67,10 +67,6 @@ type Config struct {
 	// trace, so the bound is also a memory bound.
 	JobHistory int
 
-	// RetryAfter is the backoff hint returned with backpressure
-	// responses. Default 1s.
-	RetryAfter time.Duration
-
 	// CAS, if non-nil, is the disk-backed persistence tier: every
 	// computed result is written through to it, and a memory-cache miss
 	// consults it before computing. The Server owns lookups and
@@ -129,13 +125,6 @@ func (c Config) jobHistory() int {
 		return 256
 	}
 	return c.JobHistory
-}
-
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter <= 0 {
-		return time.Second
-	}
-	return c.RetryAfter
 }
 
 func (c Config) peerTimeout() time.Duration {
@@ -381,9 +370,6 @@ func (s *Server) Drain() {
 	s.workerWG.Wait()
 	s.followWG.Wait()
 }
-
-// RetryAfter is the backoff hint for backpressure responses.
-func (s *Server) RetryAfter() time.Duration { return s.cfg.retryAfter() }
 
 // Submit parses, validates, and accepts one scenario spec; bytes it has
 // parsed before are not parsed again (specMemo). The returned status is

@@ -13,12 +13,21 @@ import (
 // source parameter values and dt. t_k does not depend on the run's
 // duration, so a longer table serves a shorter run as its prefix.
 //
-// Runs build the tables themselves: a run on the grid records the
-// samples it computes past the end of the table it found, and publishes
-// them once it has covered its duration. A cancelled run publishes
-// nothing, and no run ever waits for another. Every entry is the value
-// the source's sampler returns at t_k, so reading the table is
-// bit-identical to sampling.
+// A table is built once, up front: the first cursor for a key computes
+// fn(t_k) for every grid instant from t_0 = 0 up to its run's end, and
+// cursors that ask for the key while that build is in flight wait for
+// it instead of building a copy of their own. Builds for different keys
+// run at once, and none holds the memo's lock while it samples. A run
+// that reaches past the published table builds a longer one that copies
+// the old prefix. Every entry is the value the source's sampler returns
+// at t_k, so reading the table is bit-identical to sampling.
+//
+// A build costs what a stepwise run spends sampling anyway: at most
+// about 55 ms for the largest table (tableMaxLen PV samples) and 2 ms
+// for the Fig. 7 run's 100,000 rectified-sine samples on a 2-vCPU
+// x86-64 host. A fast-forward run, which samples only the steps it does
+// not hop, pays it once per process for each supply it is the first to
+// run.
 //
 // Which sources get a table is a trade of the sample's cost against the
 // table's memory, which stays resident for the life of the process:
@@ -109,48 +118,79 @@ func voltageKey(vs VoltageSource, dt float64) tableKey {
 // published, so readers share it without a lock.
 type memoTable struct {
 	tab  []float64
-	used uint64 // memo.clock at the last lookup or publish
+	next float64 // t_{len(tab)}, the grid instant a longer table resumes at
+	used uint64  // memo.clock at the last lookup or publish
 }
 
-// memo holds every published table. Its lock guards only the index: no
-// sample is computed or copied under it.
-var memo struct {
+// memo holds every published table and the keys whose build is in
+// flight. Its lock guards only the index: no sample is computed or
+// copied under it.
+var memo = struct {
 	sync.Mutex
-	tables map[tableKey]*memoTable
-	bytes  int    // 8 × the samples of every table
-	clock  uint64 // advances on every lookup hit and publish
-}
+	tables   map[tableKey]*memoTable
+	building map[tableKey]chan struct{} // closed once the key's build is published
+	bytes    int                        // 8 × the samples of every table
+	clock    uint64                     // advances on every lookup hit and publish
+}{tables: map[tableKey]*memoTable{}, building: map[tableKey]chan struct{}{}}
 
-// lookupTable returns the published table for k (nil when none).
-func lookupTable(k tableKey) []float64 {
+// sharedTable returns the table for key, first building a longer one
+// when the published table stops short of end, the run's last instant
+// (exclusive). An infinite end, or a step that never moves the clock
+// toward it, builds nothing. At most one build per key is in flight: a
+// caller that finds one waits for it and looks again.
+func sharedTable(key tableKey, fn func(float64) float64, dt, end float64) []float64 {
 	memo.Lock()
-	defer memo.Unlock()
-	e := memo.tables[k]
-	if e == nil {
-		return nil
+	for memo.building[key] != nil {
+		ch := memo.building[key]
+		memo.Unlock()
+		<-ch
+		memo.Lock()
 	}
-	memo.clock++
-	e.used = memo.clock
-	return e.tab
-}
+	var old memoTable
+	if e := memo.tables[key]; e != nil {
+		memo.clock++
+		e.used = memo.clock
+		old = *e
+	}
+	if !(old.next < end) || !(dt > 0) || math.IsInf(end, 1) || len(old.tab) == tableMaxLen {
+		memo.Unlock()
+		return old.tab
+	}
+	ch := make(chan struct{})
+	memo.building[key] = ch
+	memo.Unlock()
 
-// publishTable stores tab for k unless the memo already holds one at
-// least as long, evicting the least recently used tables to stay within
-// memoMaxBytes and memoMaxTables. len(tab) must not exceed tableMaxLen.
-func publishTable(k tableKey, tab []float64) {
+	// The run takes about (end−next)/dt more steps; two more absorb the
+	// clock's rounding, so the table is allocated once.
+	n := tableMaxLen
+	if m := (end - old.next) / dt; m < float64(n-len(old.tab)-2) {
+		n = len(old.tab) + int(m) + 2
+	}
+	tab := append(make([]float64, 0, n), old.tab...)
+	tk := old.next
+	for len(tab) < tableMaxLen && tk < end {
+		tab = append(tab, fn(tk))
+		tk += dt
+	}
+
 	memo.Lock()
 	defer memo.Unlock()
+	delete(memo.building, key)
+	close(ch)
+	publishTable(key, &memoTable{tab: tab, next: tk})
+	return tab
+}
+
+// publishTable stores e for k in place of any older table, evicting the
+// least recently used tables to stay within memoMaxBytes and
+// memoMaxTables. The caller holds memo's lock, and len(e.tab) must not
+// exceed tableMaxLen.
+func publishTable(k tableKey, e *memoTable) {
 	if old := memo.tables[k]; old != nil {
-		if len(old.tab) >= len(tab) {
-			return
-		}
 		memo.bytes -= 8 * len(old.tab)
 		delete(memo.tables, k)
 	}
-	if memo.tables == nil {
-		memo.tables = make(map[tableKey]*memoTable)
-	}
-	for len(memo.tables) >= memoMaxTables || memo.bytes+8*len(tab) > memoMaxBytes {
+	for len(memo.tables) >= memoMaxTables || memo.bytes+8*len(e.tab) > memoMaxBytes {
 		var lru tableKey
 		var oldest *memoTable
 		for key, e := range memo.tables {
@@ -162,25 +202,21 @@ func publishTable(k tableKey, tab []float64) {
 		delete(memo.tables, lru)
 	}
 	memo.clock++
-	memo.tables[k] = &memoTable{tab: tab, used: memo.clock}
-	memo.bytes += 8 * len(tab)
+	e.used = memo.clock
+	memo.tables[k] = e
+	memo.bytes += 8 * len(e.tab)
 }
 
 // SampleCursor samples one source along a stepper's grid t_0 = 0,
 // t_{k+1} = fl(t_k + dt). Where the shared table covers the step it
-// reads the table, past its end it calls the source's sampler, and on a
-// run that started on the grid it records those samples for Finish to
-// publish. Build one with NewPowerCursor or NewVoltageCursor; the zero
-// value has no source to sample, and its Finish does nothing.
+// reads the table, and past its end it calls the source's sampler.
+// Build one with NewPowerCursor or NewVoltageCursor; the zero value has
+// no source to sample.
 type SampleCursor struct {
-	fn  func(float64) float64 // the source's sampler
-	tab []float64             // the shared table as found; read-only
-	k   int                   // grid index of the next sample
-
-	key       tableKey
-	recording bool      // rec extends tab by the samples past its end
-	rec       []float64 // fn(t_k) for k = len(tab), len(tab)+1, …
-	recCap    int       // rec's capacity once a sample misses the table
+	fn     func(float64) float64 // the source's sampler
+	tab    []float64             // the shared table; read-only
+	k      int                   // grid index of the next sample
+	tabled bool                  // the source gets a table at all
 }
 
 // NewPowerCursor returns a cursor over src.Power for a stepper of step
@@ -198,45 +234,33 @@ func NewVoltageCursor(vs VoltageSource, dt, t, end float64) SampleCursor {
 	return newCursor(VoltageFn(vs), voltageKey(vs, dt), dt, t, end)
 }
 
-// newCursor finds the grid index of t by replaying the accumulation, up
-// to the end of the table only, and requires t_k == t exactly; a clock
-// off the grid or past the table reads nothing from the table and
-// records nothing, and so does a source of kind noTable. t is 0 for a
-// fresh run and the restored clock for a resumed one; end only sizes
-// the recording. The source's parameters must not change while the
-// cursor is in use.
+// newCursor takes the shared table for key, built up to end if it is
+// shorter (see sharedTable), then finds the grid index of t by replaying
+// the accumulation, up to the end of the table only, and requires
+// t_k == t exactly; a clock off the grid or past the table reads nothing
+// from the table, and neither does a source of kind noTable. t is 0 for
+// a fresh run and the restored clock for a resumed one. The source's
+// parameters must not change while the cursor is in use.
 func newCursor(fn func(float64) float64, key tableKey, dt, t, end float64) SampleCursor {
-	c := SampleCursor{fn: fn, key: key}
-	if key.kind == noTable {
+	c := SampleCursor{fn: fn, tabled: key.kind != noTable}
+	if !c.tabled {
 		return c
 	}
-	tab := lookupTable(key)
+	tab := sharedTable(key, fn, dt, end)
 	k, tk := 0, 0.0
 	for k < len(tab) && tk < t {
 		tk += dt
 		k++
 	}
-	if tk != t {
-		return c
-	}
-	c.tab, c.k, c.recording = tab, k, true
-	// The run takes about (end−t)/dt steps; two more absorb the clock's
-	// rounding, so the recording is allocated once and published as is.
-	// An unknown length (infinite or NaN) sizes nothing: the recording
-	// then grows as it goes.
-	c.recCap = tableMaxLen - len(tab)
-	switch n := (end-t)/dt + 2; {
-	case math.IsInf(n, 1) || !(n > 0):
-		c.recCap = 0
-	case n < float64(c.recCap):
-		c.recCap = int(n)
+	if tk == t {
+		c.tab, c.k = tab, k
 	}
 	return c
 }
 
 // Tabled reports whether the cursor's source gets a table at all; a
 // caller may sample an untabled source directly instead.
-func (c *SampleCursor) Tabled() bool { return c.key.kind != noTable }
+func (c *SampleCursor) Tabled() bool { return c.tabled }
 
 // Sample returns the source's sample at the cursor's next grid instant
 // t_k, which the caller passes as t, and advances to t_{k+1}.
@@ -248,51 +272,16 @@ func (c *SampleCursor) Sample(t float64) float64 {
 	return c.miss(t)
 }
 
-// miss computes a sample past the table and records it while the table
-// it would extend stays within tableMaxLen.
+// miss samples the source at an instant past the table. It stays out of
+// line so that Sample's table read inlines into the steppers' loops.
+//
+//go:noinline
 func (c *SampleCursor) miss(t float64) float64 {
-	v := c.fn(t)
 	c.k++
-	if c.recording {
-		if c.rec == nil {
-			c.rec = make([]float64, 0, c.recCap)
-		}
-		if len(c.tab)+len(c.rec) < tableMaxLen {
-			c.rec = append(c.rec, v)
-		} else {
-			c.recording = false
-		}
-	}
-	return v
+	return c.fn(t)
 }
 
 // Skip advances the cursor over n grid instants its caller did not
-// sample (a fast-forward hop). The table still serves the instants after
-// a hop that ends inside it, but a hop past its end leaves a gap no
-// table can hold: the recording ends there, and Finish publishes what
-// came before.
-func (c *SampleCursor) Skip(n int) {
-	c.k += n
-	if c.k > len(c.tab)+len(c.rec) {
-		c.recording = false
-	}
-}
-
-// Finish publishes the samples the cursor recorded as the longer table
-// for its source and step. Call it once the run has covered its
-// duration; a run that stops early never calls it, and publishes
-// nothing. A second call does nothing.
-func (c *SampleCursor) Finish() {
-	switch {
-	case len(c.rec) == 0:
-	case len(c.tab) == 0 && cap(c.rec) == c.recCap:
-		// Allocated once at the run's length: publish it as is.
-		publishTable(c.key, c.rec)
-	default:
-		tab := make([]float64, len(c.tab)+len(c.rec))
-		copy(tab, c.tab)
-		copy(tab[len(c.tab):], c.rec)
-		publishTable(c.key, tab)
-	}
-	c.rec, c.recording = nil, false
-}
+// sample (a fast-forward hop); the table still serves the instants
+// after it.
+func (c *SampleCursor) Skip(n int) { c.k += n }

@@ -3,12 +3,28 @@ package source
 import (
 	"math"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// lookupTable returns the published table for k (nil when none).
+func lookupTable(k tableKey) []float64 {
+	memo.Lock()
+	defer memo.Unlock()
+	e := memo.tables[k]
+	if e == nil {
+		return nil
+	}
+	memo.clock++
+	e.used = memo.clock
+	return e.tab
+}
 
 // walk samples src through a cursor at grid steps from..to-1 of step dt,
 // the way the analytic steppers do, and fails on the first sample whose
-// bits differ from src.Power(t_k). It returns the cursor for Finish.
+// bits differ from src.Power(t_k). It returns the cursor.
 func walk(t *testing.T, src PowerSource, dt float64, from, to int) SampleCursor {
 	t.Helper()
 	tk := gridAt(dt, from)
@@ -49,6 +65,13 @@ func walkCursor(t *testing.T, c SampleCursor, fn func(float64) float64, dt float
 	return c
 }
 
+// builds reports whether a run of n steps of dt has a table built for
+// it: a positive step and a finite end. A run that never ends, or whose
+// clock stands still or runs backwards, only reads what it finds.
+func builds(dt float64, n int) bool {
+	return n > 0 && dt > 0 && !math.IsInf(float64(n)*dt, 1)
+}
+
 // assertTableExact requires every entry of the published table for
 // (p, dt) to equal p.Power(t_k) bit for bit, and the table to hold at
 // least minLen entries.
@@ -76,10 +99,9 @@ func assertEntriesExact(t *testing.T, key tableKey, fn func(float64) float64, dt
 }
 
 // FuzzHarvestTable checks the shared harvest table against the PV cell's
-// Power for any shape, step and length: a fresh run that records, a
-// second run that reads the table and extends it, and a run resumed
-// mid-grid all sample exactly Power(t_k), and so does every published
-// entry.
+// Power for any shape, step and length: a fresh run, which builds the
+// table, a longer run, which extends it, and a run resumed mid-grid all
+// sample exactly Power(t_k), and so does every published entry.
 func FuzzHarvestTable(f *testing.F) {
 	f.Add(7.0, 19.0, 1.5, 0.02, 1.0, uint16(3000), uint16(700))
 	f.Add(0.5, 23.9, 2.0, 0.3, 37.5, uint16(4000), uint16(4000))
@@ -92,97 +114,134 @@ func FuzzHarvestTable(f *testing.F) {
 		p.DawnHour, p.DuskHour, p.EdgeHours, p.Flicker = dawn, dusk, edge, flicker
 		first := int(n) % 4096
 		total := first + int(n)%1024
-		c := walk(t, p, dt, 0, first)
-		c.Finish()
-		if first > 0 {
+		walk(t, p, dt, 0, first)
+		if builds(dt, first) {
 			assertTableExact(t, p, dt, first)
 		}
-		c = walk(t, p, dt, 0, total)
-		c.Finish()
-		if total > 0 {
+		walk(t, p, dt, 0, total)
+		if builds(dt, total) {
 			assertTableExact(t, p, dt, total)
 		}
 		from := int(resume) % (total + 1)
 		walk(t, p, dt, from, total+5)
+		if builds(dt, total+5) {
+			assertTableExact(t, p, dt, total+5)
+		}
 	})
 }
 
-// TestHarvestTableReusedAcrossRuns: the second run on a key reads the
-// first run's table instead of calling Power, a longer run extends it,
-// and a shorter one leaves it alone.
+// TestHarvestTableReusedAcrossRuns: the first cursor on a key builds the
+// table for its whole run up front, in one allocation; a second run
+// reads that same array instead of calling Power, a shorter one leaves
+// it alone, and a longer one replaces it with a longer copy.
 func TestHarvestTableReusedAcrossRuns(t *testing.T) {
 	p := DefaultPhotovoltaic()
 	p.Flicker = 0.0301 // a key no other test uses
-	const dt = 7.0
+	const dt = 7.0     // exact, so t_k = 7k and the run's grid is 5000 instants
 	key := pvKey(p, dt)
-	c := walk(t, p, dt, 0, 5000)
-	if got := lookupTable(key); got != nil {
-		t.Fatalf("a run published %d samples before it finished", len(got))
-	}
-	if cap(c.rec) != 5002 {
-		t.Errorf("a 5000-step run allocated room for %d samples, want 5002", cap(c.rec))
-	}
-	rec := &c.rec[0]
-	c.Finish()
+	c := NewPowerCursor(p, dt, 0, 5000*dt)
 	tab := lookupTable(key)
-	if len(tab) != 5000 {
-		t.Fatalf("published %d samples, want 5000", len(tab))
+	if len(tab) != 5000 || cap(tab) != 5002 {
+		t.Fatalf("a 5000-step run built %d samples in room for %d, want 5000 in 5002", len(tab), cap(tab))
 	}
-	if &tab[0] != rec {
-		t.Error("a fresh table was copied on publish")
+	if &c.tab[0] != &tab[0] || c.k != 0 {
+		t.Fatalf("the building cursor reads another array, or from index %d", c.k)
 	}
-	c = NewPowerCursor(p, dt, 0, 0)
-	if len(c.tab) != 5000 || c.k != 0 {
-		t.Fatalf("a fresh run found %d samples at index %d, want 5000 at 0", len(c.tab), c.k)
-	}
+	assertTableExact(t, p, dt, 5000)
 	c = walk(t, p, dt, 0, 3000)
-	c.Finish()
+	if &c.tab[0] != &tab[0] {
+		t.Error("a shorter run did not read the table")
+	}
 	if got := lookupTable(key); &got[0] != &tab[0] {
 		t.Error("a shorter run replaced the table")
 	}
 	c = walk(t, p, dt, 0, 8000)
-	if len(c.rec) != 3000 {
-		t.Errorf("a longer run recorded %d samples past the table, want 3000", len(c.rec))
+	if len(c.tab) != 8000 || &c.tab[0] == &tab[0] {
+		t.Errorf("a longer run read %d samples (same array %v), want a new table of 8000",
+			len(c.tab), &c.tab[0] == &tab[0])
 	}
-	c.Finish()
 	assertTableExact(t, p, dt, 8000)
 	if got := lookupTable(pvKey(p, 2*dt)); got != nil {
 		t.Errorf("another step found a table of %d samples", len(got))
 	}
 }
 
+var builtOnceRuns atomic.Int64
+
+// TestSampleTableBuiltOncePerKey: cursors that start on one fresh key at
+// once share one build: every one of them reads the same array. Run it
+// with -race.
+func TestSampleTableBuiltOncePerKey(t *testing.T) {
+	p := DefaultPhotovoltaic()
+	p.Flicker = 0.0305 + float64(builtOnceRuns.Add(1))*1e-9 // fresh under -count
+	const dt, n = 1.0, 20000
+	// The build pauses at its first sample, so the other cursors ask for
+	// the key while it is in flight, however the goroutines are
+	// scheduled; a second build would start in that window.
+	fn := func(t float64) float64 {
+		if t == 0 {
+			time.Sleep(20 * time.Millisecond)
+		}
+		return p.Power(t)
+	}
+	cursors := make([]SampleCursor, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range cursors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			cursors[i] = newCursor(fn, pvKey(p, dt), dt, 0, n*dt)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	tab := lookupTable(pvKey(p, dt))
+	if len(tab) != n {
+		t.Fatalf("the table holds %d samples, want %d", len(tab), n)
+	}
+	for i, c := range cursors {
+		if len(c.tab) != n || &c.tab[0] != &tab[0] {
+			t.Errorf("cursor %d reads %d samples of its own array, want the one published table", i, len(c.tab))
+		}
+	}
+	assertTableExact(t, p, dt, n)
+}
+
 // TestHarvestCursorResume: a cursor positioned at a restored clock finds
-// that clock's grid index, and one off the grid or past the table reads
-// nothing and records nothing.
+// that clock's grid index, and one off the grid, or past a table it may
+// not extend, reads nothing. A run resumed on a fresh key builds the
+// table from t_0 and reads it from the clock's index.
 func TestHarvestCursorResume(t *testing.T) {
 	p := DefaultPhotovoltaic()
-	p.Flicker = 0.0302
-	const dt = 0.1 // inexact in binary, so t_k drifts from k·dt
-	c := walk(t, p, dt, 0, 1000)
-	c.Finish()
+	p.Flicker, p.DawnHour = 0.0302, 0 // dawn at t_0: every sample depends on t
+	const dt = 0.1                    // inexact in binary, so t_k drifts from k·dt
+	walk(t, p, dt, 37, 1200)          // resume mid-grid on a fresh key
+	assertTableExact(t, p, dt, 1200)
+	n := len(lookupTable(pvKey(p, dt)))
 	tk := 0.0
-	for k := 0; k < 1000; k++ {
-		if c := NewPowerCursor(p, dt, tk, tk); c.k != k || !c.recording {
-			t.Fatalf("clock t_%d = %v: cursor at %d (recording %v)", k, tk, c.k, c.recording)
+	for k := 0; k <= n; k++ {
+		if c := NewPowerCursor(p, dt, tk, tk); c.k != k || len(c.tab) != n {
+			t.Fatalf("clock t_%d = %v: cursor at %d of %d samples, want %d of %d", k, tk, c.k, len(c.tab), k, n)
 		}
 		tk += dt
 	}
-	if c := NewPowerCursor(p, dt, tk, tk); c.k != 1000 || !c.recording {
-		t.Errorf("clock at the table's end: cursor at %d (recording %v), want 1000 and recording", c.k, c.recording)
-	}
-	for _, off := range []float64{0.05, -1, math.NaN(), tk + dt} {
-		c := NewPowerCursor(p, dt, off, off)
-		if len(c.tab) != 0 || c.recording {
-			t.Errorf("clock %v off the grid or past the table: cursor reads %d samples (recording %v)",
-				off, len(c.tab), c.recording)
+	for _, off := range []float64{0.05, -1, math.NaN(), tk} {
+		if c := NewPowerCursor(p, dt, off, math.Inf(1)); len(c.tab) != 0 {
+			t.Errorf("clock %v off the grid or past the table: cursor reads %d samples", off, len(c.tab))
 		}
 	}
-	walk(t, p, dt, 37, 1200) // resume mid-table and run past its end
+	if got := len(lookupTable(pvKey(p, dt))); got != n {
+		t.Errorf("a run with no end moved the table from %d to %d samples", n, got)
+	}
+	walk(t, p, dt, 1100, 1500) // resume inside the table and run past its end
+	assertTableExact(t, p, dt, 1500)
 }
 
 // TestSampleTableOnlyForPVAndSine: the PV cell and the sine family get a
 // table; every other source is sampled directly, and a cursor over one
-// reads, records and publishes nothing.
+// builds and reads nothing.
 func TestSampleTableOnlyForPVAndSine(t *testing.T) {
 	gen := &SignalGenerator{Amplitude: 3.6, Frequency: 20, Rs: 150}
 	dcGen := &SignalGenerator{Amplitude: 3.6, Rs: 150}
@@ -207,11 +266,9 @@ func TestSampleTableOnlyForPVAndSine(t *testing.T) {
 		"hidden rectified": walkVoltage(t, struct{ VoltageSource }{HalfWave(gen, 0.2)}, 1e-3, 0, 100, true),
 	}
 	for name, c := range untabled {
-		if c.Tabled() || c.tab != nil || c.recording || c.rec != nil {
-			t.Errorf("%s cursor has a table (%d samples, recording %v, %d recorded)",
-				name, len(c.tab), c.recording, len(c.rec))
+		if c.Tabled() || c.tab != nil {
+			t.Errorf("%s cursor has a table of %d samples", name, len(c.tab))
 		}
-		c.Finish()
 	}
 }
 
@@ -289,11 +346,12 @@ func TestHarvestTableKeyCoversEveryParameter(t *testing.T) {
 }
 
 // FuzzVoltageTable checks the shared table against VoltageFn for any
-// sine or rectified sine and any step: a fresh run that records, a
-// longer run that reads the table and extends it, a run that skips over
-// a stretch (a fast-forward hop) inside or past the table, and a run
-// resumed mid-grid all sample exactly VoltageFn(t_k), and so does every
-// published entry; the generator behind another diode drop too.
+// sine or rectified sine and any step: a fresh run, which builds the
+// table, a longer run with no end, which reads it and builds nothing, a
+// longer run that skips over a stretch (a fast-forward hop) inside or
+// past the table and extends it, and a run resumed mid-grid all sample
+// exactly VoltageFn(t_k), and so does every published entry; the
+// generator behind another diode drop too.
 func FuzzVoltageTable(f *testing.F) {
 	f.Add(3.6, 20.0, 0.0, 0.0, 0.2, 5e-6, true, uint16(3000), uint16(700), uint16(40))
 	f.Add(4.5, 20.0, 0.0, 0.0, 0.0, 5e-6, false, uint16(4000), uint16(4000), uint16(0))
@@ -307,34 +365,34 @@ func FuzzVoltageTable(f *testing.F) {
 			vs = HalfWave(vs, diodeV)
 		}
 		fn, key := VoltageFn(vs), voltageKey(vs, dt)
+		tabled := key.kind != noTable
 		first := int(n) % 4096
 		total := first + int(n)%1024
-		c := walkVoltage(t, vs, dt, 0, first, true)
-		c.Finish()
-		if first > 0 && key.kind != noTable {
+		walkVoltage(t, vs, dt, 0, first, true)
+		if tabled && builds(dt, first) {
 			assertEntriesExact(t, key, fn, dt, first)
 		}
-		c = walkVoltage(t, vs, dt, 0, total, false)
-		c.Finish()
-		if total > 0 && key.kind != noTable {
-			assertEntriesExact(t, key, fn, dt, total)
+		had := len(lookupTable(key))
+		walkVoltage(t, vs, dt, 0, total, false)
+		if got := len(lookupTable(key)); got != had {
+			t.Fatalf("a run with no end moved the table from %d to %d samples", had, got)
 		}
 
 		// A hop of skip%300 instants at from, then the rest of the run.
 		from, hop := int(resume)%(total+1), int(skip)%300
-		c = walkVoltage(t, vs, dt, 0, from, false)
+		end := total + hop + 5
+		c := walkCursor(t, NewVoltageCursor(vs, dt, 0, float64(end)*dt), fn, dt, 0, from)
 		c.Skip(hop)
-		c = walkCursor(t, c, fn, dt, from+hop, total+hop+5)
-		c.Finish()
-		if key.kind != noTable {
-			assertEntriesExact(t, key, fn, dt, total)
+		walkCursor(t, c, fn, dt, from+hop, end)
+		if tabled && builds(dt, end) {
+			assertEntriesExact(t, key, fn, dt, end)
 		}
 		walkVoltage(t, vs, dt, from, total+5, true)
 
 		// The same generator behind another diode drop reads a table of
 		// its own.
 		if r, ok := vs.(*Rectified); ok {
-			walkVoltage(t, HalfWave(r.Source, r.DiodeV+0.25), dt, 0, total, false)
+			walkVoltage(t, HalfWave(r.Source, r.DiodeV+0.25), dt, 0, total, true)
 		}
 	})
 }
@@ -364,17 +422,22 @@ func TestHarvestTableByteCap(t *testing.T) {
 		}
 	}
 
-	// A run longer than the cap records exactly one full table. The
-	// cell is dark all day, so each sample is cheap.
+	// A run longer than the cap builds exactly one full table, which
+	// serves the run's first tableMaxLen steps. The cell is dark all
+	// day, so each sample is cheap.
 	p := DefaultPhotovoltaic()
 	p.DawnHour, p.DuskHour, p.Flicker = 30, 40, 0.0303
 	const dt = 0.05
-	c := walk(t, p, dt, 0, tableMaxLen+10)
-	c.Finish()
+	walk(t, p, dt, 0, tableMaxLen+10)
 	if got := len(lookupTable(pvKey(p, dt))); got != tableMaxLen {
-		t.Fatalf("a run of %d steps published %d samples, want the cap %d", tableMaxLen+10, got, tableMaxLen)
+		t.Fatalf("a run of %d steps built %d samples, want the cap %d", tableMaxLen+10, got, tableMaxLen)
 	}
 	checkMemo("after a full table")
+	full := lookupTable(pvKey(p, dt))
+	if c := walk(t, p, dt, 0, tableMaxLen+20); &c.tab[0] != &full[0] {
+		t.Error("a longer run rebuilt a table already at the cap")
+	}
+	assertTableExact(t, p, dt, tableMaxLen)
 
 	// Full-size tables under new keys evict the least recently used.
 	keyN := func(i int) tableKey {
@@ -382,11 +445,11 @@ func TestHarvestTableByteCap(t *testing.T) {
 		q.Flicker = 0.0304 + float64(i)*1e-6
 		return pvKey(&q, dt)
 	}
-	full := make([]float64, tableMaxLen)
-	publishTable(keyN(0), full)
+	zero := func(float64) float64 { return 0 }
+	sharedTable(keyN(0), zero, dt, math.MaxFloat64)
 	checkMemo("after two full tables")
 	lookupTable(pvKey(p, dt)) // the first table is now the most recent
-	publishTable(keyN(1), full)
+	sharedTable(keyN(1), zero, dt, math.MaxFloat64)
 	checkMemo("after three full tables")
 	if lookupTable(keyN(0)) != nil {
 		t.Error("the least recently used table survived")
@@ -395,9 +458,9 @@ func TestHarvestTableByteCap(t *testing.T) {
 		t.Error("a recently read table was evicted before the least recently used one")
 	}
 
-	// Many tiny tables stay within the table count.
+	// Many tiny tables, one sample each, stay within the table count.
 	for i := 2; i < 2+2*memoMaxTables; i++ {
-		publishTable(keyN(i), []float64{1})
+		sharedTable(keyN(i), zero, dt, dt/2)
 		checkMemo("after tiny tables")
 	}
 }

@@ -140,9 +140,6 @@ func (s *Sim) Step(maxSteps int) {
 		}
 		s.t += dt
 	}
-	if s.Done() {
-		s.harvest.Finish()
-	}
 }
 
 // SimState is the complete serialisable state of a Sim plus the mutable

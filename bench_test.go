@@ -129,7 +129,7 @@ func BenchmarkEq3PowerNeutralTracking(b *testing.B) {
 	sp := governedFFT(b, 47e-6)
 	var r scenario.ModelCase
 	for i := 0; i < b.N; i++ {
-		if r = runCase(b, sp); r.Lab.Stats.BrownOuts != 0 {
+		if r = runCase(b, sp); r.Result.Stats.BrownOuts != 0 {
 			b.Fatal("governed run browned out")
 		}
 	}
@@ -219,7 +219,7 @@ func runCase(b *testing.B, sp *scenario.Spec) scenario.ModelCase {
 // runLab runs one sweep-free lab spec through scenario.RunModel.
 func runLab(b *testing.B, sp *scenario.Spec) lab.Result {
 	b.Helper()
-	return runCase(b, sp).Lab
+	return runCase(b, sp).Result
 }
 
 // benchCases runs each case of the spec's sweep grid as a sub-benchmark
@@ -271,7 +271,7 @@ func BenchmarkAblationGovernorPolicy(b *testing.B) {
 		scenario.Axis{Param: "governor", Names: []string{"hillclimb", "proportional"}})
 	benchCases(b, sp, runCase, func(b *testing.B, r scenario.ModelCase) {
 		b.ReportMetric(r.Metrics["track_err"], "eq3-rel-err")
-		b.ReportMetric(float64(r.Lab.Completions), "completions")
+		b.ReportMetric(float64(r.Result.Completions), "completions")
 	})
 }
 

@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/result"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -74,7 +75,7 @@ func runExploration(path string, workers int, progress bool,
 		return err
 	}
 
-	opts := result.Options{Workers: workers}
+	opts := scenario.RunOptions{Workers: workers}
 	if progress {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(stderr, "ehsim-explore: %d/%d probes\n", done, total)

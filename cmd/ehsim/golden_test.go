@@ -10,7 +10,7 @@ import (
 
 // The CLI half of the golden-output conformance corpus: `ehsim -scenario`
 // must print exactly the bytes committed under testdata/golden for every
-// curated spec. internal/result's golden test pins RunSpec against the
+// curated spec. internal/result's golden test pins RunModel against the
 // same files (and owns the -update flag), so the CLI, the service's
 // result path, and the corpus stay mutually byte-identical.
 

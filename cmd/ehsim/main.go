@@ -27,9 +27,10 @@
 // grid sweep otherwise. -workers, -ff and (single runs) -trace compose
 // with it. "-scenario -" reads the spec from stdin, so specs pipe
 // between tools (and into ehsimd client examples) without touching
-// disk. Execution and report rendering go through internal/result — the
-// same path the ehsimd service serves — so CLI output and service
-// results are byte-identical by construction.
+// disk. Execution and report rendering go through scenario.RunModel,
+// and the -trace CSV through result.WriteTrace — the same path the
+// ehsimd service serves — so CLI output and service results are
+// byte-identical by construction.
 //
 // Usage:
 //
@@ -157,9 +158,9 @@ func loadSpec(path string, stdin io.Reader) (*scenario.Spec, error) {
 	return scenario.Parse(data)
 }
 
-// runSpec executes a spec through the shared internal/result path, so
-// what it prints is exactly what the ehsimd service serves for the same
-// spec.
+// runSpec executes a spec through scenario.RunModel, the path the
+// ehsimd service runs too, so what it prints is exactly what the
+// service serves for the same spec.
 func runSpec(sp *scenario.Spec, tracePath string, ff bool, workers int, stdout, stderr io.Writer) error {
 	if ff {
 		sp.FastForward = true
@@ -169,7 +170,7 @@ func runSpec(sp *scenario.Spec, tracePath string, ff bool, workers int, stdout, 
 		tracePath = ""
 	}
 
-	rep, err := result.RunSpec(sp, result.Options{Workers: workers, Trace: tracePath != ""})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{Workers: workers, Trace: tracePath != ""})
 	if err != nil {
 		return err
 	}
@@ -187,7 +188,7 @@ func runSpec(sp *scenario.Spec, tracePath string, ff bool, workers int, stdout, 
 
 // writeTraceFile renders a report's trace straight into path — the
 // same WriteTrace render the daemon streams from /trace.
-func writeTraceFile(path string, rep *result.Report) error {
+func writeTraceFile(path string, rep *scenario.ModelReport) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
-	"repro/internal/result"
 	"repro/internal/scenario"
+	"repro/internal/service"
 )
 
 // runCLI invokes the command's entry point with captured output and an
@@ -152,7 +157,7 @@ func TestScenarioFromStdin(t *testing.T) {
 }
 
 func TestScenarioOutputMatchesSharedResultPath(t *testing.T) {
-	// The CLI must print exactly what internal/result renders — the same
+	// The CLI must print exactly what scenario.RunModel renders — the same
 	// bytes ehsimd serves — so the two front-ends cannot drift.
 	spec := `{
 		"name": "pin",
@@ -173,12 +178,12 @@ func TestScenarioOutputMatchesSharedResultPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunSpec(sp, result.Options{})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out != rep.Text {
-		t.Errorf("CLI output diverges from result.RunSpec:\nCLI:\n%s\nRunSpec:\n%s", out, rep.Text)
+		t.Errorf("CLI output diverges from scenario.RunModel:\nCLI:\n%s\nRunModel:\n%s", out, rep.Text)
 	}
 }
 
@@ -218,6 +223,87 @@ func TestScenarioTraceCarriesSpecHash(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "t,vcc(V)") {
 		t.Errorf("trace CSV body missing:\n%.200s", data)
+	}
+}
+
+// TestTraceHashMatchesDaemon pins the three places a traced run states
+// its spec's content address to one value: the CLI's `# spec-hash:`
+// trace line, the daemon's X-Spec-Hash header on /result and /trace,
+// and the header line of the daemon's /trace body. The CLI and the
+// daemon's /trace take the line from the report (scenario's
+// ModelReport.SpecHash); the header comes from the daemon's own hash of
+// the submitted body. The two traces must also match byte for byte.
+func TestTraceHashMatchesDaemon(t *testing.T) {
+	spec := `{"name":"trace-hash-daemon","workload":"fib24","storage":{"c":"10u"},"source":{"name":"dc"},"duration":0.002}`
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "spec.json")
+	tracePath := filepath.Join(dir, "vcc.csv")
+	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, errb := runCLI(t, "-scenario", specPath, "-trace", tracePath); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb)
+	}
+	cliTrace, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := scenario.Parse([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := sp.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "# spec-hash: " + hash + "\n"; !bytes.HasPrefix(cliTrace, []byte(want)) {
+		t.Fatalf("CLI trace should open with %q, got:\n%.120s", want, cliTrace)
+	}
+
+	srv := service.New(service.Config{}).Start()
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Drain()
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); st.State != service.JobDone; time.Sleep(2 * time.Millisecond) {
+		if st.State == service.JobFailed || time.Now().After(deadline) {
+			t.Fatalf("job did not complete: %+v", st)
+		}
+		r, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(r.Body).Decode(&st)
+		r.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, route := range []string{"/result", "/trace"} {
+		r, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil || r.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v: %s", route, r.StatusCode, err, body)
+		}
+		if got := r.Header.Get("X-Spec-Hash"); got != hash {
+			t.Errorf("%s X-Spec-Hash = %q, want the CLI trace's %q", route, got, hash)
+		}
+		if route == "/trace" && !bytes.Equal(body, cliTrace) {
+			t.Errorf("/trace body differs from the CLI trace file:\ndaemon:\n%.200s\nCLI:\n%.200s", body, cliTrace)
+		}
 	}
 }
 

@@ -1,7 +1,10 @@
 // Command ehsimd serves the simulator as a long-running HTTP daemon:
 // scenario specs (the same JSON documents ehsim -scenario runs) are
 // submitted as jobs, executed on a bounded worker pool, cached by
-// content address, and served back byte-identical to the CLI's output.
+// content address, and served back byte-identical to the CLI's output:
+// a job runs through scenario.RunModel (scenario.ResumeModel after a
+// checkpoint), the path ehsim runs, and its cache tiers store the
+// report in internal/result's codec, which keeps the text verbatim.
 //
 // The REST surface (see docs/API.md for the full reference):
 //

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/result"
 	"repro/internal/scenario"
 	"repro/internal/service"
 )
@@ -106,7 +105,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunSpec(sp, result.Options{})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,8 +138,8 @@ func runEq3() (*Output, error) {
 			units.Format(float64(caps[i]), "F"),
 			fmt.Sprintf("%.3f", m["track_err"]),
 			fmt.Sprintf("%.2f V", m["vcc_range"]),
-			fmt.Sprintf("%d", c.Lab.Stats.BrownOuts),
-			fmt.Sprintf("%d", c.Lab.Completions),
+			fmt.Sprintf("%d", c.Result.Stats.BrownOuts),
+			fmt.Sprintf("%d", c.Result.Completions),
 		})
 	}
 	out := &Output{
@@ -172,7 +172,7 @@ func runEq4() (*Output, error) {
 	}
 	var failBelow, okAbove bool
 	for i, c := range rep.Cases {
-		m, res := margins[i], c.Lab
+		m, res := margins[i], c.Result
 		mt, err := reported(c.Metrics, "v_h")
 		if err != nil {
 			return nil, fmt.Errorf("eq4: %s: %w", c.Name, err)
@@ -239,7 +239,7 @@ func runEq5() (*Output, error) {
 
 	var hibE, qrE []float64
 	for i, f := range freqs {
-		h, q := reps[i].Cases[0].Lab, reps[i].Cases[1].Lab
+		h, q := reps[i].Cases[0].Result, reps[i].Cases[1].Result
 		he := h.EnergyPerCompletion() * 1e6
 		qe := q.EnergyPerCompletion() * 1e6
 		hibE = append(hibE, he)
@@ -309,12 +309,12 @@ func runRuntimes() (*Output, error) {
 		ID:          "runtimes",
 		Description: "comparative behaviour of the surveyed transient runtimes",
 	}
-	if rep.Cases[0].Lab.Completions != 0 {
+	if rep.Cases[0].Result.Completions != 0 {
 		return nil, fmt.Errorf("runtimes: baseline unexpectedly completed")
 	}
 	names := sp.Sweep[0].Names
 	for i, c := range rep.Cases {
-		res, label := c.Lab, names[i]
+		res, label := c.Result, names[i]
 		if label == "none" {
 			label = "none (restart)"
 		}

@@ -36,7 +36,7 @@ func runFig7() (*Output, error) {
 		return nil, err
 	}
 	c := rep.Cases[0]
-	res := c.Lab
+	res := c.Result
 	m, err := reported(c.Metrics, "v_h", "v_r")
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
@@ -109,7 +109,7 @@ func runFig8() (*Output, error) {
 		return nil, err
 	}
 	pnCase, plainCase := reps[0].Cases[0], reps[1].Cases[0]
-	pn, plain := pnCase.Lab, plainCase.Lab
+	pn, plain := pnCase.Result, plainCase.Result
 	pnM, err := reported(pnCase.Metrics, "longest_on")
 	if err != nil {
 		return nil, fmt.Errorf("fig8: hibernus-pn: %w", err)

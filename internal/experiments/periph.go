@@ -30,10 +30,10 @@ func runPeriph() (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	naive, aware := rep.Cases[0].Lab, rep.Cases[1].Lab
+	naive, aware := rep.Cases[0].Result, rep.Cases[1].Result
 
 	row := func(name string, c scenario.ModelCase) []string {
-		res := c.Lab
+		res := c.Result
 		return []string{
 			name,
 			fmt.Sprintf("%d", res.Completions),

@@ -15,7 +15,7 @@
 //
 // The package never executes scenarios itself: Run takes an Evaluator
 // that maps a sweep-free scenario spec to its metrics. The CLI injects
-// a direct internal/result call; the ehsimd service injects its tiered
+// a direct scenario.RunModel call; the ehsimd service injects its tiered
 // result cache, so every probed case is keyed by its per-case spec hash
 // and repeated explorations over overlapping grids get cheaper over
 // time. Because the report text is rendered here from the evaluation

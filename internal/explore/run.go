@@ -19,8 +19,8 @@ type Outcome struct {
 }
 
 // Evaluator maps one sweep-free scenario spec to its metrics. The CLI
-// injects a direct internal/result call; the service injects its
-// tiered result cache. The evaluator must be safe for concurrent use —
+// injects a direct scenario.RunModel call (result.RunExploration); the
+// service injects its tiered result cache. The evaluator must be safe for concurrent use —
 // strategies fan probe batches out across workers.
 type Evaluator func(sp *scenario.Spec) (Outcome, error)
 

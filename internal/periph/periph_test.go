@@ -138,7 +138,7 @@ func runSpec(t *testing.T, sp *scenario.Spec) []lab.Result {
 	}
 	out := make([]lab.Result, len(rep.Cases))
 	for i, c := range rep.Cases {
-		out[i] = c.Lab
+		out[i] = c.Result
 	}
 	return out
 }
@@ -190,7 +190,7 @@ var periphRuns = sync.OnceValues(func() ([]lab.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []lab.Result{rep.Cases[0].Lab, rep.Cases[1].Lab}, nil
+	return []lab.Result{rep.Cases[0].Result, rep.Cases[1].Result}, nil
 })
 
 func TestNaiveCheckpointingCorruptsPeripheralWork(t *testing.T) {

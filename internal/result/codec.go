@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/scenario"
 	"repro/internal/trace"
 )
 
@@ -16,14 +17,15 @@ import (
 // without a recompute — older blobs decode as misses.
 const codecVersion = 3
 
-// wireReport is the persisted/transferred form of a Report — the disk
-// CAS blob payload and the peer cache-transfer body. It carries the
-// rendered artifacts the service contract is about (Text served
-// verbatim, byte for byte; the trace as the columnar blob the CSV is
-// deterministically re-rendered from) plus the metadata the job and
-// exploration layers need: hash, sweep flag, and per-case name +
-// structured metrics. Raw lab.Result fields stay unpersisted — every
-// number worth caching is in the metrics map by the model contract.
+// wireReport is the persisted/transferred form of a
+// scenario.ModelReport: the disk CAS blob payload and the peer
+// cache-transfer body. It carries the rendered artifacts the service
+// contract is about (Text served verbatim, byte for byte; the trace as
+// the columnar blob the CSV is deterministically re-rendered from) plus
+// the metadata the job and exploration layers need: hash, sweep flag,
+// and per-case name + structured metrics. Raw lab.Result fields stay
+// unpersisted — every number worth caching is in the metrics map by the
+// model contract.
 type wireReport struct {
 	Codec      int        `json:"codec"`
 	Engine     string     `json:"engine"`
@@ -46,7 +48,7 @@ type wireCase struct {
 }
 
 // EncodeReport serialises a report for the disk CAS and peer transfer.
-func EncodeReport(rep *Report) ([]byte, error) {
+func EncodeReport(rep *scenario.ModelReport) ([]byte, error) {
 	w := wireReport{
 		Codec:      codecVersion,
 		Engine:     EngineVersion,
@@ -71,7 +73,7 @@ func EncodeReport(rep *Report) ([]byte, error) {
 // DecodeReport deserialises an EncodeReport payload. It rejects unknown
 // codec versions and reports produced by a different engine version —
 // both would otherwise let a stale blob impersonate a current result.
-func DecodeReport(data []byte) (*Report, error) {
+func DecodeReport(data []byte) (*scenario.ModelReport, error) {
 	var w wireReport
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("result: decoding report: %w", err)
@@ -85,12 +87,12 @@ func DecodeReport(data []byte) (*Report, error) {
 	if w.SpecHash == "" || w.Text == "" {
 		return nil, fmt.Errorf("result: decoded report missing spec hash or text")
 	}
-	rep := &Report{
+	rep := &scenario.ModelReport{
 		SpecHash:   w.SpecHash,
 		Sweep:      w.Sweep,
 		Text:       w.Text,
 		SimSeconds: w.SimSeconds,
-		Cases:      make([]CaseResult, len(w.Cases)),
+		Cases:      make([]scenario.ModelCase, len(w.Cases)),
 	}
 	if w.Trace != nil {
 		rec, err := trace.DecodeRecorder(w.Trace)
@@ -102,7 +104,7 @@ func DecodeReport(data []byte) (*Report, error) {
 		rep.Trace = rec
 	}
 	for i, c := range w.Cases {
-		rep.Cases[i] = CaseResult{Name: c.Name, Metrics: c.Metrics}
+		rep.Cases[i] = scenario.ModelCase{Name: c.Name, Metrics: c.Metrics}
 	}
 	return rep, nil
 }

@@ -27,7 +27,7 @@ func FuzzDecodeReport(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, sp := range []*scenario.Spec{codecSpec(f), sweep, analytic} {
-		rep, err := RunSpec(sp, Options{Trace: true})
+		rep, err := scenario.RunModel(sp, scenario.RunOptions{Trace: true})
 		if err != nil {
 			f.Fatal(err)
 		}

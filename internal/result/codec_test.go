@@ -25,7 +25,7 @@ func codecSpec(t testing.TB) *scenario.Spec {
 }
 
 func TestReportCodecRoundTripsServedArtifacts(t *testing.T) {
-	rep, err := RunSpec(codecSpec(t), Options{Trace: true})
+	rep, err := scenario.RunModel(codecSpec(t), scenario.RunOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestReportCodecRoundTripsServedArtifacts(t *testing.T) {
 }
 
 func TestDecodeRejectsForeignEngineAndCodec(t *testing.T) {
-	rep, err := RunSpec(codecSpec(t), Options{})
+	rep, err := scenario.RunModel(codecSpec(t), scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

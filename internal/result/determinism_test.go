@@ -28,7 +28,7 @@ func TestDeterminismAcrossWorkersAndFastForward(t *testing.T) {
 					t.Fatal(err)
 				}
 				sp.FastForward = ff
-				rep, err := RunSpec(sp, Options{Workers: workers})
+				rep, err := scenario.RunModel(sp, scenario.RunOptions{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

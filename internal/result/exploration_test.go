@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/scenario"
 )
 
 const explorationDir = "../../examples/explorations"
@@ -39,7 +40,7 @@ func TestGoldenExplorations(t *testing.T) {
 			if es.Description == "" || es.Base.Paper == "" {
 				t.Errorf("curated exploration needs a description and a base paper reference")
 			}
-			rep, err := RunExploration(es, Options{Workers: 1})
+			rep, err := RunExploration(es, scenario.RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,11 +61,11 @@ func TestExplorationDeterministicAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seq, err := RunExploration(es, Options{Workers: 1})
+			seq, err := RunExploration(es, scenario.RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunExploration(es, Options{Workers: 8})
+			par, err := RunExploration(es, scenario.RunOptions{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +100,7 @@ func TestEq5BisectionConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunExploration(es, Options{})
+	rep, err := RunExploration(es, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestRefineSharesNonDyadicGridPoints(t *testing.T) {
 	if err := es.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunExploration(es, Options{Workers: 2})
+	rep, err := RunExploration(es, scenario.RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

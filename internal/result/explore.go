@@ -8,14 +8,16 @@ import (
 )
 
 // RunExploration executes a validated exploration spec with a direct
-// evaluator: every probe runs through RunSpec, the same execution path
-// as `ehsim -scenario`. The service wires its own evaluator (the
-// tiered result cache) into explore.Run instead — and because the
-// report text is a pure function of the spec and the deterministic
-// evaluation stream, both front-ends render byte-identical reports.
-func RunExploration(es *explore.Spec, opts Options) (*explore.Report, error) {
+// evaluator: every probe runs through scenario.RunModel, the same
+// execution path as `ehsim -scenario`. opts.Workers, Progress and
+// Cancel drive the exploration; each probe runs on one worker. The
+// service wires its own evaluator (the tiered result cache) into
+// explore.Run instead — and because the report text is a pure function
+// of the spec and the deterministic evaluation stream, both front-ends
+// render byte-identical reports.
+func RunExploration(es *explore.Spec, opts scenario.RunOptions) (*explore.Report, error) {
 	eval := func(sp *scenario.Spec) (explore.Outcome, error) {
-		rep, err := RunSpec(sp, Options{Workers: 1, Cancel: opts.Cancel})
+		rep, err := scenario.RunModel(sp, scenario.RunOptions{Workers: 1, Cancel: opts.Cancel})
 		if err != nil {
 			return explore.Outcome{}, err
 		}

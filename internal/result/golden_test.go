@@ -37,7 +37,7 @@ func goldenSpecs(t *testing.T) []string {
 	return paths
 }
 
-// TestGoldenReports byte-compares RunSpec's rendered report for every
+// TestGoldenReports byte-compares RunModel's rendered report for every
 // curated spec against the committed golden corpus. A curated spec is
 // also documentation: it must say what it shows and where in the paper.
 func TestGoldenReports(t *testing.T) {
@@ -51,7 +51,7 @@ func TestGoldenReports(t *testing.T) {
 			if sp.Description == "" || sp.Paper == "" {
 				t.Errorf("curated spec needs a description and a paper reference")
 			}
-			rep, err := RunSpec(sp, Options{Workers: 1})
+			rep, err := scenario.RunModel(sp, scenario.RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestGoldenTrace(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			rep, err := RunSpec(sp, Options{Workers: 1, Trace: true})
+			rep, err := scenario.RunModel(sp, scenario.RunOptions{Workers: 1, Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestGoldenTrace(t *testing.T) {
 
 			// The summary must be identical with and without the
 			// recorder: a trace is a pure observer.
-			plain, err := RunSpec(sp, Options{Workers: 1})
+			plain, err := scenario.RunModel(sp, scenario.RunOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestGoldenTrace(t *testing.T) {
 // traceCSV renders a report's trace as every front-end serves it:
 // WriteTrace with the spec-hash header. A report without a trace renders
 // nothing.
-func traceCSV(t *testing.T, rep *Report) []byte {
+func traceCSV(t *testing.T, rep *scenario.ModelReport) []byte {
 	t.Helper()
 	if rep.Trace == nil {
 		return nil

@@ -23,7 +23,7 @@ func TestMpsocRunsShareTableConcurrently(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		rep, err := RunSpec(sp, Options{Trace: true})
+		rep, err := scenario.RunModel(sp, scenario.RunOptions{Trace: true})
 		if err != nil {
 			return "", err
 		}
@@ -34,7 +34,7 @@ func TestMpsocRunsShareTableConcurrently(t *testing.T) {
 		if err != nil {
 			return "", err
 		}
-		rep, err := RunExploration(es, Options{Workers: 2})
+		rep, err := RunExploration(es, scenario.RunOptions{Workers: 2})
 		if err != nil {
 			return "", err
 		}

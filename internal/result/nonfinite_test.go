@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // assertMetricsEncodable runs src, requires every metric finite and
@@ -11,7 +13,7 @@ import (
 // CAS codec, which rejects a non-finite metric outright.
 func assertMetricsEncodable(t *testing.T, src string, absent ...string) {
 	t.Helper()
-	rep, err := RunSpec(parse(t, src), Options{})
+	rep, err := scenario.RunModel(parse(t, src), scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

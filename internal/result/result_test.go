@@ -38,7 +38,7 @@ func parse(t *testing.T, src string) *scenario.Spec {
 func TestRunSpecSingle(t *testing.T) {
 	sp := parse(t, singleSpec)
 	var done, total int
-	rep, err := RunSpec(sp, Options{Progress: func(d, n int) { done, total = d, n }})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{Progress: func(d, n int) { done, total = d, n }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +64,18 @@ func TestRunSpecSingle(t *testing.T) {
 		t.Errorf("SpecHash = %q", rep.SpecHash)
 	}
 	if rep.Trace != nil {
-		t.Error("trace captured without Options.Trace")
+		t.Error("trace captured without RunOptions.Trace")
 	}
 }
 
 func TestRunSpecIsDeterministic(t *testing.T) {
 	// The cache serves one job's report to later identical submissions,
 	// which is only sound if re-running the spec reproduces it exactly.
-	a, err := RunSpec(parse(t, sweepSpec), Options{Workers: 1})
+	a, err := scenario.RunModel(parse(t, sweepSpec), scenario.RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSpec(parse(t, sweepSpec), Options{Workers: 4})
+	b, err := scenario.RunModel(parse(t, sweepSpec), scenario.RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunSpecIsDeterministic(t *testing.T) {
 func TestRunSpecSweep(t *testing.T) {
 	sp := parse(t, sweepSpec)
 	var last int
-	rep, err := RunSpec(sp, Options{Progress: func(d, n int) { last = n }})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{Progress: func(d, n int) { last = n }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRunSpecSweep(t *testing.T) {
 
 func TestRunSpecTraceCarriesSpecHash(t *testing.T) {
 	sp := parse(t, singleSpec)
-	rep, err := RunSpec(sp, Options{Trace: true})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +129,10 @@ func TestRunSpecTraceCarriesSpecHash(t *testing.T) {
 func TestRunSpecCancelBeforeStart(t *testing.T) {
 	cancel := make(chan struct{})
 	close(cancel)
-	if _, err := RunSpec(parse(t, singleSpec), Options{Cancel: cancel}); !errors.Is(err, sweep.ErrCanceled) {
+	if _, err := scenario.RunModel(parse(t, singleSpec), scenario.RunOptions{Cancel: cancel}); !errors.Is(err, sweep.ErrCanceled) {
 		t.Errorf("single: err = %v, want ErrCanceled", err)
 	}
-	if _, err := RunSpec(parse(t, sweepSpec), Options{Cancel: cancel}); !errors.Is(err, sweep.ErrCanceled) {
+	if _, err := scenario.RunModel(parse(t, sweepSpec), scenario.RunOptions{Cancel: cancel}); !errors.Is(err, sweep.ErrCanceled) {
 		t.Errorf("sweep: err = %v, want ErrCanceled", err)
 	}
 }
@@ -166,7 +166,7 @@ const eneutralSpec = `{
 	"dt": 1
 }`
 
-// TestRunSpecModels drives every analytic model through the same RunSpec
+// TestRunSpecModels drives every analytic model through the same RunModel
 // path the CLI and daemon share: a non-empty deterministic report, a
 // captured trace with the spec-hash header, and prompt cancellation.
 func TestRunSpecModels(t *testing.T) {
@@ -181,7 +181,7 @@ func TestRunSpecModels(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sp := parse(t, tc.spec)
 			var done, total int
-			rep, err := RunSpec(sp, Options{Trace: true, Progress: func(d, n int) { done, total = d, n }})
+			rep, err := scenario.RunModel(sp, scenario.RunOptions{Trace: true, Progress: func(d, n int) { done, total = d, n }})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +207,7 @@ func TestRunSpecModels(t *testing.T) {
 			}
 
 			// Deterministic: an identical second run renders identical bytes.
-			rep2, err := RunSpec(parse(t, tc.spec), Options{})
+			rep2, err := scenario.RunModel(parse(t, tc.spec), scenario.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +218,7 @@ func TestRunSpecModels(t *testing.T) {
 			// A pre-closed cancel channel stops the run before it starts.
 			cancel := make(chan struct{})
 			close(cancel)
-			if _, err := RunSpec(parse(t, tc.spec), Options{Cancel: cancel}); !errors.Is(err, sweep.ErrCanceled) {
+			if _, err := scenario.RunModel(parse(t, tc.spec), scenario.RunOptions{Cancel: cancel}); !errors.Is(err, sweep.ErrCanceled) {
 				t.Errorf("canceled run: got %v, want ErrCanceled", err)
 			}
 		})
@@ -238,7 +238,7 @@ func TestRunSpecModelSweep(t *testing.T) {
 		"sweep": [{"param": "model.taskenergy", "values": ["1m", "6m"]}]
 	}`)
 	var last int
-	rep, err := RunSpec(sp, Options{Progress: func(d, n int) { last = n }})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{Progress: func(d, n int) { last = n }})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,17 @@ var ckptSpecs = map[string]string{
 	"taskburst-pv": `{"name":"x","model":"taskburst","storage":{"c":"6m"},"source":{"name":"pv"},"duration":86400,"dt":1}`,
 }
 
+// mustHash returns the spec's content address, the hash the driver
+// binds a checkpoint envelope to.
+func mustHash(tb testing.TB, sp *Spec) string {
+	tb.Helper()
+	h, err := sp.Hash()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
 // tracesEqual compares two recorders through the lossless columnar
 // codec (result.WriteTrace renders deterministically from the recorder,
 // so codec equality implies CSV equality).
@@ -129,7 +140,7 @@ func TestMidRunCheckpointResumeIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env, err := encodeCheckpoint(sp, state)
+			env, err := encodeCheckpoint(sp, mustHash(t, sp), state)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +266,7 @@ func TestLabSingleCheckpointIsRestartMarker(t *testing.T) {
 	if state, err = eng.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	env, err := encodeCheckpoint(short, state)
+	env, err := encodeCheckpoint(short, mustHash(t, short), state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +312,7 @@ func TestLabSweepCancel(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("checkpoint: got %v, want *CheckpointError", err)
 	}
-	data, err := decodeCheckpoint(sp, ce.State)
+	data, err := decodeCheckpoint(sp, mustHash(t, sp), ce.State)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +469,7 @@ func TestSweepCheckpointResumeIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				env, err := encodeCheckpoint(sp, state)
+				env, err := encodeCheckpoint(sp, mustHash(t, sp), state)
 				if err != nil {
 					t.Fatal(err)
 				}

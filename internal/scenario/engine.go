@@ -75,12 +75,9 @@ func checkpointSum(data []byte) string {
 	return fmt.Sprintf("%x", sha256.Sum256(data))
 }
 
-// encodeCheckpoint wraps model-private state in the spec-bound envelope.
-func encodeCheckpoint(sp *Spec, state []byte) ([]byte, error) {
-	hash, err := sp.Hash()
-	if err != nil {
-		return nil, err
-	}
+// encodeCheckpoint wraps model-private state in the envelope bound to
+// the spec's model and its content hash.
+func encodeCheckpoint(sp *Spec, hash string, state []byte) ([]byte, error) {
 	return json.Marshal(checkpointEnvelope{
 		V:     checkpointVersion,
 		Model: sp.ModelName(),
@@ -90,9 +87,9 @@ func encodeCheckpoint(sp *Spec, state []byte) ([]byte, error) {
 	})
 }
 
-// decodeCheckpoint validates the envelope against the spec and returns
-// the model-private state.
-func decodeCheckpoint(sp *Spec, blob []byte) ([]byte, error) {
+// decodeCheckpoint validates the envelope against the spec's model and
+// content hash and returns the model-private state.
+func decodeCheckpoint(sp *Spec, hash string, blob []byte) ([]byte, error) {
 	var env checkpointEnvelope
 	if err := json.Unmarshal(blob, &env); err != nil {
 		return nil, fmt.Errorf("scenario: invalid checkpoint: %w", err)
@@ -103,10 +100,6 @@ func decodeCheckpoint(sp *Spec, blob []byte) ([]byte, error) {
 	if env.Model != sp.ModelName() {
 		return nil, fmt.Errorf("scenario: checkpoint is for model %q, spec selects %q", env.Model, sp.ModelName())
 	}
-	hash, err := sp.Hash()
-	if err != nil {
-		return nil, err
-	}
 	if env.Hash != hash {
 		return nil, fmt.Errorf("scenario: checkpoint spec hash %s does not match %s", env.Hash, hash)
 	}
@@ -116,13 +109,14 @@ func decodeCheckpoint(sp *Spec, blob []byte) ([]byte, error) {
 	return env.Data, nil
 }
 
-// RunModel executes the spec on its model's engine and renders the
-// report — the single entry point every front-end (CLI, daemon,
-// explorer) funnels through. Cancellation returns sweep.ErrCanceled; a
-// checkpoint request returns *CheckpointError carrying the resumable
-// state.
+// RunModel executes a validated spec (a single run without sweep axes,
+// a parallel grid sweep with them) on its model's engine and renders
+// the report, stamped with the spec's content address. It is the single
+// entry point every front-end (CLI, daemon, explorer, figures) funnels
+// through. Cancellation returns sweep.ErrCanceled; a checkpoint request
+// returns *CheckpointError carrying the resumable state.
 func RunModel(sp *Spec, opts RunOptions) (*ModelReport, error) {
-	return drive(sp, opts, nil)
+	return drive(sp, opts, false, nil)
 }
 
 // ResumeModel continues a run from a checkpoint produced by a previous
@@ -130,22 +124,29 @@ func RunModel(sp *Spec, opts RunOptions) (*ModelReport, error) {
 // model and content hash; the resumed run's report and trace are
 // byte-identical to an uninterrupted run of the same spec.
 func ResumeModel(sp *Spec, checkpoint []byte, opts RunOptions) (*ModelReport, error) {
-	data, err := decodeCheckpoint(sp, checkpoint)
+	return drive(sp, opts, true, checkpoint)
+}
+
+// drive is the shared engine loop: hash the spec once, build the engine
+// (fresh, or from the checkpoint envelope when resume is set), then
+// alternate between the options' control channels and Step until done.
+// Cancel wins over Checkpoint when both have fired.
+func drive(sp *Spec, opts RunOptions, resume bool, envelope []byte) (*ModelReport, error) {
+	hash, err := sp.Hash()
 	if err != nil {
 		return nil, err
 	}
-	return drive(sp, opts, data)
-}
-
-// drive is the shared engine loop: build the engine (fresh or from a
-// checkpoint), then alternate between the options' control channels and
-// Step until done. Cancel wins over Checkpoint when both have fired.
-func drive(sp *Spec, opts RunOptions, checkpoint []byte) (*ModelReport, error) {
+	var state []byte
+	if resume {
+		if state, err = decodeCheckpoint(sp, hash, envelope); err != nil {
+			return nil, err
+		}
+	}
 	m, err := LookupModel(sp.ModelName())
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(m, sp, opts, checkpoint)
+	eng, err := newEngine(m, sp, opts, state)
 	if err != nil {
 		return nil, err
 	}
@@ -158,7 +159,7 @@ func drive(sp *Spec, opts RunOptions, checkpoint []byte) (*ModelReport, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario: checkpoint: %w", err)
 			}
-			env, err := encodeCheckpoint(sp, state)
+			env, err := encodeCheckpoint(sp, hash, state)
 			if err != nil {
 				return nil, err
 			}
@@ -168,7 +169,12 @@ func drive(sp *Spec, opts RunOptions, checkpoint []byte) (*ModelReport, error) {
 			return nil, err
 		}
 	}
-	return eng.Report()
+	rep, err := eng.Report()
+	if err != nil {
+		return nil, err
+	}
+	rep.SpecHash = hash
+	return rep, nil
 }
 
 // newEngine builds the model's engine for the spec: a single run

@@ -117,7 +117,7 @@ func runFF(t *testing.T, sp *Spec, ff bool) ffOutcome {
 	if err != nil {
 		t.Fatalf("fastforward=%v: %v", ff, err)
 	}
-	res := rep.Cases[0].Lab
+	res := rep.Cases[0].Result
 	return ffOutcome{res.Completions, res.WrongResults, res.CompletionTimes, res.Stats,
 		res.TxDelivered, res.TxDropped, res.Hibernates, res.VH, res.VR}
 }
@@ -134,7 +134,7 @@ func TestFastForwardPowerSourceMatchesStepwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fastforward=%v: %v", ff, err)
 		}
-		res[i] = rep.Cases[0].Lab
+		res[i] = rep.Cases[0].Result
 	}
 	if res[0].Completions == 0 {
 		t.Fatal("the stepwise run completed nothing; the comparison would be vacuous")

@@ -145,7 +145,7 @@ func FuzzResumeModel(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		env, err := encodeCheckpoint(sp, state)
+		env, err := encodeCheckpoint(sp, mustHash(f, sp), state)
 		if err != nil {
 			f.Fatal(err)
 		}

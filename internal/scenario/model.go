@@ -6,8 +6,7 @@
 // is a Model registered here under a stable name. Spec.Model selects
 // one ("" means "lab", preserving every pre-model spec and its content
 // hash byte-for-byte); every front-end that executes specs through
-// internal/result.RunSpec gains all registered models with no per-model
-// plumbing.
+// RunModel gains all registered models with no per-model plumbing.
 //
 // The model contract (docs/ARCHITECTURE.md "The model registry"):
 //
@@ -43,20 +42,25 @@ import (
 // seconds) for captured traces, matching the CLI's -trace behaviour.
 const DefaultTraceInterval = 1e-3
 
-// RunOptions tunes one model execution (the scenario-level mirror of
-// result.Options).
+// RunOptions tunes one RunModel or ResumeModel execution.
 type RunOptions struct {
 	// Workers is the sweep parallelism (0 = one per core): a sweep runs
 	// its cases, of any model, in waves of Workers at a time. It never
 	// reaches the report.
 	Workers int
 
-	// Trace asks a single run to capture itself as a trace.Recorder;
-	// sweeps record nothing. Recording must not perturb the simulation.
+	// Trace asks a single run to capture itself as a trace.Recorder; a
+	// sweep, of any model, records none (to trace one of its cases, run
+	// that case as a single spec: Spec.At). Recording does not perturb
+	// the simulation: the recorder is a pure observer. What the trace
+	// carries is model-defined: V_CC/freq/mode for lab runs,
+	// budget/used/fps for mpsoc, vcap/events for taskburst,
+	// soc/duty/harvest for eneutral.
 	Trace bool
 
 	// TraceInterval overrides the trace sampling interval (simulated
-	// seconds); ≤0 selects DefaultTraceInterval.
+	// seconds); ≤0 selects DefaultTraceInterval. Callers bounding trace
+	// memory for long runs raise it (service.maxTraceSamples).
 	TraceInterval float64
 
 	// Progress, if non-nil, is called after each case completes; single
@@ -64,7 +68,9 @@ type RunOptions struct {
 	Progress func(done, total int)
 
 	// Cancel, if non-nil, aborts the run when closed: the driver
-	// returns sweep.ErrCanceled.
+	// returns sweep.ErrCanceled. It stops new sweep cases from starting
+	// and interrupts the stepping loop of cases already running, so even
+	// long single runs cancel promptly.
 	Cancel <-chan struct{}
 
 	// Checkpoint, if non-nil, suspends the run when closed: the driver
@@ -84,11 +90,12 @@ func (o RunOptions) interval() float64 {
 // ModelCase is one executed case of a model run.
 type ModelCase struct {
 	Name string
-	// Lab holds the structured result for lab-model cases; other models
-	// report through their rendered text and leave it zero. A sweep
-	// checkpoint does not persist it (every number worth keeping is in
-	// Metrics), so a resumed sweep's restored cases carry it zero.
-	Lab lab.Result `json:"-"`
+	// Result holds the structured result for lab-model cases; other
+	// models report through their rendered text and leave it zero.
+	// Neither a sweep checkpoint nor the report codec persists it (every
+	// number worth keeping is in Metrics), so a resumed sweep's restored
+	// cases and a decoded report's cases carry it zero.
+	Result lab.Result `json:"-"`
 
 	// Metrics holds the case's structured objectives — every number the
 	// rendered report derives its cells from, keyed by the names the
@@ -112,8 +119,14 @@ type MetricDoc struct {
 }
 
 // ModelReport is one model execution's complete outcome, rendered and
-// structured. internal/result wraps it with the spec's content address.
+// structured. internal/result encodes it for the daemon's caches
+// (EncodeReport) and renders its trace as CSV (WriteTrace).
 type ModelReport struct {
+	// SpecHash is the executed spec's content address (Spec.Hash): the
+	// spec handed to RunModel or ResumeModel, so a sweep's report carries
+	// the sweep spec's hash, not a case's.
+	SpecHash string
+
 	// Sweep reports whether the spec expanded into a grid.
 	Sweep bool
 
@@ -129,8 +142,9 @@ type ModelReport struct {
 	SimSeconds float64
 
 	// Trace is the captured recorder (RunOptions.Trace, single runs
-	// only); nil otherwise. Serialisation — the spec-hash header plus
-	// CSV — is the caller's job, since the model does not know the hash.
+	// only) as its columnar store; nil otherwise. result.WriteTrace
+	// renders it as CSV under a spec-hash header, and windowed queries
+	// run against it (trace.Window).
 	Trace *trace.Recorder
 }
 

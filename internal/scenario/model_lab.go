@@ -192,7 +192,7 @@ func (r *labRun) report() string {
 
 func (r *labRun) outcome() ModelCase {
 	res := r.Result()
-	return ModelCase{Lab: res, Metrics: labMetrics(res, float64(r.sp.Duration), r.tr)}
+	return ModelCase{Result: res, Metrics: labMetrics(res, float64(r.sp.Duration), r.tr)}
 }
 
 func (r *labRun) cells() []string {

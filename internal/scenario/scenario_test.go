@@ -373,7 +373,7 @@ func TestHibernusPeriphWithoutBankIsHibernus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", rt, err)
 		}
-		res[i] = rep.Cases[0].Lab
+		res[i] = rep.Cases[0].Result
 	}
 	if res[0].Completions == 0 || res[0].Stats.Restores == 0 {
 		t.Fatalf("hibernus completed %d and restored %d times; the comparison would be vacuous",

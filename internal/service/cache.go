@@ -3,7 +3,7 @@ package service
 import (
 	"sync"
 
-	"repro/internal/result"
+	"repro/internal/scenario"
 )
 
 // Claim is the caller's role after Cache.Begin.
@@ -27,7 +27,7 @@ type Entry struct {
 	Done chan struct{}
 
 	// Report is the computed result (nil after Abort).
-	Report *result.Report
+	Report *scenario.ModelReport
 
 	// Err is the abort reason (nil after Complete).
 	Err error
@@ -115,7 +115,7 @@ func (c *Cache) Riders(e *Entry) int {
 
 // Complete publishes the leader's report and releases all waiters,
 // evicting the oldest completed riderless entry if the cap is exceeded.
-func (c *Cache) Complete(key string, rep *result.Report) {
+func (c *Cache) Complete(key string, rep *scenario.ModelReport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -137,7 +137,7 @@ func (c *Cache) Complete(key string, rep *result.Report) {
 // peer-push ingest path. The key must be absent: an in-flight local
 // computation keeps its leader (the push is dropped, reported false),
 // and a completed entry is left as is.
-func (c *Cache) AdoptCompleted(key string, rep *result.Report) bool {
+func (c *Cache) AdoptCompleted(key string, rep *scenario.ModelReport) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {

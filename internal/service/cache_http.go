@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"repro/internal/result"
+	"repro/internal/scenario"
 )
 
 // maxReportBytes bounds a pushed report body. Reports are text plus a
@@ -93,7 +94,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 
 // serveEncodedReport encodes and serves a report as a peer-transfer
 // body.
-func (s *Server) serveEncodedReport(w http.ResponseWriter, hash string, rep *result.Report) {
+func (s *Server) serveEncodedReport(w http.ResponseWriter, hash string, rep *scenario.ModelReport) {
 	data, err := result.EncodeReport(rep)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encoding report: %v", err)

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/result"
+	"repro/internal/scenario"
 )
 
 func TestCacheSingleFlightElectsOneLeader(t *testing.T) {
@@ -15,7 +15,7 @@ func TestCacheSingleFlightElectsOneLeader(t *testing.T) {
 	const n = 32
 	var leaders atomic.Int32
 	var wg sync.WaitGroup
-	rep := &result.Report{Text: "report"}
+	rep := &scenario.ModelReport{Text: "report"}
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
@@ -48,7 +48,7 @@ func TestCacheCompletedKeyReturnsDone(t *testing.T) {
 	if claim != Lead {
 		t.Fatalf("first Begin = %v, want Lead", claim)
 	}
-	rep := &result.Report{Text: "x"}
+	rep := &scenario.ModelReport{Text: "x"}
 	c.Complete("k", rep)
 	e, claim := c.Begin("k")
 	if claim != Done || e.Report != rep {
@@ -79,7 +79,7 @@ func TestCacheAbortEvictsAndReleasesWaiters(t *testing.T) {
 
 func TestCacheCapEvictsOldestCompleted(t *testing.T) {
 	c := NewCache(2)
-	rep := &result.Report{Text: "r"}
+	rep := &scenario.ModelReport{Text: "r"}
 	for _, k := range []string{"a", "b", "c"} {
 		if _, claim := c.Begin(k); claim != Lead {
 			t.Fatalf("%s: claim not Lead", k)
@@ -102,7 +102,7 @@ func TestCacheCapSparesInFlight(t *testing.T) {
 	if _, claim := c.Begin("inflight"); claim != Lead {
 		t.Fatal("claim not Lead")
 	}
-	rep := &result.Report{Text: "r"}
+	rep := &scenario.ModelReport{Text: "r"}
 	for _, k := range []string{"a", "b"} {
 		c.Begin(k)
 		c.Complete(k, rep)
@@ -143,7 +143,7 @@ func TestCacheDistinctKeysAreIndependent(t *testing.T) {
 // entries with active riders and take the next-oldest instead.
 func TestCacheCapEvictionSkipsEntriesWithRiders(t *testing.T) {
 	c := NewCache(2)
-	rep := &result.Report{Text: "r"}
+	rep := &scenario.ModelReport{Text: "r"}
 
 	if _, claim := c.Begin("ridden"); claim != Lead {
 		t.Fatal("claim not Lead")
@@ -182,7 +182,7 @@ func TestCacheCapEvictionSkipsEntriesWithRiders(t *testing.T) {
 // never evicted later, and the cache outgrows its cap.
 func TestCacheEvictionKeepsTheUnscannedTail(t *testing.T) {
 	c := NewCache(3)
-	rep := &result.Report{Text: "r"}
+	rep := &scenario.ModelReport{Text: "r"}
 	c.Begin("k0")
 	e, claim := c.Begin("k0")
 	if claim != Wait {
@@ -227,7 +227,7 @@ func TestCacheEvictionKeepsTheUnscannedTail(t *testing.T) {
 // entry regression this cache's rider accounting exists to prevent.
 func TestFollowerNeverObservesVanishedEntry(t *testing.T) {
 	c := NewCache(1)
-	rep := &result.Report{Text: "the follower's report"}
+	rep := &scenario.ModelReport{Text: "the follower's report"}
 	if _, claim := c.Begin("k"); claim != Lead {
 		t.Fatal("claim not Lead")
 	}

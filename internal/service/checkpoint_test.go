@@ -29,7 +29,7 @@ func TestDrainCheckpointsRunningJobAndResumesByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := result.RunSpec(sp, result.Options{
+	want, err := scenario.RunModel(sp, scenario.RunOptions{
 		Trace:         true,
 		TraceInterval: traceInterval(float64(sp.Duration)),
 	})
@@ -196,7 +196,7 @@ func TestResumeCheckpointsDropsStaleKeys(t *testing.T) {
 // so stretching the interval with a divisor of maxTraceSamples admits
 // maxTraceSamples+1 points. The divisor must be maxTraceSamples−1.
 func TestTraceIntervalFencepost(t *testing.T) {
-	boundary := result.TraceInterval * float64(maxTraceSamples-1)
+	boundary := scenario.DefaultTraceInterval * float64(maxTraceSamples-1)
 	for _, d := range []float64{
 		0.002, 1.0,
 		boundary * 0.999, boundary, boundary * 1.000001,
@@ -206,7 +206,7 @@ func TestTraceIntervalFencepost(t *testing.T) {
 		if pts := math.Floor(d/iv) + 1; pts > maxTraceSamples {
 			t.Errorf("duration %g: interval %g admits %.0f samples, cap is %d", d, iv, pts, maxTraceSamples)
 		}
-		if d <= boundary*0.999 && iv != result.TraceInterval {
+		if d <= boundary*0.999 && iv != scenario.DefaultTraceInterval {
 			t.Errorf("duration %g: interval stretched to %g below the cap", d, iv)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/explore"
-	"repro/internal/result"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
@@ -70,7 +69,7 @@ func (s *Server) runExploration(j *job) {
 		// /result endpoint (and job-record memory bounds) need no second
 		// code path. SimSeconds counts only work actually computed here —
 		// lead already fed the server's sim seconds per computed probe.
-		j.report = &result.Report{Text: rep.Text, SimSeconds: rep.SimSeconds}
+		j.report = &scenario.ModelReport{Text: rep.Text, SimSeconds: rep.SimSeconds}
 		if j.total > 0 {
 			j.done = j.total
 		}
@@ -131,14 +130,14 @@ func (s *Server) evaluateProbe(j *job, sp *scenario.Spec) (explore.Outcome, erro
 			return explore.Outcome{}, leadErr
 		}
 
-		rep, src, err := s.lead(key, hash, j.cancel, func() (*result.Report, error) {
-			return result.RunSpec(sp, result.Options{
+		rep, src, err := s.lead(key, hash, j.cancel, func() (*scenario.ModelReport, error) {
+			return scenario.RunModel(sp, scenario.RunOptions{
 				Workers:       s.cfg.SweepWorkers,
 				Trace:         true,
 				TraceInterval: traceInterval(float64(sp.Duration)),
 				Cancel:        j.cancel,
 			})
-		}, func(_ *result.Report, src string, err error) {
+		}, func(_ *scenario.ModelReport, src string, err error) {
 			if err == nil {
 				s.countProbeLocked(src != SourceCompute)
 			}
@@ -169,7 +168,7 @@ func (s *Server) countProbeLocked(hit bool) {
 // explorer. Probes are sweep-free by construction, so the report holds
 // exactly one case. SimSeconds is left zero: a served report did no new
 // work (the computing path overrides it).
-func probeOutcome(rep *result.Report) (explore.Outcome, error) {
+func probeOutcome(rep *scenario.ModelReport) (explore.Outcome, error) {
 	if len(rep.Cases) != 1 {
 		return explore.Outcome{}, fmt.Errorf("service: probe resolved to %d cases, want 1", len(rep.Cases))
 	}

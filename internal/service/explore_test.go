@@ -12,6 +12,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/explore"
 	"repro/internal/result"
+	"repro/internal/scenario"
 )
 
 // tinyExploration returns a fast 3-probe grid exploration; the name
@@ -75,7 +76,7 @@ func TestExplorationJobServesCLIIdenticalResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunExploration(es, result.Options{Workers: 1})
+	rep, err := result.RunExploration(es, scenario.RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

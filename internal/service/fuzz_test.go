@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/result"
 	"repro/internal/scenario"
 )
 
@@ -124,11 +123,11 @@ const ckptFuzzSpec = `{"name":"x","model":"eneutral","source":{"name":"const-pow
 // Get under the spec's cache key (a job about to run) and List (a boot
 // resubmitting suspended jobs). Neither may panic, and together they
 // may allocate no more than a constant factor of the file's size. A
-// record Get accepts must resume, through result.ResumeSpec, to exactly
-// the spec's RunSpec text, or be rejected with an error. List lists at
-// most that one file, and a record it lists under the spec's key is the
-// one Get served; under any other key the daemon drops it at boot and
-// never resumes it.
+// record Get accepts must resume, through scenario.ResumeModel, to
+// exactly the spec's RunModel text, or be rejected with an error. List
+// lists at most that one file, and a record it lists under the spec's
+// key is the one Get served; under any other key the daemon drops it at
+// boot and never resumes it.
 func FuzzCheckpointStore(f *testing.F) {
 	sp, err := scenario.Parse([]byte(ckptFuzzSpec))
 	if err != nil {
@@ -143,8 +142,8 @@ func FuzzCheckpointStore(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	opts := result.Options{Workers: 1, Trace: true, TraceInterval: traceInterval(float64(sp.Duration))}
-	fresh, err := result.RunSpec(sp, opts)
+	opts := scenario.RunOptions{Workers: 1, Trace: true, TraceInterval: traceInterval(float64(sp.Duration))}
+	fresh, err := scenario.RunModel(sp, opts)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -153,10 +152,10 @@ func FuzzCheckpointStore(f *testing.F) {
 	ckOpts := opts
 	ckOpts.Checkpoint = stop
 	var ce *scenario.CheckpointError
-	if _, err := result.RunSpec(sp, ckOpts); !errors.As(err, &ce) {
+	if _, err := scenario.RunModel(sp, ckOpts); !errors.As(err, &ce) {
 		f.Fatalf("checkpoint request: got %v, want *scenario.CheckpointError", err)
 	}
-	if rep, err := result.ResumeSpec(sp, ce.State, opts); err != nil || rep.Text != fresh.Text {
+	if rep, err := scenario.ResumeModel(sp, ce.State, opts); err != nil || rep.Text != fresh.Text {
 		f.Fatalf("the seed checkpoint does not resume to the fresh report (%v)", err)
 	}
 	seed := func(rec CheckpointRecord) {
@@ -197,7 +196,7 @@ func FuzzCheckpointStore(f *testing.F) {
 			if got.Key != key {
 				t.Fatalf("Get(%q) served a record keyed %q", key, got.Key)
 			}
-			rep, err := result.ResumeSpec(sp, got.State, opts)
+			rep, err := scenario.ResumeModel(sp, got.State, opts)
 			if err == nil && rep.Text != fresh.Text {
 				t.Fatalf("accepted checkpoint resumed to another report:\n--- fresh ---\n%s--- resumed ---\n%s", fresh.Text, rep.Text)
 			}

@@ -257,7 +257,7 @@ func traceQueryFloat(q url.Values, name string, fallback float64) (float64, erro
 // decimation of [from, to] into at most `points` buckets per series,
 // O(points) rows regardless of how many samples the trace holds. Defaults:
 // the trace's full time range and defaultTracePoints buckets.
-func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *result.Report, q url.Values) {
+func (s *Server) serveTraceWindow(w http.ResponseWriter, st JobStatus, rep *scenario.ModelReport, q url.Values) {
 	lo, hi, _ := rep.Trace.TimeRange()
 	from, err := traceQueryFloat(q, "from", lo)
 	if err != nil {

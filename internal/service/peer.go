@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/result"
+	"repro/internal/scenario"
 )
 
 // watchCancel derives a context that cancels when the job's cancel
@@ -83,7 +84,7 @@ func (p *peerSet) owner(specHash string) string { return Owner(p.ring, specHash)
 // verified hit, (nil, nil) on a clean miss, and (nil, err) when the
 // peer was unreachable, slow, or served a corrupt body — callers treat
 // the last two identically (compute locally) but count them apart.
-func (p *peerSet) lookup(owner, specHash string, cancel <-chan struct{}) (*result.Report, error) {
+func (p *peerSet) lookup(owner, specHash string, cancel <-chan struct{}) (*scenario.ModelReport, error) {
 	req, err := http.NewRequest(http.MethodGet, owner+"/v1/cache/"+specHash, nil)
 	if err != nil {
 		return nil, err

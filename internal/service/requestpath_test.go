@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/result"
 	"repro/internal/scenario"
 )
 
@@ -23,14 +22,14 @@ import (
 // history pruning drops only the oldest finished records; and a batch
 // streams each line as its spec finishes.
 
-// directText is the report text result.RunSpec renders for spec.
-func directText(t *testing.T, spec string) (*result.Report, string) {
+// directText is the report text scenario.RunModel renders for spec.
+func directText(t *testing.T, spec string) (*scenario.ModelReport, string) {
 	t.Helper()
 	sp, err := scenario.Parse([]byte(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunSpec(sp, result.Options{Workers: 1})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestSpellingsShareHashAndResult(t *testing.T) {
 			t.Errorf("submission %d: source %q, want %q", i, fin.Source, SourceCache)
 		}
 		if _, body, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); body != want {
-			t.Errorf("submission %d: result differs from the direct RunSpec text", i)
+			t.Errorf("submission %d: result differs from the direct RunModel text", i)
 		}
 	}
 }

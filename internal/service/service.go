@@ -14,9 +14,10 @@
 // a peer asks that peer's cache (bounded by a timeout) before falling
 // back to computing locally (peer.go).
 //
-// Execution goes through internal/result — the same path the ehsim CLI
-// prints from — so a job's result body is byte-identical to
-// `ehsim -scenario` output for the same spec.
+// Execution goes through scenario.RunModel — the same path the ehsim
+// CLI prints from — so a job's result body is byte-identical to
+// `ehsim -scenario` output for the same spec; the disk and peer tiers
+// carry reports in internal/result's codec.
 package service
 
 import (
@@ -181,7 +182,7 @@ type job struct {
 	lead     bool   // owns the cache computation for key
 	done     int    // progress: cases finished
 	total    int    // progress: cases overall (0 until known)
-	report   *result.Report
+	report   *scenario.ModelReport
 	errText  string
 	cancel   chan struct{}
 	canceled bool   // cancel closed
@@ -510,7 +511,7 @@ func (s *Server) markFinishedLocked(j *job) {
 
 // doneLocked publishes rep as j's result, served from src. Callers hold
 // s.mu.
-func (s *Server) doneLocked(j *job, rep *result.Report, src string) {
+func (s *Server) doneLocked(j *job, rep *scenario.ModelReport, src string) {
 	j.state = JobDone
 	j.source = src
 	j.report = rep
@@ -649,8 +650,8 @@ func (s *Server) worker() {
 // alike, and only if one of them needs it. It returns what publish saw;
 // src is SourceCompute whenever compute ran. Callers must not hold
 // s.mu: the tiers and compute run off it.
-func (s *Server) lead(key, hash string, cancel <-chan struct{}, compute func() (*result.Report, error),
-	publish func(rep *result.Report, src string, err error)) (*result.Report, string, error) {
+func (s *Server) lead(key, hash string, cancel <-chan struct{}, compute func() (*scenario.ModelReport, error),
+	publish func(rep *scenario.ModelReport, src string, err error)) (*scenario.ModelReport, string, error) {
 	rep, src, err := s.fetchCold(key, hash, cancel)
 	if rep == nil && err == nil {
 		src = SourceCompute
@@ -689,7 +690,7 @@ func (s *Server) lead(key, hash string, cancel <-chan struct{}, compute func() (
 // to the job record.
 func (s *Server) runJob(j *job) {
 	var resumed bool
-	compute := func() (*result.Report, error) {
+	compute := func() (*scenario.ModelReport, error) {
 		rep, res, err := s.execute(j)
 		resumed = res
 		// A checkpoint interruption persists the engine state before the
@@ -707,7 +708,7 @@ func (s *Server) runJob(j *job) {
 		s.cfg.Checkpoints.Delete(j.key)
 		return rep, err
 	}
-	_, src, _ := s.lead(j.key, j.hash, j.cancel, compute, func(rep *result.Report, src string, err error) {
+	_, src, _ := s.lead(j.key, j.hash, j.cancel, compute, func(rep *scenario.ModelReport, src string, err error) {
 		switch {
 		case errors.Is(err, errCheckpointed):
 			s.counts.CheckpointsSaved++
@@ -734,8 +735,8 @@ func (s *Server) runJob(j *job) {
 // checkpoint when one exists, computing from scratch otherwise.
 // resumed reports whether a checkpoint was consumed. Callers must not
 // hold s.mu.
-func (s *Server) execute(j *job) (rep *result.Report, resumed bool, err error) {
-	opts := result.Options{
+func (s *Server) execute(j *job) (rep *scenario.ModelReport, resumed bool, err error) {
+	opts := scenario.RunOptions{
 		Workers:       s.cfg.SweepWorkers,
 		Trace:         !j.spec.HasSweep(),
 		TraceInterval: traceInterval(float64(j.spec.Duration)),
@@ -749,7 +750,7 @@ func (s *Server) execute(j *job) (rep *result.Report, resumed bool, err error) {
 	if st := s.cfg.Checkpoints; st != nil {
 		opts.Checkpoint = s.ckptReq
 		if rec, ok := st.Get(j.key); ok {
-			rep, err = result.ResumeSpec(j.spec, rec.State, opts)
+			rep, err = scenario.ResumeModel(j.spec, rec.State, opts)
 			var ck *scenario.CheckpointError
 			if err == nil || errors.Is(err, sweep.ErrCanceled) || errors.As(err, &ck) {
 				return rep, true, err
@@ -760,7 +761,7 @@ func (s *Server) execute(j *job) (rep *result.Report, resumed bool, err error) {
 			st.Delete(j.key)
 		}
 	}
-	rep, err = result.RunSpec(j.spec, opts)
+	rep, err = scenario.RunModel(j.spec, opts)
 	return rep, false, err
 }
 
@@ -807,7 +808,7 @@ func (s *Server) ResumeCheckpoints(ctx context.Context) int {
 // if that peer is not this node. data is the report's encoding if the
 // CAS write-through made one, else nil and the report is encoded here.
 // Best-effort, bounded by the peer timeout; callers must not hold s.mu.
-func (s *Server) pushToOwner(hash string, rep *result.Report, data []byte) {
+func (s *Server) pushToOwner(hash string, rep *scenario.ModelReport, data []byte) {
 	if s.peers == nil {
 		return
 	}
@@ -834,7 +835,7 @@ func (s *Server) pushToOwner(hash string, rep *result.Report, data []byte) {
 // or a nil report to compute locally. A peer lookup cut short by the
 // caller's own cancel is no peer fault: it counts nothing and returns
 // sweep.ErrCanceled. Callers must not hold s.mu.
-func (s *Server) fetchCold(key, hash string, cancel <-chan struct{}) (*result.Report, string, error) {
+func (s *Server) fetchCold(key, hash string, cancel <-chan struct{}) (*scenario.ModelReport, string, error) {
 	if s.cfg.CAS != nil {
 		if data, ok := s.cfg.CAS.Get(key); ok {
 			if rep, err := result.DecodeReport(data); err == nil {
@@ -896,7 +897,7 @@ const maxTraceSamples = 20_000
 // duration/maxTraceSamples would admit maxTraceSamples+1 points, one
 // over the bound.
 func traceInterval(duration float64) float64 {
-	iv := result.TraceInterval
+	iv := scenario.DefaultTraceInterval
 	if duration/iv > float64(maxTraceSamples-1) {
 		iv = duration / float64(maxTraceSamples-1)
 	}
@@ -927,7 +928,7 @@ func (s *Server) Jobs() []JobStatus {
 
 // Result returns a job's report alongside its status. The report is
 // non-nil only in state "done".
-func (s *Server) Result(id string) (*result.Report, JobStatus, bool) {
+func (s *Server) Result(id string) (*scenario.ModelReport, JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]

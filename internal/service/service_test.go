@@ -134,7 +134,7 @@ func TestSubmitRunsAndResultMatchesSharedRenderer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunSpec(sp, result.Options{})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCuratedSpecsServeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := result.RunSpec(sp, result.Options{})
+			rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -682,13 +682,13 @@ func TestSubmitReportsTotalUpfront(t *testing.T) {
 }
 
 func TestTraceIntervalBoundsLongRuns(t *testing.T) {
-	if got := traceInterval(0.5); got != result.TraceInterval {
-		t.Errorf("short run interval = %g, want default %g", got, result.TraceInterval)
+	if got := traceInterval(0.5); got != scenario.DefaultTraceInterval {
+		t.Errorf("short run interval = %g, want default %g", got, scenario.DefaultTraceInterval)
 	}
 	long := 3600.0
 	got := traceInterval(long)
-	if got <= result.TraceInterval {
-		t.Errorf("long run interval = %g, want stretched above %g", got, result.TraceInterval)
+	if got <= scenario.DefaultTraceInterval {
+		t.Errorf("long run interval = %g, want stretched above %g", got, scenario.DefaultTraceInterval)
 	}
 	// float division noise can land a fraction above the cap; a single
 	// sample of slack is immaterial.

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/result"
 	"repro/internal/scenario"
 	"repro/internal/service"
 )
@@ -22,9 +21,9 @@ func expectedText(t *testing.T, spec string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunSpec(sp, result.Options{
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{
 		Trace:         !sp.HasSweep(),
-		TraceInterval: result.TraceInterval,
+		TraceInterval: scenario.DefaultTraceInterval,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +286,7 @@ func TestSingleFlightAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunSpec(sp, result.Options{})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func expectedTrace(t *testing.T, spec string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := result.RunSpec(sp, result.Options{Trace: true})
+	rep, err := scenario.RunModel(sp, scenario.RunOptions{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,9 @@ import (
 // whitespace cannot make the memo hold more than the spec it parsed.
 //
 // Jobs submitted with the same bytes share one *scenario.Spec. Nothing
-// writes to a spec once it is parsed: result.RunSpec and ResumeSpec,
-// scenario.RunModel and ResumeModel, and Spec.Canonical only read it,
-// and a sweep applies each case's coordinates to a copy (Spec.At).
+// writes to a spec once it is parsed: scenario.RunModel and
+// ResumeModel and Spec.Canonical only read it, and a sweep applies each
+// case's coordinates to a copy (Spec.At).
 type specMemo struct {
 	mu    sync.Mutex
 	bound int

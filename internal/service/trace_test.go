@@ -25,7 +25,7 @@ func TestAnalyticTraceCSVPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := result.RunSpec(sp, result.Options{
+			rep, err := scenario.RunModel(sp, scenario.RunOptions{
 				Workers:       1,
 				Trace:         true,
 				TraceInterval: traceInterval(float64(sp.Duration)),
